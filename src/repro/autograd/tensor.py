@@ -29,6 +29,7 @@ a single thread-local read per op.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
@@ -49,31 +50,35 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# global grad-enabled switch
+# per-thread grad-enabled switch
 # ---------------------------------------------------------------------------
 
-_GRAD_ENABLED = True
+# Per thread: serving threads enter and leave ``no_grad`` concurrently, and a
+# process-wide flag let one thread's exit restore another thread's ``False``.
+# A ContextVar rather than a ``threading.local`` because every autograd op
+# reads it twice and ``ContextVar.get`` costs about half as much; each new
+# thread starts from an empty context, so it starts with grad mode on.
+_GRAD_ENABLED: "contextvars.ContextVar[bool]" = contextvars.ContextVar(
+    "grad_enabled", default=True)
 
 
 def is_grad_enabled() -> bool:
-    """Return ``True`` when operations should build the autograd graph."""
-    return _GRAD_ENABLED
+    """Return ``True`` when operations on this thread should build the graph."""
+    return _GRAD_ENABLED.get()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables graph construction.
+    """Context manager that disables graph construction on this thread.
 
     Inside the block every operation behaves like a plain NumPy computation:
     results have ``requires_grad=False`` and no backward closures are stored.
     """
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_ENABLED.reset(token)
 
 
 # ---------------------------------------------------------------------------

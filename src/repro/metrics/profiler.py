@@ -65,8 +65,8 @@ def summarize_runtime(source, top_k: int = 10) -> Dict[str, object]:
     graph-optimizer and backend wins are attributable to specific kernels.
     ``backend`` is the backend that *executed* the kernel, parsed from the
     planner's ``op@<backend>`` labels: ``"numpy"`` for reference kernels,
-    ``"codegen"`` / ``"numba"`` for native ones, and ``"fallback"`` for
-    nodes a native backend declined (replayed on NumPy per-node fallback).
+    ``"numba"`` for native ones, and ``"fallback"`` for nodes a native
+    backend declined (replayed on NumPy per-node fallback).
     """
     stats_fn = getattr(source, "runtime_stats", None)
     if stats_fn is None:

@@ -29,10 +29,16 @@ __all__ = [
 
 
 class Parameter(Tensor):
-    """A :class:`Tensor` that is registered as a trainable leaf of a module."""
+    """A :class:`Tensor` that is registered as a trainable leaf of a module.
+
+    Unlike a plain tensor, a parameter keeps ``requires_grad`` even when it
+    is built inside ``no_grad()``: grad mode governs graph construction, not
+    whether a model's weights are trainable.
+    """
 
     def __init__(self, data, requires_grad: bool = True, name: str = ""):
-        super().__init__(data, requires_grad=requires_grad, name=name)
+        super().__init__(data, name=name)
+        self.requires_grad = bool(requires_grad)
 
 
 class Module:
@@ -212,8 +218,8 @@ class Module:
         return self.forward(*args, **kwargs)
 
     def compile(self, fn=None, optimize: str = "O0", profile: bool = False,
-                parallel_workers: int = 0, backend: str = "numpy",
-                dtype=None, guard_numerics: bool = False):
+                backend: str = "numpy", dtype=None,
+                guard_numerics: bool = False):
         """Return a compiled (capture/replay) no-grad forward of this module.
 
         The first call per input signature traces one eager forward into an
@@ -230,17 +236,15 @@ class Module:
         and TT wirings into the plans — O2 plans bake the current parameter
         values, so call :meth:`~repro.runtime.replay.CompiledForward.invalidate`
         (or rely on a shape change) after mutating parameters.
-        ``parallel_workers > 0`` runs independent branches of no-grad O2
-        replays on an inter-op thread pool; ``profile=True`` records
-        per-kernel timings.
+        ``profile=True`` records per-kernel timings.
 
         ``backend`` selects the kernel backend for the plans (``"numpy"``
-        reference, ``"codegen"`` / ``"numba"`` native with per-node
-        fallback, ``"auto"`` for the fastest available — see
-        :mod:`repro.runtime.backends`).  ``dtype`` (``"float32"`` /
-        ``"float64"``) recasts this module in place via :meth:`astype` and
-        makes the compiled forward cast its inputs to match; the default
-        keeps the module's current precision (float32 throughout the repo).
+        reference, ``"numba"`` native with per-node fallback, ``"auto"`` for
+        numba when installed — see :mod:`repro.runtime.backends`).
+        ``dtype`` (``"float32"`` / ``"float64"``) recasts this module in
+        place via :meth:`astype` and makes the compiled forward cast its
+        inputs to match; the default keeps the module's current precision
+        (float32 throughout the repo).
 
         ``guard_numerics=True`` checks every node's output for NaN/Inf during
         replay: a non-finite value raises a typed
@@ -254,7 +258,6 @@ class Module:
             self.astype(dtype)
         return CompiledForward(fn if fn is not None else self, owner=self,
                                optimize=optimize, profile=profile,
-                               parallel_workers=parallel_workers,
                                backend=backend, dtype=dtype,
                                guard_numerics=guard_numerics)
 

@@ -139,10 +139,10 @@ class DataParallelTrainer:
         self.compile = bool(compile)
         self.optimize = optimize
         self.backend = backend
-        if self.compile and backend != "auto":
-            from repro.runtime.backends import get_backend
+        if self.compile:
+            from repro.runtime import backends
 
-            get_backend(backend)  # raise early on unknown names
+            backends.resolve_backend(backend)  # raise early on unknown names
         self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float32)
         if dtype is not None:
             model.astype(self.dtype)

@@ -32,12 +32,13 @@ that steady-state overhead with a three-stage pipeline:
    closures, no module dispatch — and re-capture automatically when the
    input signature (shape/dtype/train-mode/timesteps/step-mode) changes.
 
-A **kernel backend registry** (:mod:`~repro.runtime.backends`) sits between
-plan and replay: ``backend="codegen"`` / ``"numba"`` / ``"auto"`` swaps the
-plan's fused ``ew_chain`` and LIF-recurrence nodes for plan-time-generated
-native kernels (shape/dtype/constants baked in, verified against the NumPy
-reference on the captured arrays, per-node fallback on decline), and a
-``dtype`` policy selects float32/float64 end to end.
+**Kernel backends** (:mod:`~repro.runtime.backends`) sit between plan and
+replay: ``backend="numpy"`` (default) replays the reference kernels, and
+``"numba"`` / ``"auto"`` swap the plan's fused ``ew_chain`` and
+LIF-recurrence nodes for ``@njit`` kernels generated at plan time
+(shape/dtype/constants baked in, verified against the NumPy reference on
+the captured arrays, per-node fallback on decline) when numba is installed.
+A ``dtype`` policy selects float32/float64 end to end.
 
 Entry points: ``BPTTTrainer(..., compile=True)``, ``Module.compile()`` and
 ``InferenceEngine(..., compile=True)``; see the README "Compiled runtime"
@@ -45,16 +46,7 @@ and "Backends" sections for measured speedups.
 """
 
 from repro.runtime.arena import BufferArena
-from repro.runtime.backends import (
-    Backend,
-    KernelRegistry,
-    NativeKernel,
-    available_backends,
-    backend_names,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
+from repro.runtime.backends import Backend, NativeKernel, resolve_backend
 from repro.runtime.graph import CaptureError, GraphCapture, OpNode, Region, Slot
 from repro.runtime.ops import OPS, OpDef, get_op, register_op
 from repro.runtime.optimizer import OPT_LEVELS, OptimizerReport, optimize_capture
@@ -65,12 +57,7 @@ from repro.runtime.streaming import StreamingForward, TemporalState
 __all__ = [
     "Backend",
     "BufferArena",
-    "KernelRegistry",
     "NativeKernel",
-    "available_backends",
-    "backend_names",
-    "get_backend",
-    "register_backend",
     "resolve_backend",
     "CaptureError",
     "GraphCapture",

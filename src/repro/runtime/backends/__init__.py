@@ -1,43 +1,40 @@
-"""Multi-backend kernel registry for the compiled runtime.
+"""Kernel backends for the compiled runtime.
 
-Importing the package registers the three process backends — ``numpy``
-(reference), ``codegen`` (exec-compiled specialized Python, always
-available) and ``numba`` (``@njit`` flat loops, gracefully absent) — into
-:data:`~repro.runtime.backends.base.REGISTRY`.  See ``README.md`` §Backends
+``numpy`` is the reference every plan can fall back to; ``numba`` (``@njit``
+flat loops) is used when numba is importable.  :func:`resolve_backend` is
+the one place a backend name is checked and turned into a
+:class:`~repro.runtime.backends.base.Backend`.  See ``README.md`` §Backends
 for the selection/fallback contract.
 """
 
-from repro.runtime.backends.base import (
-    Backend,
-    KernelRegistry,
-    NativeKernel,
-    REGISTRY,
-    available_backends,
-    backend_names,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
-from repro.runtime.backends.codegen_backend import CodegenBackend
+from repro.runtime.backends.base import REFERENCE, Backend, NativeKernel
 from repro.runtime.backends.numba_backend import NUMBA_AVAILABLE, NumbaBackend
-from repro.runtime.backends.numpy_backend import NumpyBackend
 
 __all__ = [
     "Backend",
-    "CodegenBackend",
-    "KernelRegistry",
     "NativeKernel",
     "NUMBA_AVAILABLE",
     "NumbaBackend",
-    "NumpyBackend",
-    "REGISTRY",
-    "available_backends",
-    "backend_names",
-    "get_backend",
-    "register_backend",
+    "REFERENCE",
     "resolve_backend",
 ]
 
-register_backend(NumpyBackend())
-register_backend(CodegenBackend())
-register_backend(NumbaBackend())
+#: the names ``backend=`` accepts
+BACKEND_NAMES = ("numpy", "numba", "auto")
+
+_NUMBA = NumbaBackend()
+
+
+def resolve_backend(name: str) -> Backend:
+    """The backend that runs for ``name``.
+
+    ``"numba"`` and ``"auto"`` resolve to numba when it is importable and to
+    the reference otherwise — callers can tell from ``.name`` and the plan
+    stats.  Any other name raises :class:`ValueError`.
+    """
+    if name not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")
+    if name != "numpy" and NUMBA_AVAILABLE:
+        return _NUMBA
+    return REFERENCE

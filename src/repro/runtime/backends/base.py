@@ -8,25 +8,17 @@ node's exact program, shapes and dtype) or decline it — declined nodes keep
 the NumPy reference kernel from :mod:`repro.runtime.ops`, so a plan is always
 complete and a backend only ever *adds* speed (per-node fallback).
 
-Backends live in a :class:`KernelRegistry`; :data:`REGISTRY` is the process
-default with three members:
+Two backends exist, selected by
+:func:`~repro.runtime.backends.resolve_backend`:
 
 ``numpy``
-    The always-on reference backend.  Compiles nothing — every node replays
-    the registry kernels, which are the parity oracle for everything else.
-``codegen``
-    Dependency-free native backend: the plan-time code generator
-    (:mod:`repro.runtime.backends.codegen`) emits one specialized Python
-    function per ``ew_chain`` / LIF-recurrence node (constants, shapes,
-    branch structure and workspace buffers baked in) and ``exec``-compiles
-    it.  Always available; used to exercise the whole native path — and the
-    per-node fallback machinery — on machines without numba.
+    The always-on reference backend (:data:`REFERENCE`).  Compiles nothing —
+    every node replays the registry kernels, which are the parity oracle for
+    everything else.
 ``numba``
-    ``@njit``-compiled flat-loop kernels from the same code generator
-    (:mod:`repro.runtime.backends.numba_backend`).  Gracefully absent when
-    numba is not installed: the backend still registers, reports
-    ``available = False``, and :meth:`KernelRegistry.resolve` silently falls
-    back to the reference backend.
+    ``@njit``-compiled flat-loop kernels from the plan-time code generator
+    (:mod:`repro.runtime.backends.numba_backend`).  Optional: where numba is
+    not installed the name resolves to the reference backend.
 
 Every kernel a native backend compiles is verified at plan time against the
 reference kernel on the captured arrays (forward and, for training plans,
@@ -36,19 +28,9 @@ shipping a wrong kernel.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
-__all__ = [
-    "Backend",
-    "KernelRegistry",
-    "NativeKernel",
-    "REGISTRY",
-    "available_backends",
-    "backend_names",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-]
+__all__ = ["Backend", "NativeKernel", "REFERENCE"]
 
 
 class NativeKernel:
@@ -76,15 +58,10 @@ class NativeKernel:
 class Backend:
     """A named kernel provider; subclasses implement :meth:`compile_node`."""
 
-    #: registry name (``numpy`` / ``codegen`` / ``numba``)
+    #: backend name, used in ``op@<name>`` profiler labels
     name = "base"
     #: the reference backend replays registry kernels and never compiles
     is_reference = False
-
-    @property
-    def available(self) -> bool:
-        """Whether the backend can compile kernels in this process."""
-        return True
 
     def eligible(self, node) -> bool:
         """Whether ``node`` is of a kind this backend *could* compile.
@@ -108,80 +85,13 @@ class Backend:
         """
         return None
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r}, available={self.available})"
+
+class _ReferenceBackend(Backend):
+    """Registry kernels as-is; :meth:`compile_node` always declines."""
+
+    name = "numpy"
+    is_reference = True
 
 
-class KernelRegistry:
-    """Name-keyed registry of :class:`Backend` instances."""
-
-    def __init__(self):
-        self._backends: Dict[str, Backend] = {}
-
-    def register(self, backend: Backend) -> Backend:
-        self._backends[backend.name] = backend
-        return backend
-
-    def names(self) -> List[str]:
-        """All registered backend names (available or not)."""
-        return sorted(self._backends)
-
-    def available(self) -> List[str]:
-        """Names of the backends that can compile (or replay) right now."""
-        return sorted(name for name, backend in self._backends.items()
-                      if backend.available)
-
-    def get(self, name: str) -> Backend:
-        """The backend registered under ``name`` (it may be unavailable)."""
-        try:
-            return self._backends[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown backend {name!r}; registered: {self.names()}"
-            ) from None
-
-    def resolve(self, name: str) -> Backend:
-        """Backend for ``name``, degrading gracefully to the reference.
-
-        ``"auto"`` picks the fastest available backend (``numba`` if it can
-        compile, else ``codegen``).  A registered-but-unavailable backend
-        (numba not installed) resolves to the reference backend — callers
-        can tell from ``resolve(name).name != name`` and the plan stats.
-        """
-        if name == "auto":
-            for candidate in ("numba", "codegen"):
-                backend = self._backends.get(candidate)
-                if backend is not None and backend.available:
-                    return backend
-            return self.reference()
-        backend = self.get(name)
-        if not backend.available:
-            return self.reference()
-        return backend
-
-    def reference(self) -> Backend:
-        return self.get("numpy")
-
-
-#: process-wide default registry (populated on package import)
-REGISTRY = KernelRegistry()
-
-
-def register_backend(backend: Backend) -> Backend:
-    return REGISTRY.register(backend)
-
-
-def get_backend(name: str) -> Backend:
-    return REGISTRY.get(name)
-
-
-def resolve_backend(name: str) -> Backend:
-    return REGISTRY.resolve(name)
-
-
-def backend_names() -> List[str]:
-    return REGISTRY.names()
-
-
-def available_backends() -> List[str]:
-    return REGISTRY.available()
+#: the NumPy reference backend — the parity oracle and the fallback target
+REFERENCE = _ReferenceBackend()

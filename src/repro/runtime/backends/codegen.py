@@ -1,26 +1,19 @@
-"""Plan-time code generation for fused graph nodes.
+"""Plan-time code generation for the numba backend's fused graph nodes.
 
 Emits ONE specialized source function per ``ew_chain`` node and per
 LIF-recurrence node of an optimized capture, with everything the generic
 registry kernels look up per replay — the step program, shapes, dtypes,
 neuron constants, branch structure (hard/soft reset, detach, surrogate
-width) — baked into the source at plan time.  Two emission modes:
+width) — baked into the source at plan time.
 
-``python``
-    NumPy ufunc sequences writing into persistent workspace buffers,
-    ``exec``-compiled.  Mirrors the reference kernels' exact operation
-    order, so results are bit-identical where the reference itself is
-    deterministic; supports every chain the optimizer fuses (including
-    broadcasting mid-chain).  Used by the always-available ``codegen``
-    backend.
-``numba``
-    Flat scalar loops meant for ``@njit`` compilation — a single pass per
-    element with zero intermediate arrays (the big win over a sequence of
-    ufunc dispatches).  Restricted to uniform-shape chains (every step
-    produces the output shape; externals are same-shape or scalar) — the
-    ``numba`` backend declines anything else, falling back per node.  The
-    emitted source is also plain valid Python, which is how the test suite
-    checks its semantics on machines without numba.
+The sources are flat scalar loops meant for ``@njit`` compilation — a
+single pass per element with zero intermediate arrays (the big win over a
+sequence of ufunc dispatches).  Emission is restricted to uniform-shape
+chains (every step produces the output shape; externals are same-shape or
+scalar) — the ``numba`` backend declines anything else, falling back per
+node.  The emitted source is also plain valid Python, which is how the test
+suite checks its semantics against the reference kernels on machines
+without numba.
 
 :func:`verify_kernel` runs a candidate kernel against the registry
 reference on the captured arrays (forward, and backward when the node is on
@@ -36,20 +29,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.tensor import Workspace, _unbroadcast
+from repro.autograd.tensor import _unbroadcast
 
 __all__ = [
     "UnsupportedNode",
     "chain_program",
     "lif_config",
-    "emit_chain_python",
     "emit_chain_numba",
-    "emit_lif_python",
     "emit_lif_numba",
     "compile_python",
     "verify_kernel",
-    "PyChainKernel",
-    "PyLIFKernel",
 ]
 
 
@@ -60,7 +49,6 @@ class UnsupportedNode(Exception):
 #: ops the elementwise-chain emitters understand (the optimizer's _FUSIBLE set)
 CHAIN_OPS = {"add", "mul", "div", "neg", "exp", "log", "sqrt", "tanh",
              "sigmoid", "relu", "abs", "clip", "pow"}
-_BINARY = {"add", "mul", "div"}
 
 #: per-dtype (rtol, atol) used by plan-time verification
 VERIFY_TOLERANCE = {
@@ -144,240 +132,6 @@ def lif_config(node, slots) -> Dict[str, object]:
         "hard": bool(ctx.hard_reset),
         "detach": bool(ctx.detach_reset),
     }
-
-
-# ---------------------------------------------------------------------------
-# python-mode emission (ufunc sequences into workspace buffers)
-# ---------------------------------------------------------------------------
-
-
-def _dt(dtype) -> str:
-    return repr(np.dtype(dtype).str)
-
-
-def _sh(shape) -> str:
-    return repr(tuple(shape))
-
-
-def _py_fwd_step(lines, index, op, a, b, out, step) -> None:
-    """Append the ufunc sequence computing step ``index`` into buffer ``out``."""
-    if op == "add":
-        lines.append(f"    np.add({a}, {b}, out={out})")
-    elif op == "mul":
-        lines.append(f"    np.multiply({a}, {b}, out={out})")
-    elif op == "div":
-        lines.append(f"    np.divide({a}, {b}, out={out})")
-    elif op == "neg":
-        lines.append(f"    np.negative({a}, out={out})")
-    elif op == "exp":
-        lines.append(f"    np.exp({a}, out={out})")
-    elif op == "log":
-        lines.append(f"    np.log({a}, out={out})")
-    elif op == "sqrt":
-        lines.append(f"    np.sqrt({a}, out={out})")
-    elif op == "tanh":
-        lines.append(f"    np.tanh({a}, out={out})")
-    elif op == "sigmoid":
-        # 1 / (1 + exp(-a)) with a single buffer, same operation order as
-        # the reference kernel.
-        lines.append(f"    np.negative({a}, out={out})")
-        lines.append(f"    np.exp({out}, out={out})")
-        lines.append(f"    np.add({out}, 1.0, out={out})")
-        lines.append(f"    np.divide(1.0, {out}, out={out})")
-    elif op == "relu":
-        mask = f"ws.buf('cgm{index}', {_sh(step['shape'])}, 'bool')"
-        lines.append(f"    m{index} = {mask}")
-        lines.append(f"    np.greater({a}, 0, out=m{index})")
-        lines.append(f"    np.multiply({a}, m{index}, out={out})")
-    elif op == "abs":
-        lines.append(f"    np.abs({a}, out={out})")
-    elif op == "clip":
-        lines.append(f"    np.clip({a}, {step['low']!r}, {step['high']!r}, out={out})")
-    elif op == "pow":
-        lines.append(f"    np.power({a}, {step['exponent']!r}, out={out})")
-    else:  # pragma: no cover - guarded by chain_program
-        raise UnsupportedNode(op)
-
-
-def _py_grad_exprs(op, step, a, b, out, g) -> List[str]:
-    """Gradient expression per input position, mirroring the registry backward."""
-    if op == "add":
-        return [g, g]
-    if op == "mul":
-        return [f"{g} * {b}", f"{g} * {a}"]
-    if op == "div":
-        return [f"{g} / {b}", f"-{g} * {a} / ({b} ** 2)"]
-    if op == "neg":
-        return [f"-{g}"]
-    if op == "exp":
-        return [f"{g} * {out}"]
-    if op == "log":
-        return [f"{g} / {a}"]
-    if op == "sqrt":
-        return [f"{g} * 0.5 / np.maximum({out}, 1e-12)"]
-    if op == "tanh":
-        return [f"{g} * (1.0 - {out} ** 2)"]
-    if op == "sigmoid":
-        return [f"{g} * {out} * (1.0 - {out})"]
-    if op == "relu":
-        return [f"{g} * ({a} > 0).astype({a}.dtype)"]
-    if op == "abs":
-        return [f"{g} * np.sign({a})"]
-    if op == "clip":
-        return [f"{g} * (({a} >= {step['low']!r}) & ({a} <= {step['high']!r}))"
-                f".astype({a}.dtype)"]
-    if op == "pow":
-        e = step["exponent"]
-        return [f"{g} * {e!r} * {a} ** ({e!r} - 1)"]
-    raise UnsupportedNode(op)  # pragma: no cover - guarded by chain_program
-
-
-def _chain_operands(step, index: int) -> Tuple[str, Optional[str]]:
-    """Source expressions for a step's first/second input in python mode."""
-    names = []
-    for spec in step["ins"]:
-        names.append(f"b{index - 1}" if spec < 0 else f"x{spec}")
-    return names[0], (names[1] if len(names) > 1 else None)
-
-
-def emit_chain_python(program, needs) -> str:
-    """Source for ``cg_fwd(ins, ws)`` / ``cg_bwd(g, ins, ws)``.
-
-    The forward writes every step into a persistent workspace buffer (the
-    replay steady state allocates nothing); the backward re-derives each
-    step's gradient with the exact formula, operation order and thread-grad
-    unbroadcasting of :func:`repro.runtime.ops._ew_chain_bwd`.
-    """
-    steps = program["steps"]
-    n_inputs = program["n_inputs"]
-    lines = ["def cg_fwd(ins, ws):"]
-    for k in range(n_inputs):
-        lines.append(f"    x{k} = ins[{k}]")
-    for index, step in enumerate(steps):
-        a, b = _chain_operands(step, index)
-        lines.append(f"    b{index} = ws.buf('cg{index}', {_sh(step['shape'])}, "
-                     f"{_dt(step['dtype'])})")
-        _py_fwd_step(lines, index, step["op"], a, b, f"b{index}", step)
-    lines.append(f"    return b{len(steps) - 1}")
-    lines.append("")
-    lines.append("def cg_bwd(g, ins, ws):")
-    for k in range(n_inputs):
-        lines.append(f"    x{k} = ins[{k}]")
-    for index, step in enumerate(steps[:-1]):
-        # Saved forward intermediates (the last step's buffer is `out` but
-        # is not read by any backward formula that needs re-fetching here).
-        lines.append(f"    b{index} = ws.buf('cg{index}', {_sh(step['shape'])}, "
-                     f"{_dt(step['dtype'])})")
-    last = len(steps) - 1
-    lines.append(f"    b{last} = ws.buf('cg{last}', {_sh(steps[last]['shape'])}, "
-                 f"{_dt(steps[last]['dtype'])})")
-    lines.append("    gcur = np.asarray(g)")
-    written = [False] * n_inputs
-    for index in range(len(steps) - 1, -1, -1):
-        step = steps[index]
-        a, b = _chain_operands(step, index)
-        exprs = _py_grad_exprs(step["op"], step, a, b, f"b{index}", "gcur")
-        thread_expr = None
-        for position, spec in enumerate(step["ins"]):
-            if spec < 0:
-                thread_expr = exprs[position]
-            elif needs[spec]:
-                if written[spec]:
-                    lines.append(f"    gx{spec} = gx{spec} + ({exprs[position]})")
-                else:
-                    lines.append(f"    gx{spec} = {exprs[position]}")
-                    written[spec] = True
-        if index == 0:
-            break
-        previous = steps[index - 1]
-        lines.append(f"    gcur = _unbroadcast(np.asarray(({thread_expr}), "
-                     f"dtype={_dt(previous['dtype'])}), {_sh(previous['shape'])})")
-    lines.append(f"    grads = [None] * {n_inputs}")
-    for k in range(n_inputs):
-        if written[k]:
-            lines.append(f"    grads[{k}] = gx{k}")
-    lines.append("    return grads")
-    return "\n".join(lines) + "\n"
-
-
-def emit_lif_python(cfg) -> str:
-    """Source for ``lif_fwd`` / ``lif_fwd_infer`` / ``lif_bwd`` (python mode).
-
-    The timestep loop is unrolled with the neuron constants and the
-    hard/soft-reset and detach branches resolved at emission time; the
-    operation sequence matches :class:`~repro.snn.neurons._FusedLIFSequence`
-    exactly, so spikes and gradients are bit-identical to the reference.
-    """
-    shape, frame, dtype = cfg["shape"], cfg["frame"], cfg["dtype"]
-    timesteps, tau, vth = cfg["timesteps"], cfg["tau"], cfg["vth"]
-    width, hard, detach = cfg["width"], cfg["hard"], cfg["detach"]
-    sh, fr, dt = _sh(shape), _sh(frame), _dt(dtype)
-
-    def _body(lines, save: bool) -> None:
-        lines.append(f"    spk = ws.buf('cg_spk', {sh}, {dt})")
-        if save:
-            lines.append(f"    mem = ws.buf('cg_mem', {sh}, {dt})")
-        lines.append(f"    post = ws.buf('cg_post', {fr}, {dt})")
-        lines.append(f"    scr = ws.buf('cg_scr', {fr}, {dt})")
-        if not save:
-            lines.append(f"    m = ws.buf('cg_m', {fr}, {dt})")
-        lines.append("    np.copyto(post, 0.0)")
-        for t in range(timesteps):
-            if save:
-                lines.append(f"    m = mem[{t}]")
-            lines.append(f"    np.multiply(post, {tau!r}, out=m)")
-            lines.append(f"    m += cur[{t}]")
-            lines.append(f"    s = spk[{t}]")
-            lines.append(f"    np.greater_equal(m, {vth!r}, out=s, casting='unsafe')")
-            if hard:
-                lines.append("    np.subtract(1.0, s, out=scr)")
-                lines.append("    np.multiply(m, scr, out=post)")
-            else:
-                lines.append(f"    np.multiply(s, {vth!r}, out=scr)")
-                lines.append("    np.subtract(m, scr, out=post)")
-        lines.append("    return spk")
-
-    lines = ["def lif_fwd(cur, ws):"]
-    _body(lines, save=True)
-    lines.append("")
-    lines.append("def lif_fwd_infer(cur, ws):")
-    _body(lines, save=False)
-    lines.append("")
-    lines.append("def lif_bwd(g, ws):")
-    lines.append(f"    mem = ws.buf('cg_mem', {sh}, {dt})")
-    lines.append(f"    spk = ws.buf('cg_spk', {sh}, {dt})")
-    lines.append(f"    gin = ws.buf('cg_gin', {sh}, {dt})")
-    lines.append(f"    gpost = ws.buf('cg_gpost', {fr}, {dt})")
-    lines.append(f"    scr = ws.buf('cg_gscr', {fr}, {dt})")
-    lines.append(f"    pre = ws.buf('cg_pre', {fr}, {dt})")
-    lines.append(f"    mask = ws.buf('cg_mask', {fr}, 'bool')")
-    lines.append(f"    der = ws.buf('cg_der', {fr}, {dt})")
-    lines.append("    gpost.fill(0.0)")
-    for t in range(timesteps - 1, -1, -1):
-        lines.append(f"    m = mem[{t}]")
-        lines.append(f"    gs = g[{t}]")
-        if not detach:
-            if hard:
-                lines.append("    gs = gs - gpost * m")
-            else:
-                lines.append(f"    gs = gs - gpost * {vth!r}")
-        lines.append(f"    np.subtract(m, {vth!r}, out=pre)")
-        lines.append("    np.abs(pre, out=pre)")
-        lines.append(f"    np.less(pre, {width / 2.0!r}, out=mask)")
-        lines.append("    np.copyto(der, mask, casting='unsafe')")
-        if width != 1.0:
-            lines.append(f"    der /= {width!r}")
-        lines.append(f"    gm = gin[{t}]")
-        lines.append("    np.multiply(gs, der, out=gm)")
-        if hard:
-            lines.append(f"    np.subtract(1.0, spk[{t}], out=scr)")
-            lines.append("    scr *= gpost")
-            lines.append("    gm += scr")
-        else:
-            lines.append("    gm += gpost")
-        lines.append(f"    np.multiply(gm, {tau!r}, out=gpost)")
-    lines.append("    return gin")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -615,64 +369,15 @@ def emit_lif_numba(cfg) -> str:
 
 
 # ---------------------------------------------------------------------------
-# compilation + wrappers
+# compilation
 # ---------------------------------------------------------------------------
 
 
 def compile_python(source: str) -> Dict[str, object]:
     """``exec`` a generated source; returns its function namespace."""
-    env: Dict[str, object] = {"np": np, "math": math, "_unbroadcast": _unbroadcast}
+    env: Dict[str, object] = {"np": np, "math": math}
     exec(compile(source, "<repro-codegen>", "exec"), env)
     return env
-
-
-class PyChainKernel:
-    """Registry-convention wrapper around an exec-compiled chain source."""
-
-    def __init__(self, funcs: Dict[str, object], ws: Workspace):
-        self._fwd = funcs["cg_fwd"]
-        self._bwd = funcs["cg_bwd"]
-        self._ws = ws
-        self._token = object()
-
-    def forward(self, ins, attrs, out=None):
-        return self._fwd(ins, self._ws), self._token
-
-    def forward_inference(self, ins, attrs, out=None):
-        return self._fwd(ins, self._ws)
-
-    def backward(self, g, ins, out, saved, attrs, needs):
-        if saved is not self._token:
-            # Capture-step backward: the forward ran eagerly before this
-            # kernel existed, so its per-step saved state is the reference
-            # format — delegate to the reference backward once.
-            from repro.runtime.ops import _ew_chain_bwd
-
-            return _ew_chain_bwd(g, ins, out, saved, attrs, needs)
-        return self._bwd(g, ins, self._ws)
-
-
-class PyLIFKernel:
-    """Registry-convention wrapper around an exec-compiled LIF source."""
-
-    def __init__(self, funcs: Dict[str, object], ws: Workspace):
-        self._fwd = funcs["lif_fwd"]
-        self._infer = funcs["lif_fwd_infer"]
-        self._bwd = funcs["lif_bwd"]
-        self._ws = ws
-        self._token = object()
-
-    def forward(self, ins, attrs, out=None):
-        return self._fwd(ins[0], self._ws), self._token
-
-    def forward_inference(self, ins, attrs, out=None):
-        return self._infer(ins[0], self._ws)
-
-    def backward(self, g, ins, out, saved, attrs, needs):
-        if saved is not self._token:
-            grads = saved.backward(np.asarray(g))
-            return list(grads) if isinstance(grads, (tuple, list)) else [grads]
-        return [self._bwd(np.asarray(g), self._ws)]
 
 
 # ---------------------------------------------------------------------------

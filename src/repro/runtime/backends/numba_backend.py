@@ -1,6 +1,6 @@
-"""Optional ``@njit`` backend over the flat-loop codegen mode.
+"""Optional ``@njit`` backend over the flat-loop code generator.
 
-Takes the numba-mode sources from :mod:`repro.runtime.backends.codegen`
+Takes the sources emitted by :mod:`repro.runtime.backends.codegen`
 (single scalar loop per kernel, zero intermediate arrays), compiles them
 with ``numba.njit`` and marshals plan buffers as raveled views so replays
 stay allocation-free.  JIT compilation is triggered by the plan-time
@@ -8,11 +8,12 @@ verification call, so the specialization cost is paid once per plan, not on
 the replay path; compiled functions are cached in-process keyed by emitted
 source, so re-captures of the same node shape reuse the machine code.
 
-Gracefully absent: when numba is not installed the backend still registers
-but reports ``available = False`` and ``KernelRegistry.resolve`` degrades to
-the reference backend.  The numba mode only specializes uniform-shape
-chains (every step produces the output shape, externals same-shape or
-scalar) — broadcast chains are declined per node and replay on NumPy.
+Gracefully absent: when numba is not installed
+:func:`~repro.runtime.backends.resolve_backend` returns the reference
+backend for ``"numba"`` and ``"auto"``.  The numba mode only specializes
+uniform-shape chains (every step produces the output shape, externals
+same-shape or scalar) — broadcast chains are declined per node and replay
+on NumPy.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from repro.runtime.backends.base import Backend, NativeKernel
 from repro.runtime.backends.codegen import (
-    UnsupportedNode,
     chain_program,
     compile_python,
     emit_chain_numba,
@@ -162,10 +162,6 @@ class NumbaBackend(Backend):
 
     name = "numba"
 
-    @property
-    def available(self) -> bool:
-        return NUMBA_AVAILABLE
-
     def eligible(self, node) -> bool:
         if node.op == "ew_chain":
             return True
@@ -175,24 +171,26 @@ class NumbaBackend(Backend):
 
         return node.attrs.get("cls") is _FusedLIFSequence
 
+    def _compile(self, source: str, names: Tuple[str, ...]) -> Dict[str, object]:
+        """The functions ``names`` of an emitted ``source``, jitted."""
+        return _jit(source, names)
+
     def compile_node(self, node, slots, needs, node_has_backward: bool
                      ) -> Optional[NativeKernel]:
-        if not NUMBA_AVAILABLE:
-            return None
         try:
             if node.op == "ew_chain":
                 program = chain_program(node, slots)
                 source, kinds = emit_chain_numba(program, needs)
                 names = ("cg_fwd", "cg_bwd") if node_has_backward else ("cg_fwd",)
-                impl = _NumbaChainKernel(_jit(source, names), program, kinds,
-                                         needs, node_has_backward)
+                impl = _NumbaChainKernel(self._compile(source, names), program,
+                                         kinds, needs, node_has_backward)
             elif self.eligible(node):
                 cfg = lif_config(node, slots)
                 source = emit_lif_numba(cfg)
                 names = ("lif_fwd", "lif_fwd_infer")
                 if node_has_backward:
                     names = names + ("lif_bwd",)
-                impl = _NumbaLIFKernel(_jit(source, names), cfg)
+                impl = _NumbaLIFKernel(self._compile(source, names), cfg)
             else:
                 return None
             # First calls inside verification trigger (or reuse) the JIT

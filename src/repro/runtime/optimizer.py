@@ -36,8 +36,7 @@ Optimization levels:
     * **frozen kernel matrices** — convolutions whose weights are plan
       constants pre-gather their ``(kh*kw*C, O)`` GEMM operand once;
     * **schedule optimization** — a topological reorder minimising peak live
-      intermediate bytes, or (with ``parallel_workers > 0``) a level
-      schedule for the inter-op thread pool used during no-grad replay.
+      intermediate bytes.
 
 Every pass preserves eager-vs-replay equivalence to <= 1e-6 (O1 passes are
 value-exact; O2 folds refactor per-channel float math and stay inside
@@ -114,7 +113,6 @@ class OptimizerReport:
     reordered: bool = False
     peak_bytes_before: int = 0
     peak_bytes_after: int = 0
-    parallel_levels: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -988,33 +986,12 @@ def _reorder_for_memory(graph: _Graph, report: OptimizerReport) -> None:
         report.peak_bytes_after = report.peak_bytes_before
 
 
-def _level_schedule(graph: _Graph, report: OptimizerReport) -> None:
-    """Sort nodes into dependency levels for the inter-op thread pool."""
-    nodes = graph.nodes
-    producers = graph.producer_map()
-    levels = [0] * len(nodes)
-    for index, node in enumerate(nodes):
-        level = 0
-        for slot in node.inputs:
-            producer = producers.get(slot)
-            if producer is not None:
-                level = max(level, levels[producer] + 1)
-        levels[index] = level
-    order = sorted(range(len(nodes)), key=lambda index: (levels[index], index))
-    graph.capture.nodes = [nodes[index] for index in order]
-    graph.nodes = list(graph.capture.nodes)
-    graph.compact()
-    graph.capture.parallel_levels = [levels[index] for index in order]
-    report.parallel_levels = (max(levels) + 1) if levels else 0
-
-
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
 
 
-def optimize_capture(capture: GraphCapture, level: str = "O0",
-                     parallel_workers: int = 0) -> OptimizerReport:
+def optimize_capture(capture: GraphCapture, level: str = "O0") -> OptimizerReport:
     """Run the pass pipeline for ``level`` over ``capture`` (in place).
 
     Folding passes that require a frozen, no-grad graph (eval-BN fold, TT
@@ -1028,8 +1005,6 @@ def optimize_capture(capture: GraphCapture, level: str = "O0",
     report = OptimizerReport(level=level, nodes_before=len(capture.nodes),
                              nodes_after=len(capture.nodes))
     capture.optimizer_report = report
-    capture.parallel_levels = None
-    capture.parallel_workers = 0
     if level == "O0":
         return report
 
@@ -1050,21 +1025,16 @@ def optimize_capture(capture: GraphCapture, level: str = "O0",
     _specialize_kernels(graph, report,
                         freeze_constants=(level == "O2" and no_grad_plan))
     if level == "O2" and no_grad_plan:
-        # Scheduling passes only respect *data* dependencies; an impure node
+        # The reorder only respects *data* dependencies; an impure node
         # (dropout consuming a shared RNG stream, a train-mode side effect)
-        # must keep its capture order and must never run concurrently.
+        # must keep its capture order.
         pure_schedule = all(
             node.op not in _IMPURE
             and not (node.op == "bn_seq" and node.attrs["ctor"]["training"])
             and not (node.op == "bn_seq_cached" and node.attrs["training"])
             for node in capture.nodes
         )
-        if not pure_schedule:
-            pass
-        elif parallel_workers > 0:
-            _level_schedule(graph, report)
-            capture.parallel_workers = int(parallel_workers)
-        else:
+        if pure_schedule:
             _reorder_for_memory(graph, report)
     report.nodes_after = len(capture.nodes)
     return report

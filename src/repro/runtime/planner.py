@@ -55,14 +55,14 @@ class ExecutionPlan:
     def __init__(self, capture: GraphCapture, arena: BufferArena,
                  profile: bool = False, backend: str = "numpy",
                  guard_numerics: bool = False):
-        from repro.runtime.backends import resolve_backend
+        from repro.runtime import backends
 
         self._arena = arena
         # Kernel backend: the requested name degrades gracefully (an
         # unavailable backend resolves to the reference), and individual
         # nodes the backend declines fall back per node below.
         self.backend_request = backend
-        self._backend = resolve_backend(backend)
+        self._backend = backends.resolve_backend(backend)
         self.backend = self._backend.name
         self.slots = capture.slots
         self.nodes = capture.nodes
@@ -70,11 +70,6 @@ class ExecutionPlan:
         self.output_ids: List[Tuple[str, int]] = list(capture.outputs)
         self.loss_slot = capture.loss_slot
         self.optimizer_report = getattr(capture, "optimizer_report", None)
-        # Level schedule produced by the optimizer's parallel pass: nodes are
-        # sorted by dependency level, steps within one level are independent.
-        self._levels: Optional[List[int]] = getattr(capture, "parallel_levels", None)
-        self._workers = int(getattr(capture, "parallel_workers", 0) or 0)
-        self._pool = None
         self._profile = bool(profile)
         # Optimized plans adopt C-contiguous first-write gradient views by
         # reference: the layout matches the contiguous copy bit-for-bit, so
@@ -126,7 +121,6 @@ class ExecutionPlan:
             "bwd:" + self._decorated_label(node, self._native_by_id.get(id(node)))
             for node in self._bwd_nodes
         ]
-        self._level_groups = self._build_level_groups()
         if self.has_backward:
             loss = self.slots[self.loss_slot]
             self._seed = np.ones(loss.shape, dtype=loss.dtype)
@@ -190,23 +184,6 @@ class ExecutionPlan:
             self.native_nodes += 1
             self._native[position] = kernel
             self._native_by_id[id(node)] = kernel
-
-    def _parallel(self) -> bool:
-        return (self._workers > 0 and self._levels is not None
-                and not self.has_backward)
-
-    def _build_level_groups(self) -> Optional[List[Tuple[int, int, int]]]:
-        """Contiguous ``(level, start, stop)`` runs of the level-sorted schedule."""
-        if not self._parallel():
-            return None
-        groups: List[Tuple[int, int, int]] = []
-        start = 0
-        for position in range(1, len(self.nodes) + 1):
-            if (position == len(self.nodes)
-                    or self._levels[position] != self._levels[start]):
-                groups.append((self._levels[start], start, position))
-                start = position
-        return groups
 
     # -- analysis ------------------------------------------------------------
 
@@ -317,20 +294,10 @@ class ExecutionPlan:
             return managed
 
         # Forward-only: alias-folded live ranges, linear-scan buffer sharing.
-        # Parallel plans measure positions in dependency *levels*: a buffer
-        # is only reusable once its last reader's level has fully completed,
-        # because steps within one level run concurrently.
-        levels = self._levels if self._parallel() else None
-
-        def _pos(position: float) -> float:
-            if levels is None or position == _INFINITY:
-                return position
-            return levels[int(position)]
-
         root_last: Dict[int, float] = {}
         for index, use in self._last_use.items():
             root = roots[index]
-            root_last[root] = max(root_last.get(root, -1), _pos(use))
+            root_last[root] = max(root_last.get(root, -1), use)
 
         free: Dict[Tuple[Tuple[int, ...], str], List[np.ndarray]] = {}
         active: List[Tuple[float, int]] = []  # (last_use, slot) with a bound buffer
@@ -347,12 +314,10 @@ class ExecutionPlan:
             active[:] = keep
 
         for position, node, opdef in candidates:
-            _release_until(_pos(position) - 1)
-            if opdef.inplace_safe and levels is None:
+            _release_until(position - 1)
+            if opdef.inplace_safe:
                 # An input that dies at this very node may donate its buffer:
                 # elementwise kernels tolerate out aliasing a same-shape input.
-                # (Disabled under the parallel schedule — a same-level sibling
-                # may still be reading the donor.)
                 _release_until(position)
             slot = self.slots[node.out]
             key = (slot.shape, slot.dtype.str)
@@ -375,10 +340,8 @@ class ExecutionPlan:
         eager engine's level instead of pinning a full step of intermediates.
         """
         drops: Dict[int, List[int]] = {}
-        self._level_drops: Dict[int, List[int]] = {}
         if self.has_backward:
             return drops
-        parallel = self._parallel()
         for slot in self.slots:
             if (slot.kind != INTER or slot.index in self._keep
                     or slot.index in self._slot_buffer):
@@ -387,19 +350,9 @@ class ExecutionPlan:
             if use is None:
                 producer = slot.producer
                 if producer is not None:
-                    if parallel:
-                        self._level_drops.setdefault(self._levels[producer], []) \
-                            .append(slot.index)
-                    else:
-                        drops.setdefault(producer, []).append(slot.index)
+                    drops.setdefault(producer, []).append(slot.index)
             elif use != _INFINITY:
-                if parallel:
-                    # Concurrent same-level readers: drop only after the whole
-                    # level of the last reader has completed.
-                    self._level_drops.setdefault(self._levels[int(use)], []) \
-                        .append(slot.index)
-                else:
-                    drops.setdefault(int(use), []).append(slot.index)
+                drops.setdefault(int(use), []).append(slot.index)
         return drops
 
     # -- step construction -----------------------------------------------------
@@ -574,7 +527,7 @@ class ExecutionPlan:
                         grads: Optional[bool] = None):
         """One replay with per-kernel attribution, regardless of ``profile=``.
 
-        Runs the (serial) profiled executor for this call only and returns
+        Runs the profiled executor for this call only and returns
         ``(outputs, [(label, seconds, calls), ...])`` where the timing rows
         are the *deltas* this replay added to the cumulative profile — the
         feed for sampled per-kernel trace spans (:mod:`repro.obs`).  Labels
@@ -607,54 +560,16 @@ class ExecutionPlan:
 
     def _run_forward(self) -> None:
         if self.guard_numerics or self._poison_target is not None:
-            # Guarded (and fault-poisoned) replays run the serial checked
-            # path; guards trade the level-parallel overlap for detection.
+            # Guarded (and fault-poisoned) replays run the checked path.
             self._run_forward_guarded()
             return
-        if self._level_groups is not None:
-            if self._profile:
-                # Per-kernel wall-clock attribution needs serial execution:
-                # run the level schedule sequentially (with its level-barrier
-                # drops) instead of silently dropping the profile.
-                self._run_profiled(self._fwd_steps, self._fwd_labels,
-                                   level_groups=self._level_groups)
-            else:
-                self._run_forward_parallel()
-        elif self._profile:
+        if self._profile:
             self._run_profiled(self._fwd_steps, self._fwd_labels)
         else:
             for step in self._fwd_steps:
                 step()
 
-    def _run_forward_parallel(self) -> None:
-        """Execute the level schedule; independent same-level steps overlap.
-
-        NumPy's BLAS kernels release the GIL, so the pool overlaps the heavy
-        GEMMs of independent branches (residual paths, TT sub-convolutions).
-        Buffer binding and value drops are level-aware (see
-        :meth:`_bind_buffers` / :meth:`_build_forward_drops`), so concurrent
-        steps never share scratch storage.
-        """
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(max_workers=self._workers)
-        steps = self._fwd_steps
-        vals = self._vals
-        for level, start, stop in self._level_groups:
-            if stop - start == 1:
-                steps[start]()
-            else:
-                futures = [self._pool.submit(steps[index])
-                           for index in range(start, stop)]
-                for future in futures:
-                    future.result()
-            drops = self._level_drops.get(level)
-            if drops is not None:
-                for index in drops:
-                    vals[index] = None
-
-    def _run_profiled(self, steps, labels, level_groups=None) -> None:
+    def _run_profiled(self, steps, labels) -> None:
         seconds = self.kernel_seconds
         calls = self.kernel_calls
         for step, label in zip(steps, labels):
@@ -663,15 +578,6 @@ class ExecutionPlan:
             elapsed = time.perf_counter() - started
             seconds[label] = seconds.get(label, 0.0) + elapsed
             calls[label] = calls.get(label, 0) + 1
-        if level_groups is not None:
-            # Serial stand-in for the parallel runner: apply its
-            # level-barrier value drops so liveness behaves identically.
-            vals = self._vals
-            for level, _, _ in level_groups:
-                drops = self._level_drops.get(level)
-                if drops is not None:
-                    for index in drops:
-                        vals[index] = None
 
     # -- numeric guards / fault quarantine ----------------------------------------
 
@@ -703,7 +609,7 @@ class ExecutionPlan:
         self._poison_value = float(action.get("value", "nan"))
 
     def _run_forward_guarded(self) -> None:
-        """Serial forward with per-node non-finite detection.
+        """Forward with per-node non-finite detection.
 
         Raises a typed :class:`NumericFault` naming the first offending
         node; the front-ends (:mod:`repro.runtime.replay`) use
@@ -735,14 +641,6 @@ class ExecutionPlan:
                     and not np.isfinite(value).all()):
                 raise NumericFault(self._fwd_labels[position], position,
                                    position in self._native)
-        if self._level_groups is not None:
-            # Serial stand-in for the parallel runner (see _run_profiled):
-            # apply its level-barrier drops so liveness behaves identically.
-            for level, _, _ in self._level_groups:
-                drops = self._level_drops.get(level)
-                if drops is not None:
-                    for index in drops:
-                        vals[index] = None
 
     def quarantine_node(self, position: int) -> bool:
         """Demote one native-compiled node to its reference kernel, in place.
@@ -869,12 +767,9 @@ class ExecutionPlan:
         self._gbuf.clear()
         self._gout.clear()
         self._slot_buffer = {}
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
 
     def stats(self) -> Dict[str, float]:
-        stats = {
+        return {
             "nodes": float(len(self.nodes)),
             "backward_nodes": float(len(self._bwd_nodes)),
             "slots": float(len(self.slots)),
@@ -886,33 +781,28 @@ class ExecutionPlan:
             "fallback_nodes": float(self.fallback_nodes),
             "quarantined_nodes": float(len(self.quarantined)),
         }
-        if self._levels is not None:
-            stats["parallel_levels"] = float(self._levels[-1] + 1 if self._levels else 0)
-            stats["parallel_workers"] = float(self._workers)
-        return stats
 
 
 def compile_plan(capture: GraphCapture, arena: Optional[BufferArena] = None,
-                 optimize: str = "O0", parallel_workers: int = 0,
-                 profile: bool = False, backend: str = "numpy",
+                 optimize: str = "O0", profile: bool = False,
+                 backend: str = "numpy",
                  guard_numerics: bool = False) -> ExecutionPlan:
     """Build an :class:`ExecutionPlan` from a finished capture.
 
     ``optimize`` selects the plan-time graph-optimizer level (``"O0"`` —
     none, ``"O1"`` — training-safe fusion/specialization, ``"O2"`` — adds
     inference-only constant folding and schedule optimization; see
-    :mod:`repro.runtime.optimizer`).  ``parallel_workers > 0`` additionally
-    schedules independent branches of no-grad ``O2`` plans onto an inter-op
-    thread pool.  ``profile=True`` records per-kernel replay timings
-    (``ExecutionPlan.kernel_seconds`` / ``kernel_calls``, rendered as a
-    top-k table by :func:`repro.metrics.profiler.summarize_runtime`).
+    :mod:`repro.runtime.optimizer`).  ``profile=True`` records per-kernel
+    replay timings (``ExecutionPlan.kernel_seconds`` / ``kernel_calls``,
+    rendered as a top-k table by
+    :func:`repro.metrics.profiler.summarize_runtime`).
 
     ``backend`` selects the kernel backend (:mod:`repro.runtime.backends`):
-    ``"numpy"`` (reference, default), ``"codegen"`` / ``"numba"`` (native
-    per-node kernels with plan-time verification and per-node fallback), or
-    ``"auto"`` (fastest available).  An unavailable backend silently
-    degrades to the reference; ``plan.backend`` reports what actually runs.
+    ``"numpy"`` (reference, default), ``"numba"`` (native per-node kernels
+    with plan-time verification and per-node fallback) or ``"auto"`` (numba
+    when installed).  Without numba both degrade to the reference;
+    ``plan.backend`` reports what actually runs.
     """
-    optimize_capture(capture, optimize, parallel_workers=parallel_workers)
+    optimize_capture(capture, optimize)
     return ExecutionPlan(capture, arena or BufferArena(), profile=profile,
                          backend=backend, guard_numerics=guard_numerics)

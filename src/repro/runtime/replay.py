@@ -82,16 +82,14 @@ class _CompiledBase:
     """Shared plan cache + capture/replay accounting."""
 
     def __init__(self, arena: Optional[BufferArena] = None, optimize: str = "O0",
-                 profile: bool = False, parallel_workers: int = 0,
-                 backend: str = "numpy", dtype=None,
+                 profile: bool = False, backend: str = "numpy", dtype=None,
                  guard_numerics: bool = False):
-        from repro.runtime.backends import get_backend
+        from repro.runtime import backends
         from repro.runtime.optimizer import OPT_LEVELS
 
         if optimize not in OPT_LEVELS:
             raise ValueError(f"optimize must be one of {OPT_LEVELS}, got {optimize!r}")
-        if backend != "auto":
-            get_backend(backend)  # raise early on unknown names
+        backends.resolve_backend(backend)  # raise early on unknown names
         self.backend = backend
         self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float32)
         if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -99,7 +97,6 @@ class _CompiledBase:
         self.arena = arena or BufferArena()
         self.optimize = optimize
         self.profile = bool(profile)
-        self.parallel_workers = int(parallel_workers)
         #: Numeric guard policy: per-node non-finite detection during replay
         #: (typed :class:`NumericFault`) plus automatic quarantine of a
         #: misbehaving *native* kernel to the numpy reference path.
@@ -130,7 +127,6 @@ class _CompiledBase:
 
     def _compile(self, capture: GraphCapture):
         return compile_plan(capture, self.arena, optimize=self.optimize,
-                            parallel_workers=self.parallel_workers,
                             profile=self.profile, backend=self.backend,
                             guard_numerics=self.guard_numerics)
 
@@ -159,14 +155,14 @@ class _CompiledBase:
     def _backend_stats(self) -> Dict[str, object]:
         """Backend accounting: what was requested, what runs, and how often
         replays executed native vs fallen-back kernels."""
-        from repro.runtime.backends import available_backends, resolve_backend
+        from repro.runtime import backends
 
         plans = [entry[0] for entry in self._plans.values()]
-        active = plans[-1].backend if plans else resolve_backend(self.backend).name
+        active = (plans[-1].backend if plans
+                  else backends.resolve_backend(self.backend).name)
         return {
             "requested": self.backend,
             "active": active,
-            "available": available_backends(),
             "native_nodes": sum(plan.native_nodes for plan in plans),
             "fallback_nodes": sum(plan.fallback_nodes for plan in plans),
             # Kernel invocations over the runtime's lifetime: every replay of
@@ -357,11 +353,11 @@ class CompiledForward(_CompiledBase):
     def __init__(self, fn: Callable[[Tensor], Union[Tensor, Sequence[Tensor]]],
                  owner=None, arena: Optional[BufferArena] = None,
                  optimize: str = "O0", profile: bool = False,
-                 parallel_workers: int = 0, backend: str = "numpy", dtype=None,
+                 backend: str = "numpy", dtype=None,
                  guard_numerics: bool = False):
         super().__init__(arena, optimize=optimize, profile=profile,
-                         parallel_workers=parallel_workers, backend=backend,
-                         dtype=dtype, guard_numerics=guard_numerics)
+                         backend=backend, dtype=dtype,
+                         guard_numerics=guard_numerics)
         self.fn = fn
         self.owner = owner
 

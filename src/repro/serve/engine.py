@@ -76,18 +76,14 @@ class InferenceEngine:
         whose plans re-read parameter tensors on every replay; pass
         ``optimize="O2"`` explicitly to accept baked weights (then
         ``invalidate()`` / re-capture after mutating them).
-    parallel_replay:
-        Inter-op thread-pool width for no-grad replays at ``"O2"``:
-        independent branches (residual paths, TT sub-convolutions) execute
-        concurrently.  ``0`` (default) keeps replays single-threaded.
     profile:
         Record per-kernel replay timings for
         :func:`repro.metrics.profiler.summarize_runtime`'s hot-op table.
     backend:
         Kernel backend for the compiled path (:mod:`repro.runtime.backends`):
-        ``"numpy"`` (reference, default), ``"codegen"`` / ``"numba"`` (native
-        per-node kernels with per-node fallback), or ``"auto"`` (fastest
-        available).  Ignored without ``compile=True``.
+        ``"numpy"`` (reference, default), ``"numba"`` (native per-node
+        kernels with per-node fallback) or ``"auto"`` (numba when installed,
+        else the reference).  Ignored without ``compile=True``.
     dtype:
         Serving precision (``"float32"`` / ``"float64"``); the default keeps
         the snapshot's current precision.  The snapshot model is recast in
@@ -110,7 +106,6 @@ class InferenceEngine:
         timesteps: Optional[int] = None,
         compile: bool = False,
         optimize: Optional[str] = None,
-        parallel_replay: int = 0,
         profile: bool = False,
         backend: str = "numpy",
         dtype=None,
@@ -165,7 +160,6 @@ class InferenceEngine:
                 lambda batch_t: self.model.run_timesteps(batch_t, step_mode="fused"),
                 owner=self.model,
                 optimize=optimize,
-                parallel_workers=parallel_replay,
                 profile=profile,
                 backend=backend,
                 dtype=dtype,

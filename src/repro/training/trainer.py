@@ -113,9 +113,10 @@ class BPTTTrainer:
         :func:`repro.metrics.profiler.summarize_runtime`.
     backend:
         Kernel backend for the compiled runtime (:mod:`repro.runtime.backends`):
-        ``"numpy"`` (reference, default), ``"codegen"`` / ``"numba"`` (native
-        per-node kernels, plan-time verified, per-node fallback to NumPy), or
-        ``"auto"`` (fastest available).  Ignored without ``compile=True``.
+        ``"numpy"`` (reference, default), ``"numba"`` (native per-node
+        kernels, plan-time verified, per-node fallback to NumPy) or
+        ``"auto"`` (numba when installed, else the reference).  Ignored
+        without ``compile=True``.
     dtype:
         Training precision (``"float32"`` / ``"float64"``); the default keeps
         the model's current precision (float32 throughout the repo).  When
@@ -161,10 +162,10 @@ class BPTTTrainer:
         self.max_skip_steps = int(max_skip_steps)
         self.skipped_steps = 0
         self._consecutive_skips = 0
-        if self.compile and backend != "auto":
-            from repro.runtime.backends import get_backend
+        if self.compile:
+            from repro.runtime import backends
 
-            get_backend(backend)  # raise early on unknown names
+            backends.resolve_backend(backend)  # raise early on unknown names
         self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float32)
         if dtype is not None:
             model.astype(self.dtype)

@@ -217,6 +217,42 @@ class TestGraphMechanics:
             assert y._prev == ()
         assert is_grad_enabled()
 
+    def test_no_grad_is_thread_local_and_spares_parameters(self):
+        """Concurrent no_grad blocks (serving threads) must not leave grad
+        mode off for the process, and a Parameter stays trainable even when
+        it is built inside no_grad."""
+        import sys
+        import threading
+
+        from repro.nn.module import Parameter
+
+        start = threading.Barrier(4)
+        leaks = []
+
+        def loop():
+            start.wait()
+            for _ in range(2000):
+                with no_grad():
+                    if is_grad_enabled():
+                        leaks.append("grad mode on inside this thread's no_grad")
+
+        threads = [threading.Thread(target=loop, daemon=True) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads' no_grad blocks
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not leaks
+        assert is_grad_enabled()
+        with no_grad():
+            param = Parameter(np.ones(3))
+        assert param.requires_grad
+
     def test_as_tensor_passthrough(self):
         t = Tensor(np.ones(2))
         assert as_tensor(t) is t

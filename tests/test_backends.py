@@ -1,27 +1,32 @@
-"""Tests for the kernel backend registry and native codegen
-(:mod:`repro.runtime.backends`).
+"""Tests for the kernel backends (:mod:`repro.runtime.backends`).
 
 Guarantees under test:
 
 * **The NumPy backend is the parity oracle**: every native backend is
   compared against it with the same harness as ``tests/test_optimizer.py``
   — train O1 (losses, gradients, parameters after SGD) and serve O2
-  (logits) across architectures, TT variants and dtypes.
+  (logits) across architectures, TT variants and dtypes.  Besides numba
+  (where installed) the matrix runs the test-only ``codegen`` backend —
+  the numba backend's generated kernels executed as plain Python, see
+  ``tests/conftest.py`` — so the native-kernel path is covered on every
+  machine.
 * **Graceful degradation**: unknown backend names raise at construction;
-  a registered-but-unavailable backend (numba not installed) resolves to
-  the reference backend; a backend that declines every node produces a
-  plan that still replays correctly, with the declines counted as
-  fallbacks and labelled ``@fallback``.
+  ``numba`` / ``auto`` resolve to the reference backend where numba is not
+  installed; a backend that declines every node produces a plan that still
+  replays correctly, with the declines counted as fallbacks and labelled
+  ``@fallback``.
 * **Numba-mode sources are plain valid Python**: the flat-loop kernels are
-  exec'd (without ``@njit``) and verified against the reference kernels on
-  real captured nodes, so their semantics are covered on machines without
-  numba.
+  exec'd (without ``@njit``) and checked against the reference kernels of
+  :mod:`repro.runtime.ops` and :mod:`repro.snn.neurons`, so their semantics
+  are covered on machines without numba.
 * **Accounting**: ``runtime_stats()["backend"]`` counts native/fallback
   nodes and replays; profiler hot-op rows carry the executing backend;
-  the codegen backend keeps the zero-steady-state-allocation property.
+  native plans keep the zero-steady-state-allocation property.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,24 +36,15 @@ from repro.metrics.profiler import kernel_backend, summarize_runtime
 from repro.models.builder import convert_to_tt
 from repro.models.resnet import spiking_resnet18
 from repro.models.vgg import spiking_vgg9
-from repro.runtime import (
-    Backend,
-    CompiledForward,
-    CompiledTrainStep,
-    available_backends,
-    backend_names,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
+from repro.parallel import DataParallelTrainer
+from repro.runtime import Backend, CompiledForward, backends, resolve_backend
+from repro.runtime.backends import REFERENCE
 from repro.runtime.backends.codegen import (
     UnsupportedNode,
     chain_program,
     compile_python,
     emit_chain_numba,
-    emit_chain_python,
     emit_lif_numba,
-    emit_lif_python,
     lif_config,
     verify_kernel,
 )
@@ -57,8 +53,9 @@ from repro.runtime.backends.numba_backend import (
     _NumbaChainKernel,
     _NumbaLIFKernel,
 )
+from repro.runtime.ops import get_op
 from repro.serve.engine import InferenceEngine
-from repro.snn.loss import mean_output_cross_entropy
+from repro.snn.neurons import SurrogateRectangular, _FusedLIFSequence
 from repro.training.config import TrainingConfig
 from repro.training.trainer import BPTTTrainer
 
@@ -66,7 +63,7 @@ TIMESTEPS = 2
 NUM_CLASSES = 4
 #: ISSUE bound on native-vs-reference logit drift per dtype
 DRIFT = {"float32": 1e-3, "float64": 1e-6}
-#: native backends the parity matrix exercises on this machine
+#: native backends the parity matrix exercises (``codegen``: tests/conftest.py)
 NATIVE_BACKENDS = ["codegen"] + (["numba"] if NUMBA_AVAILABLE else [])
 
 
@@ -110,43 +107,52 @@ def _unsealed_plan(backend: str = "numpy"):
 
 
 # ---------------------------------------------------------------------------
-# registry and graceful degradation
+# name resolution and graceful degradation
 # ---------------------------------------------------------------------------
 
 
-def test_registry_names_and_reference():
-    names = backend_names()
-    for expected in ("numpy", "codegen", "numba"):
-        assert expected in names
-    # The dependency-free backends are available everywhere; numba may not be.
-    assert "numpy" in available_backends()
-    assert "codegen" in available_backends()
-    assert get_backend("numpy").is_reference
-    assert not get_backend("codegen").is_reference
-    assert resolve_backend("numpy").name == "numpy"
-    assert resolve_backend("codegen").name == "codegen"
+def test_resolve_backend_names_and_reference():
+    assert resolve_backend("numpy") is REFERENCE
+    assert REFERENCE.is_reference and REFERENCE.name == "numpy"
+    resolved = resolve_backend("numba")
+    assert resolved.name == ("numba" if NUMBA_AVAILABLE else "numpy")
+    assert resolved.is_reference is not NUMBA_AVAILABLE
 
 
 def test_auto_resolves_to_fastest_available():
     resolved = resolve_backend("auto")
-    assert resolved.name == ("numba" if NUMBA_AVAILABLE else "codegen")
+    assert resolved.name == ("numba" if NUMBA_AVAILABLE else "numpy")
 
 
 def test_unknown_backend_raises_everywhere():
-    with pytest.raises(ValueError, match="unknown backend"):
-        get_backend("cuda")
-    with pytest.raises(ValueError, match="unknown backend"):
-        CompiledForward(lambda t: t, backend="cuda")
-    with pytest.raises(ValueError, match="unknown backend"):
-        _trainer(_make_model("vgg9", "ptt"), backend="cuda")
-    with pytest.raises(ValueError, match="unknown backend"):
-        InferenceEngine(_make_model("vgg9", "ptt"), compile=True, backend="cuda")
+    for name in ("cuda", "codegen"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend(name)
+        with pytest.raises(ValueError, match="unknown backend"):
+            CompiledForward(lambda t: t, backend=name)
+        with pytest.raises(ValueError, match="unknown backend"):
+            _make_model("vgg9", "ptt").compile(backend=name)
+        with pytest.raises(ValueError, match="unknown backend"):
+            _trainer(_make_model("vgg9", "ptt"), backend=name)
+        with pytest.raises(ValueError, match="unknown backend"):
+            InferenceEngine(_make_model("vgg9", "ptt"), compile=True, backend=name)
+        config = TrainingConfig(timesteps=TIMESTEPS, batch_size=2)
+        with pytest.raises(ValueError, match="unknown backend"):
+            DataParallelTrainer(_make_model("vgg9", "ptt"), config,
+                                num_workers=1, backend=name)
+
+
+def test_removed_replay_options_are_rejected():
+    model = _make_model("vgg9", "ptt")
+    with pytest.raises(TypeError):
+        InferenceEngine(model, compile=True, parallel_replay=2)
+    with pytest.raises(TypeError):
+        model.compile(parallel_workers=2)
 
 
 @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed here")
 def test_unavailable_numba_degrades_to_reference():
     """Requesting numba on a machine without it must still work end to end."""
-    assert "numba" not in available_backends()
     assert resolve_backend("numba").name == "numpy"
     reference, native = _make_pair("vgg9", "ptt")
     t_ref = _trainer(reference)
@@ -164,7 +170,7 @@ def test_unavailable_numba_degrades_to_reference():
 
 def test_kernel_backend_label_parsing():
     assert kernel_backend("ew_chain") == "numpy"
-    assert kernel_backend("ew_chain@codegen") == "codegen"
+    assert kernel_backend("ew_chain@numba") == "numba"
     assert kernel_backend("bwd:fn_cached:_FusedLIFSequence@numba") == "numba"
     assert kernel_backend("ew_chain@fallback") == "fallback"
 
@@ -185,12 +191,13 @@ def test_invalid_dtype_policy_rejected():
 @pytest.mark.parametrize("arch,variant", [
     ("vgg9", "stt"), ("vgg9", "ptt"), ("vgg9", "htt"), ("resnet18", "ptt"),
 ])
-def test_native_train_matches_numpy_backend(backend, arch, variant):
+def test_native_train_matches_numpy_backend(backend, arch, variant,
+                                           codegen_backend):
     """Native O1 training tracks the reference backend across K SGD steps."""
     reference, native = _make_pair(arch, variant)
     t_ref = _trainer(reference)
     t_nat = _trainer(native, backend=backend)
-    tol = DRIFT["float32"] if backend == "numba" else 1e-6
+    tol = DRIFT["float32"]
     for step, (data, labels) in enumerate(_batches(steps=3)):
         s0 = t_ref.train_step(data, labels)
         s1 = t_nat.train_step(data, labels)
@@ -205,24 +212,9 @@ def test_native_train_matches_numpy_backend(backend, arch, variant):
     assert stats["native_replays"] > 0
 
 
-def test_codegen_train_is_bit_identical():
-    """The python-mode kernels replay the exact reference ufunc sequence."""
-    reference, native = _make_pair("vgg9", "ptt")
-    t_ref = _trainer(reference)
-    t_cg = _trainer(native, backend="codegen")
-    for data, labels in _batches(steps=4):
-        s0 = t_ref.train_step(data, labels)
-        s1 = t_cg.train_step(data, labels)
-        assert s0["loss"] == s1["loss"]
-    for (name, p0), (_, p1) in zip(reference.named_parameters(),
-                                   native.named_parameters()):
-        assert np.array_equal(p0.grad, p1.grad), f"grad {name}"
-        assert np.array_equal(p0.data, p1.data), f"param {name}"
-
-
 @pytest.mark.parametrize("backend", NATIVE_BACKENDS)
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_native_train_dtype_policy(backend, dtype):
+def test_native_train_dtype_policy(backend, dtype, codegen_backend):
     """The dtype knob carries through params, plans and native kernels."""
     reference, native = _make_pair("vgg9", "ptt")
     t_ref = _trainer(reference, dtype=dtype)
@@ -240,7 +232,7 @@ def test_native_train_dtype_policy(backend, dtype):
 @pytest.mark.parametrize("backend", NATIVE_BACKENDS)
 @pytest.mark.parametrize("arch", ["vgg9", "resnet18"])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_native_serve_matches_numpy_backend(backend, arch, dtype):
+def test_native_serve_matches_numpy_backend(backend, arch, dtype, codegen_backend):
     """O2 serve logits stay within the per-dtype drift bound of the oracle."""
     reference, native = _make_pair(arch, "ptt")
     e_ref = InferenceEngine(reference, compile=True, dtype=dtype)
@@ -263,19 +255,21 @@ def test_native_serve_matches_numpy_backend(backend, arch, dtype):
 
 
 class _DecliningBackend(Backend):
-    """Eligible for everything the codegen backend is, compiles nothing."""
+    """Eligible for everything ``eligible_like`` is, compiles nothing."""
 
     name = "declining-test"
 
-    def eligible(self, node) -> bool:
-        return get_backend("codegen").eligible(node)
+    def __init__(self, eligible_like: Backend):
+        self.eligible = eligible_like.eligible
 
 
-def test_declining_backend_counts_fallbacks_and_stays_correct():
-    register_backend(_DecliningBackend())
+def test_declining_backend_counts_fallbacks_and_stays_correct(install_backend,
+                                                              twin_backend):
+    twin = backends.resolve_backend(twin_backend)
+    declining = install_backend(_DecliningBackend(twin))
     reference, native = _make_pair("vgg9", "ptt")
     t_ref = _trainer(reference)
-    t_dec = _trainer(native, backend="declining-test", profile=True)
+    t_dec = _trainer(native, backend=declining, profile=True)
     for data, labels in _batches(steps=3):
         s0 = t_ref.train_step(data, labels)
         s1 = t_dec.train_step(data, labels)
@@ -293,22 +287,24 @@ def test_declining_backend_counts_fallbacks_and_stays_correct():
     assert any(label.endswith("@fallback") for label in plan._fwd_labels)
 
 
-def test_native_labels_and_profiler_attribution():
-    trainer = _trainer(_make_model("vgg9", "ptt"), backend="codegen", profile=True)
+def test_native_labels_and_profiler_attribution(twin_backend):
+    trainer = _trainer(_make_model("vgg9", "ptt"), backend=twin_backend,
+                       profile=True)
     for data, labels in _batches(steps=3):
         trainer.train_step(data, labels)
     plan = next(iter(trainer._compiled._plans.values()))[0]
-    assert any(label.endswith("@codegen") for label in plan._fwd_labels)
-    assert any(label.startswith("bwd:") and label.endswith("@codegen")
+    suffix = "@" + twin_backend
+    assert any(label.endswith(suffix) for label in plan._fwd_labels)
+    assert any(label.startswith("bwd:") and label.endswith(suffix)
                for label in plan._bwd_labels)
     stats = trainer.runtime_stats()["backend"]
     assert stats["native_replays"] == stats["native_nodes"] * 2
     report = summarize_runtime(trainer._compiled)
-    assert any(row["backend"] == "codegen" for row in report["hot_ops"])
+    assert any(row["backend"] == twin_backend for row in report["hot_ops"])
 
 
-def test_codegen_plans_keep_zero_steady_state_allocations():
-    trainer = _trainer(_make_model("vgg9", "ptt"), backend="codegen")
+def test_codegen_plans_keep_zero_steady_state_allocations(codegen_backend):
+    trainer = _trainer(_make_model("vgg9", "ptt"), backend=codegen_backend)
     batches = _batches(steps=6)
     for data, labels in batches[:3]:
         trainer.train_step(data, labels)
@@ -366,46 +362,49 @@ def test_numba_lif_sources_verify_on_captured_nodes():
         assert verify_kernel(impl, node, plan.slots, needs, id(node) in bwd_ids)
 
 
-def _toy_program(dtype, in_shapes, step_shapes):
-    """A fabricated chain program touching most of the emitted op set."""
+def _toy_chain(dtype, in_shapes, step_shapes):
+    """A fabricated ``ew_chain`` node touching most of the emitted op set.
+
+    Returns ``(node, slots)`` shaped like a captured plan's, so the node runs
+    on the reference ``ew_chain`` kernels and feeds :func:`chain_program`.
+    """
     dtype = np.dtype(dtype)
-    ops = [("mul", (0, 1)), ("add", (-1, 2)), ("tanh", (-1,)),
-           ("sigmoid", (-1,)), ("clip", (-1,)), ("pow", (-1,)),
-           ("relu", (-1,)), ("abs", (-1,)), ("neg", (-1,))]
-    steps = []
-    for index, (op, ins) in enumerate(ops):
-        step = {"op": op, "ins": ins, "shape": step_shapes[index], "dtype": dtype}
-        if op == "clip":
-            step["low"], step["high"] = -0.9, 0.9
-        elif op == "pow":
-            step["exponent"] = 2.0
-        steps.append(step)
-    return {
-        "steps": steps,
-        "n_inputs": len(in_shapes),
-        "in_shapes": list(in_shapes),
-        "in_dtypes": [dtype] * len(in_shapes),
-        "out_shape": steps[-1]["shape"],
-        "out_dtype": dtype,
-    }
+    ops = [("mul", (0, 1), {}), ("add", (-1, 2), {}), ("tanh", (-1,), {}),
+           ("sigmoid", (-1,), {}), ("clip", (-1,), {"low": -0.9, "high": 0.9}),
+           ("pow", (-1,), {"exponent": 2.0}), ("relu", (-1,), {}),
+           ("abs", (-1,), {}), ("neg", (-1,), {})]
+    prog = []
+    for index, (op, ins, attrs) in enumerate(ops):
+        opdef = get_op(op)
+        prog.append({"op": op, "fwd": opdef.forward, "bwd": opdef.backward,
+                     "attrs": attrs, "ins": list(ins),
+                     "needs": (True,) * len(ins), "shape": step_shapes[index],
+                     "dtype": dtype, "buffered": opdef.out_capable})
+    slots = [SimpleNamespace(shape=tuple(shape), dtype=dtype)
+             for shape in in_shapes]
+    node = SimpleNamespace(op="ew_chain", attrs={"prog": prog, "ws": Workspace()},
+                           inputs=tuple(range(len(in_shapes))))
+    return node, slots
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_numba_chain_source_matches_python_mode(dtype):
-    """Flat-loop and ufunc-sequence emissions agree on a fabricated chain
-    with array and scalar externals (scalar grads use the accumulator path)."""
+    """The flat-loop chain source, run in plain Python mode (no ``@njit``),
+    agrees with the reference ``ew_chain`` kernels on a fabricated chain with
+    array and scalar externals (scalar grads use the accumulator path)."""
     shape = (2, 6)
-    program = _toy_program(dtype, [shape, shape, (1, 1)], [shape] * 9)
+    node, slots = _toy_chain(dtype, [shape, shape, (1, 1)], [shape] * 9)
+    program = chain_program(node, slots)
     needs = (True, True, True)
     rng = np.random.default_rng(9)
     ins = [rng.standard_normal(s).astype(dtype) + 0.5
            for s in program["in_shapes"]]
     g = rng.standard_normal(shape).astype(dtype)
 
-    py = compile_python(emit_chain_python(program, needs))
-    ws = Workspace()
-    want = np.array(py["cg_fwd"](ins, ws))
-    want_grads = py["cg_bwd"](g, ins, ws)
+    reference = get_op("ew_chain")
+    want, saved = reference.forward(ins, node.attrs)
+    want_grads = reference.backward(g, ins, want, saved, node.attrs, needs)
+    want = np.array(want)
 
     source, kinds = emit_chain_numba(program, needs)
     assert kinds == ["array", "array", "scalar"]
@@ -413,10 +412,12 @@ def test_numba_chain_source_matches_python_mode(dtype):
     got, token = impl.forward(ins, {})
     rtol = 1e-5 if dtype == "float32" else 1e-12
     np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol)
+    np.testing.assert_allclose(impl.forward_inference(ins, {}), want,
+                               rtol=rtol, atol=rtol)
     got_grads = impl.backward(g, ins, got, token, {}, needs)
     for k, shape in enumerate(program["in_shapes"]):
         # The planner unbroadcasts external grads to the slot shape after the
-        # kernel returns; mirror that here so both modes are comparable.
+        # kernel returns; mirror that here so both kernels are comparable.
         np.testing.assert_allclose(
             _unbroadcast(np.asarray(got_grads[k]), shape),
             _unbroadcast(np.asarray(want_grads[k]), shape),
@@ -425,31 +426,40 @@ def test_numba_chain_source_matches_python_mode(dtype):
 
 def test_numba_chain_emitter_declines_broadcast_and_mixed_dtype():
     needs = (True, True, True)
-    broadcast = _toy_program("float32", [(2, 6), (2, 1), (1, 1)], [(2, 6)] * 9)
+    node, slots = _toy_chain("float32", [(2, 6), (2, 1), (1, 1)], [(2, 6)] * 9)
     with pytest.raises(UnsupportedNode, match="broadcast"):
-        emit_chain_numba(broadcast, needs)
-    mixed = _toy_program("float32", [(2, 6), (2, 6), (1, 1)], [(2, 6)] * 9)
-    mixed["in_dtypes"][1] = np.dtype("float64")
+        emit_chain_numba(chain_program(node, slots), needs)
+    node, slots = _toy_chain("float32", [(2, 6), (2, 6), (1, 1)], [(2, 6)] * 9)
+    slots[1].dtype = np.dtype("float64")
     with pytest.raises(UnsupportedNode, match="mixed"):
-        emit_chain_numba(mixed, needs)
+        emit_chain_numba(chain_program(node, slots), needs)
 
 
 @pytest.mark.parametrize("hard,detach", [(True, False), (False, False), (True, True)])
 def test_numba_lif_source_matches_python_mode(hard, detach):
-    """Flat-loop LIF recurrence == unrolled ufunc sequence for every reset
-    and detach branch the emitter specializes."""
+    """The flat-loop LIF source, run in plain Python mode (no ``@njit``),
+    equals :class:`_FusedLIFSequence` for every reset and detach branch the
+    emitter specializes."""
     shape, dtype = (3, 2, 4), np.dtype(np.float32)
-    cfg = {"shape": shape, "timesteps": 3, "frame": shape[1:], "size": 8,
-           "dtype": dtype, "tau": 0.5, "vth": 1.0, "width": 1.0,
-           "hard": hard, "detach": detach}
+
+    def fused_lif():
+        return _FusedLIFSequence(tau_m=0.5, v_threshold=1.0,
+                                 surrogate=SurrogateRectangular(width=1.0),
+                                 hard_reset=hard, detach_reset=detach)
+
+    node = SimpleNamespace(op="fn_cached", inputs=(0,),
+                           attrs={"cls": _FusedLIFSequence, "ctx": fused_lif()})
+    cfg = lif_config(node, [SimpleNamespace(shape=shape, dtype=dtype)])
     rng = np.random.default_rng(11)
     cur = (rng.standard_normal(shape) * 2).astype(dtype)
     g = rng.standard_normal(shape).astype(dtype)
 
-    py = compile_python(emit_lif_python(cfg))
-    ws = Workspace()
-    want_spk = np.array(py["lif_fwd"](cur, ws))
-    want_gin = np.array(py["lif_bwd"](g, ws))
+    reference = fused_lif()
+    want_spk = np.array(reference.forward(cur))
+    (want_gin,) = reference.backward(g)
+    want_gin = np.array(want_gin)
+    want_infer = np.array(fused_lif().forward_inference(cur))
+    np.testing.assert_array_equal(want_infer, want_spk)
 
     impl = _NumbaLIFKernel(compile_python(emit_lif_numba(cfg)), cfg)
     got_spk, token = impl.forward([cur], {})
@@ -500,11 +510,11 @@ def test_module_astype_casts_params_and_buffers():
     assert all(p.data.dtype == np.float32 for p in model.parameters())
 
 
-def test_engine_pad_buffers_keyed_by_dtype():
+def test_engine_pad_buffers_keyed_by_dtype(codegen_backend):
     """A float64 engine and a float32 engine never share pad storage."""
     e32 = InferenceEngine(_make_model("vgg9", "ptt"), compile=True)
     e64 = InferenceEngine(_make_model("vgg9", "ptt"), compile=True,
-                          dtype="float64", backend="codegen")
+                          dtype="float64", backend=codegen_backend)
     rng = np.random.default_rng(21)
     batch = rng.random((3, 3, 8, 8)).astype(np.float32)   # pads to 4
     l32 = e32.infer(batch)

@@ -397,7 +397,7 @@ def test_lif_reshape_sandwich_removed():
 
 
 # ---------------------------------------------------------------------------
-# schedule optimization / parallel replay
+# schedule optimization
 # ---------------------------------------------------------------------------
 
 
@@ -412,22 +412,6 @@ def test_memory_reorder_never_increases_peak():
     report = _report(compiled)
     assert report["peak_bytes_before"] > 0
     assert report["peak_bytes_after"] <= report["peak_bytes_before"]
-
-
-def test_parallel_replay_matches_sequential():
-    model = _make_model("resnet18", "ptt")
-    _warm_stats(model)
-    sequential = InferenceEngine(model, merge=False, compile=True, optimize="O2")
-    parallel = InferenceEngine(model, merge=False, compile=True, optimize="O2",
-                               parallel_replay=2)
-    rng = np.random.default_rng(13)
-    for _ in range(3):
-        x = rng.random((2, 3, 8, 8)).astype(np.float32)
-        np.testing.assert_allclose(parallel.infer(x), sequential.infer(x), atol=ATOL)
-    stats = parallel._compiled.runtime_stats()
-    assert stats["plan"]["parallel_levels"] > 1
-    assert stats["plan"]["parallel_workers"] == 2
-    assert _report(parallel._compiled)["parallel_levels"] > 1
 
 
 # ---------------------------------------------------------------------------

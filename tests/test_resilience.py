@@ -414,15 +414,15 @@ class TestCheckpointDurability:
 
 
 class TestNumericGuards:
-    def _compiled_forward(self, model, backend="codegen", **kwargs):
+    def _compiled_forward(self, model, backend, **kwargs):
         return model.compile(fn=model.run_timesteps, backend=backend,
                              optimize="O1", guard_numerics=True, **kwargs)
 
-    def test_injected_nan_quarantines_offending_native_kernel(self):
+    def test_injected_nan_quarantines_offending_native_kernel(self, twin_backend):
         rng = np.random.default_rng(0)
         model = tiny_model()
         model.eval()
-        fwd = self._compiled_forward(model)
+        fwd = self._compiled_forward(model, twin_backend)
         x = rng.standard_normal((2, 2, 3, 12, 12)).astype(np.float32)
         fwd(x)
         clean = [o.copy() for o in fwd(x)]
@@ -444,7 +444,7 @@ class TestNumericGuards:
         plans = [entry[0] for entry in fwd._plans.values()]
         # Exactly the one offending kernel is quarantined, by native label.
         assert len(plans[0].quarantined) == 1
-        assert plans[0].quarantined[0].endswith("@codegen")
+        assert plans[0].quarantined[0].endswith("@" + twin_backend)
 
     def test_reference_kernel_fault_raises_typed(self):
         rng = np.random.default_rng(0)
