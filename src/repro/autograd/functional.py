@@ -196,7 +196,7 @@ class _AvgPool2dFunction(Function):
         return (grad_x,)
 
 
-def _window_max_first_wins(views, best_out=None, arg_out=None, select=False):
+def _window_max_first_wins(views, best_out=None, arg_out=None):
     """First-wins max + window-index map over kernel-position views.
 
     ``views`` lists the slices of each kernel position in ``argmax`` order;
@@ -206,65 +206,42 @@ def _window_max_first_wins(views, best_out=None, arg_out=None, select=False):
     so their tie-breaking can never diverge.  ``best_out``/``arg_out`` are
     optional persistent buffers (compiled replays).
 
-    ``select=True`` switches the update from masked ``np.copyto`` to
-    ``np.where`` selects — bit-for-bit the same result (pure selection, same
-    strict-``>`` tie-breaking) but substantially faster, because NumPy's
-    masked copy is much slower than a vectorised select.  Used by the graph
-    optimizer's specialized pool kernels.
+    The update is an ``np.where`` select rather than a masked ``np.copyto``:
+    the same values, but NumPy's masked copy is much slower than a
+    vectorised select.
     """
-    if select:
-        best = views[0]
-        arg = None
-        for k, candidate in enumerate(views[1:], start=1):
-            better = candidate > best
-            best = np.where(better, candidate, best)
-            arg = np.where(better, np.int8(k),
-                           arg if arg is not None else np.int8(0))
-        if arg is None:
-            arg = np.zeros(best.shape, dtype=np.int8)
-        # Land the results in the persistent buffers so downstream cached
-        # views keep a stable base array across replays.
-        if best_out is not None:
-            np.copyto(best_out, best)
-            best = best_out
-        elif best is views[0]:
-            best = best.copy()
-        if arg_out is not None:
-            np.copyto(arg_out, arg)
-            arg = arg_out
-        return best, arg
-    if best_out is None:
-        best = views[0].copy()
-    else:
-        best = best_out
-        np.copyto(best, views[0])
-    if arg_out is None:
-        arg = np.zeros(best.shape, dtype=np.int8)
-    else:
-        arg = arg_out
-        arg.fill(0)
+    best = views[0]
+    arg = None
     for k, candidate in enumerate(views[1:], start=1):
         better = candidate > best
-        np.copyto(best, candidate, where=better)
-        np.copyto(arg, np.int8(k), where=better)
+        best = np.where(better, candidate, best)
+        arg = np.where(better, np.int8(k),
+                       arg if arg is not None else np.int8(0))
+    if arg is None:
+        arg = np.zeros(best.shape, dtype=np.int8)
+    # Land the results in the persistent buffers so downstream cached
+    # views keep a stable base array across replays.
+    if best_out is not None:
+        np.copyto(best_out, best)
+        best = best_out
+    elif best is views[0]:
+        best = best.copy()
+    if arg_out is not None:
+        np.copyto(arg_out, arg)
+        arg = arg_out
     return best, arg
 
 
-def _window_max_scatter_grad(grad_views, grad_output, argmax, select=False):
+def _window_max_scatter_grad(grad_views, grad_output, argmax):
     """Scatter ``grad_output`` into the winning window position of each view.
 
-    The ``select`` variant writes ``grad * (argmax == k)`` into each
-    (non-overlapping, jointly covering) window view — the same values as the
-    masked copy over a zeroed buffer (up to the sign of zero, which no
-    consumer can observe), without masked-copy cost and without requiring
-    the buffer to be pre-zeroed.
+    Writes ``grad * (argmax == k)`` into each (non-overlapping, jointly
+    covering) window view, so the gradient buffer needs no pre-zeroing.  A
+    losing position holds ``grad * 0``, which is ``-0.0`` where ``grad`` is
+    negative.
     """
-    if select:
-        for k, view in enumerate(grad_views):
-            np.multiply(grad_output, argmax == k, out=view)
-        return
     for k, view in enumerate(grad_views):
-        np.copyto(view, grad_output, where=(argmax == k))
+        np.multiply(grad_output, argmax == k, out=view)
 
 
 class _MaxPool2dFunction(Function):
@@ -276,10 +253,6 @@ class _MaxPool2dFunction(Function):
     to the general im2col lowering.  Tie-breaking matches ``argmax`` (first
     window element wins), which matters because spike maps are binary.
     """
-
-    #: Switched on by the graph optimizer's specialized kernels: use the
-    #: select-based (bitwise-identical, faster) window max / scatter.
-    fast_select = False
 
     def __init__(self, kernel_size, stride=None, padding=0):
         self.kernel = _pair(kernel_size)
@@ -311,8 +284,7 @@ class _MaxPool2dFunction(Function):
                 best_out = ws_buf(self, "out", out_shape, x.dtype)
                 arg_out = ws_buf(self, "arg", out_shape, np.int8)
             best, self._argmax = _window_max_first_wins(list(self._window_views(x)),
-                                                        best_out, arg_out,
-                                                        select=self.fast_select)
+                                                        best_out, arg_out)
             return best
         return self._forward_general(x)
 
@@ -346,16 +318,8 @@ class _MaxPool2dFunction(Function):
 
     def backward(self, grad_output: np.ndarray):
         if self._fast:
-            if self.fast_select:
-                # The window views jointly cover grad_x, so no pre-zeroing.
-                grad_x = ws_buf(self, "gx", self._x_shape, grad_output.dtype)
-            elif self._ws is None:
-                grad_x = np.zeros(self._x_shape, dtype=grad_output.dtype)
-            else:
-                grad_x = ws_buf(self, "gx", self._x_shape, grad_output.dtype)
-                grad_x.fill(0.0)
-            _window_max_scatter_grad(self._window_views(grad_x), grad_output,
-                                     self._argmax, select=self.fast_select)
+            grad_x = ws_buf(self, "gx", self._x_shape, grad_output.dtype)
+            _window_max_scatter_grad(self._window_views(grad_x), grad_output, self._argmax)
             return (grad_x,)
         from repro.autograd.conv import col2im
 
@@ -379,10 +343,6 @@ class _ChannelsLastPoolBase(Function):
     to the general functions (correct, just slower).
     """
 
-    #: Switched on by the graph optimizer's specialized kernels: use the
-    #: select-based (bitwise-identical, faster) window max / scatter.
-    fast_select = False
-
     def __init__(self, kernel_size, stride=None, padding=0):
         self.kernel = _pair(kernel_size)
         self.stride = _pair(stride if stride is not None else kernel_size)
@@ -405,7 +365,6 @@ class _ChannelsLastPoolBase(Function):
     def _fallback_forward(self, x: np.ndarray, cls) -> np.ndarray:
         self._fallback = cls(self.kernel, self.stride, self.padding)
         self._fallback.set_workspace(self._ws)
-        self._fallback.fast_select = self.fast_select
         out = self._fallback.forward(np.ascontiguousarray(x.transpose(0, 3, 1, 2)))
         return np.ascontiguousarray(out.transpose(0, 2, 3, 1))
 
@@ -431,8 +390,7 @@ class _MaxPool2dCLFunction(_ChannelsLastPoolBase):
             best_out = ws_buf(self, "out", out_shape, x.dtype)
             arg_out = ws_buf(self, "arg", out_shape, np.int8)
         best, self._argmax = _window_max_first_wins(list(self._windows(x)),
-                                                    best_out, arg_out,
-                                                    select=self.fast_select)
+                                                    best_out, arg_out)
         return best
 
     def forward_inference(self, x: np.ndarray) -> np.ndarray:
@@ -458,16 +416,9 @@ class _MaxPool2dCLFunction(_ChannelsLastPoolBase):
     def backward(self, grad_output: np.ndarray):
         if self._fallback is not None:
             return self._fallback_backward(grad_output)
-        if self.fast_select:
-            # The window views jointly cover grad_x, so no pre-zeroing.
-            grad_x = ws_buf(self, "gx", self._x_shape, grad_output.dtype)
-        elif self._ws is None:
-            grad_x = np.zeros(self._x_shape, dtype=grad_output.dtype)
-        else:
-            grad_x = ws_buf(self, "gx", self._x_shape, grad_output.dtype)
-            grad_x.fill(0.0)
-        _window_max_scatter_grad(self._windows(grad_x), grad_output,
-                                 self._argmax, select=self.fast_select)
+        # The window views jointly cover grad_x, so no pre-zeroing.
+        grad_x = ws_buf(self, "gx", self._x_shape, grad_output.dtype)
+        _window_max_scatter_grad(self._windows(grad_x), grad_output, self._argmax)
         return (grad_x,)
 
 

@@ -24,9 +24,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor, set_trace
+from repro.runtime.ops import get_op
 
 __all__ = ["CaptureError", "GraphCapture", "OpNode", "Region", "Slot",
-           "INPUT", "LEAF", "CONST", "INTER"]
+           "INPUT", "LEAF", "CONST", "INTER", "compute_needs_grad"]
 
 INPUT, LEAF, CONST, INTER = range(4)
 
@@ -85,6 +86,25 @@ class OpNode:
         self.attrs = attrs
         self.saved = saved          # capture-time forward state (Function ctx, mask)
         self.rt_saved = saved       # refreshed by each replayed forward
+
+
+def compute_needs_grad(slots: List[Slot], nodes: List[Optional[OpNode]]) -> List[bool]:
+    """Per-slot flags: does a gradient flow into this slot?
+
+    Grad-requiring LEAF slots seed the propagation; a differentiable node's
+    output needs grad when any of its inputs does.  ``None`` entries
+    (nodes an optimizer pass tombstoned) are skipped.
+    """
+    needs = [False] * len(slots)
+    for slot in slots:
+        if slot.kind == LEAF and slot.tensor is not None and slot.tensor.requires_grad:
+            needs[slot.index] = True
+    for node in nodes:
+        if node is None or node.out is None or needs[node.out]:
+            continue
+        if get_op(node.op).differentiable and any(needs[i] for i in node.inputs):
+            needs[node.out] = True
+    return needs
 
 
 class GraphCapture:

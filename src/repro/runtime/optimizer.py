@@ -21,9 +21,7 @@ Optimization levels:
       intermediate slots;
     * **view-chain collapse + CSE + DCE** — ``reshape∘reshape`` (and
       squeeze/unsqueeze) chains collapse to one reshape, duplicate view ops
-      are shared, dead pure nodes are dropped;
-    * **pad folding** — a ``pad2d`` feeding an NCHW convolution folds into
-      the convolution's own padding.
+      are shared, dead pure nodes are dropped.
 ``O2``
     Everything in O1, plus inference-only folds applied when the plan has no
     backward (training plans silently get O1 semantics):
@@ -34,9 +32,7 @@ Optimization levels:
       wiring (located via capture regions) pre-contract into ONE dense
       kernel per Eq. 6, so serve replays skip the core-by-core contraction;
     * **frozen kernel matrices** — convolutions whose weights are plan
-      constants pre-gather their ``(kh*kw*C, O)`` GEMM operand once;
-    * **schedule optimization** — a topological reorder minimising peak live
-      intermediate bytes.
+      constants pre-gather their ``(kh*kw*C, O)`` GEMM operand once.
 
 Every pass preserves eager-vs-replay equivalence to <= 1e-6 (O1 passes are
 value-exact; O2 folds refactor per-channel float math and stay inside
@@ -59,7 +55,7 @@ from repro.autograd.functional import (
 )
 from repro.autograd.tensor import Workspace
 from repro.nn.layers import BatchNormSequenceFunction
-from repro.runtime.graph import CONST, INTER, LEAF, GraphCapture, OpNode
+from repro.runtime.graph import CONST, LEAF, GraphCapture, OpNode, compute_needs_grad
 from repro.runtime.ops import get_op
 from repro.snn.neurons import _FusedLIFSequence
 
@@ -103,16 +99,12 @@ class OptimizerReport:
     nodes_after: int = 0
     folded_tt: int = 0
     folded_bn: int = 0
-    folded_pads: int = 0
     views_collapsed: int = 0
     cse_removed: int = 0
     fused_chains: int = 0
     fused_ops: int = 0
     dce_removed: int = 0
     specialized: int = 0
-    reordered: bool = False
-    peak_bytes_before: int = 0
-    peak_bytes_after: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -463,97 +455,6 @@ def _fold_bn_eval(graph: _Graph, report: OptimizerReport) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pass: pad2d folding into NCHW convolutions (O1)
-# ---------------------------------------------------------------------------
-
-
-def _fold_pads(graph: _Graph, report: OptimizerReport) -> None:
-    consumers = graph.consumers()
-    for index, node in enumerate(graph.nodes):
-        if node is None or node.op != "pad2d":
-            continue
-        users = consumers.get(node.out, [])
-        if node.out in graph.keep or not users:
-            continue
-        conv_users = [u for u in users
-                      if graph.nodes[u] is not None
-                      and graph.nodes[u].attrs.get("cls") is Conv2dFunction
-                      and graph.nodes[u].inputs[0] == node.out]
-        if len(conv_users) != len(users):
-            continue
-        ph, pw = _pair(node.attrs["padding"])
-        for user in conv_users:
-            conv = graph.nodes[user]
-            kwargs = dict(conv.attrs["kwargs"])
-            cph, cpw = _pair(kwargs.get("padding", 0))
-            kwargs["padding"] = (cph + ph, cpw + pw)
-            attrs = dict(conv.attrs)
-            attrs["kwargs"] = kwargs
-            graph.nodes[user] = OpNode(conv.op,
-                                       (node.inputs[0],) + conv.inputs[1:],
-                                       conv.out, attrs)
-        graph.kill(index)
-        report.folded_pads += 1
-
-
-# ---------------------------------------------------------------------------
-# pass: reshape-sandwich elimination around axis0-polymorphic kernels (O1)
-# ---------------------------------------------------------------------------
-
-
-def _fold_lif_reshapes(graph: _Graph, report: OptimizerReport) -> None:
-    """Bypass ``reshape -> LIF -> reshape-back`` sandwiches.
-
-    The fused LIF recurrence is elementwise over everything but axis 0, so
-    running it on the un-reshaped array produces bit-identical spikes (and
-    gradients) as long as the time axis length is preserved — the model's
-    ``(T*N, ...) <-> (T, N, ...)`` unfold/fold pairs around each neuron
-    layer are pure metadata and two dispatches per layer per replay.
-    """
-    from repro.snn.neurons import _FusedLIFSequence
-
-    consumers = graph.consumers()
-    producers = graph.producer_map()
-    for index, node in enumerate(graph.nodes):
-        if (node is None or node.op != "fn"
-                or node.attrs.get("cls") is not _FusedLIFSequence
-                or node.attrs["kwargs"].get("initial_membrane") is not None):
-            continue
-        inner = producers.get(node.inputs[0])
-        if inner is None or graph.nodes[inner] is None \
-                or graph.nodes[inner].op != "reshape":
-            continue
-        users = consumers.get(node.out, [])
-        if node.out in graph.keep or len(users) != 1:
-            continue
-        outer_index = users[0]
-        outer = graph.nodes[outer_index]
-        if outer is None or outer.op != "reshape" or outer.out in graph.keep:
-            continue
-        source = graph.nodes[inner].inputs[0]
-        source_shape = graph.slots[source].shape
-        if (source_shape[0] != graph.slots[node.inputs[0]].shape[0]
-                or graph.slots[outer.out].shape != source_shape
-                or not _single_consumer(consumers, graph, node.inputs[0], index)):
-            continue
-        saved = node.saved
-        if saved is not None and getattr(saved, "_membranes", None) is not None:
-            # The capture-time context recorded (T, N, ...)-shaped state; the
-            # very first backward consumes it against the new un-reshaped
-            # gradient, so re-view it (same elements, same order).
-            saved._membranes = saved._membranes.reshape(source_shape)
-            saved._spikes = saved._spikes.reshape(source_shape)
-        replacement = OpNode(node.op, (source,), outer.out, node.attrs,
-                             saved=saved)
-        graph.nodes[outer_index] = replacement
-        graph.kill(index)
-        graph.kill(inner)
-        consumers = graph.consumers()
-        producers = graph.producer_map()
-        report.views_collapsed += 2
-
-
-# ---------------------------------------------------------------------------
 # pass: identity-pool elision (O1)
 # ---------------------------------------------------------------------------
 
@@ -783,28 +684,12 @@ def _dce(graph: _Graph, report: OptimizerReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _compute_needs_grad(graph: _Graph) -> List[bool]:
-    """Same needs-grad propagation the planner performs (over live nodes)."""
-    needs = [False] * len(graph.slots)
-    for slot in graph.slots:
-        if slot.kind == LEAF and slot.tensor is not None and slot.tensor.requires_grad:
-            needs[slot.index] = True
-    for node in graph.nodes:
-        if node is None or node.out is None or needs[node.out]:
-            continue
-        if get_op(node.op).differentiable and any(needs[i] for i in node.inputs):
-            needs[node.out] = True
-    return needs
-
-
-_POOL_CLASSES = (_MaxPool2dCLFunction, _MaxPool2dFunction)
-
 _CACHED_VIEW_OPS = {"reshape", "transpose", "squeeze", "unsqueeze"}
 
 
 def _specialize_kernels(graph: _Graph, report: OptimizerReport,
                         freeze_constants: bool) -> None:
-    needs = _compute_needs_grad(graph)
+    needs = compute_needs_grad(graph.slots, graph.nodes)
     for node in graph.nodes:
         if node is None:
             continue
@@ -825,10 +710,6 @@ def _specialize_kernels(graph: _Graph, report: OptimizerReport,
                     # The input carries no gradient (e.g. the network input):
                     # backward skips the input-grad GEMM + column gather.
                     ctx.input_needs_grad = False
-            if cls in _POOL_CLASSES:
-                # Select-based window max/scatter: bitwise-identical to the
-                # masked-copy kernels, substantially faster.
-                ctx.fast_select = True
             node.attrs = {
                 "cls": cls,
                 "kwargs": kwargs,
@@ -868,125 +749,6 @@ def _specialize_kernels(graph: _Graph, report: OptimizerReport,
 
 
 # ---------------------------------------------------------------------------
-# pass: schedule optimization (O2, no-grad)
-# ---------------------------------------------------------------------------
-
-
-def _alias_roots(nodes: List[OpNode], slot_count: int) -> List[int]:
-    roots = list(range(slot_count))
-    for node in nodes:
-        if node.out is not None and get_op(node.op).alias:
-            roots[node.out] = roots[node.inputs[0]]
-    return roots
-
-
-def _slot_bytes(slot) -> int:
-    size = 1
-    for dim in slot.shape:
-        size *= dim
-    return size * np.dtype(slot.dtype).itemsize
-
-
-def _simulate_peak(graph: _Graph, order: List[int]) -> int:
-    """Peak live bytes of intermediate values under a given execution order."""
-    nodes = graph.nodes
-    roots = _alias_roots([nodes[i] for i in order], len(graph.slots))
-    last_user: Dict[int, int] = {}
-    for position, index in enumerate(order):
-        for slot in nodes[index].inputs:
-            last_user[roots[slot]] = position
-    for slot in graph.keep:
-        last_user[roots[slot]] = len(order)
-
-    live = 0
-    peak = 0
-    for position, index in enumerate(order):
-        node = nodes[index]
-        out = node.out
-        if out is not None and graph.slots[out].kind == INTER \
-                and not get_op(node.op).alias:
-            live += _slot_bytes(graph.slots[out])
-            peak = max(peak, live)
-        for slot in node.inputs:
-            root = roots[slot]
-            if last_user.get(root) == position and graph.slots[root].kind == INTER:
-                live -= _slot_bytes(graph.slots[root])
-                last_user[root] = -1
-    return peak
-
-
-def _reorder_for_memory(graph: _Graph, report: OptimizerReport) -> None:
-    """Greedy topological reorder minimising peak live intermediate bytes."""
-    nodes = graph.nodes
-    order = list(range(len(nodes)))
-    report.peak_bytes_before = _simulate_peak(graph, order)
-
-    producers = graph.producer_map()
-    deps: Dict[int, set] = {}
-    dependents: Dict[int, List[int]] = {}
-    for index, node in enumerate(nodes):
-        node_deps = set()
-        for slot in node.inputs:
-            producer = producers.get(slot)
-            if producer is not None:
-                node_deps.add(producer)
-        deps[index] = node_deps
-        for producer in node_deps:
-            dependents.setdefault(producer, []).append(index)
-
-    roots = _alias_roots(nodes, len(graph.slots))
-    remaining_users: Dict[int, int] = {}
-    for node in nodes:
-        for slot in node.inputs:
-            remaining_users[roots[slot]] = remaining_users.get(roots[slot], 0) + 1
-    for slot in graph.keep:
-        remaining_users[roots[slot]] = remaining_users.get(roots[slot], 0) + 1
-
-    pending = {index: len(node_deps) for index, node_deps in deps.items()}
-    ready = sorted(index for index, count in pending.items() if count == 0)
-    new_order: List[int] = []
-    while ready:
-        best = None
-        best_score = None
-        for index in ready:
-            node = nodes[index]
-            alloc = 0
-            if node.out is not None and graph.slots[node.out].kind == INTER \
-                    and not get_op(node.op).alias:
-                alloc = _slot_bytes(graph.slots[node.out])
-            freed = 0
-            for slot in set(roots[s] for s in node.inputs):
-                if remaining_users.get(slot, 0) == 1 and graph.slots[slot].kind == INTER:
-                    freed += _slot_bytes(graph.slots[slot])
-            score = (alloc - freed, index)
-            if best_score is None or score < best_score:
-                best_score = score
-                best = index
-        ready.remove(best)
-        new_order.append(best)
-        node = nodes[best]
-        for slot in set(roots[s] for s in node.inputs):
-            remaining_users[slot] = remaining_users.get(slot, 1) - 1
-        for dependent in dependents.get(best, []):
-            pending[dependent] -= 1
-            if pending[dependent] == 0:
-                ready.append(dependent)
-
-    if len(new_order) != len(nodes):       # cycle guard — keep original order
-        report.peak_bytes_after = report.peak_bytes_before
-        return
-    peak_after = _simulate_peak(graph, new_order)
-    if peak_after < report.peak_bytes_before:
-        graph.capture.nodes = [nodes[index] for index in new_order]
-        graph.nodes = list(graph.capture.nodes)
-        graph.compact()
-        report.reordered = True
-        report.peak_bytes_after = peak_after
-    else:
-        report.peak_bytes_after = report.peak_bytes_before
-
-
-# ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
 
@@ -995,9 +757,8 @@ def optimize_capture(capture: GraphCapture, level: str = "O0") -> OptimizerRepor
     """Run the pass pipeline for ``level`` over ``capture`` (in place).
 
     Folding passes that require a frozen, no-grad graph (eval-BN fold, TT
-    pre-contraction, schedule optimization) only run when the capture has no
-    marked loss — a training capture at ``O2`` gets exactly the ``O1``
-    pipeline.  Returns the per-pass :class:`OptimizerReport` (also stored on
+    pre-contraction) only run when the capture has no marked loss — a
+    training capture at ``O2`` gets exactly the ``O1`` pipeline.  Returns the per-pass :class:`OptimizerReport` (also stored on
     ``capture.optimizer_report``).
     """
     if level not in OPT_LEVELS:
@@ -1014,8 +775,6 @@ def optimize_capture(capture: GraphCapture, level: str = "O0") -> OptimizerRepor
     if level == "O2" and no_grad_plan:
         _fold_tt_regions(graph, report)
         _fold_bn_eval(graph, report)
-    _fold_pads(graph, report)
-    _fold_lif_reshapes(graph, report)
     _fold_identity_pools(graph, report)
     _collapse_views(graph, report)
     _cse(graph, report)
@@ -1024,17 +783,5 @@ def optimize_capture(capture: GraphCapture, level: str = "O0") -> OptimizerRepor
     graph.compact()
     _specialize_kernels(graph, report,
                         freeze_constants=(level == "O2" and no_grad_plan))
-    if level == "O2" and no_grad_plan:
-        # The reorder only respects *data* dependencies; an impure node
-        # (dropout consuming a shared RNG stream, a train-mode side effect)
-        # must keep its capture order.
-        pure_schedule = all(
-            node.op not in _IMPURE
-            and not (node.op == "bn_seq" and node.attrs["ctor"]["training"])
-            and not (node.op == "bn_seq_cached" and node.attrs["training"])
-            for node in capture.nodes
-        )
-        if pure_schedule:
-            _reorder_for_memory(graph, report)
     report.nodes_after = len(capture.nodes)
     return report

@@ -32,7 +32,7 @@ from repro.autograd.tensor import _unbroadcast
 from repro.resilience import faults
 from repro.resilience.errors import NumericFault
 from repro.runtime.arena import BufferArena
-from repro.runtime.graph import INTER, LEAF, CaptureError, GraphCapture
+from repro.runtime.graph import INTER, LEAF, CaptureError, GraphCapture, compute_needs_grad
 from repro.runtime.ops import get_op
 from repro.runtime.optimizer import optimize_capture
 
@@ -94,7 +94,7 @@ class ExecutionPlan:
         if self.loss_slot is not None:
             self._keep.add(self.loss_slot)
 
-        self._needs = self._compute_needs_grad()
+        self._needs = compute_needs_grad(self.slots, self.nodes)
         self.has_backward = (
             self.loss_slot is not None and self._needs[self.loss_slot]
         )
@@ -186,18 +186,6 @@ class ExecutionPlan:
             self._native_by_id[id(node)] = kernel
 
     # -- analysis ------------------------------------------------------------
-
-    def _compute_needs_grad(self) -> List[bool]:
-        needs = [False] * len(self.slots)
-        for slot in self.slots:
-            if slot.kind == LEAF and slot.tensor is not None and slot.tensor.requires_grad:
-                needs[slot.index] = True
-        for node in self.nodes:
-            if node.out is None or needs[node.out]:
-                continue
-            if get_op(node.op).differentiable and any(needs[i] for i in node.inputs):
-                needs[node.out] = True
-        return needs
 
     def _build_backward_schedule(self):
         """Backward node order replicating :meth:`Tensor.backward` exactly.

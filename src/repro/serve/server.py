@@ -263,14 +263,21 @@ class InferenceServer:
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self, timeout: Optional[float] = 10.0) -> None:
-        """Drain and stop every model's batcher; further submissions fail."""
+        """Drain and stop every model's batcher; further submissions fail.
+
+        Every model's stats/cache instruments leave the metrics registry (the
+        collectors themselves stay readable through :meth:`stats`).
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             batchers = list(self._batchers.values())
+            collectors = list(self._stats.values()) + list(self._caches.values())
         for batcher in batchers:
             batcher.close(timeout=timeout)
+        for collector in collectors:
+            collector.deregister_metrics()
 
     def __enter__(self) -> "InferenceServer":
         return self

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.autograd.tensor import Tensor, active_trace, is_grad_enabled
 from repro.resilience import faults
 from repro.runtime import backends
@@ -13,18 +16,57 @@ from repro.runtime.backends.codegen import compile_python
 from repro.runtime.ops import get_op
 
 
+def pytest_addoption(parser):
+    parser.addoption("--shuffle-seed", type=int, default=None,
+                     help="run the collected tests in an order shuffled by this seed")
+
+
+def pytest_report_header(config):
+    seed = config.getoption("--shuffle-seed")
+    return None if seed is None else f"test order shuffled with --shuffle-seed {seed}"
+
+
+def pytest_collection_modifyitems(config, items):
+    """Shuffle the test order when ``--shuffle-seed`` is given.
+
+    Tests must pass in any order; a fixed seed makes a failing order
+    reproducible.
+    """
+    seed = config.getoption("--shuffle-seed")
+    if seed is not None:
+        random.Random(seed).shuffle(items)
+
+
+def _model_instruments() -> set:
+    """Keys of default-registry instruments scoped to one served model.
+
+    Servers label every per-model instrument with ``model`` and must remove
+    them when the model or the server goes.  Unlabelled process-wide
+    counters (runtime replays, injected faults, ...) are created once per
+    process by design and are not model state.
+    """
+    return {instrument.key for instrument in obs.default_registry().instruments()
+            if "model" in instrument.labels}
+
+
 @pytest.fixture(autouse=True)
 def process_state_restored():
     """Fail the test that leaks process state, not the tests that run after it.
 
     A leaked ``no_grad`` would silently freeze every tensor built later, a
-    leaked op trace would record unrelated ops into a stale capture, and a
-    leaked fault injector would fire faults into innocent tests.
+    leaked op trace would record unrelated ops into a stale capture, a
+    leaked fault injector would fire faults into innocent tests, leaked
+    tracing would export spans from every later test, and a leaked
+    per-model instrument would keep a dead server in every later scrape.
     """
+    instruments = _model_instruments()
     yield
     assert is_grad_enabled(), "test left grad mode disabled"
     assert active_trace() is None, "test left an op trace installed"
     assert faults.get_injector() is None, "test left a fault injector installed"
+    assert not obs.enabled(), "test left tracing enabled"
+    leaked = sorted(_model_instruments() - instruments)
+    assert not leaked, f"test left per-model instruments in the default metrics registry: {leaked}"
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, Workspace
 
 from conftest import assert_grad_close, numerical_gradient
 
@@ -103,6 +103,65 @@ class TestPooling:
         x = Tensor(rng.standard_normal((1, 1, 7, 7)).astype(np.float32))
         with pytest.raises(ValueError):
             F.adaptive_avg_pool2d(x, 2)
+
+
+def _im2col_max_pool(x_nchw: np.ndarray, grad_nchw: np.ndarray, kernel: int):
+    """Output and input gradient of the im2col/argmax max pool (the reference)."""
+    reference = F._MaxPool2dFunction(kernel)
+    out = reference._forward_general(x_nchw)
+    (grad_x,) = reference.backward(grad_nchw)
+    return out, grad_x
+
+
+def _pool_inputs(rng, shape):
+    """Binary spike maps (ties everywhere, all-zero windows) and continuous values."""
+    return [
+        (rng.random(shape) < 0.3).astype(np.float32),
+        (rng.random(shape) < 0.7).astype(np.float32),
+        np.zeros(shape, dtype=np.float32),
+        rng.standard_normal(shape).astype(np.float32),
+    ]
+
+
+class TestMaxPoolWindowPath:
+    """The strided-window max pool against the independent im2col/argmax path."""
+
+    @pytest.mark.parametrize("kernel", [2, 3])
+    @pytest.mark.parametrize("workspace", [False, True])
+    def test_nchw_matches_im2col_reference(self, rng, kernel, workspace):
+        ctx = F._MaxPool2dFunction(kernel)
+        if workspace:
+            ctx.set_workspace(Workspace())
+        # Repeated calls on one context: a reused workspace buffer must not
+        # leak the previous input's values.
+        for x in _pool_inputs(rng, (2, 3, 2 * kernel * 3, kernel * 4)):
+            grad = rng.standard_normal((2, 3, 6, 4)).astype(np.float32)
+            out = ctx.forward(x)
+            assert ctx._fast
+            want_out, want_grad = _im2col_max_pool(x, grad, kernel)
+            np.testing.assert_array_equal(out, want_out)
+            np.testing.assert_array_equal(ctx.forward_inference(x), want_out)
+            (grad_x,) = ctx.backward(grad)
+            np.testing.assert_array_equal(grad_x, want_grad)
+
+    @pytest.mark.parametrize("kernel", [2, 3])
+    @pytest.mark.parametrize("workspace", [False, True])
+    def test_channels_last_matches_im2col_reference(self, rng, kernel, workspace):
+        ctx = F._MaxPool2dCLFunction(kernel)
+        if workspace:
+            ctx.set_workspace(Workspace())
+        for x in _pool_inputs(rng, (3, kernel * 4, 2 * kernel * 3, 5)):
+            grad = rng.standard_normal((3, 4, 6, 5)).astype(np.float32)
+            out = ctx.forward(x)
+            assert ctx._fallback is None
+            want_out, want_grad = _im2col_max_pool(
+                np.ascontiguousarray(x.transpose(0, 3, 1, 2)),
+                np.ascontiguousarray(grad.transpose(0, 3, 1, 2)), kernel)
+            np.testing.assert_array_equal(out, want_out.transpose(0, 2, 3, 1))
+            np.testing.assert_array_equal(ctx.forward_inference(x),
+                                          want_out.transpose(0, 2, 3, 1))
+            (grad_x,) = ctx.backward(grad)
+            np.testing.assert_array_equal(grad_x, want_grad.transpose(0, 2, 3, 1))
 
 
 class TestDropoutAndPad:

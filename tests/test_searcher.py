@@ -17,6 +17,7 @@ from repro.search import (
     Searcher,
     TTSupernet,
 )
+from repro.search.pareto import dominates
 from repro.serve import InferenceServer, ModelRegistry
 from repro.tt.layers import TTConv2dBase
 
@@ -58,12 +59,18 @@ class TestSearcherEndToEnd:
         assert len(result.warmup_history) == 4
         assert all(np.isfinite(epoch.loss) for epoch in result.warmup_history)
 
-        # Acceptance: a non-trivial accuracy-vs-cost front.
-        assert len(result.front) >= 3
-        costs = [p.cost.scalar("macs") for p in result.front]
-        accs = [p.accuracy for p in result.front]
+        # The front is non-empty, mutually non-dominated and complete: every
+        # evaluated candidate is on it or dominated by a point on it.
+        front = result.front
+        assert front
+        assert not any(dominates(a, b) for a in front for b in front if a is not b)
+        assert all(any(p.config == q.config or dominates(q, p) for q in front)
+                   for p in result.evaluated)
+        costs = [p.cost.scalar("macs") for p in front]
+        accs = [p.accuracy for p in front]
         assert costs == sorted(costs)
         assert accs == sorted(accs)  # non-dominated => accuracy rises with cost
+        assert result.winner in front
 
         # The winner materialised, fine-tuned, merges (Eq. 6) and serves.
         assert len(result.finetune_history) == 1
