@@ -27,7 +27,7 @@ BENCH_SCALE = {
     "num_classes": 8,
 }
 
-#: machine-readable sink for the runtime/backends benchmark numbers
+#: machine-readable sink for the compiled-runtime benchmark numbers
 BENCH_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "BENCH_runtime.json")
 
@@ -48,7 +48,7 @@ def record_bench(section: str, payload: dict, path: str = None) -> str:
     """Merge one benchmark's numbers into a ``BENCH_*.json`` sink.
 
     Each benchmark that produces a headline runtime quantity (train-step
-    time, serve latency/QPS, backend speedups) records it under its own
+    time, serve latency/QPS) records it under its own
     ``section`` key; the file is rewritten on every call so a partial or
     aborted run still leaves valid JSON behind.  ``path`` defaults to
     ``BENCH_runtime.json``; the data-parallel benchmarks write to their own

@@ -116,7 +116,6 @@ def test_compiled_train_step_speedup_and_arena_reuse():
           f"steady-state new allocations: {steady_state_allocs}")
     record_bench("train_step_compiled_vs_eager", {
         "model": "vgg9-ptt", "timesteps": TIMESTEPS, "batch": TRAIN_BATCH,
-        "backend": stats["backend"]["active"], "dtype": stats["dtype"],
         "eager_ms": eager_s * 1e3, "compiled_ms": compiled_s * 1e3,
         "speedup_vs_eager": speedup,
     })
@@ -157,7 +156,6 @@ def test_compiled_serve_forward_speedup():
     print(f"arena reuse: {stats['arena']}")
     record_bench("serve_compiled_vs_eager", {
         "model": "vgg9-ptt", "timesteps": TIMESTEPS, "batch": 1,
-        "backend": stats["backend"]["active"], "dtype": stats["dtype"],
         "eager_ms": eager_s * 1e3, "compiled_ms": compiled_s * 1e3,
         "speedup_vs_eager": speedup,
     })

@@ -19,7 +19,7 @@ from repro.models.base import SpikingModel
 from repro.snn.loss import mean_output_cross_entropy
 
 __all__ = ["TrainingTimeProfiler", "time_training_step", "summarize_latencies",
-           "summarize_runtime", "kernel_backend"]
+           "summarize_runtime"]
 
 
 def summarize_latencies(durations: List[float],
@@ -60,13 +60,9 @@ def summarize_runtime(source, top_k: int = 10) -> Dict[str, object]:
 
     When the runtime was built with ``profile=True``, the report also carries
     ``hot_ops``: the top-``top_k`` kernels by accumulated replay seconds
-    (``{"op", "seconds", "calls", "share", "backend"}`` per entry, forward
-    kernels and ``bwd:``-prefixed backward kernels ranked together), so
-    graph-optimizer and backend wins are attributable to specific kernels.
-    ``backend`` is the backend that *executed* the kernel, parsed from the
-    planner's ``op@<backend>`` labels: ``"numpy"`` for reference kernels,
-    ``"numba"`` for native ones, and ``"fallback"`` for nodes a native
-    backend declined (replayed on NumPy per-node fallback).
+    (``{"op", "seconds", "calls", "share"}`` per entry, forward kernels and
+    ``bwd:``-prefixed backward kernels ranked together), so graph-optimizer
+    wins are attributable to specific kernels.
     """
     stats_fn = getattr(source, "runtime_stats", None)
     if stats_fn is None:
@@ -88,22 +84,10 @@ def summarize_runtime(source, top_k: int = 10) -> Dict[str, object]:
         ranked = sorted(kernels.items(), key=lambda item: -item[1]["seconds"])
         report["hot_ops"] = [
             {"op": label, "seconds": entry["seconds"], "calls": entry["calls"],
-             "share": entry["seconds"] / total,
-             "backend": kernel_backend(label)}
+             "share": entry["seconds"] / total}
             for label, entry in ranked[:top_k]
         ]
     return report
-
-
-def kernel_backend(label: str) -> str:
-    """Executing backend of a profiled kernel label.
-
-    The planner suffixes labels with ``@<backend>`` for native-compiled
-    nodes and ``@fallback`` for nodes the selected backend declined;
-    unsuffixed labels ran the NumPy reference kernels.
-    """
-    _, _, suffix = label.rpartition("@")
-    return suffix if suffix and "@" in label else "numpy"
 
 
 def time_training_step(

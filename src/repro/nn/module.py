@@ -147,29 +147,6 @@ class Module:
         for param in self.parameters():
             param.zero_grad(set_to_none=set_to_none)
 
-    def astype(self, dtype) -> "Module":
-        """Cast every parameter and floating buffer to ``dtype`` in place.
-
-        The compiled runtime's dtype policy: a plan computes in whatever
-        dtype the weights and inputs carry, so switching a model between
-        ``float32`` and ``float64`` is a one-call recast.  Integer/bool
-        buffers (counters, masks) keep their dtype.  Gradients are cast
-        along so eager accumulation after a recast stays consistent; call
-        before constructing an optimizer — existing optimizer state keeps
-        its old dtype.
-        """
-        dtype = np.dtype(dtype)
-        if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError(f"dtype must be float32 or float64, got {dtype}")
-        for param in self.parameters():
-            param.data = param.data.astype(dtype, copy=False)
-            if param.grad is not None:
-                param.grad = param.grad.astype(dtype, copy=False)
-        for _, buf in self.named_buffers():
-            if buf.data.dtype in (np.float32, np.float64):
-                buf.data = buf.data.astype(dtype, copy=False)
-        return self
-
     def num_parameters(self, trainable_only: bool = True) -> int:
         """Total number of scalar parameters."""
         total = 0
@@ -218,7 +195,6 @@ class Module:
         return self.forward(*args, **kwargs)
 
     def compile(self, fn=None, optimize: str = "O0", profile: bool = False,
-                backend: str = "numpy", dtype=None,
                 guard_numerics: bool = False):
         """Return a compiled (capture/replay) no-grad forward of this module.
 
@@ -236,29 +212,18 @@ class Module:
         and TT wirings into the plans — O2 plans bake the current parameter
         values, so call :meth:`~repro.runtime.replay.CompiledForward.invalidate`
         (or rely on a shape change) after mutating parameters.
-        ``profile=True`` records per-kernel timings.
-
-        ``backend`` selects the kernel backend for the plans (``"numpy"``
-        reference, ``"numba"`` native with per-node fallback, ``"auto"`` for
-        numba when installed — see :mod:`repro.runtime.backends`).
-        ``dtype`` (``"float32"`` / ``"float64"``) recasts this module in
-        place via :meth:`astype` and makes the compiled forward cast its
-        inputs to match; the default keeps the module's current precision
-        (float32 throughout the repo).
+        ``profile=True`` records per-kernel timings.  Plans run the NumPy
+        reference kernels in float32 (inputs are cast to float32).
 
         ``guard_numerics=True`` checks every node's output for NaN/Inf during
         replay: a non-finite value raises a typed
-        :class:`~repro.resilience.errors.NumericFault`, and a misbehaving
-        *native* kernel is quarantined to the numpy reference path and the
-        replay retried once (see :mod:`repro.resilience`).
+        :class:`~repro.resilience.errors.NumericFault` (see
+        :mod:`repro.resilience`).
         """
         from repro.runtime.replay import CompiledForward
 
-        if dtype is not None:
-            self.astype(dtype)
         return CompiledForward(fn if fn is not None else self, owner=self,
                                optimize=optimize, profile=profile,
-                               backend=backend, dtype=dtype,
                                guard_numerics=guard_numerics)
 
     # -- introspection -------------------------------------------------------------

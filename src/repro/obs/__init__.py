@@ -1,8 +1,8 @@
 """Unified observability: tracing spans, metrics registry, flight recorder.
 
 Before this package, the stack's telemetry was fragmented and pull-only:
-``ServerStats`` percentiles, ``runtime_stats()`` backend counters and
-profiler summaries each lived in their own silo and none of them could
+``ServerStats`` percentiles, ``runtime_stats()`` counters and profiler
+summaries each lived in their own silo and none of them could
 answer "where did *this* slow request spend its time?".  ``repro.obs`` is
 the cross-cutting layer they now all report into:
 
@@ -13,7 +13,7 @@ the cross-cutting layer they now all report into:
 * **tracing** (:mod:`repro.obs.trace`) — hierarchical spans with
   context-var propagation, carried across the micro-batcher's queue hop so
   a request's tree covers enqueue → batch assembly → compiled replay →
-  per-kernel children (``op@backend``), and through the trainer so a step
+  per-kernel children (planner kernel labels), and through the trainer so a step
   splits into data-wait / forward / backward / optimizer.
 * **exporters** (:mod:`repro.obs.export`) — Chrome ``trace_event`` JSON
   (open in ``chrome://tracing`` / Perfetto) and a JSONL span log.

@@ -2,7 +2,7 @@
 
 One process-wide :class:`MetricsRegistry` replaces the fragmented pull-only
 accounting that grew per subsystem (``ServerStats`` percentiles here,
-``runtime_stats()["backend"]`` counts there): instruments register under a
+``runtime_stats()`` counts there): instruments register under a
 metric name plus static labels and every consumer reads the same numbers,
 either as a JSON snapshot (:meth:`MetricsRegistry.snapshot`) or as
 Prometheus text exposition (:meth:`MetricsRegistry.to_prometheus`).

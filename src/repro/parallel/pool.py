@@ -233,7 +233,6 @@ class _WorkerEngine:
         self.timesteps = int(spec["timesteps"])
         self.step_mode = spec.get("step_mode")
         self.val_dataset = spec.get("val_dataset")
-        self.dtype = np.dtype(spec["dtype"])
         self._params = [p for p in model.parameters() if p.requires_grad]
         self._compiled = None
         if spec.get("compile"):
@@ -241,16 +240,13 @@ class _WorkerEngine:
 
             self._compiled = CompiledTrainStep(
                 model, self.loss_fn, step_mode=self.step_mode,
-                optimize=spec.get("optimize", "O1"),
-                backend=spec.get("backend", "numpy"), dtype=self.dtype)
+                optimize=spec.get("optimize", "O1"))
 
     def forward_backward(self, data, labels) -> Tuple[float, int, bool]:
         """One micro-shard step; returns ``(mean loss, correct, replayed)``."""
         from repro.snn.encoding import encode_batch
 
-        batch = encode_batch(np.asarray(data, dtype=self.dtype), self.timesteps)
-        if batch.dtype != self.dtype:
-            batch = batch.astype(self.dtype)
+        batch = encode_batch(np.asarray(data, dtype=np.float32), self.timesteps)
         if self.augment is not None:
             batch = self.augment(batch)
         labels = np.asarray(labels)
@@ -311,8 +307,6 @@ class WorkerPool:
         augment=None,
         compile: bool = False,
         optimize: str = "O1",
-        backend: str = "numpy",
-        dtype=None,
         effective_batch: int = 1,
         accum_steps: int = 1,
         train_dataset=None,
@@ -362,8 +356,6 @@ class WorkerPool:
             "augment": augment,
             "compile": compile,
             "optimize": optimize,
-            "backend": backend,
-            "dtype": np.dtype(dtype) if dtype is not None else np.dtype(np.float32),
             "effective_batch": effective_batch,
             "train_dataset": train_dataset,
             "val_dataset": val_dataset,

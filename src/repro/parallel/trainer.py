@@ -80,8 +80,7 @@ class DataParallelTrainer:
     """Drop-in data-parallel counterpart of ``BPTTTrainer``.
 
     Parameters mirror :class:`~repro.training.trainer.BPTTTrainer`
-    (``loss_fn``, ``augment``, ``compile``/``optimize``/``backend``/
-    ``dtype``), plus:
+    (``loss_fn``, ``augment``, ``compile``/``optimize``), plus:
 
     num_workers:
         Worker processes; each replays the compiled plan on its shard.
@@ -111,8 +110,6 @@ class DataParallelTrainer:
         augment: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         compile: bool = True,
         optimize: str = "O1",
-        backend: str = "numpy",
-        dtype=None,
         train_dataset: Optional[Dataset] = None,
         drop_last: bool = False,
         prefetch: bool = False,
@@ -138,14 +135,6 @@ class DataParallelTrainer:
         self.augment = augment
         self.compile = bool(compile)
         self.optimize = optimize
-        self.backend = backend
-        if self.compile:
-            from repro.runtime import backends
-
-            backends.resolve_backend(backend)  # raise early on unknown names
-        self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float32)
-        if dtype is not None:
-            model.astype(self.dtype)
         self.train_dataset = train_dataset
         self.drop_last = bool(drop_last)
         self.prefetch = bool(prefetch)
@@ -200,8 +189,6 @@ class DataParallelTrainer:
             augment=self.augment,
             compile=self.compile,
             optimize=self.optimize,
-            backend=self.backend,
-            dtype=self.dtype,
             effective_batch=self.config.batch_size,
             accum_steps=self.accum_steps,
             train_dataset=self.train_dataset,
@@ -450,7 +437,6 @@ class DataParallelTrainer:
                 "num_shards": self.num_workers * self.accum_steps,
                 "effective_batch": self.config.batch_size,
                 "seed": self.config.seed,
-                "dtype": self.dtype.name,
                 "history": list(self.history),
             })
 

@@ -16,8 +16,9 @@ Three pieces:
 
 The hardening itself lives where the failures live: the hung-worker
 watchdog in :mod:`repro.parallel`, durable checksummed checkpoints in
-:mod:`repro.training.checkpoint`, numeric guards + kernel quarantine in
-:mod:`repro.runtime`, and breaker-aware routing in :mod:`repro.fleet`.
+:mod:`repro.training.checkpoint`, per-node numeric guards in
+:mod:`repro.runtime` feeding the trainer's skip-step policy, and
+breaker-aware routing in :mod:`repro.fleet`.
 """
 
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker

@@ -1,13 +1,12 @@
 """Per-replica circuit breaker: closed / open / half-open on error rate.
 
 The fleet router already reroutes around a *dead* replica; the breaker
-covers the worse failure mode — a replica that is alive but failing (native
-kernel quarantined into a slow path, intermittent crashes under restart
-churn, a poisoned model version).  Tripping the breaker takes the replica
-out of the routing set *before* its failures burn through client retries,
-and the half-open state re-admits a bounded number of probe requests so a
-recovered replica earns its traffic back instead of being slammed with the
-full backlog at once.
+covers the worse failure mode — a replica that is alive but failing
+(intermittent crashes under restart churn, a poisoned model version).
+Tripping the breaker takes the replica out of the routing set *before* its
+failures burn through client retries, and the half-open state re-admits a
+bounded number of probe requests so a recovered replica earns its traffic
+back instead of being slammed with the full backlog at once.
 
 States
 ------

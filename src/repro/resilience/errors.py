@@ -26,20 +26,15 @@ class ResilienceError(RuntimeError):
 class NumericFault(ResilienceError):
     """A non-finite value surfaced from a guarded compiled-plan node.
 
-    Carries enough context to quarantine the offending kernel: the decorated
-    node label (``op@backend``), the node's schedule position inside the
-    plan, and whether the value came out of a *native* kernel (quarantinable
-    to the numpy reference path) or the reference path itself (a genuine
-    numerical problem in the model or data).
+    Carries the node label and the node's schedule position inside the
+    plan (``-1`` for checks outside a plan, such as the trainer's step
+    guard or the engine's logits check).
     """
 
-    def __init__(self, label: str, position: int, native: bool,
-                 detail: str = ""):
+    def __init__(self, label: str, position: int, detail: str = ""):
         self.label = label
         self.position = int(position)
-        self.native = bool(native)
-        origin = "native kernel" if native else "reference kernel"
-        message = f"non-finite output from {origin} '{label}' (node {position})"
+        message = f"non-finite output from '{label}' (node {position})"
         if detail:
             message = f"{message}: {detail}"
         super().__init__(message)

@@ -32,21 +32,15 @@ that steady-state overhead with a three-stage pipeline:
    closures, no module dispatch — and re-capture automatically when the
    input signature (shape/dtype/train-mode/timesteps/step-mode) changes.
 
-**Kernel backends** (:mod:`~repro.runtime.backends`) sit between plan and
-replay: ``backend="numpy"`` (default) replays the reference kernels, and
-``"numba"`` / ``"auto"`` swap the plan's fused ``ew_chain`` and
-LIF-recurrence nodes for ``@njit`` kernels generated at plan time
-(shape/dtype/constants baked in, verified against the NumPy reference on
-the captured arrays, per-node fallback on decline) when numba is installed.
-A ``dtype`` policy selects float32/float64 end to end.
+Replay runs the NumPy reference kernels of :mod:`~repro.runtime.ops` in
+float32; there is no other kernel backend.
 
 Entry points: ``BPTTTrainer(..., compile=True)``, ``Module.compile()`` and
 ``InferenceEngine(..., compile=True)``; see the README "Compiled runtime"
-and "Backends" sections for measured speedups.
+section for measured speedups.
 """
 
 from repro.runtime.arena import BufferArena
-from repro.runtime.backends import Backend, NativeKernel, resolve_backend
 from repro.runtime.graph import CaptureError, GraphCapture, OpNode, Region, Slot
 from repro.runtime.ops import OPS, OpDef, get_op, register_op
 from repro.runtime.optimizer import OPT_LEVELS, OptimizerReport, optimize_capture
@@ -55,10 +49,7 @@ from repro.runtime.replay import CompiledForward, CompiledTrainStep
 from repro.runtime.streaming import StreamingForward, TemporalState
 
 __all__ = [
-    "Backend",
     "BufferArena",
-    "NativeKernel",
-    "resolve_backend",
     "CaptureError",
     "GraphCapture",
     "OpNode",

@@ -53,17 +53,8 @@ class ExecutionPlan:
     """
 
     def __init__(self, capture: GraphCapture, arena: BufferArena,
-                 profile: bool = False, backend: str = "numpy",
-                 guard_numerics: bool = False):
-        from repro.runtime import backends
-
+                 profile: bool = False, guard_numerics: bool = False):
         self._arena = arena
-        # Kernel backend: the requested name degrades gracefully (an
-        # unavailable backend resolves to the reference), and individual
-        # nodes the backend declines fall back per node below.
-        self.backend_request = backend
-        self._backend = backends.resolve_backend(backend)
-        self.backend = self._backend.name
         self.slots = capture.slots
         self.nodes = capture.nodes
         self.input_ids: Dict[str, int] = dict(capture.input_names)
@@ -109,18 +100,11 @@ class ExecutionPlan:
             if slot.kind == INTER and slot.index not in self._keep
             and slot.index not in self._slot_buffer
         ]
-        self._compile_native_kernels()
         self._fwd_steps = [self._make_forward_step(position, node)
                            for position, node in enumerate(self.nodes)]
         self._bwd_steps = [self._make_backward_step(node) for node in self._bwd_nodes]
-        self._fwd_labels = [
-            self._decorated_label(node, self._native.get(position))
-            for position, node in enumerate(self.nodes)
-        ]
-        self._bwd_labels = [
-            "bwd:" + self._decorated_label(node, self._native_by_id.get(id(node)))
-            for node in self._bwd_nodes
-        ]
+        self._fwd_labels = [self._node_label(node) for node in self.nodes]
+        self._bwd_labels = ["bwd:" + self._node_label(node) for node in self._bwd_nodes]
         if self.has_backward:
             loss = self.slots[self.loss_slot]
             self._seed = np.ones(loss.shape, dtype=loss.dtype)
@@ -128,10 +112,8 @@ class ExecutionPlan:
         self.replay_count = 0
         #: Numeric guard policy: check every node's forward output for
         #: non-finite values and raise :class:`NumericFault` (see
-        #: :meth:`_run_forward_guarded`).  Quarantined kernel labels land in
-        #: :attr:`quarantined` and move from native to fallback accounting.
+        #: :meth:`_run_forward_guarded`).
         self.guard_numerics = bool(guard_numerics)
-        self.quarantined: List[str] = []
         self._poison_target: Optional[int] = None
         self._poison_value = float("nan")
 
@@ -140,50 +122,6 @@ class ExecutionPlan:
         if node.op in ("fn", "fn_cached"):
             return f"{node.op}:{node.attrs['cls'].__name__}"
         return node.op
-
-    def _decorated_label(self, node, native) -> str:
-        """Profiler label with the executing backend appended.
-
-        Native-compiled nodes read ``op@<backend>``; nodes the selected
-        native backend was *eligible* for but declined (unsupported program
-        variant, failed plan-time verification) read ``op@fallback`` — the
-        rest replay the reference kernels and keep their bare label.
-        """
-        label = self._node_label(node)
-        if native is not None:
-            return f"{label}@{native.backend}"
-        if not self._backend.is_reference and self._backend.eligible(node):
-            return f"{label}@fallback"
-        return label
-
-    def _compile_native_kernels(self) -> None:
-        """Offer every node to the selected backend; keep what verifies.
-
-        Runs before the capture is sealed, so backends can specialize and
-        verify against the recorded slot arrays.  Declined nodes stay on
-        their registry kernels (per-node fallback); the plan counts both
-        populations so speedups are attributable.
-        """
-        self._native: Dict[int, object] = {}
-        self._native_by_id: Dict[int, object] = {}
-        self.native_nodes = 0
-        self.fallback_nodes = 0
-        backend = self._backend
-        if backend.is_reference:
-            return
-        bwd_ids = {id(node) for node in self._bwd_nodes}
-        for position, node in enumerate(self.nodes):
-            if not backend.eligible(node):
-                continue
-            needs = tuple(self._needs[i] for i in node.inputs)
-            kernel = backend.compile_node(node, self.slots, needs,
-                                          id(node) in bwd_ids)
-            if kernel is None:
-                self.fallback_nodes += 1
-                continue
-            self.native_nodes += 1
-            self._native[position] = kernel
-            self._native_by_id[id(node)] = kernel
 
     # -- analysis ------------------------------------------------------------
 
@@ -348,17 +286,11 @@ class ExecutionPlan:
     def _make_forward_step(self, position: int, node):
         opdef = get_op(node.op)
         vals = self._vals
-        native = self._native.get(position)
-        if native is not None:
-            forward = native.forward
-            if not self.has_backward and native.forward_inference is not None:
-                forward = native.forward_inference
-        else:
-            forward = opdef.forward
-            if not self.has_backward and opdef.forward_inference is not None:
-                # No backward will ever run: use the lean kernel that skips
-                # saved-state materialisation (columns, argmax maps, histories).
-                forward = opdef.forward_inference
+        forward = opdef.forward
+        if not self.has_backward and opdef.forward_inference is not None:
+            # No backward will ever run: use the lean kernel that skips
+            # saved-state materialisation (columns, argmax maps, histories).
+            forward = opdef.forward_inference
         attrs = node.attrs
         inputs = node.inputs
         out = node.out
@@ -393,11 +325,7 @@ class ExecutionPlan:
     def _make_backward_step(self, node):
         opdef = get_op(node.op)
         vals, gvals = self._vals, self._gvals
-        native = self._native_by_id.get(id(node))
-        if native is not None and native.backward is not None:
-            backward = native.backward
-        else:
-            backward = opdef.backward
+        backward = opdef.backward
         if backward is None:  # pragma: no cover - differentiable ops all have kernels
             raise CaptureError(f"op '{node.op}' is differentiable but has no backward kernel")
         attrs = node.attrs
@@ -567,15 +495,14 @@ class ExecutionPlan:
             seconds[label] = seconds.get(label, 0.0) + elapsed
             calls[label] = calls.get(label, 0) + 1
 
-    # -- numeric guards / fault quarantine ----------------------------------------
+    # -- numeric guards ------------------------------------------------------------
 
     def _arm_poison(self, action: Dict[str, object]) -> None:
         """Arm one injected non-finite emission (``runtime.nan`` fault site).
 
         The poisoned node is chosen deterministically: an explicit
         ``position``, else the first node whose label contains ``label``,
-        else the first native-compiled node (the scenario the quarantine
-        machinery exists for), else the first float-producing node.
+        else the first node with an output.
         """
         position = action.get("position")
         if position is None:
@@ -585,8 +512,6 @@ class ExecutionPlan:
                 candidates = [p for p, label in enumerate(self._fwd_labels)
                               if str(want) in label
                               and self.nodes[p].out is not None]
-            if not candidates:
-                candidates = sorted(self._native)
             if not candidates:
                 candidates = [p for p, node in enumerate(self.nodes)
                               if node.out is not None]
@@ -600,12 +525,10 @@ class ExecutionPlan:
         """Forward with per-node non-finite detection.
 
         Raises a typed :class:`NumericFault` naming the first offending
-        node; the front-ends (:mod:`repro.runtime.replay`) use
-        ``fault.native`` to decide between quarantining the kernel (native
-        — retry on the reference path) and propagating (reference — a real
-        numerical problem in model or data).  Injected poison is written
-        into the target node's output *after* it runs, so detection
-        exercises the same path a genuinely misbehaving kernel would.
+        node — a real numerical problem in model or data.  Injected poison
+        is written into the target node's output *after* it runs, so
+        detection exercises the same path a genuinely misbehaving kernel
+        would.
         """
         vals = self._vals
         nodes = self.nodes
@@ -627,35 +550,7 @@ class ExecutionPlan:
             if (value is not None
                     and np.issubdtype(value.dtype, np.floating)
                     and not np.isfinite(value).all()):
-                raise NumericFault(self._fwd_labels[position], position,
-                                   position in self._native)
-
-    def quarantine_node(self, position: int) -> bool:
-        """Demote one native-compiled node to its reference kernel, in place.
-
-        Returns ``False`` when the node has no native kernel (nothing to
-        quarantine).  The swap rebuilds just that node's forward step (and
-        its backward step, when scheduled) and moves the node from native to
-        fallback accounting, so ``runtime_stats()`` / the backend gauges
-        show exactly which kernel was benched — extending the per-node
-        fallback bookkeeping native backends already use at plan time.
-        """
-        kernel = self._native.pop(position, None)
-        if kernel is None:
-            return False
-        node = self.nodes[position]
-        self._native_by_id.pop(id(node), None)
-        self.native_nodes -= 1
-        self.fallback_nodes += 1
-        self.quarantined.append(self._fwd_labels[position])
-        self._fwd_steps[position] = self._make_forward_step(position, node)
-        self._fwd_labels[position] = self._decorated_label(node, None)
-        for index, bwd_node in enumerate(self._bwd_nodes):
-            if bwd_node is node:
-                self._bwd_steps[index] = self._make_backward_step(bwd_node)
-                self._bwd_labels[index] = (
-                    "bwd:" + self._decorated_label(bwd_node, None))
-        return True
+                raise NumericFault(self._fwd_labels[position], position)
 
     def backward_from_capture(self) -> None:
         """Run the planned backward on the values recorded during capture.
@@ -765,15 +660,11 @@ class ExecutionPlan:
             "forward_buffers": float(len({id(b) for b in self._slot_buffer.values()})),
             "grad_buffers": float(len(self._gbuf)),
             "replays": float(self.replay_count),
-            "native_nodes": float(self.native_nodes),
-            "fallback_nodes": float(self.fallback_nodes),
-            "quarantined_nodes": float(len(self.quarantined)),
         }
 
 
 def compile_plan(capture: GraphCapture, arena: Optional[BufferArena] = None,
                  optimize: str = "O0", profile: bool = False,
-                 backend: str = "numpy",
                  guard_numerics: bool = False) -> ExecutionPlan:
     """Build an :class:`ExecutionPlan` from a finished capture.
 
@@ -784,13 +675,7 @@ def compile_plan(capture: GraphCapture, arena: Optional[BufferArena] = None,
     replay timings (``ExecutionPlan.kernel_seconds`` / ``kernel_calls``,
     rendered as a top-k table by
     :func:`repro.metrics.profiler.summarize_runtime`).
-
-    ``backend`` selects the kernel backend (:mod:`repro.runtime.backends`):
-    ``"numpy"`` (reference, default), ``"numba"`` (native per-node kernels
-    with plan-time verification and per-node fallback) or ``"auto"`` (numba
-    when installed).  Without numba both degrade to the reference;
-    ``plan.backend`` reports what actually runs.
     """
     optimize_capture(capture, optimize)
     return ExecutionPlan(capture, arena or BufferArena(), profile=profile,
-                         backend=backend, guard_numerics=guard_numerics)
+                         guard_numerics=guard_numerics)

@@ -27,81 +27,47 @@ eagerly instead of capturing a plan that would bake stale values.
 from __future__ import annotations
 
 import time
-import weakref
 from collections import deque
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.autograd.tensor import Tensor, no_grad
 from repro.obs import metrics as _metrics
-from repro.obs.trace import event as _span_event
 from repro.obs.trace import get_tracer
-from repro.resilience.errors import NumericFault
 from repro.runtime.arena import BufferArena
 from repro.runtime.graph import CaptureError, GraphCapture
 from repro.runtime.planner import compile_plan
 
-__all__ = ["CompiledTrainStep", "CompiledForward"]
-
-#: Live compiled runtimes, so the registry's backend gauges aggregate over
-#: every trainer/engine in the process instead of whichever came last.
-_LIVE_RUNTIMES: "weakref.WeakSet" = weakref.WeakSet()
+__all__ = ["CompiledTrainStep", "CompiledForward", "check_backend"]
 
 
-def _sum_backend_field(field: str) -> float:
-    total = 0
-    for runtime in list(_LIVE_RUNTIMES):
-        try:
-            total += int(runtime._backend_stats()[field])
-        except Exception:  # noqa: BLE001 - a scrape must never raise
-            pass
-    return float(total)
+def check_backend(backend: str) -> None:
+    """Reject every kernel backend name but ``"numpy"``.
 
-
-for _field in ("native_nodes", "fallback_nodes", "native_replays",
-               "fallback_replays", "quarantined_nodes"):
-    _metrics.gauge(f"repro_runtime_{_field}",
-                   f"Compiled-runtime backend accounting: {_field} summed "
-                   f"over live runtimes",
-                   fn=partial(_sum_backend_field, _field))
-
-
-def _kernel_children(timings):
-    """Normalise profile rows to ``op@backend`` span names.
-
-    The planner suffixes only native-compiled labels; reference kernels are
-    unsuffixed, so the trace spells their backend out explicitly.
+    Plans replay the NumPy reference kernels only; the ``backend`` argument
+    of the trainer, train-step and engine constructors survives so callers
+    that spell the default out keep working.
     """
-    return [(label if "@" in label else label + "@numpy", seconds, calls)
-            for label, seconds, calls in timings]
+    if backend != "numpy":
+        raise ValueError(f"unknown backend {backend!r}; only 'numpy' is supported")
 
 
 class _CompiledBase:
     """Shared plan cache + capture/replay accounting."""
 
     def __init__(self, arena: Optional[BufferArena] = None, optimize: str = "O0",
-                 profile: bool = False, backend: str = "numpy", dtype=None,
-                 guard_numerics: bool = False):
-        from repro.runtime import backends
+                 profile: bool = False, guard_numerics: bool = False):
         from repro.runtime.optimizer import OPT_LEVELS
 
         if optimize not in OPT_LEVELS:
             raise ValueError(f"optimize must be one of {OPT_LEVELS}, got {optimize!r}")
-        backends.resolve_backend(backend)  # raise early on unknown names
-        self.backend = backend
-        self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float32)
-        if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError(f"dtype must be float32 or float64, got {self.dtype}")
         self.arena = arena or BufferArena()
         self.optimize = optimize
         self.profile = bool(profile)
         #: Numeric guard policy: per-node non-finite detection during replay
-        #: (typed :class:`NumericFault`) plus automatic quarantine of a
-        #: misbehaving *native* kernel to the numpy reference path.
+        #: (typed :class:`~repro.resilience.errors.NumericFault`).
         self.guard_numerics = bool(guard_numerics)
-        self.quarantine_count = 0
         self._plans: Dict[tuple, tuple] = {}
         self.capture_count = 0
         self.capture_time_s = 0.0
@@ -119,60 +85,10 @@ class _CompiledBase:
             "repro_runtime_eager_total", "Eager fallbacks (uncompilable state)")
         self._m_replay_seconds = _metrics.histogram(
             "repro_runtime_replay_seconds", "Replay wall-clock seconds")
-        self._m_quarantines = _metrics.counter(
-            "repro_runtime_quarantines_total",
-            "Native kernels quarantined to the numpy reference path after a "
-            "non-finite output")
-        _LIVE_RUNTIMES.add(self)
 
     def _compile(self, capture: GraphCapture):
         return compile_plan(capture, self.arena, optimize=self.optimize,
-                            profile=self.profile, backend=self.backend,
-                            guard_numerics=self.guard_numerics)
-
-    def _checked_replay(self, plan, replay_fn):
-        """Run ``replay_fn`` under the numeric-guard quarantine policy.
-
-        A :class:`NumericFault` from a *native* kernel demotes exactly that
-        node to the numpy reference path (extending the planner's per-node
-        fallback accounting) and retries the replay once — the fault was
-        raised during forward, before any backward or replay-count side
-        effects, so the retry re-runs the step from scratch.  A fault from a
-        reference kernel (or a second fault on the retry) is genuine bad
-        numerics and propagates to the caller.
-        """
-        try:
-            return replay_fn()
-        except NumericFault as fault:
-            if not (fault.native and plan.quarantine_node(fault.position)):
-                raise
-            self.quarantine_count += 1
-            self._m_quarantines.inc()
-            _span_event("runtime.quarantine", label=fault.label,
-                        position=fault.position)
-            return replay_fn()
-
-    def _backend_stats(self) -> Dict[str, object]:
-        """Backend accounting: what was requested, what runs, and how often
-        replays executed native vs fallen-back kernels."""
-        from repro.runtime import backends
-
-        plans = [entry[0] for entry in self._plans.values()]
-        active = (plans[-1].backend if plans
-                  else backends.resolve_backend(self.backend).name)
-        return {
-            "requested": self.backend,
-            "active": active,
-            "native_nodes": sum(plan.native_nodes for plan in plans),
-            "fallback_nodes": sum(plan.fallback_nodes for plan in plans),
-            # Kernel invocations over the runtime's lifetime: every replay of
-            # a plan executes each of its native (resp. fallen-back) nodes.
-            "native_replays": sum(plan.replay_count * plan.native_nodes
-                                  for plan in plans),
-            "fallback_replays": sum(plan.replay_count * plan.fallback_nodes
-                                    for plan in plans),
-            "quarantined_nodes": sum(len(plan.quarantined) for plan in plans),
-        }
+                            profile=self.profile, guard_numerics=self.guard_numerics)
 
     def invalidate(self) -> None:
         """Drop every cached plan (buffers return to the arena free lists)."""
@@ -196,9 +112,7 @@ class _CompiledBase:
             "eager_steps": self.eager_count,
             "plans": len(self._plans),
             "optimize": self.optimize,
-            "dtype": self.dtype.name,
             "arena": self.arena.stats(),
-            "backend": self._backend_stats(),
         }
         if self._plans:
             last_plan = next(reversed(self._plans.values()))[0]
@@ -233,14 +147,16 @@ class CompiledTrainStep(_CompiledBase):
     The optimizer stays eager: replays deposit gradients on ``param.grad``
     and the caller runs ``optimizer.step()`` as usual — parameter updates are
     picked up by the next replay because parameter slots re-read ``.data``.
+
+    ``backend`` accepts only ``"numpy"`` (see :func:`check_backend`).
     """
 
     def __init__(self, model, loss_fn: Callable, step_mode: Optional[str] = None,
                  arena: Optional[BufferArena] = None, optimize: str = "O0",
-                 profile: bool = False, backend: str = "numpy", dtype=None,
+                 profile: bool = False, backend: str = "numpy",
                  guard_numerics: bool = False):
+        check_backend(backend)
         super().__init__(arena, optimize=optimize, profile=profile,
-                         backend=backend, dtype=dtype,
                          guard_numerics=guard_numerics)
         self.model = model
         self.loss_fn = loss_fn
@@ -265,7 +181,7 @@ class CompiledTrainStep(_CompiledBase):
         input signature) and on eager fallbacks (uncompilable model state),
         and ``True`` afterwards.
         """
-        batch = np.asarray(batch, dtype=self.dtype)
+        batch = np.asarray(batch, dtype=np.float32)
         labels = np.asarray(labels)
         key = self.signature(batch)
         if key is None:
@@ -276,22 +192,20 @@ class CompiledTrainStep(_CompiledBase):
         plan, num_classes = entry
         inputs = {
             "batch": batch,
-            "labels_onehot": _one_hot(labels, num_classes, self.dtype),
+            "labels_onehot": _one_hot(labels, num_classes),
         }
         tracer = get_tracer()
         start = time.perf_counter()
         if tracer.enabled:
             with tracer.span("runtime.replay", kind="train",
-                             backend=plan.backend, optimize=self.optimize) as sp:
+                             optimize=self.optimize) as sp:
                 if tracer.sample_kernels():
-                    outputs, timings = self._checked_replay(
-                        plan, lambda: plan.replay_profiled(inputs))
-                    tracer.add_timed_children(sp, _kernel_children(timings))
+                    outputs, timings = plan.replay_profiled(inputs)
+                    tracer.add_timed_children(sp, timings)
                 else:
-                    outputs = self._checked_replay(
-                        plan, lambda: plan.replay(inputs))
+                    outputs = plan.replay(inputs)
         else:
-            outputs = self._checked_replay(plan, lambda: plan.replay(inputs))
+            outputs = plan.replay(inputs)
         loss = plan.loss_value()
         elapsed = time.perf_counter() - start
         self.replay_count += 1
@@ -326,7 +240,7 @@ class CompiledTrainStep(_CompiledBase):
                 capture.placeholder(batch_t, "batch")
                 outputs = self.model.run_timesteps(batch_t, step_mode=mode)
                 num_classes = int(outputs[0].shape[-1])
-                onehot_t = Tensor(_one_hot(labels, num_classes, self.dtype))
+                onehot_t = Tensor(_one_hot(labels, num_classes))
                 capture.placeholder(onehot_t, "labels_onehot")
                 loss = self.loss_fn(outputs, onehot_t)
                 capture.mark_loss(loss)
@@ -353,10 +267,8 @@ class CompiledForward(_CompiledBase):
     def __init__(self, fn: Callable[[Tensor], Union[Tensor, Sequence[Tensor]]],
                  owner=None, arena: Optional[BufferArena] = None,
                  optimize: str = "O0", profile: bool = False,
-                 backend: str = "numpy", dtype=None,
                  guard_numerics: bool = False):
         super().__init__(arena, optimize=optimize, profile=profile,
-                         backend=backend, dtype=dtype,
                          guard_numerics=guard_numerics)
         self.fn = fn
         self.owner = owner
@@ -376,7 +288,7 @@ class CompiledForward(_CompiledBase):
 
     def __call__(self, array: np.ndarray) -> Union[np.ndarray, List[np.ndarray]]:
         """Run the compiled forward; output arrays are valid until the next call."""
-        array = np.asarray(array, dtype=self.dtype)
+        array = np.asarray(array, dtype=np.float32)
         key = self.signature(array)
         if key is None:
             return self._eager(array)
@@ -388,19 +300,15 @@ class CompiledForward(_CompiledBase):
         start = time.perf_counter()
         if tracer.enabled:
             with tracer.span("runtime.replay", kind="forward",
-                             backend=plan.backend, optimize=self.optimize) as sp:
+                             optimize=self.optimize) as sp:
                 if tracer.sample_kernels():
-                    outputs, timings = self._checked_replay(
-                        plan,
-                        lambda: plan.replay_profiled({"input": array},
-                                                     grads=False))
-                    tracer.add_timed_children(sp, _kernel_children(timings))
+                    outputs, timings = plan.replay_profiled({"input": array},
+                                                            grads=False)
+                    tracer.add_timed_children(sp, timings)
                 else:
-                    outputs = self._checked_replay(
-                        plan, lambda: plan.replay({"input": array}, grads=False))
+                    outputs = plan.replay({"input": array}, grads=False)
         else:
-            outputs = self._checked_replay(
-                plan, lambda: plan.replay({"input": array}, grads=False))
+            outputs = plan.replay({"input": array}, grads=False)
         elapsed = time.perf_counter() - start
         self.replay_count += 1
         self.replay_time_s += elapsed
@@ -445,8 +353,8 @@ class CompiledForward(_CompiledBase):
         return arrays if is_sequence else arrays[0]
 
 
-def _one_hot(labels: np.ndarray, num_classes: int, dtype=np.float32) -> np.ndarray:
+def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    out = np.zeros((labels.shape[0], num_classes), dtype=dtype)
+    out = np.zeros((labels.shape[0], num_classes), dtype=np.float32)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out

@@ -80,19 +80,11 @@ class InferenceEngine:
         Record per-kernel replay timings for
         :func:`repro.metrics.profiler.summarize_runtime`'s hot-op table.
     backend:
-        Kernel backend for the compiled path (:mod:`repro.runtime.backends`):
-        ``"numpy"`` (reference, default), ``"numba"`` (native per-node
-        kernels with per-node fallback) or ``"auto"`` (numba when installed,
-        else the reference).  Ignored without ``compile=True``.
-    dtype:
-        Serving precision (``"float32"`` / ``"float64"``); the default keeps
-        the snapshot's current precision.  The snapshot model is recast in
-        place (safe under ``copy_model=True``) and request payloads are cast
-        to match.
+        Only ``"numpy"`` is accepted: serving runs the NumPy reference
+        kernels in float32.  Any other name raises :class:`ValueError`.
     guard_numerics:
         Numeric-guard policy (:mod:`repro.resilience`).  Compiled replays
-        check every node output for NaN/Inf (quarantining a misbehaving
-        native kernel to the reference path); the eager path checks the final
+        check every node output for NaN/Inf; the eager path checks the final
         logits.  Genuinely bad numerics raise a typed
         :class:`~repro.resilience.errors.NumericFault` instead of handing a
         caller NaN logits.
@@ -108,9 +100,11 @@ class InferenceEngine:
         optimize: Optional[str] = None,
         profile: bool = False,
         backend: str = "numpy",
-        dtype=None,
         guard_numerics: bool = False,
     ):
+        from repro.runtime.replay import check_backend
+
+        check_backend(backend)
         if not isinstance(model, SpikingModel):
             raise TypeError(
                 f"InferenceEngine serves SpikingModel instances, got {type(model).__name__}"
@@ -133,9 +127,6 @@ class InferenceEngine:
                 raise ValueError(f"timesteps must be >= 1, got {timesteps}")
             # Re-time the snapshot so run_timesteps simulates exactly this long.
             model.timesteps = int(timesteps)
-        self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float32)
-        if dtype is not None:
-            model.astype(self.dtype)
         model.zero_grad()
         model.eval()
         model.step_mode = "fused"
@@ -161,8 +152,6 @@ class InferenceEngine:
                 owner=self.model,
                 optimize=optimize,
                 profile=profile,
-                backend=backend,
-                dtype=dtype,
                 guard_numerics=guard_numerics,
             )
 
@@ -183,7 +172,7 @@ class InferenceEngine:
         """
         if isinstance(inputs, Tensor):
             inputs = inputs.data
-        data = np.asarray(inputs, dtype=self.dtype)
+        data = np.asarray(inputs, dtype=np.float32)
         if data.ndim == 3:
             return data[None], True
         if data.ndim in (4, 5):
@@ -200,9 +189,6 @@ class InferenceEngine:
         data, single = self._shape_batch(inputs)
         with get_tracer().span("engine.infer", compiled=self.compile) as sp:
             batch = encode_batch(data, self.timesteps)
-            if batch.dtype != self.dtype:
-                # The encoders emit float32; recast for float64 serving policies.
-                batch = batch.astype(self.dtype)
             sp.set_attr("batch_size", int(batch.shape[1]))
             with self._lock:
                 if self._compiled is not None:
@@ -214,7 +200,7 @@ class InferenceEngine:
                     if self.guard_numerics and not np.isfinite(logits).all():
                         from repro.resilience.errors import NumericFault
 
-                        raise NumericFault("engine.logits", -1, False,
+                        raise NumericFault("engine.logits", -1,
                                            detail="non-finite serving logits")
                 self._requests_served += logits.shape[0]
         return logits[0] if single else logits
@@ -228,12 +214,9 @@ class InferenceEngine:
             # lock): the hot path stays allocation-free, only the pad rows are
             # re-zeroed in case a previous larger request left samples there.
             shape = batch.shape[:1] + (n_padded,) + batch.shape[2:]
-            # Keyed by dtype as well: a float32 request must never write
-            # into a float64 pad buffer captured for the same shapes.
-            key = (shape, batch.dtype.str)
-            padded = self._pad_buffers.get(key)
+            padded = self._pad_buffers.get(shape)
             if padded is None:
-                padded = self._pad_buffers[key] = np.zeros(shape, dtype=batch.dtype)
+                padded = self._pad_buffers[shape] = np.zeros(shape, dtype=np.float32)
             padded[:, :n] = batch
             padded[:, n:] = 0.0
             batch = padded
@@ -267,7 +250,7 @@ class InferenceEngine:
         """
         if isinstance(chunk, Tensor):
             chunk = chunk.data
-        data = np.asarray(chunk, dtype=self.dtype)
+        data = np.asarray(chunk, dtype=np.float32)
         single = data.ndim == 4
         if single:
             data = data[:, None]

@@ -112,24 +112,16 @@ class BPTTTrainer:
         Record per-kernel replay timings, surfaced as a top-k hot-op table by
         :func:`repro.metrics.profiler.summarize_runtime`.
     backend:
-        Kernel backend for the compiled runtime (:mod:`repro.runtime.backends`):
-        ``"numpy"`` (reference, default), ``"numba"`` (native per-node
-        kernels, plan-time verified, per-node fallback to NumPy) or
-        ``"auto"`` (numba when installed, else the reference).  Ignored
-        without ``compile=True``.
-    dtype:
-        Training precision (``"float32"`` / ``"float64"``); the default keeps
-        the model's current precision (float32 throughout the repo).  When
-        given, the model is recast in place (:meth:`~repro.nn.module.Module.astype`)
-        before the optimizer is built, and batches are cast to match.
+        Only ``"numpy"`` is accepted: training runs the NumPy reference
+        kernels in float32.  Any other name raises :class:`ValueError`.
     guard_numerics:
-        Numeric-guard policy (:mod:`repro.resilience`).  Compiled steps check
-        every node output for NaN/Inf during replay and quarantine a
-        misbehaving native kernel to the reference path; at the trainer level
-        a step whose loss or gradients are non-finite is *skipped* (the
-        parameter update is withheld and the step excluded from epoch
-        statistics).  More than ``max_skip_steps`` consecutive skips raises a
-        typed :class:`~repro.resilience.errors.NumericFault` — persistent bad
+        Numeric-guard policy (:mod:`repro.resilience`).  A step whose loss or
+        gradients are non-finite — or, with ``compile=True``, whose replay
+        raised a :class:`~repro.resilience.errors.NumericFault` from a
+        non-finite node output — is *skipped* (the parameter update is
+        withheld and the step excluded from epoch statistics).  More than
+        ``max_skip_steps`` consecutive skips raises a typed
+        :class:`~repro.resilience.errors.NumericFault` — persistent bad
         numerics should fail loudly, not silently stall training.
     max_skip_steps:
         Bound on consecutive guard-skipped steps before the trainer raises
@@ -146,7 +138,6 @@ class BPTTTrainer:
         optimize: str = "O1",
         profile: bool = False,
         backend: str = "numpy",
-        dtype=None,
         guard_numerics: bool = False,
         max_skip_steps: int = 3,
     ):
@@ -157,18 +148,13 @@ class BPTTTrainer:
         self.compile = bool(compile)
         self.optimize = optimize
         self.profile = bool(profile)
-        self.backend = backend
         self.guard_numerics = bool(guard_numerics)
         self.max_skip_steps = int(max_skip_steps)
         self.skipped_steps = 0
         self._consecutive_skips = 0
-        if self.compile:
-            from repro.runtime import backends
+        from repro.runtime.replay import check_backend
 
-            backends.resolve_backend(backend)  # raise early on unknown names
-        self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float32)
-        if dtype is not None:
-            model.astype(self.dtype)
+        check_backend(backend)
         self._compiled = None
         if config.optimizer.lower() == "adam":
             self.optimizer = Adam(model.parameters(), lr=config.learning_rate,
@@ -187,10 +173,7 @@ class BPTTTrainer:
         tracer = get_tracer()
         with tracer.span("train.step", compiled=self.compile,
                          batch_size=int(np.asarray(data).shape[0])):
-            batch = encode_batch(np.asarray(data, dtype=self.dtype), self.config.timesteps)
-            if batch.dtype != self.dtype:
-                # The encoders emit float32; recast for float64 training policies.
-                batch = batch.astype(self.dtype)
+            batch = encode_batch(np.asarray(data, dtype=np.float32), self.config.timesteps)
             if self.augment is not None:
                 batch = self.augment(batch)
             labels = np.asarray(labels)
@@ -239,7 +222,7 @@ class BPTTTrainer:
                     consecutive=self._consecutive_skips)
         if self._consecutive_skips > self.max_skip_steps:
             raise NumericFault(
-                "train.step", -1, False,
+                "train.step", -1,
                 detail=f"{self._consecutive_skips} consecutive non-finite steps")
         self.optimizer.zero_grad()
         return True
@@ -253,14 +236,17 @@ class BPTTTrainer:
                                                step_mode=self.config.step_mode,
                                                optimize=self.optimize,
                                                profile=self.profile,
-                                               backend=self.backend,
-                                               dtype=self.dtype,
                                                guard_numerics=self.guard_numerics)
         self.optimizer.zero_grad()
         # The forward+backward span (runtime.replay / capture / eager) is
         # opened inside CompiledTrainStep.run, with per-kernel children when
         # sampling is on; only the eager parameter update is timed here.
-        loss, logits_per_step, replayed = self._compiled.run(batch, labels)
+        try:
+            loss, logits_per_step, replayed = self._compiled.run(batch, labels)
+        except NumericFault:
+            # A guarded replay stops at the first non-finite node, before
+            # backward: the same bad step the eager path sees as a NaN loss.
+            loss, replayed = float("nan"), True
         if self._guard_skip(loss):
             return {"loss": loss, "accuracy": 0.0, "replayed": float(replayed),
                     "skipped": 1.0}

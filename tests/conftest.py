@@ -10,10 +10,6 @@ import pytest
 from repro import obs
 from repro.autograd.tensor import Tensor, active_trace, is_grad_enabled
 from repro.resilience import faults
-from repro.runtime import backends
-from repro.runtime.backends import Backend, NativeKernel, NumbaBackend
-from repro.runtime.backends.codegen import compile_python
-from repro.runtime.ops import get_op
 
 
 def pytest_addoption(parser):
@@ -73,69 +69,6 @@ def process_state_restored():
 def rng() -> np.random.Generator:
     """Deterministic random generator for every test."""
     return np.random.default_rng(12345)
-
-
-class ReferenceTwinBackend(Backend):
-    """Test-only native backend: the reference kernels under a native name.
-
-    It is eligible for the nodes the numba backend compiles (``ew_chain`` and
-    the specialized fused LIF) and hands the planner each node's own
-    :class:`~repro.runtime.ops.OpDef` kernels wrapped in a
-    :class:`NativeKernel`.  Plans built with it therefore run the native
-    code path — ``@twin`` labels, native/fallback counters, quarantine —
-    while staying exactly equal to the reference, on machines without numba.
-    """
-
-    name = "twin"
-    eligible = NumbaBackend.eligible
-
-    def compile_node(self, node, slots, needs, node_has_backward):
-        opdef = get_op(node.op)
-        return NativeKernel(self.name, opdef.forward, opdef.backward,
-                            opdef.forward_inference, label=node.op)
-
-
-class PythonCodegenBackend(NumbaBackend):
-    """Test-only native backend: the numba backend without ``@njit``.
-
-    The flat-loop sources of :mod:`repro.runtime.backends.codegen` are
-    plain valid Python, so this backend runs the numba backend's whole
-    pipeline — emission, marshalling, plan-time verification, token-guarded
-    backward — in real plans on machines without numba, only slower.
-    """
-
-    name = "codegen"
-
-    def _compile(self, source, names):
-        return compile_python(source)
-
-
-@pytest.fixture
-def install_backend(monkeypatch):
-    """Make ``backend=<backend.name>`` resolve to a test-only backend.
-
-    Returns a function taking a :class:`Backend` instance and returning its
-    name; every other name still resolves as usual.
-    """
-    def install(backend: Backend) -> str:
-        previous = backends.resolve_backend
-        monkeypatch.setattr(
-            backends, "resolve_backend",
-            lambda name: backend if name == backend.name else previous(name))
-        return backend.name
-    return install
-
-
-@pytest.fixture
-def twin_backend(install_backend) -> str:
-    """Install :class:`ReferenceTwinBackend`; returns the name to pass."""
-    return install_backend(ReferenceTwinBackend())
-
-
-@pytest.fixture
-def codegen_backend(install_backend) -> str:
-    """Install :class:`PythonCodegenBackend`; returns the name to pass."""
-    return install_backend(PythonCodegenBackend())
 
 
 def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:

@@ -22,12 +22,13 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
-from repro.autograd.tensor import Tensor, no_grad
+from repro.autograd.tensor import Tensor, Workspace, _unbroadcast, no_grad
 from repro.models.builder import convert_to_tt
 from repro.models.resnet import spiking_resnet18
 from repro.models.vgg import spiking_vgg9
 from repro.nn.layers import BatchNorm2d, Conv2d, Linear, Sequential
 from repro.runtime import CompiledForward, CompiledTrainStep, OPT_LEVELS
+from repro.runtime.ops import get_op
 from repro.runtime.replay import _CompiledBase
 from repro.serve.engine import InferenceEngine
 from repro.snn.encoding import encode_batch
@@ -310,6 +311,54 @@ def test_elementwise_chain_fusion_forward_and_backward():
     report = _report(compiled)
     assert report["fused_chains"] >= 1 and report["fused_ops"] >= 3
     assert "ew_chain" in _op_histogram(compiled)
+
+
+#: (op, inputs, attrs) of a fabricated chain; input -1 is the running value
+_CHAIN = [("mul", (0, 1), {}), ("add", (-1, 2), {}), ("tanh", (-1,), {}),
+          ("sigmoid", (-1,), {}), ("clip", (-1,), {"low": -0.9, "high": 0.9}),
+          ("pow", (-1,), {"exponent": 2.0}), ("relu", (-1,), {}),
+          ("abs", (-1,), {}), ("neg", (-1,), {})]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("in_shapes", [
+    [(2, 6), (2, 6), (2, 6)], [(2, 1), (2, 1), (1, 6)], [(2, 6), (2, 6), (1, 1)],
+], ids=["uniform", "broadcast", "scalar"])
+def test_ew_chain_kernel_matches_eager_autograd(in_shapes, dtype):
+    """The fused ``ew_chain`` reference kernel — forward, no-grad forward and
+    fused backward — equals the same ops run one by one on the eager tape,
+    including broadcast externals whose grads the planner unbroadcasts and a
+    running value that widens mid-chain."""
+    dtype = np.dtype(dtype)
+    prog = []
+    shape = in_shapes[0]
+    for op, ins, attrs in _CHAIN:
+        opdef = get_op(op)
+        shape = np.broadcast_shapes(shape, *(in_shapes[i] for i in ins if i >= 0))
+        prog.append({"op": op, "fwd": opdef.forward, "bwd": opdef.backward,
+                     "attrs": attrs, "ins": list(ins), "needs": (True,) * len(ins),
+                     "shape": shape, "dtype": dtype, "buffered": opdef.out_capable})
+    attrs = {"prog": prog, "ws": Workspace()}
+    rng = np.random.default_rng(9)
+    ins = [(rng.standard_normal(shape) + 0.5).astype(dtype) for shape in in_shapes]
+    g = rng.standard_normal((2, 6)).astype(dtype)
+
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in ins]
+    x0, x1, x2 = leaves
+    want = -((((x0 * x1 + x2).tanh().sigmoid().clip(-0.9, 0.9)) ** 2.0).relu().abs())
+    (want * Tensor(g)).sum().backward()
+
+    kernel = get_op("ew_chain")
+    tol = dict(rtol=1e-5, atol=1e-6) if dtype == np.float32 else dict(rtol=1e-12, atol=1e-12)
+    got, saved = kernel.forward(ins, attrs)
+    assert got.dtype == dtype
+    np.testing.assert_allclose(got, want.data, **tol)
+    got = got.copy()        # the next call reuses the workspace buffers
+    grads = kernel.backward(g, ins, got, saved, attrs, (True, True, True))
+    for index, (grad, leaf) in enumerate(zip(grads, leaves)):
+        np.testing.assert_allclose(_unbroadcast(np.asarray(grad), in_shapes[index]),
+                                   leaf.grad, err_msg=f"input {index}", **tol)
+    np.testing.assert_array_equal(kernel.forward_inference(ins, attrs), got)
 
 
 def test_fused_chain_gradients_match_eager():

@@ -2,9 +2,8 @@
 
 The profiler module carries the repo's one shared percentile routine
 (:func:`summarize_latencies` — also the math behind ``ServerStats`` and the
-obs histograms), the compiled-runtime report (:func:`summarize_runtime` with
-its hot-op table) and the ``op@backend`` label parser
-(:func:`kernel_backend`).  These were previously exercised only indirectly
+obs histograms) and the compiled-runtime report (:func:`summarize_runtime`
+with its hot-op table).  These were previously exercised only indirectly
 through serving tests; this file pins their contracts down directly.
 """
 
@@ -13,9 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.metrics.profiler import (TrainingTimeProfiler, kernel_backend,
-                                    summarize_latencies, summarize_runtime,
-                                    time_training_step)
+from repro.metrics.profiler import (TrainingTimeProfiler, summarize_latencies,
+                                    summarize_runtime, time_training_step)
 
 
 class TestSummarizeLatencies:
@@ -44,19 +42,6 @@ class TestSummarizeLatencies:
         assert summary["p50_s"] == 0.25 == summary["max_s"] == summary["mean_s"]
 
 
-class TestKernelBackend:
-    @pytest.mark.parametrize("label, backend", [
-        ("conv2d", "numpy"),                      # unsuffixed = reference
-        ("bwd:conv2d", "numpy"),
-        ("matmul@codegen", "codegen"),
-        ("bwd:lif@numba", "numba"),
-        ("fn_cached:ConvChannelsLastFunction@numpy", "numpy"),
-        ("elementwise_chain@fallback", "fallback"),
-    ])
-    def test_parses_executing_backend(self, label, backend):
-        assert kernel_backend(label) == backend
-
-
 class TestSummarizeRuntime:
     def test_rejects_sources_without_runtime_stats(self):
         with pytest.raises(TypeError, match="does not expose runtime_stats"):
@@ -80,8 +65,8 @@ class TestSummarizeRuntime:
                     "mean_capture_s": 0.100, "mean_replay_s": 0.010,
                     "kernels": {
                         "conv2d": {"seconds": 6.0, "calls": 30},
-                        "matmul@codegen": {"seconds": 3.0, "calls": 10},
-                        "bwd:lif@fallback": {"seconds": 1.0, "calls": 5},
+                        "matmul": {"seconds": 3.0, "calls": 10},
+                        "bwd:lif": {"seconds": 1.0, "calls": 5},
                     },
                 }
 
@@ -90,10 +75,9 @@ class TestSummarizeRuntime:
         assert report["replay_latency"]["count"] == 3.0
         hot = report["hot_ops"]
         assert len(hot) == 2  # top_k truncates
-        assert hot[0]["op"] == "conv2d" and hot[0]["backend"] == "numpy"
+        assert hot[0]["op"] == "conv2d"
         assert hot[0]["share"] == pytest.approx(0.6)
-        assert hot[1]["op"] == "matmul@codegen"
-        assert hot[1]["backend"] == "codegen"
+        assert hot[1]["op"] == "matmul"
 
     def test_hot_op_table_from_a_real_profiled_trainer(self):
         from repro.models.vgg import spiking_vgg9
@@ -117,7 +101,9 @@ class TestSummarizeRuntime:
                    for entry in hot)
         shares = [entry["share"] for entry in hot]
         assert shares == sorted(shares, reverse=True)
-        assert all(entry["backend"] == "numpy" for entry in hot)
+        plan = next(iter(trainer._compiled._plans.values()))[0]
+        labels = set(plan._fwd_labels) | set(plan._bwd_labels)
+        assert {entry["op"] for entry in hot} <= labels
 
 
 class TestTrainingTimeProfiler:

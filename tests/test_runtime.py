@@ -14,14 +14,16 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, Workspace
 from repro.data.datasets import ArrayDataset, DataLoader, EventDataset
 from repro.metrics.profiler import summarize_runtime
 from repro.models.builder import convert_to_tt
 from repro.models.resnet import spiking_resnet18
 from repro.models.vgg import spiking_vgg9
 from repro.nn.layers import Linear, Sequential
-from repro.runtime import BufferArena, CompiledForward, CompiledTrainStep
+from repro.parallel import DataParallelTrainer
+from repro.runtime import (BufferArena, CompiledForward, CompiledTrainStep,
+                           ExecutionPlan, compile_plan)
 from repro.serve.engine import InferenceEngine
 from repro.snn.loss import TETLoss
 from repro.training.config import TrainingConfig
@@ -302,6 +304,144 @@ def test_runtime_stats_report():
     assert report["replay_latency"]["count"] == 2.0
     assert report["capture_over_replay"] > 0
     assert "arena" in report and "plan" in report
+
+
+# ---------------------------------------------------------------------------
+# removed options
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["auto", "cuda", "codegen"])
+def test_retained_backend_argument_accepts_only_numpy(name):
+    """The three constructors that keep ``backend`` reject every other name."""
+    model = _make_model("vgg9", "ptt")
+    config = TrainingConfig(timesteps=TIMESTEPS, batch_size=2)
+    with pytest.raises(ValueError, match="unknown backend"):
+        BPTTTrainer(model, config, compile=True, backend=name)
+    with pytest.raises(ValueError, match="unknown backend"):
+        CompiledTrainStep(model, lambda outputs, labels: None, backend=name)
+    with pytest.raises(ValueError, match="unknown backend"):
+        InferenceEngine(model, compile=True, backend=name)
+    BPTTTrainer(model, config, compile=True, backend="numpy")
+    CompiledTrainStep(model, lambda outputs, labels: None, backend="numpy")
+    InferenceEngine(model, compile=True, backend="numpy")
+
+
+@pytest.mark.parametrize("kwargs", [{"backend": "numpy"}, {"dtype": "float32"}])
+def test_backend_and_dtype_arguments_are_gone(kwargs):
+    model = _make_model("vgg9", "ptt")
+    config = TrainingConfig(timesteps=TIMESTEPS, batch_size=2)
+    with pytest.raises(TypeError):
+        model.compile(**kwargs)
+    with pytest.raises(TypeError):
+        CompiledForward(lambda t: t, **kwargs)
+    with pytest.raises(TypeError):
+        compile_plan(None, **kwargs)
+    with pytest.raises(TypeError):
+        ExecutionPlan(None, BufferArena(), **kwargs)
+    with pytest.raises(TypeError):
+        DataParallelTrainer(model, config, num_workers=1, **kwargs)
+
+
+def test_dtype_argument_is_gone_from_retained_backend_callers():
+    model = _make_model("vgg9", "ptt")
+    config = TrainingConfig(timesteps=TIMESTEPS, batch_size=2)
+    with pytest.raises(TypeError):
+        BPTTTrainer(model, config, compile=True, dtype="float32")
+    with pytest.raises(TypeError):
+        CompiledTrainStep(model, lambda outputs, labels: None, dtype="float32")
+    with pytest.raises(TypeError):
+        InferenceEngine(model, compile=True, dtype="float32")
+
+
+def test_removed_replay_options_are_rejected():
+    model = _make_model("vgg9", "ptt")
+    with pytest.raises(TypeError):
+        InferenceEngine(model, compile=True, parallel_replay=2)
+    with pytest.raises(TypeError):
+        model.compile(parallel_workers=2)
+
+
+def test_workspace_buffers_keyed_by_dtype():
+    ws = Workspace()
+    f32 = ws.buf("k", (4,), "float32")
+    f64 = ws.buf("k", (4,), "float64")
+    assert f32.dtype == np.float32 and f64.dtype == np.float64
+    assert f32 is not f64
+    assert ws.buf("k", (4,), "float32") is f32
+    assert ws.buf("k", (4,), "float64") is f64
+    assert ws.buf("k", (2, 2), "float32") is not f32   # shape is part of the key
+
+
+# ---------------------------------------------------------------------------
+# float32 reference kernels
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("optimize", ["O0", "O1"])
+@pytest.mark.parametrize("arch,variant", [
+    ("vgg9", "stt"), ("vgg9", "ptt"), ("vgg9", "htt"), ("resnet18", "ptt"),
+])
+def test_compiled_train_runs_in_float32(arch, variant, optimize):
+    """float64 batches are cast on entry: every plan slot, parameter and
+    gradient stays float32, and the losses equal a run fed float32 batches."""
+    wide, narrow = _make_pair(arch, variant)
+    config = TrainingConfig(timesteps=TIMESTEPS, batch_size=2, learning_rate=0.05)
+    t_wide = BPTTTrainer(wide, config, compile=True, optimize=optimize)
+    t_narrow = BPTTTrainer(narrow, config, compile=True, optimize=optimize)
+    for step, (data, labels) in enumerate(_batches(steps=3)):
+        s_wide = t_wide.train_step(data.astype(np.float64), labels)
+        s_narrow = t_narrow.train_step(data, labels)
+        assert s_wide["loss"] == s_narrow["loss"], f"step {step}"
+    plan = next(iter(t_wide._compiled._plans.values()))[0]
+    assert {slot.dtype for slot in plan.slots} == {np.dtype(np.float32)}
+    for name, param in wide.named_parameters():
+        assert param.data.dtype == np.float32, name
+        assert param.grad is None or param.grad.dtype == np.float32, name
+    _assert_states_match(narrow, wide, "float64 vs float32 batches")
+
+
+@pytest.mark.parametrize("input_dtype", ["float32", "float64", "uint8"])
+@pytest.mark.parametrize("arch", ["vgg9", "resnet18"])
+def test_compiled_engine_serves_float32(arch, input_dtype):
+    """Any numeric request dtype is served through float32 plans: logits are
+    float32 and equal those of the same request cast to float32 up front."""
+    engine = InferenceEngine(_make_model(arch, "ptt"), compile=True)
+    rng = np.random.default_rng(13)
+    batch = rng.random((2, 3, 8, 8))
+    if input_dtype == "uint8":
+        batch = (batch * 255).astype(np.uint8)
+    else:
+        batch = batch.astype(input_dtype)
+    want = engine.infer(batch.astype(np.float32))
+    got = engine.infer(batch)
+    assert got.dtype == np.float32 and want.dtype == np.float32
+    np.testing.assert_array_equal(got, want)
+    plan = next(iter(engine._compiled._plans.values()))[0]
+    assert {slot.dtype for slot in plan.slots} == {np.dtype(np.float32)}
+
+
+def test_engine_pad_buffers_are_float32_and_reused():
+    """A batch of 3 pads to the 4-sample plan through one persistent float32
+    buffer per padded shape, whose pad rows stay zero across requests."""
+    model = _make_model("vgg9", "ptt")
+    engine = InferenceEngine(model, compile=True)
+    eager = InferenceEngine(model)
+    rng = np.random.default_rng(21)
+    four = rng.random((4, 3, 8, 8)).astype(np.float32)
+    three = rng.random((3, 3, 8, 8))
+    engine.infer(four)
+    assert engine._pad_buffers == {}                  # power of two: no pad
+    first = engine.infer(three)
+    assert len(engine._pad_buffers) == 1
+    (shape, buffer), = engine._pad_buffers.items()
+    assert shape == (TIMESTEPS, 4, 3, 8, 8) and buffer.dtype == np.float32
+    engine.infer(four)
+    second = engine.infer(three)
+    assert engine._pad_buffers[shape] is buffer
+    assert not buffer[:, 3:].any()
+    np.testing.assert_array_equal(first, second)
+    np.testing.assert_allclose(second, eager.infer(three), atol=1e-5)
 
 
 # ---------------------------------------------------------------------------

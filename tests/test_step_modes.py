@@ -11,7 +11,7 @@ rounding (asserted at ``1e-5``).
 import numpy as np
 import pytest
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, Workspace
 from repro.models.builder import convert_to_tt
 from repro.models.resnet import spiking_resnet18
 from repro.models.vgg import spiking_vgg9
@@ -19,7 +19,8 @@ from repro.nn.layers import Conv2d
 from repro.nn.module import SeqToBatch, fold_time, sequence_forward, unfold_time
 from repro.snn.encoding import encode_batch
 from repro.snn.loss import mean_output_cross_entropy
-from repro.snn.neurons import LIFNeuron, lif_sequence
+from repro.snn.neurons import (LIFNeuron, SurrogateArctan, SurrogateRectangular,
+                               SurrogateSigmoid, _FusedLIFSequence, lif_sequence)
 
 
 TOL = dict(atol=1e-5, rtol=1e-5)
@@ -223,6 +224,77 @@ class TestFusedPrimitives:
         fused.forward_sequence(Tensor(currents))
         np.testing.assert_allclose(single.membrane_potential.data,
                                    fused.membrane_potential.data, **TOL)
+
+
+class TestFusedLIFKernel:
+    """The fused LIF recurrence is the reference kernel compiled plans replay
+    (``fn_cached`` nodes with a persistent workspace); its three code paths —
+    :meth:`forward`, the rolling-membrane :meth:`forward_inference` and the
+    workspace-backed surrogate derivative — must agree with plain oracles."""
+
+    TAU, THRESHOLD = 0.25, 0.5
+
+    def _kernel(self, surrogate=None, hard_reset=True, detach_reset=True,
+                initial_membrane=None, workspace=False):
+        ctx = _FusedLIFSequence(self.TAU, self.THRESHOLD,
+                                surrogate or SurrogateRectangular(),
+                                hard_reset, detach_reset, initial_membrane)
+        if workspace:
+            ctx.set_workspace(Workspace())
+        return ctx
+
+    @pytest.mark.parametrize("with_initial", [False, True])
+    @pytest.mark.parametrize("hard_reset", [True, False])
+    def test_forward_paths_match_recurrence(self, rng, hard_reset, with_initial):
+        currents = rng.standard_normal((5, 2, 7)).astype(np.float32)
+        initial = (rng.standard_normal((2, 7)).astype(np.float32)
+                   if with_initial else None)
+        post = np.zeros((2, 7), np.float32) if initial is None else initial.copy()
+        want = []
+        for t in range(5):
+            membrane = post * np.float32(self.TAU) + currents[t]
+            spike = (membrane >= self.THRESHOLD).astype(np.float32)
+            if hard_reset:
+                post = membrane * (1.0 - spike)
+            else:
+                post = membrane - spike * np.float32(self.THRESHOLD)
+            want.append(spike)
+        trained = self._kernel(hard_reset=hard_reset, initial_membrane=initial)
+        served = self._kernel(hard_reset=hard_reset, initial_membrane=initial)
+        np.testing.assert_array_equal(trained.forward(currents), np.stack(want))
+        np.testing.assert_array_equal(served.forward_inference(currents),
+                                      np.stack(want))
+        np.testing.assert_array_equal(trained.final_membrane, post)
+        np.testing.assert_array_equal(served.final_membrane, post)
+
+    @pytest.mark.parametrize("detach_reset", [True, False])
+    @pytest.mark.parametrize("hard_reset", [True, False])
+    @pytest.mark.parametrize("surrogate", [
+        SurrogateRectangular(1.0), SurrogateRectangular(0.5),
+        SurrogateArctan(), SurrogateSigmoid(),
+    ], ids=["rect1", "rect05", "arctan", "sigmoid"])
+    def test_backward_matches_stepwise_tape(self, rng, surrogate, hard_reset,
+                                            detach_reset):
+        currents = rng.standard_normal((4, 3, 6)).astype(np.float32)
+        weights = rng.standard_normal(currents.shape).astype(np.float32)
+
+        x = Tensor(currents.copy(), requires_grad=True)
+        neuron = LIFNeuron(tau_m=self.TAU, v_threshold=self.THRESHOLD,
+                           surrogate=surrogate, hard_reset=hard_reset,
+                           detach_reset=detach_reset)
+        out = Tensor.stack([neuron(x[t]) for t in range(4)], axis=0)
+        (out * Tensor(weights)).sum().backward()
+
+        grads = []
+        for workspace in (False, True):
+            ctx = self._kernel(surrogate, hard_reset, detach_reset,
+                               workspace=workspace)
+            np.testing.assert_array_equal(ctx.forward(currents), out.data)
+            (grad,) = ctx.backward(weights)
+            np.testing.assert_allclose(grad, x.grad, **TOL)
+            grads.append(grad.copy())
+        # The workspace fast path is bitwise the surrogate's own derivative.
+        np.testing.assert_array_equal(grads[0], grads[1])
 
 
 class TestTrainerIntegration:

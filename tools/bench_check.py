@@ -10,7 +10,7 @@ exits non-zero when a metric regressed by more than ``--threshold`` (default
 Two metric families are compared, chosen by key name:
 
 * **higher-is-better ratios** — keys containing ``speedup`` or ``qps``.
-  These are relative quantities (compiled vs eager, native vs NumPy), so
+  These are relative quantities (compiled vs eager, sharded vs single), so
   they transfer across machines; a fresh value below
   ``baseline * (1 - threshold)`` is a regression.  Always compared.
 * **lower-is-better absolutes** — keys ending in ``_ms`` or ``_s`` (p50
