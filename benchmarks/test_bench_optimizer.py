@@ -5,11 +5,11 @@ Acceptance thresholds (ISSUE 5):
 * **serving** — an ``optimize="O2"`` compiled engine answers per-request
   forwards at least **1.5x** faster than the un-optimized ``"O0"`` replay
   (eval-BN folded into conv weights, frozen GEMM operands, specialized
-  workspace kernels, view caching, dead-node elimination);
+  workspace kernels, view caching);
 * **training** — an ``optimize="O1"`` compiled train step is at least
   **1.15x** faster than the ``"O0"`` replay (workspace-specialized
   conv/BN/LIF/pool kernels, select-based pooling, needs-aware input-grad
-  skipping, elementwise fusion, view-chain collapse);
+  skipping);
 * **equivalence** — optimized logits and gradients stay within **1e-6** of
   the O0 replay (O1 is value-exact by construction);
 * **arena** — optimized steady-state replays still perform **zero** fresh
@@ -96,8 +96,6 @@ def test_o1_train_step_speedup_and_equivalence():
     print(f"\nVGG-9 T={TIMESTEPS} N={TRAIN_BATCH} train step: "
           f"O0 {o0_s * 1e3:.1f} ms, O1 {o1_s * 1e3:.1f} ms, speedup {speedup:.2f}x")
     print(f"optimizer: nodes {report['nodes_before']}->{report['nodes_after']}, "
-          f"fused {report['fused_chains']} chains / {report['fused_ops']} ops, "
-          f"views collapsed {report['views_collapsed']}, "
           f"specialized {report['specialized']}, grad diff {grad_diff:.1e}")
 
     assert steady_state_allocs == 0, \
@@ -138,8 +136,7 @@ def test_o2_serve_forward_speedup_and_equivalence():
     print(f"\nVGG-9 T={TIMESTEPS} per-request serve forward: "
           f"O0 {o0_s * 1e3:.2f} ms, O2 {o2_s * 1e3:.2f} ms, speedup {speedup:.2f}x")
     print(f"optimizer: nodes {report['nodes_before']}->{report['nodes_after']}, "
-          f"bn folded {report['folded_bn']}, dce {report['dce_removed']}, "
-          f"specialized {report['specialized']}")
+          f"bn folded {report['folded_bn']}, specialized {report['specialized']}")
 
     assert steady_state_allocs == 0
     assert report["folded_bn"] > 0
@@ -147,41 +144,3 @@ def test_o2_serve_forward_speedup_and_equivalence():
         f"O2 compiled serve forward must be >= 1.5x the O0 replay, got {speedup:.2f}x"
     )
 
-
-def test_o2_tt_fold_matches_merged_engine(benchmark=None):
-    """BENCH trajectory: serving an *unmerged* TT model at O2 pre-contracts the
-    sub-convolutions per Eq. 6 at plan time — the resulting plan is the same
-    one-dense-conv-per-layer plan the model-level merged engine compiles to,
-    and replays at the same speed, without ever materialising a merged model.
-
-    (Whether the dense or the factorized form is faster in wall-clock depends
-    on batch size — the factorization wins on FLOPs, the dense form on
-    dispatch count — so the fold's guarantee is merged-engine *parity*, not
-    a speedup over the factorized replay.)
-    """
-    model = _make_model()
-    engine_unmerged = InferenceEngine(model, merge=False, compile=True, optimize="O2")
-    engine_merged = InferenceEngine(model, merge=True, compile=True, optimize="O2")
-    sample = _make_batch(8)[0][:4]
-    logits_unmerged = engine_unmerged.infer(sample)
-    logits_merged = engine_merged.infer(sample)
-    np.testing.assert_allclose(logits_unmerged, logits_merged, atol=1e-5)  # Eq. 6 bound
-    engine_unmerged.infer(sample)
-    engine_merged.infer(sample)
-
-    unmerged_s, merged_s = ab_median(lambda: engine_unmerged.infer(sample),
-                                     lambda: engine_merged.infer(sample), calls=10)
-    report = engine_unmerged._compiled.runtime_stats()["optimizer"]
-    merged_report = engine_merged._compiled.runtime_stats()["optimizer"]
-    print(f"\nunmerged-PTT O2 serving: {unmerged_s * 1e3:.2f} ms vs merged engine "
-          f"{merged_s * 1e3:.2f} ms (ratio {unmerged_s / merged_s:.2f}), "
-          f"tt folded {report['folded_tt']}, "
-          f"nodes {report['nodes_before']}->{report['nodes_after']}")
-    assert report["folded_tt"] > 0
-    # The folded plan has exactly the merged engine's plan shape...
-    assert report["nodes_after"] == merged_report["nodes_after"]
-    # ...and replays at merged-engine speed (generous bound for noise).
-    assert unmerged_s <= merged_s * 1.3, (
-        f"folded TT plan should replay at merged-engine speed, got "
-        f"{unmerged_s * 1e3:.2f} ms vs {merged_s * 1e3:.2f} ms"
-    )

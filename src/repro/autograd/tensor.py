@@ -46,7 +46,6 @@ __all__ = [
     "set_trace",
     "active_trace",
     "record_op",
-    "trace_region",
 ]
 
 # ---------------------------------------------------------------------------
@@ -113,29 +112,6 @@ def record_op(op: str, inputs: Tuple["Tensor", ...], out: Optional["Tensor"],
     trace = getattr(_TRACE_TLS, "trace", None)
     if trace is not None:
         trace.record(op, inputs, out, attrs or {}, saved)
-
-
-@contextlib.contextmanager
-def trace_region(tag: str):
-    """Mark the ops executed inside the block as one semantic region.
-
-    Traces that understand regions (``GraphCapture``) expose
-    ``region_begin(tag)`` / ``region_end(handle)``; the plan-time graph
-    optimizer uses the recorded spans to recognise composite structures — in
-    particular the four-sub-convolution TT wirings — without fragile
-    structural guessing.  A no-op when no trace (or a region-unaware trace)
-    is installed.
-    """
-    trace = getattr(_TRACE_TLS, "trace", None)
-    begin = getattr(trace, "region_begin", None)
-    if begin is None:
-        yield
-        return
-    handle = begin(tag)
-    try:
-        yield
-    finally:
-        trace.region_end(handle)
 
 
 def _traced(op: str, data: np.ndarray, parents: Sequence["Tensor"],

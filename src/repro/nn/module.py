@@ -206,10 +206,10 @@ class Module:
         ``self.__call__`` (e.g. ``model.run_timesteps`` for spiking models).
 
         ``optimize`` selects the plan-time graph-optimizer level
-        (:mod:`repro.runtime.optimizer`): ``"O1"`` fuses and specializes
-        kernels while keeping parameter slots live (updates between replays
-        stay visible), ``"O2"`` additionally constant-folds eval batch norms
-        and TT wirings into the plans — O2 plans bake the current parameter
+        (:mod:`repro.runtime.optimizer`): ``"O1"`` specializes kernels
+        while keeping parameter slots live (updates between replays stay
+        visible), ``"O2"`` additionally constant-folds eval batch norms and
+        freezes GEMM operands — O2 plans bake the current parameter
         values, so call :meth:`~repro.runtime.replay.CompiledForward.invalidate`
         (or rely on a shape change) after mutating parameters.
         ``profile=True`` records per-kernel timings.  Plans run the NumPy

@@ -16,9 +16,8 @@ that steady-state overhead with a three-stage pipeline:
    constant.
 2. **Optimize** (:mod:`~repro.runtime.optimizer`): an ``optimize="O1"|"O2"``
    pass pipeline rewrites the captured graph before planning — workspace
-   kernel specialization, elementwise-chain fusion, view collapse/CSE/DCE
-   at O1 (value-exact, training-safe), plus eval-BN constant folding,
-   Eq. 6 TT pre-contraction and schedule optimization on no-grad O2 plans.
+   kernel specialization at O1 (value-exact, training-safe), plus eval-BN
+   constant folding and frozen GEMM operands on no-grad O2 plans.
 3. **Plan** (:mod:`~repro.runtime.planner`): the recorded forward order is
    the topological schedule; the backward schedule is its reverse restricted
    to the loss→leaf gradient paths.  Liveness analysis assigns intermediates
@@ -41,7 +40,7 @@ section for measured speedups.
 """
 
 from repro.runtime.arena import BufferArena
-from repro.runtime.graph import CaptureError, GraphCapture, OpNode, Region, Slot
+from repro.runtime.graph import CaptureError, GraphCapture, OpNode, Slot
 from repro.runtime.ops import OPS, OpDef, get_op, register_op
 from repro.runtime.optimizer import OPT_LEVELS, OptimizerReport, optimize_capture
 from repro.runtime.planner import ExecutionPlan, PlanSignatureError, compile_plan
@@ -53,7 +52,6 @@ __all__ = [
     "CaptureError",
     "GraphCapture",
     "OpNode",
-    "Region",
     "Slot",
     "OPS",
     "OpDef",

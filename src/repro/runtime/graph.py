@@ -26,29 +26,10 @@ import numpy as np
 from repro.autograd.tensor import Tensor, set_trace
 from repro.runtime.ops import get_op
 
-__all__ = ["CaptureError", "GraphCapture", "OpNode", "Region", "Slot",
+__all__ = ["CaptureError", "GraphCapture", "OpNode", "Slot",
            "INPUT", "LEAF", "CONST", "INTER", "compute_needs_grad"]
 
 INPUT, LEAF, CONST, INTER = range(4)
-
-
-class Region:
-    """A tagged span of recorded nodes (``nodes[start:stop]``).
-
-    Emitted by :func:`repro.autograd.tensor.trace_region`; the graph
-    optimizer uses regions to locate composite structures such as the TT
-    sub-convolution wirings without structural guessing.
-    """
-
-    __slots__ = ("tag", "start", "stop")
-
-    def __init__(self, tag: str, start: int, stop: int = -1):
-        self.tag = tag
-        self.start = start
-        self.stop = stop
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Region({self.tag!r}, {self.start}:{self.stop})"
 
 
 class CaptureError(RuntimeError):
@@ -126,7 +107,6 @@ class GraphCapture:
         self.input_names: Dict[str, int] = {}
         self.outputs: List[Tuple[str, int]] = []
         self.loss_slot: Optional[int] = None
-        self.regions: List[Region] = []
         self._prev_trace = None
 
     # -- context manager -----------------------------------------------------
@@ -175,15 +155,6 @@ class GraphCapture:
             out_slot = self._new_slot(INTER, out.data, producer=len(self.nodes))
             self._register(out, out_slot)
         self.nodes.append(OpNode(op, input_slots, out_slot, attrs, saved))
-
-    def region_begin(self, tag: str) -> Region:
-        """Open a tagged region starting at the next recorded node."""
-        region = Region(tag, len(self.nodes))
-        self.regions.append(region)
-        return region
-
-    def region_end(self, region: Region) -> None:
-        region.stop = len(self.nodes)
 
     # -- internals -------------------------------------------------------------
 

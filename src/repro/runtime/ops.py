@@ -507,8 +507,7 @@ register_op("bn_seq", _bn_seq_fwd, _fn_bwd, forward_inference=_bn_seq_infer)
 # re-instantiation with ONE persistent context per graph node, carrying a
 # :class:`~repro.autograd.tensor.Workspace` so the kernel's large temporaries
 # (im2col columns, padded images, membrane histories, normalised activations)
-# are allocated once and reused by every replay.  ``ew_chain`` executes a
-# fused run of elementwise sub-ops with a fused backward.
+# are allocated once and reused by every replay.
 
 
 def _fn_cached_fwd(ins, attrs, out=None):
@@ -541,76 +540,6 @@ def _bn_cached_infer(ins, attrs, out=None):
 
 
 register_op("bn_seq_cached", _bn_cached_fwd, _fn_bwd, forward_inference=_bn_cached_infer)
-
-
-def _ew_chain_run(ins, attrs, save: bool):
-    """Execute the fused elementwise program; optionally save per-step state.
-
-    Each program step holds the *registered* forward kernel of the original
-    op, so the fused run performs the exact same ufunc sequence the unfused
-    nodes would — out-capable steps merely write into persistent workspace
-    buffers instead of fresh arrays.
-    """
-    ws = attrs["ws"]
-    cur = ins[0]
-    saved = [] if save else None
-    for index, step in enumerate(attrs["prog"]):
-        sub_ins = [cur if spec < 0 else ins[spec] for spec in step["ins"]]
-        if step["buffered"]:
-            buffer = ws.buf(str(index), step["shape"], step["dtype"])
-            result = step["fwd"](sub_ins, step["attrs"], buffer)
-        else:
-            result = step["fwd"](sub_ins, step["attrs"])
-        if saved is not None:
-            saved.append((sub_ins, result))
-        cur = result
-    if saved is not None:
-        return cur, saved
-    return cur
-
-
-def _ew_chain_fwd(ins, attrs, out=None):
-    return _ew_chain_run(ins, attrs, save=True)
-
-
-def _ew_chain_infer(ins, attrs, out=None):
-    return _ew_chain_run(ins, attrs, save=False)
-
-
-def _ew_chain_bwd(g, ins, out, saved, attrs, needs):
-    prog = attrs["prog"]
-    grads: List[Optional[np.ndarray]] = [None] * len(ins)
-    g_cur = np.asarray(g)
-    for index in range(len(prog) - 1, -1, -1):
-        step = prog[index]
-        sub_ins, sub_out = saved[index]
-        sub_grads = step["bwd"](g_cur, sub_ins, sub_out, None, step["attrs"],
-                                step["needs"])
-        g_next = None
-        for position, spec in enumerate(step["ins"]):
-            sub_grad = sub_grads[position]
-            if sub_grad is None:
-                continue
-            if spec < 0:
-                g_next = np.asarray(sub_grad)
-            elif grads[spec] is None:
-                grads[spec] = np.asarray(sub_grad)
-            else:
-                grads[spec] = grads[spec] + sub_grad
-        if index == 0:
-            break
-        if g_next is None:
-            # The thread gradient vanished (should not happen for the fused
-            # op set, all of which are differentiable in their first input).
-            return grads
-        # Mirror the eager engine's per-slot reduction of broadcast grads.
-        previous = prog[index - 1]
-        g_cur = _unbroadcast(np.asarray(g_next, dtype=previous["dtype"]),
-                             previous["shape"])
-    return grads
-
-
-register_op("ew_chain", _ew_chain_fwd, _ew_chain_bwd, forward_inference=_ew_chain_infer)
 
 
 def _view_cached_fwd(ins, attrs, out=None):

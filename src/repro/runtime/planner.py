@@ -669,8 +669,8 @@ def compile_plan(capture: GraphCapture, arena: Optional[BufferArena] = None,
     """Build an :class:`ExecutionPlan` from a finished capture.
 
     ``optimize`` selects the plan-time graph-optimizer level (``"O0"`` —
-    none, ``"O1"`` — training-safe fusion/specialization, ``"O2"`` — adds
-    inference-only constant folding and schedule optimization; see
+    none, ``"O1"`` — training-safe kernel specialization, ``"O2"`` — adds
+    the inference-only eval-BN fold and frozen GEMM operands; see
     :mod:`repro.runtime.optimizer`).  ``profile=True`` records per-kernel
     replay timings (``ExecutionPlan.kernel_seconds`` / ``kernel_calls``,
     rendered as a top-k table by

@@ -68,10 +68,9 @@ class InferenceEngine:
         Plan-time graph-optimizer level for the compiled path
         (:mod:`repro.runtime.optimizer`).  Defaults to ``"O2"`` when the
         engine owns its snapshot (``copy_model=True``): the inference-only
-        folds (eval-BN into conv weights, TT pre-contraction per Eq. 6,
-        frozen GEMM operands, memory-aware scheduling) bake the snapshot's
-        parameters into the plans, which is safe because the engine never
-        mutates it.  With ``copy_model=False`` the *caller's* instance is
+        rewrites (eval-BN folded into conv weights, frozen GEMM operands)
+        bake the snapshot's parameters into the plans, which is safe because
+        the engine never mutates it.  With ``copy_model=False`` the *caller's* instance is
         adopted and may keep training, so the default drops to ``"O1"``,
         whose plans re-read parameter tensors on every replay; pass
         ``optimize="O2"`` explicitly to accept baked weights (then

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, trace_region
+from repro.autograd.tensor import Tensor
 from repro.nn.layers import Conv2d, _pair
 from repro.nn.module import Module, fold_time, unfold_time
 from repro.tt.decomposition import TTCores, max_tt_ranks, tt_decompose_conv
@@ -70,32 +70,28 @@ __all__ = [
 
 def stt_wiring(conv1, conv2, conv3, conv4, x: Tensor) -> Tensor:
     """Sequential chain ``conv1 -> conv2 -> conv3 -> conv4`` (Fig. 1b)."""
-    with trace_region("tt:stt"):
-        out = conv1(x)
-        out = conv2(out)
-        out = conv3(out)
-        return conv4(out)
+    out = conv1(x)
+    out = conv2(out)
+    out = conv3(out)
+    return conv4(out)
 
 
 def ptt_wiring(conv1, conv2, conv3, conv4, x: Tensor) -> Tensor:
     """Parallel wiring of Eq. 5 (Fig. 1c): branches share conv1, sum into conv4."""
-    with trace_region("tt:ptt"):
-        shared = conv1(x)
-        vertical = conv2(shared)
-        horizontal = conv3(shared)
-        return conv4(vertical + horizontal)
+    shared = conv1(x)
+    vertical = conv2(shared)
+    horizontal = conv3(shared)
+    return conv4(vertical + horizontal)
 
 
 def htt_step_wiring(conv1, conv2, conv3, conv4, x: Tensor, use_half: bool) -> Tensor:
     """One HTT timestep (Fig. 2): PTT wiring, or the short path on half steps."""
     if use_half:
-        with trace_region("tt:half"):
-            return conv4(conv1(x))
-    with trace_region("tt:ptt"):
-        shared = conv1(x)
-        vertical = conv2(shared)
-        horizontal = conv3(shared)
-        return conv4(vertical + horizontal)
+        return conv4(conv1(x))
+    shared = conv1(x)
+    vertical = conv2(shared)
+    horizontal = conv3(shared)
+    return conv4(vertical + horizontal)
 
 
 def htt_sequence_wiring(conv1, conv2, conv3, conv4, x_seq: Tensor,
@@ -116,15 +112,13 @@ def htt_sequence_wiring(conv1, conv2, conv3, conv4, x_seq: Tensor,
 
     if not half_steps:
         folded = fold_time(shared)
-        with trace_region("tt:ptt_tail"):
-            out = conv4(conv2(folded) + conv3(folded))
+        out = conv4(conv2(folded) + conv3(folded))
         return unfold_time(out, timesteps)
     if not full_steps:
         return unfold_time(conv4(fold_time(shared)), timesteps)
 
     shared_full = fold_time(shared[full_steps])
-    with trace_region("tt:ptt_tail"):
-        out_full_folded = conv4(conv2(shared_full) + conv3(shared_full))
+    out_full_folded = conv4(conv2(shared_full) + conv3(shared_full))
     out_full = unfold_time(out_full_folded, len(full_steps))
     out_half = unfold_time(conv4(fold_time(shared[half_steps])), len(half_steps))
     combined = Tensor.concatenate([out_full, out_half], axis=0)

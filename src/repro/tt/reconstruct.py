@@ -32,9 +32,7 @@ from repro.nn.module import Module
 from repro.tt.decomposition import TTCores, cached_einsum, tt_cores_to_dense
 from repro.tt.layers import HTTConv2d, PTTConv2d, STTConv2d, TTConv2dBase
 
-__all__ = ["reconstruct_dense_weight", "merge_tt_layer", "merge_model", "snapshot_merged",
-           "merge_parallel_conv_weights", "merge_sequential_conv_weights",
-           "merge_parallel_tail_weights", "merge_pointwise_conv_weights"]
+__all__ = ["reconstruct_dense_weight", "merge_tt_layer", "merge_model", "snapshot_merged"]
 
 
 def _parallel_cores_to_dense(cores: TTCores) -> np.ndarray:
@@ -54,71 +52,6 @@ def _parallel_cores_to_dense(cores: TTCores) -> np.ndarray:
     dense[:, :, :, k2 // 2] += vertical.astype(np.float32)
     dense[:, :, k1 // 2, :] += horizontal.astype(np.float32)
     return dense
-
-
-# ---------------------------------------------------------------------------
-# Weight-level merges (plan hooks for the compiled-runtime graph optimizer)
-# ---------------------------------------------------------------------------
-#
-# The graph optimizer (:mod:`repro.runtime.optimizer`) recognises the TT
-# wiring regions in a captured op graph and pre-contracts the four
-# sub-convolution weights into ONE dense kernel at plan time, so no-grad
-# replays execute a single convolution per TT layer (Algorithm 1's post-
-# training merge, applied per plan instead of per model).  These helpers take
-# the raw conv-layout ``(out, in, kh, kw)`` weight arrays straight from the
-# captured slots and reuse the exact core-level contractions above, so the
-# plan-time fold and the model-level merge can never diverge.
-
-
-def _cores_from_conv_weights(w1c: np.ndarray, w2c: np.ndarray, w3c: np.ndarray,
-                             w4c: np.ndarray) -> TTCores:
-    """Rebuild :class:`TTCores` from conv-layout sub-convolution weights."""
-    r1 = w1c.shape[0]
-    r2 = w2c.shape[0]
-    r3 = w3c.shape[0]
-    in_c = w1c.shape[1]
-    out_c = w4c.shape[0]
-    k1 = w2c.shape[2]
-    k2 = w3c.shape[3]
-    w1 = w1c.reshape(r1, in_c).T.copy()
-    w2 = w2c.reshape(r2, w2c.shape[1], k1).transpose(1, 2, 0).copy()
-    w3 = w3c.reshape(r3, w3c.shape[1], k2).transpose(1, 2, 0).copy()
-    w4 = w4c.reshape(out_c, r3).T.copy()
-    return TTCores(w1=w1, w2=w2, w3=w3, w4=w4, ranks=(r1, r2, r3))
-
-
-def merge_parallel_conv_weights(w1c: np.ndarray, w2c: np.ndarray, w3c: np.ndarray,
-                                w4c: np.ndarray) -> np.ndarray:
-    """Eq. (6) merge of PTT-wired sub-convolution weights into ``(O, I, K, K)``."""
-    return _parallel_cores_to_dense(_cores_from_conv_weights(w1c, w2c, w3c, w4c))
-
-
-def merge_sequential_conv_weights(w1c: np.ndarray, w2c: np.ndarray, w3c: np.ndarray,
-                                  w4c: np.ndarray) -> np.ndarray:
-    """Full TT contraction of STT-wired sub-convolution weights into ``(O, I, K, K)``."""
-    return tt_cores_to_dense(_cores_from_conv_weights(w1c, w2c, w3c, w4c))
-
-
-def merge_parallel_tail_weights(w2c: np.ndarray, w3c: np.ndarray,
-                                w4c: np.ndarray) -> np.ndarray:
-    """Merge the conv2/conv3/conv4 tail of a PTT wiring into ``(O, r1, K, K)``.
-
-    Used for HTT's *full* timesteps, whose ``conv1`` output is shared with
-    the half path and therefore stays in the graph: the tail is Eq. (6) with
-    an identity first core.
-    """
-    r1 = w2c.shape[1]
-    identity = np.eye(r1, dtype=w2c.dtype).reshape(r1, r1, 1, 1)
-    return merge_parallel_conv_weights(identity, w2c, w3c, w4c)
-
-
-def merge_pointwise_conv_weights(w1c: np.ndarray, w4c: np.ndarray) -> np.ndarray:
-    """Merge a ``conv1 -> conv4`` 1x1 chain (HTT half path) into one 1x1 kernel."""
-    r1 = w1c.shape[0]
-    in_c = w1c.shape[1]
-    out_c = w4c.shape[0]
-    merged = cached_einsum("ai,oa->oi", w1c.reshape(r1, in_c), w4c.reshape(out_c, r1))
-    return merged.reshape(out_c, in_c, 1, 1).astype(np.float32)
 
 
 def reconstruct_dense_weight(layer: TTConv2dBase) -> np.ndarray:

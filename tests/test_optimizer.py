@@ -4,16 +4,13 @@ Guarantees under test:
 
 * **O1 is training-safe**: compiled O1 train steps match eager/O0 training
   bit-for-bit over several optimizer steps (losses, logits, gradients,
-  parameters) — the O1 passes are value-exact by construction.
-* **O2 folds are inference-exact to tolerance**: eval-BN folding stays
-  within 1e-6 of the O0 replay, TT pre-contraction within the same 1e-5
-  bound the model-level Eq. 6 merge satisfies (``test_merge_equivalence``).
-* **Structure**: folds remove the nodes they claim to remove; fusion,
-  CSE/DCE and view collapse shrink the graph; invalid folds (stride-first
-  TT layers) fall back to the partial tail fold.
+  parameters) — kernel specialization is value-exact by construction.
+* **O2 is inference-exact to tolerance**: the eval-BN fold stays within
+  1e-6 of the O0 replay and removes every eval ``bn_seq`` node it folds;
+  unmerged TT models serve at O2 exactly like their O0 replay.
 * **Runtime integration**: zero steady-state arena allocations, re-capture
-  on shape change, parallel no-grad replay equivalence, per-kernel
-  profiling, optimizer reports in ``runtime_stats``.
+  on shape change, per-kernel profiling, optimizer reports in
+  ``runtime_stats``.
 """
 
 from __future__ import annotations
@@ -22,20 +19,18 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
-from repro.autograd.tensor import Tensor, Workspace, _unbroadcast, no_grad
+from repro.autograd.tensor import Tensor, no_grad
 from repro.models.builder import convert_to_tt
 from repro.models.resnet import spiking_resnet18
 from repro.models.vgg import spiking_vgg9
 from repro.nn.layers import BatchNorm2d, Conv2d, Linear, Sequential
 from repro.runtime import CompiledForward, CompiledTrainStep, OPT_LEVELS
-from repro.runtime.ops import get_op
 from repro.runtime.replay import _CompiledBase
 from repro.serve.engine import InferenceEngine
 from repro.snn.encoding import encode_batch
 from repro.snn.loss import mean_output_cross_entropy
 from repro.training.config import TrainingConfig
 from repro.training.trainer import BPTTTrainer
-from repro.tt.layers import HTTConv2d, PTTConv2d, STTConv2d
 
 TIMESTEPS = 2
 NUM_CLASSES = 4
@@ -113,7 +108,6 @@ def test_o1_train_step_matches_o0_with_grads(arch, variant):
         np.testing.assert_allclose(p0.data, p1.data, atol=ATOL, err_msg=f"param {name}")
     report = _report(trainer_o1._compiled)
     assert report["level"] == "O1"
-    assert report["nodes_after"] < report["nodes_before"]
     assert report["specialized"] > 0
 
 
@@ -145,7 +139,7 @@ def test_o2_training_plan_degrades_to_o1():
         s2 = trainer_o2.train_step(data, labels)
         assert abs(s0["loss"] - s2["loss"]) <= ATOL
     report = _report(trainer_o2._compiled)
-    assert report["folded_bn"] == 0 and report["folded_tt"] == 0
+    assert report["folded_bn"] == 0
     for (name, p0), (_, p2) in zip(base.named_parameters(), optimized.named_parameters()):
         np.testing.assert_allclose(p0.grad, p2.grad, atol=ATOL, err_msg=name)
 
@@ -205,69 +199,25 @@ def test_eval_bn_folds_into_conv_module():
     assert not any(key.startswith("bn_seq") for key in _op_histogram(compiled))
 
 
-@pytest.mark.parametrize("cls", [STTConv2d, PTTConv2d])
-def test_tt_layer_folds_to_single_conv(cls):
-    rng = np.random.default_rng(3)
-    layer = cls(6, 10, kernel_size=3, rank=3, rng=rng)
-    layer.eval()
-    compiled = layer.compile(optimize="O2")
-    x = rng.standard_normal((4, 6, 9, 9)).astype(np.float32)
-    compiled(x)
-    out = compiled(x)
-    with no_grad():
-        want = layer(Tensor(x)).data
-    np.testing.assert_allclose(out, want, atol=MERGE_ATOL)
-    assert _report(compiled)["folded_tt"] == 1
-    hist = _op_histogram(compiled)
-    assert hist.get("fn_cached:Conv2dFunction") == 1     # four convs became one
-
-
-def test_tt_fold_strided_last_is_exact_and_strided_first_folds_tail():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((3, 6, 8, 8)).astype(np.float32)
-    # stride on the last 1x1: full fold, exact merge semantics.
-    last = PTTConv2d(6, 8, kernel_size=3, rank=3, stride=2, stride_mode="last", rng=rng)
-    last.eval()
-    compiled = last.compile(optimize="O2")
-    compiled(x)
-    out = compiled(x)
-    with no_grad():
-        want = last(Tensor(x)).data
-    np.testing.assert_allclose(out, want, atol=MERGE_ATOL)
-    assert _report(compiled)["folded_tt"] == 1
-    assert _op_histogram(compiled).get("fn_cached:Conv2dFunction") == 1
-
-    # stride on the first 1x1: the full merge is inexact, so only the
-    # (exact) conv2/conv3/conv4 tail is folded — two convolutions remain.
-    first = PTTConv2d(6, 8, kernel_size=3, rank=3, stride=2, stride_mode="first", rng=rng)
-    first.eval()
-    compiled = first.compile(optimize="O2")
-    compiled(x)
-    out = compiled(x)
-    with no_grad():
-        want = first(Tensor(x)).data
-    np.testing.assert_allclose(out, want, atol=MERGE_ATOL)
-    assert _op_histogram(compiled).get("fn_cached:Conv2dFunction") == 2
-
-
-def test_htt_sequence_folds_full_tail_and_half_path():
-    rng = np.random.default_rng(5)
-    layer = HTTConv2d(6, 8, kernel_size=3, rank=3, timesteps=4, schedule="FFHH", rng=rng)
-    layer.eval()
-
-    def fn(t):
-        layer.reset_time()
-        return layer.forward_sequence(t)
-
-    x = rng.standard_normal((4, 2, 7, 7, 6)).astype(np.float32)
-    compiled = CompiledForward(fn, optimize="O2")
-    compiled(x)
-    out = compiled(x)
-    layer.reset_time()
-    with no_grad():
-        want = fn(Tensor(x)).data
-    np.testing.assert_allclose(out, want, atol=MERGE_ATOL)
-    assert _report(compiled)["folded_tt"] >= 1        # the full-branch tail
+@pytest.mark.parametrize("arch", ["vgg9", "resnet18"])
+@pytest.mark.parametrize("variant", ["stt", "ptt", "htt"])
+def test_o2_unmerged_tt_serve_matches_o0_and_eager(arch, variant):
+    """An unmerged TT engine at O2 replays like its O0 replay and like the
+    eager unmerged engine."""
+    model = _make_model(arch, variant)
+    _warm_stats(model)
+    eager_engine = InferenceEngine(model, merge=False)
+    engine_o0 = InferenceEngine(model, merge=False, compile=True, optimize="O0")
+    engine_o2 = InferenceEngine(model, merge=False, compile=True, optimize="O2")
+    rng = np.random.default_rng(6)
+    for call in range(3):
+        x = rng.random((2, 3, 8, 8)).astype(np.float32)
+        logits_o2 = engine_o2.infer(x)
+        np.testing.assert_allclose(logits_o2, engine_o0.infer(x), atol=ATOL,
+                                   err_msg=f"call {call}")
+        np.testing.assert_allclose(logits_o2, eager_engine.infer(x), atol=ATOL,
+                                   err_msg=f"call {call}")
+    assert _report(engine_o2._compiled)["folded_bn"] > 0
 
 
 def test_pad2d_then_conv_replays_like_eager():
@@ -290,11 +240,11 @@ def test_pad2d_then_conv_replays_like_eager():
 
 
 # ---------------------------------------------------------------------------
-# fusion / CSE / DCE / view collapse
+# elementwise chains and view graphs replay like eager
 # ---------------------------------------------------------------------------
 
 
-def test_elementwise_chain_fusion_forward_and_backward():
+def test_elementwise_chain_forward_replays_like_eager():
     rng = np.random.default_rng(7)
     weight = Tensor(rng.standard_normal((4, 4)).astype(np.float32), requires_grad=True)
 
@@ -308,60 +258,9 @@ def test_elementwise_chain_fusion_forward_and_backward():
     with no_grad():
         want = chain(Tensor(x)).data
     np.testing.assert_allclose(out, want, atol=ATOL)
-    report = _report(compiled)
-    assert report["fused_chains"] >= 1 and report["fused_ops"] >= 3
-    assert "ew_chain" in _op_histogram(compiled)
 
 
-#: (op, inputs, attrs) of a fabricated chain; input -1 is the running value
-_CHAIN = [("mul", (0, 1), {}), ("add", (-1, 2), {}), ("tanh", (-1,), {}),
-          ("sigmoid", (-1,), {}), ("clip", (-1,), {"low": -0.9, "high": 0.9}),
-          ("pow", (-1,), {"exponent": 2.0}), ("relu", (-1,), {}),
-          ("abs", (-1,), {}), ("neg", (-1,), {})]
-
-
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-@pytest.mark.parametrize("in_shapes", [
-    [(2, 6), (2, 6), (2, 6)], [(2, 1), (2, 1), (1, 6)], [(2, 6), (2, 6), (1, 1)],
-], ids=["uniform", "broadcast", "scalar"])
-def test_ew_chain_kernel_matches_eager_autograd(in_shapes, dtype):
-    """The fused ``ew_chain`` reference kernel — forward, no-grad forward and
-    fused backward — equals the same ops run one by one on the eager tape,
-    including broadcast externals whose grads the planner unbroadcasts and a
-    running value that widens mid-chain."""
-    dtype = np.dtype(dtype)
-    prog = []
-    shape = in_shapes[0]
-    for op, ins, attrs in _CHAIN:
-        opdef = get_op(op)
-        shape = np.broadcast_shapes(shape, *(in_shapes[i] for i in ins if i >= 0))
-        prog.append({"op": op, "fwd": opdef.forward, "bwd": opdef.backward,
-                     "attrs": attrs, "ins": list(ins), "needs": (True,) * len(ins),
-                     "shape": shape, "dtype": dtype, "buffered": opdef.out_capable})
-    attrs = {"prog": prog, "ws": Workspace()}
-    rng = np.random.default_rng(9)
-    ins = [(rng.standard_normal(shape) + 0.5).astype(dtype) for shape in in_shapes]
-    g = rng.standard_normal((2, 6)).astype(dtype)
-
-    leaves = [Tensor(x.copy(), requires_grad=True) for x in ins]
-    x0, x1, x2 = leaves
-    want = -((((x0 * x1 + x2).tanh().sigmoid().clip(-0.9, 0.9)) ** 2.0).relu().abs())
-    (want * Tensor(g)).sum().backward()
-
-    kernel = get_op("ew_chain")
-    tol = dict(rtol=1e-5, atol=1e-6) if dtype == np.float32 else dict(rtol=1e-12, atol=1e-12)
-    got, saved = kernel.forward(ins, attrs)
-    assert got.dtype == dtype
-    np.testing.assert_allclose(got, want.data, **tol)
-    got = got.copy()        # the next call reuses the workspace buffers
-    grads = kernel.backward(g, ins, got, saved, attrs, (True, True, True))
-    for index, (grad, leaf) in enumerate(zip(grads, leaves)):
-        np.testing.assert_allclose(_unbroadcast(np.asarray(grad), in_shapes[index]),
-                                   leaf.grad, err_msg=f"input {index}", **tol)
-    np.testing.assert_array_equal(kernel.forward_inference(ins, attrs), got)
-
-
-def test_fused_chain_gradients_match_eager():
+def test_elementwise_chain_gradients_match_eager():
     class ChainModel:
         """Minimal duck-typed model for CompiledTrainStep."""
 
@@ -396,16 +295,15 @@ def test_fused_chain_gradients_match_eager():
         loss, _, _ = step.run(batch, labels)
         np.testing.assert_allclose(compiled_model.weight.grad, eager_model.weight.grad,
                                    atol=ATOL)
-    assert _report(step)["fused_chains"] >= 1
 
 
-def test_view_chain_collapse_and_cse_and_dce():
+def test_duplicate_and_dead_views_replay_like_o0():
     rng = np.random.default_rng(10)
     linear = Linear(6, 6, rng=rng)
 
     def fn(t):
-        # reshape∘reshape∘reshape collapses; the two identical reshape
-        # nodes CSE; the dead branch (unused tanh) is eliminated.
+        # A reshape chain, a duplicate of its prefix and a dead branch
+        # (unused tanh) all replay unchanged at O1.
         a = t.reshape(3, 2, 6).reshape(6, 6).reshape(2, 3, 6).reshape(6, 6)
         a.tanh()                       # dead
         b = t.reshape(3, 2, 6).reshape(6, 6)
@@ -416,13 +314,6 @@ def test_view_chain_collapse_and_cse_and_dce():
     compiled = CompiledForward(fn, optimize="O1")
     baseline(x), compiled(x)
     np.testing.assert_allclose(compiled(x), baseline(x), atol=ATOL)
-    report = _report(compiled)
-    assert report["views_collapsed"] >= 2
-    assert report["cse_removed"] >= 1
-    assert report["dce_removed"] >= 1
-    plan_o0 = next(iter(baseline._plans.values()))[0]
-    plan_o1 = next(iter(compiled._plans.values()))[0]
-    assert len(plan_o1.nodes) < len(plan_o0.nodes)
 
 
 def test_o1_fused_forward_replays_like_eager():
@@ -438,6 +329,102 @@ def test_o1_fused_forward_replays_like_eager():
         want = model.run_timesteps(batch, step_mode="fused")
     for got, expect in zip(outs, want):
         np.testing.assert_allclose(got, expect.data, atol=ATOL)
+
+
+# ---------------------------------------------------------------------------
+# identity-pool elision, frozen GEMM operands, input-grad skipping
+# ---------------------------------------------------------------------------
+
+
+def _plan_nodes(compiled):
+    return next(iter(compiled._plans.values()))[0].nodes
+
+
+def _avg_pool_count(compiled) -> int:
+    return sum(count for key, count in _op_histogram(compiled).items() if "AvgPool" in key)
+
+
+@pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+def test_identity_avg_pool_is_elided_and_replays_bit_equal(layout):
+    """A 1x1/stride-1 average pool (the adaptive pool on a 1x1 map) is
+    dropped at O1 and the replay stays bit-equal to eager."""
+    pool = F.adaptive_avg_pool2d if layout == "nchw" else F.adaptive_avg_pool2d_cl
+
+    def fn(t):
+        return pool(t.tanh(), 1) * 2.0
+
+    shape = (3, 5, 1, 1) if layout == "nchw" else (3, 1, 1, 5)
+    x = np.random.default_rng(18).standard_normal(shape).astype(np.float32)
+    baseline = CompiledForward(fn, optimize="O0")
+    compiled = CompiledForward(fn, optimize="O1")
+    baseline(x), compiled(x)
+    out = compiled(x)
+    with no_grad():
+        want = fn(Tensor(x)).data
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(out, baseline(x))
+    assert _avg_pool_count(baseline) == 1
+    assert _avg_pool_count(compiled) == 0
+    assert _report(compiled)["nodes_after"] == _report(compiled)["nodes_before"] - 1
+
+
+@pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+def test_non_identity_avg_pool_is_kept(layout):
+    """Pools that average more than one element are real work and stay."""
+    pool = F.adaptive_avg_pool2d if layout == "nchw" else F.adaptive_avg_pool2d_cl
+    shape = (2, 3, 4, 4) if layout == "nchw" else (2, 4, 4, 3)
+    x = np.random.default_rng(19).standard_normal(shape).astype(np.float32)
+    compiled = CompiledForward(lambda t: pool(t, 1), optimize="O1")
+    compiled(x)
+    out = compiled(x)
+    with no_grad():
+        want = pool(Tensor(x), 1).data
+    np.testing.assert_allclose(out, want, atol=ATOL)
+    assert _avg_pool_count(compiled) == 1
+
+
+@pytest.mark.parametrize("arch", ["vgg9", "resnet18"])
+def test_train_plan_elides_identity_pool_and_skips_input_grad(arch):
+    """On 8x8 inputs both models end on a 1x1 map: the O1 training plan drops
+    the adaptive pool, the convolution reading the network input skips its
+    input-grad GEMM, and gradients still equal the O0 replay's."""
+    base, optimized = _make_pair(arch, "ptt")
+    config = TrainingConfig(timesteps=TIMESTEPS, batch_size=2, learning_rate=0.05)
+    trainer_o0 = BPTTTrainer(base, config, compile=True, optimize="O0")
+    trainer_o1 = BPTTTrainer(optimized, config, compile=True, optimize="O1")
+    for data, labels in _batches(steps=2):
+        s0 = trainer_o0.train_step(data, labels)
+        s1 = trainer_o1.train_step(data, labels)
+        assert abs(s0["loss"] - s1["loss"]) <= ATOL
+    for (name, p0), (_, p1) in zip(base.named_parameters(), optimized.named_parameters()):
+        np.testing.assert_allclose(p0.grad, p1.grad, atol=ATOL, err_msg=f"grad {name}")
+    assert _avg_pool_count(trainer_o0._compiled) == 1
+    assert _avg_pool_count(trainer_o1._compiled) == 0
+    conv_ctxs = [node.attrs["ctx"] for node in _plan_nodes(trainer_o1._compiled)
+                 if node.op == "fn_cached" and "Conv" in node.attrs["cls"].__name__]
+    skipped = [ctx for ctx in conv_ctxs if not ctx.input_needs_grad]
+    assert len(skipped) == 1 and conv_ctxs[0] is skipped[0]
+    assert not any(getattr(ctx, "freeze_weights", False) for ctx in conv_ctxs)
+
+
+@pytest.mark.parametrize("optimize", ["O1", "O2"])
+def test_frozen_gemm_operands_only_in_o2_serve_plans(optimize):
+    """O2 no-grad plans gather each channels-last conv's GEMM operand once;
+    O1 plans keep reading it per replay.  Both serve the eager logits."""
+    model = _make_model("vgg9", "ptt")
+    _warm_stats(model)
+    eager_engine = InferenceEngine(model)
+    engine = InferenceEngine(model, compile=True, optimize=optimize)
+    rng = np.random.default_rng(20)
+    for call in range(3):
+        x = rng.random((2, 3, 8, 8)).astype(np.float32)
+        np.testing.assert_allclose(engine.infer(x), eager_engine.infer(x),
+                                   atol=MERGE_ATOL, err_msg=f"call {call}")
+    conv_ctxs = [node.attrs["ctx"] for node in _plan_nodes(engine._compiled)
+                 if node.op == "fn_cached"
+                 and node.attrs["cls"].__name__ == "ConvChannelsLastFunction"]
+    assert conv_ctxs
+    assert all(ctx.freeze_weights == (optimize == "O2") for ctx in conv_ctxs)
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,7 @@ class TestLIFProperties:
 
 
 class TestGraphOptimizerProperties:
-    """Fusion/folding correctness of the plan-time graph optimizer
+    """Replay correctness of the plan-time graph optimizer
     (:mod:`repro.runtime.optimizer`) across random shapes, strides, step
     modes and TT formats."""
 
@@ -172,10 +172,10 @@ class TestGraphOptimizerProperties:
            rank=st.integers(1, 4), size=st.integers(6, 10),
            stride=st.integers(1, 2), stride_mode=st.sampled_from(["first", "last"]),
            variant=st.sampled_from(["stt", "ptt"]))
-    def test_tt_fold_matches_eager_forward(self, seed, in_c, out_c, rank, size,
-                                           stride, stride_mode, variant):
-        """O2-compiled TT layers (folded per Eq. 6 where exact) reproduce the
-        eager forward for any shape/rank/stride/stride-mode combination."""
+    def test_tt_layer_o2_replay_matches_eager_forward(self, seed, in_c, out_c, rank,
+                                                      size, stride, stride_mode, variant):
+        """O2-compiled TT layers reproduce the eager forward for any
+        shape/rank/stride/stride-mode combination."""
         from repro.tt.layers import PTTConv2d, STTConv2d
 
         rng = np.random.default_rng(seed)
@@ -231,9 +231,8 @@ class TestGraphOptimizerProperties:
     @settings(max_examples=15, deadline=None)
     @given(seed=seeds, rows=st.integers(2, 6), cols=st.integers(2, 6),
            depth=st.integers(2, 5))
-    def test_random_elementwise_chains_fuse_exactly(self, seed, rows, cols, depth):
-        """Random unary/binary elementwise chains replay bit-equal under O1
-        fusion (the fused kernel runs the identical ufunc sequence)."""
+    def test_random_elementwise_chains_replay_exactly(self, seed, rows, cols, depth):
+        """Random unary/binary elementwise chains replay bit-equal at O1."""
         from repro.runtime import CompiledForward
 
         rng = np.random.default_rng(seed)
