@@ -4,7 +4,7 @@ This picks up where ``examples/serve_quickstart.py`` stops.  A single
 :class:`InferenceServer` scales by batching; :mod:`repro.fleet` scales by
 *replication* and adds the deployment-side machinery around it:
 
-1. stand up a :class:`FleetServer` with two thread replicas of a merged
+1. stand up a :class:`FleetServer` with two in-process replicas of a merged
    TT-SNN snapshot and fire a concurrent burst through the load-aware
    router (bounded admission queue, priorities, per-request deadlines),
 2. kill a replica mid-traffic and watch the fleet reroute and auto-restart,

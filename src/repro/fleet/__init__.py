@@ -8,11 +8,9 @@ a time.  This package scales it by *replication* — the same production
 pattern the paper's deployment story implies once a merged (Eq. 6) snapshot
 serves real traffic:
 
-* :mod:`~repro.fleet.replica` — N identical engine snapshots, each behind
-  its own micro-batcher; thread-backed by default (NumPy releases the GIL
-  in its GEMMs) or fork-backed (reusing the ``repro.parallel`` pipe and
-  crash-detection idioms), supervised with capped-backoff automatic
-  restart;
+* :mod:`~repro.fleet.replica` — N identical in-process engine snapshots
+  (NumPy releases the GIL in its GEMMs), each behind its own micro-batcher
+  and circuit breaker, supervised with capped-backoff automatic restart;
 * :mod:`~repro.fleet.admission` — bounded priority queues in front of every
   model: typed :class:`~repro.fleet.errors.Overloaded` backpressure with a
   ``retry_after_s`` hint, and per-request deadlines enforced before a stale
@@ -41,8 +39,7 @@ README "Serving fleet" section and ``examples/fleet_quickstart.py``.
 from repro.fleet.admission import AdmissionQueue, FleetRequest
 from repro.fleet.errors import (DeadlineExceeded, FleetError, Overloaded,
                                 ReplicaCrashed, SessionClosed)
-from repro.fleet.replica import (REPLICA_KINDS, ProcessReplica, Replica,
-                                 ThreadReplica)
+from repro.fleet.replica import Replica
 from repro.fleet.rollout import CanaryRollout, ShadowRollout
 from repro.fleet.server import FleetServer
 from repro.fleet.sessions import StreamingSession
@@ -55,10 +52,7 @@ __all__ = [
     "DeadlineExceeded",
     "ReplicaCrashed",
     "SessionClosed",
-    "REPLICA_KINDS",
     "Replica",
-    "ThreadReplica",
-    "ProcessReplica",
     "CanaryRollout",
     "ShadowRollout",
     "FleetServer",

@@ -55,18 +55,13 @@ class ReplicaCrashed(FleetError):
     The router marks the replica dead (its supervisor restarts it with a
     capped exponential backoff) and re-routes the request once to a healthy
     sibling; this error only reaches the caller when no sibling could take
-    the request in time.  ``remote_traceback`` carries the worker-side
-    traceback when the process managed to report one.
+    the request in time.
     """
 
-    def __init__(self, message: str, replica: Optional[str] = None,
-                 remote_traceback: Optional[str] = None):
-        detail = message if replica is None else f"replica {replica}: {message}"
-        if remote_traceback:
-            detail += f"\n--- replica traceback ---\n{remote_traceback}"
-        super().__init__(detail)
+    def __init__(self, message: str, replica: Optional[str] = None):
+        super().__init__(message if replica is None
+                         else f"replica {replica}: {message}")
         self.replica = replica
-        self.remote_traceback = remote_traceback
 
 
 class SessionClosed(FleetError):

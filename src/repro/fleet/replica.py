@@ -1,56 +1,46 @@
 """One serving replica: an engine snapshot plus its private micro-batcher.
 
-A fleet scales throughput by running *N identical engines* — the NumPy
-engine releases the GIL inside its GEMMs, so thread-backed replicas overlap
-on multicore hosts, and fork-backed replicas sidestep the GIL entirely at
-the cost of a pipe hop per batch.  Both kinds present the same surface to
-the router:
+A fleet scales throughput by running *N identical engines* in one process;
+the NumPy engine releases the GIL inside its GEMMs, so replicas overlap on
+multicore hosts.  A replica presents this surface to the router:
 
 * :meth:`Replica.submit` — enqueue one sample into the replica's own
   :class:`~repro.serve.batcher.MicroBatcher` (batching happens *per
   replica*, after routing, so co-batched requests always hit one engine);
 * ``outstanding`` / ``queue_depth`` — the two load signals the
   least-outstanding-requests router reads;
+* ``breaker`` — the replica's :class:`~repro.resilience.breaker.CircuitBreaker`,
+  fed by the router with every request outcome;
 * :meth:`Replica.infer_stream` — the persistent-membrane streaming path for
   pinned sessions;
 * ``alive`` / :meth:`Replica.kill` / :meth:`Replica.close` — the health
   surface the fleet's restart supervisor drives.
-
-:class:`ProcessReplica` reuses the crash-detection idiom of
-:class:`repro.parallel.pool.WorkerPool`: every reply wait polls the pipe
-*and* the process liveness, so a killed worker surfaces as a typed
-:class:`~repro.fleet.errors.ReplicaCrashed` instead of a hang, and the
-router reroutes the failed requests to a healthy sibling.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import traceback
 from concurrent.futures import Future
-from typing import Callable, Optional
+from typing import Optional
 
-import multiprocessing
 import numpy as np
 
 from repro.fleet.errors import ReplicaCrashed
 from repro.resilience import faults
+from repro.resilience.breaker import CircuitBreaker
 from repro.serve.batcher import MicroBatcher
 from repro.serve.engine import InferenceEngine
 
-__all__ = ["Replica", "ThreadReplica", "ProcessReplica", "REPLICA_KINDS"]
-
-#: Supported replica backends.
-REPLICA_KINDS = ("thread", "process")
-
-#: Seconds the parent waits for one process-replica reply before declaring
-#: it wedged (single batches are sub-second at laptop scale).
-_PROCESS_TIMEOUT_S = 60.0
+__all__ = ["Replica"]
 
 
 class Replica:
-    """Interface + shared bookkeeping of a serving replica.
+    """Its own engine snapshot behind its own batcher.
+
+    Each replica owns an independent :class:`InferenceEngine` (its own model
+    copy, its own lock), so N replicas run N fused forwards concurrently
+    wherever NumPy releases the GIL.
 
     ``outstanding`` counts requests handed to this replica and not yet
     resolved (queued or inside a fused forward); ``queue_depth`` is the
@@ -59,18 +49,50 @@ class Replica:
     the fleet's per-replica gauges.
     """
 
-    kind = "abstract"
-
-    def __init__(self, name: str, model_name: Optional[str] = None):
+    def __init__(
+        self,
+        name: str,
+        engine: InferenceEngine,
+        breaker: CircuitBreaker,
+        max_batch_size: int = 16,
+        max_wait_ms: float = 2.0,
+        model_name: Optional[str] = None,
+    ):
         self.name = name
         self.model_name = model_name
+        self.engine = engine
+        self.breaker = breaker
         self._outstanding = 0
         self._count_lock = threading.Lock()
         self._busy_s = 0.0
         self._started = time.perf_counter()
         self._killed = False
         self._closed = False
-        self.batcher: Optional[MicroBatcher] = None
+
+        def timed_infer(batch: np.ndarray) -> np.ndarray:
+            injector = faults.get_injector()
+            if injector is not None:
+                # Crash marks the replica dead and raises the same typed error
+                # a genuine engine failure would — kill()ing the batcher from
+                # inside its own worker would self-join and deadlock.
+                if injector.maybe("replica.crash", replica=self.name) is not None:
+                    self._killed = True
+                    raise ReplicaCrashed("injected crash", replica=self.name)
+                slow = injector.maybe("replica.slow", replica=self.name)
+                if slow is not None:
+                    time.sleep(float(slow.get("seconds", 0.05)))
+            start = time.perf_counter()
+            try:
+                return self.engine.infer(batch)
+            finally:
+                self._busy_s += time.perf_counter() - start
+
+        # The replica-level request span nests under whatever span the
+        # dispatcher has activated (fleet.route / fleet.canary), keeping the
+        # fleet's serve.request root the only root in the trace.
+        self.batcher = MicroBatcher(
+            timed_infer, max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
+            name=model_name, span_name="replica.request", nest_spans=True)
 
     # -- load signals -------------------------------------------------------------
 
@@ -80,7 +102,7 @@ class Replica:
 
     @property
     def queue_depth(self) -> int:
-        return self.batcher.pending if self.batcher is not None else 0
+        return self.batcher.pending
 
     def utilization(self) -> float:
         wall = max(time.perf_counter() - self._started, 1e-9)
@@ -111,73 +133,6 @@ class Replica:
             self._outstanding -= 1
 
     def stream_state(self):
-        raise NotImplementedError
-
-    def infer_stream(self, chunk: np.ndarray, state):
-        raise NotImplementedError
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def kill(self) -> None:
-        """Simulated crash: die abruptly, stranding queued work (tests/chaos)."""
-        raise NotImplementedError
-
-    def close(self, timeout: float = 10.0) -> None:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"{type(self).__name__}({self.name!r}, alive={self.alive}, "
-                f"outstanding={self.outstanding})")
-
-
-class ThreadReplica(Replica):
-    """In-process replica: its own engine snapshot behind its own batcher.
-
-    Each replica owns an independent :class:`InferenceEngine` (its own model
-    copy, its own lock), so N thread replicas run N fused forwards
-    concurrently wherever NumPy releases the GIL.
-    """
-
-    kind = "thread"
-
-    def __init__(
-        self,
-        name: str,
-        engine_factory: Callable[[], InferenceEngine],
-        max_batch_size: int = 16,
-        max_wait_ms: float = 2.0,
-        model_name: Optional[str] = None,
-    ):
-        super().__init__(name, model_name)
-        self.engine = engine_factory()
-
-        def timed_infer(batch: np.ndarray) -> np.ndarray:
-            injector = faults.get_injector()
-            if injector is not None:
-                # Crash marks the replica dead and raises the same typed error
-                # a genuine engine failure would — kill()ing the batcher from
-                # inside its own worker would self-join and deadlock.
-                if injector.maybe("replica.crash", replica=self.name) is not None:
-                    self._killed = True
-                    raise ReplicaCrashed("injected crash", replica=self.name)
-                slow = injector.maybe("replica.slow", replica=self.name)
-                if slow is not None:
-                    time.sleep(float(slow.get("seconds", 0.05)))
-            start = time.perf_counter()
-            try:
-                return self.engine.infer(batch)
-            finally:
-                self._busy_s += time.perf_counter() - start
-
-        # The replica-level request span nests under whatever span the
-        # dispatcher has activated (fleet.route / fleet.canary), keeping the
-        # fleet's serve.request root the only root in the trace.
-        self.batcher = MicroBatcher(
-            timed_infer, max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
-            num_workers=1, name=model_name, span_name="replica.request",
-            nest_spans=True)
-
-    def stream_state(self):
         return self.engine.stream_state()
 
     def infer_stream(self, chunk: np.ndarray, state):
@@ -189,7 +144,10 @@ class ThreadReplica(Replica):
         finally:
             self._busy_s += time.perf_counter() - start
 
+    # -- lifecycle ----------------------------------------------------------------
+
     def kill(self) -> None:
+        """Simulated crash: die abruptly, stranding queued work (tests/chaos)."""
         if self._killed or self._closed:
             return
         self._killed = True
@@ -203,220 +161,6 @@ class ThreadReplica(Replica):
         self._closed = True
         self.batcher.close(timeout=timeout)
 
-
-def _replica_main(conn, model, engine_kwargs: dict) -> None:
-    """Worker process: build a private engine from the forked model, serve the pipe."""
-    from repro.obs.trace import get_tracer
-
-    # The parent traces requests; a forked tracer would emit detached
-    # duplicate trees through inherited exporters (same rule as the DP pool).
-    get_tracer().enabled = False
-    try:
-        # The fork already gave this process a private copy of the model, so
-        # the engine can adopt it in place instead of deep-copying again.
-        engine = InferenceEngine(model, copy_model=False, **engine_kwargs)
-    except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        try:
-            conn.send({"status": "error", "error": repr(exc),
-                       "traceback": traceback.format_exc()})
-        finally:
-            conn.close()
-        return
-    conn.send({"status": "ok", "ready": True})
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        cmd = msg.get("cmd")
-        if cmd == "shutdown":
-            try:
-                conn.send({"status": "ok"})
-            except (OSError, ValueError):
-                pass
-            break
-        try:
-            if cmd == "infer":
-                start = time.perf_counter()
-                logits = engine.infer(msg["batch"])
-                payload = {"logits": logits,
-                           "busy_s": time.perf_counter() - start}
-            elif cmd == "stream_state":
-                payload = {"state": engine.stream_state()}
-            elif cmd == "stream":
-                start = time.perf_counter()
-                logits_sum, state = engine.infer_stream(msg["chunk"], msg["state"])
-                payload = {"logits_sum": logits_sum, "state": state,
-                           "busy_s": time.perf_counter() - start}
-            elif cmd == "ping":
-                payload = {"pong": True}
-            else:
-                raise ValueError(f"unknown replica command {cmd!r}")
-        except BaseException as exc:  # noqa: BLE001 - report, parent decides
-            try:
-                conn.send({"status": "error", "error": repr(exc),
-                           "traceback": traceback.format_exc()})
-            except (OSError, ValueError):
-                break
-            continue
-        payload["status"] = "ok"
-        try:
-            conn.send(payload)
-        except (OSError, ValueError):
-            break
-    conn.close()
-
-
-class ProcessReplica(Replica):
-    """Fork-backed replica: the engine lives in a child process.
-
-    The model is inherited copy-on-write through ``fork`` (never pickled);
-    the child builds its own merged engine and answers ``infer`` / ``stream``
-    commands over a duplex pipe.  The parent keeps the batcher — batching
-    and tracing stay in-process, only the fused forward crosses the pipe.
-    A terminated child is detected by the poll-plus-liveness loop and every
-    affected request fails with :class:`ReplicaCrashed` for the router to
-    reroute.
-    """
-
-    kind = "process"
-
-    def __init__(
-        self,
-        name: str,
-        model,
-        engine_kwargs: Optional[dict] = None,
-        max_batch_size: int = 16,
-        max_wait_ms: float = 2.0,
-        model_name: Optional[str] = None,
-        start_method: str = "fork",
-        timeout_s: float = _PROCESS_TIMEOUT_S,
-    ):
-        super().__init__(name, model_name)
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"start method {start_method!r} unavailable on this platform "
-                f"(have: {multiprocessing.get_all_start_methods()})")
-        self.timeout_s = float(timeout_s)
-        self._pipe_lock = threading.Lock()
-        ctx = multiprocessing.get_context(start_method)
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self._conn = parent_conn
-        self._proc = ctx.Process(target=_replica_main, name=f"repro-fleet-{name}",
-                                 args=(child_conn, model, dict(engine_kwargs or {})),
-                                 daemon=True)
-        self._proc.start()
-        child_conn.close()
-        # Block until the child's engine is built: a replica only joins the
-        # routable set fully warmed, mirroring the registry's build-then-
-        # publish rule.
-        self._recv_locked()
-        self.batcher = MicroBatcher(
-            self._infer_remote, max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms, num_workers=1, name=model_name,
-            span_name="replica.request", nest_spans=True)
-
-    # -- pipe protocol ------------------------------------------------------------
-
-    def _recv_locked(self) -> dict:
-        """Wait for one reply; translate death / wedge / error to ReplicaCrashed."""
-        deadline = time.monotonic() + self.timeout_s
-        while True:
-            try:
-                if self._conn.poll(0.05):
-                    reply = self._conn.recv()
-                    break
-            except (EOFError, OSError):
-                self._mark_dead()
-                raise ReplicaCrashed("process died mid-command", replica=self.name)
-            if not self._proc.is_alive():
-                try:
-                    if self._conn.poll(0):
-                        reply = self._conn.recv()
-                        break
-                except (EOFError, OSError):
-                    pass
-                self._mark_dead()
-                raise ReplicaCrashed(
-                    f"process exited (code {self._proc.exitcode})", replica=self.name)
-            if time.monotonic() > deadline:
-                self._mark_dead()
-                raise ReplicaCrashed(f"no reply within {self.timeout_s:.0f}s",
-                                     replica=self.name)
-        if reply.get("status") == "error":
-            raise ReplicaCrashed(reply.get("error", "unknown error"),
-                                 replica=self.name,
-                                 remote_traceback=reply.get("traceback"))
-        self._busy_s += float(reply.get("busy_s", 0.0))
-        return reply
-
-    def _request(self, msg: dict) -> dict:
-        if not self.alive:
-            raise ReplicaCrashed("replica is not alive", replica=self.name)
-        with self._pipe_lock:
-            try:
-                self._conn.send(msg)
-            except (OSError, ValueError) as exc:
-                self._mark_dead()
-                raise ReplicaCrashed(f"pipe send failed ({exc!r})",
-                                     replica=self.name) from exc
-            return self._recv_locked()
-
-    def _infer_remote(self, batch: np.ndarray) -> np.ndarray:
-        return self._request({"cmd": "infer", "batch": batch})["logits"]
-
-    def _mark_dead(self) -> None:
-        self._killed = True
-
-    # -- surface ------------------------------------------------------------------
-
-    @property
-    def alive(self) -> bool:
-        return (not self._killed and not self._closed
-                and self._proc.is_alive())
-
-    def stream_state(self):
-        return self._request({"cmd": "stream_state"})["state"]
-
-    def infer_stream(self, chunk: np.ndarray, state):
-        reply = self._request({"cmd": "stream",
-                               "chunk": np.asarray(chunk), "state": state})
-        return reply["logits_sum"], reply["state"]
-
-    def ping(self) -> bool:
-        return bool(self._request({"cmd": "ping"}).get("pong"))
-
-    def kill(self) -> None:
-        """Terminate the child without handshake — the simulated-crash path."""
-        if self._closed:
-            return
-        self._killed = True
-        self._proc.terminate()
-
-    def close(self, timeout: float = 10.0) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        # Drain the batcher first so queued work either completes or resolves
-        # typed; only then take the engine process down.
-        self.batcher.close(timeout=timeout)
-        if self._proc.is_alive():
-            try:
-                with self._pipe_lock:
-                    self._conn.send({"cmd": "shutdown"})
-            except (OSError, ValueError):
-                pass
-        self._proc.join(timeout=2.0)
-        if self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(timeout=1.0)
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            self.close(timeout=0.5)
-        except Exception:  # noqa: BLE001
-            pass
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"Replica({self.name!r}, alive={self.alive}, "
+                f"outstanding={self.outstanding})")

@@ -4,9 +4,9 @@
 :class:`repro.serve.server.InferenceServer`.  Where the single server owns
 one engine behind one batcher, the fleet owns, per registered model:
 
-* a **replica group** — N identical engine snapshots (thread- or
-  fork-backed, :mod:`repro.fleet.replica`), each behind its own
-  micro-batcher, supervised by a restart policy with capped exponential
+* a **replica group** — N identical in-process engine snapshots
+  (:mod:`repro.fleet.replica`), each behind its own micro-batcher and
+  circuit breaker, supervised by a restart policy with capped exponential
   backoff;
 * an **admission queue** — bounded and priority-ordered
   (:mod:`repro.fleet.admission`); over-capacity bursts shed with typed
@@ -43,13 +43,12 @@ import numpy as np
 
 from repro.fleet.admission import AdmissionQueue, FleetRequest
 from repro.fleet.errors import DeadlineExceeded, Overloaded, ReplicaCrashed
-from repro.fleet.replica import (REPLICA_KINDS, ProcessReplica, Replica,
-                                 ThreadReplica)
+from repro.fleet.replica import Replica
 from repro.fleet.rollout import CanaryRollout, ShadowRollout
 from repro.fleet.sessions import StreamingSession
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import default_registry
 from repro.obs.trace import get_tracer
-from repro.resilience.breaker import CLOSED, OPEN, CircuitBreaker
+from repro.resilience.breaker import OPEN, CircuitBreaker
 from repro.serve.batcher import BatcherClosed
 from repro.serve.engine import InferenceEngine
 from repro.serve.stats import ServerStats
@@ -58,6 +57,10 @@ __all__ = ["FleetServer"]
 
 #: Shed reasons exported as ``repro_fleet_shed_total{reason=...}``.
 _SHED_REASONS = ("overloaded", "deadline", "crashed")
+
+#: Dispatcher poll interval: the longest an idle dispatcher blocks on the
+#: admission queue before it runs restart supervision again.
+_TICK_S = 0.02
 
 
 class _ReplicaSlot:
@@ -135,10 +138,8 @@ class FleetServer:
     ----------
     replicas:
         Default replica count per model (override per ``register`` call).
-    replica_kind:
-        ``"thread"`` (default: in-process engines, overlap wherever NumPy
-        releases the GIL) or ``"process"`` (fork-backed engines, full GIL
-        independence at one pipe hop per batch).
+        Replicas are in-process engines that overlap wherever NumPy
+        releases the GIL.
     max_batch_size / max_wait_ms:
         Per-replica micro-batching policy.
     queue_capacity:
@@ -175,14 +176,14 @@ class FleetServer:
     session_idle_timeout_s:
         Streaming sessions idle longer than this are evicted (closed with
         reason ``"idle"``).
-    registry:
-        Metrics registry to export into (default: the process-wide one).
+
+    Metrics export into the process-wide registry
+    (:func:`~repro.obs.metrics.default_registry`).
     """
 
     def __init__(
         self,
         replicas: int = 2,
-        replica_kind: str = "thread",
         max_batch_size: int = 8,
         max_wait_ms: float = 2.0,
         queue_capacity: int = 64,
@@ -196,16 +197,10 @@ class FleetServer:
         breaker_error_threshold: float = 0.5,
         breaker_open_s: float = 1.0,
         session_idle_timeout_s: float = 60.0,
-        registry: Optional[MetricsRegistry] = None,
-        tick_s: float = 0.02,
     ):
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
-        if replica_kind not in REPLICA_KINDS:
-            raise ValueError(f"replica_kind must be one of {REPLICA_KINDS}, "
-                             f"got {replica_kind!r}")
         self.default_replicas = int(replicas)
-        self.default_kind = replica_kind
         self.max_batch_size = int(max_batch_size)
         self.max_wait_ms = float(max_wait_ms)
         self.queue_capacity = int(queue_capacity)
@@ -225,44 +220,30 @@ class FleetServer:
             error_threshold=float(breaker_error_threshold),
             open_duration_s=float(breaker_open_s))
         self.session_idle_timeout_s = float(session_idle_timeout_s)
-        self.registry = registry if registry is not None else default_registry()
-        self.tick_s = float(tick_s)
+        self.registry = default_registry()
         self._models: Dict[str, _ModelEntry] = {}
         self._lock = threading.Lock()
         self._closed = False
 
     # -- registration -------------------------------------------------------------
 
-    def _make_factory(self, name: str, model, version, kind: str,
-                      engine_kwargs: dict):
-        """Build-recipe closure: (slot, generation) -> fresh warmed replica."""
-        if kind == "thread":
-            def build(slot: int, generation: int) -> Replica:
-                return ThreadReplica(
-                    f"{name}/v{version}/r{slot}.{generation}",
-                    lambda: InferenceEngine(model, **engine_kwargs),
-                    max_batch_size=self.max_batch_size,
-                    max_wait_ms=self.max_wait_ms, model_name=name)
-        else:
-            def build(slot: int, generation: int) -> Replica:
-                return ProcessReplica(
-                    f"{name}/v{version}/r{slot}.{generation}", model,
-                    engine_kwargs=engine_kwargs,
-                    max_batch_size=self.max_batch_size,
-                    max_wait_ms=self.max_wait_ms, model_name=name)
-
+    def _make_factory(self, name: str, model, version, engine_kwargs: dict):
+        """Build-recipe closure: (slot, generation) -> fresh replica."""
         def factory(slot: int, generation: int) -> Replica:
-            replica = build(slot, generation)
             # A fresh incarnation starts with a clean breaker: its
-            # predecessor's error history belongs to the dead process.
-            replica.breaker = CircuitBreaker(**self._breaker_kwargs)
-            return replica
+            # predecessor's error history belongs to the dead replica.
+            return Replica(
+                f"{name}/v{version}/r{slot}.{generation}",
+                InferenceEngine(model, **engine_kwargs),
+                CircuitBreaker(**self._breaker_kwargs),
+                max_batch_size=self.max_batch_size,
+                max_wait_ms=self.max_wait_ms, model_name=name)
 
         return factory
 
-    def _build_group(self, name: str, model, version, count: int, kind: str,
+    def _build_group(self, name: str, model, version, count: int,
                      warmup_sample, engine_kwargs: dict) -> _ReplicaGroup:
-        factory = self._make_factory(name, model, version, kind, engine_kwargs)
+        factory = self._make_factory(name, model, version, engine_kwargs)
         group = _ReplicaGroup(version, factory, count)
         if warmup_sample is not None:
             # Warm through the real submit path so first client requests
@@ -280,33 +261,44 @@ class FleetServer:
         model,
         version=1,
         replicas: Optional[int] = None,
-        replica_kind: Optional[str] = None,
         warmup_sample: Optional[np.ndarray] = None,
         **engine_kwargs,
     ) -> None:
-        """Stand up a replica group for ``model`` and start serving it."""
+        """Stand up a replica group for ``model`` and start serving it.
+
+        Raises ``ValueError`` when ``name`` is already registered and
+        ``RuntimeError`` when the fleet is closed, both checked again once
+        the group is built: a ``register`` that loses a race with another
+        ``register`` or with :meth:`close` tears its own group down.
+        """
         count = replicas if replicas is not None else self.default_replicas
-        kind = replica_kind if replica_kind is not None else self.default_kind
-        if kind not in REPLICA_KINDS:
-            raise ValueError(f"replica_kind must be one of {REPLICA_KINDS}, "
-                             f"got {kind!r}")
         with self._lock:
-            if self._closed:
-                raise RuntimeError("FleetServer is closed")
-            if name in self._models:
-                raise ValueError(f"model {name!r} already registered; "
-                                 "use deploy() to roll out a new version")
-        group = self._build_group(name, model, version, count, kind,
+            self._check_new_name(name)
+        group = self._build_group(name, model, version, count,
                                   warmup_sample, engine_kwargs)
-        entry = _ModelEntry(name, group, AdmissionQueue(self.queue_capacity),
-                            ServerStats(name=name, registry=self.registry))
-        self._register_metrics(entry, count)
-        entry.dispatcher = threading.Thread(
-            target=self._dispatch_loop, args=(entry,),
-            name=f"fleet-dispatch-{name}", daemon=True)
-        with self._lock:
-            self._models[name] = entry
-        entry.dispatcher.start()
+        try:
+            with self._lock:
+                self._check_new_name(name)
+                entry = _ModelEntry(name, group,
+                                    AdmissionQueue(self.queue_capacity),
+                                    ServerStats(name=name))
+                self._register_metrics(entry, count)
+                entry.dispatcher = threading.Thread(
+                    target=self._dispatch_loop, args=(entry,),
+                    name=f"fleet-dispatch-{name}", daemon=True)
+                self._models[name] = entry
+                entry.dispatcher.start()
+        except BaseException:
+            group.close()
+            raise
+
+    def _check_new_name(self, name: str) -> None:
+        """Raise unless ``name`` can be registered now (caller holds the lock)."""
+        if self._closed:
+            raise RuntimeError("FleetServer is closed")
+        if name in self._models:
+            raise ValueError(f"model {name!r} already registered; "
+                             "use deploy() to roll out a new version")
 
     def _register_metrics(self, entry: _ModelEntry, count: int) -> None:
         name = entry.name
@@ -344,8 +336,7 @@ class FleetServer:
                 if attribute == "outstanding":
                     return float(replica.outstanding)
                 if attribute == "breaker":
-                    breaker = getattr(replica, "breaker", None)
-                    return breaker.state_code() if breaker is not None else 0.0
+                    return replica.breaker.state_code()
                 return replica.utilization()
             return read
 
@@ -447,7 +438,6 @@ class FleetServer:
         max_p99_ratio: float = 3.0,
         tolerance: float = 1e-5,
         replicas: Optional[int] = None,
-        replica_kind: Optional[str] = None,
         warmup_sample: Optional[np.ndarray] = None,
         **engine_kwargs,
     ):
@@ -466,8 +456,7 @@ class FleetServer:
             raise ValueError(f"mode must be replace/canary/shadow, got {mode!r}")
         entry = self._entry(name)
         count = replicas if replicas is not None else len(entry.group.slots)
-        kind = replica_kind if replica_kind is not None else self.default_kind
-        group = self._build_group(name, model, version, count, kind,
+        group = self._build_group(name, model, version, count,
                                   warmup_sample, engine_kwargs)
         with entry.swap_lock:
             if mode == "replace":
@@ -562,9 +551,9 @@ class FleetServer:
                 # Every replica is saturated: leave admitted requests in the
                 # bounded queue (so new arrivals shed at the front door)
                 # until a batch completes.
-                time.sleep(min(self.tick_s, 0.005))
+                time.sleep(min(_TICK_S, 0.005))
                 continue
-            request = entry.queue.get(timeout=self.tick_s)
+            request = entry.queue.get(timeout=_TICK_S)
             if request is not None:
                 self._dispatch(entry, request)
         # Shutdown: resolve everything still queued with a typed error.
@@ -633,9 +622,7 @@ class FleetServer:
         ranked = group.ranked()
         for candidates in (ranked, skipped):
             for candidate in candidates:
-                breaker = getattr(candidate, "breaker", None)
-                if (candidates is ranked and breaker is not None
-                        and not breaker.allow()):
+                if candidates is ranked and not candidate.breaker.allow():
                     skipped.append(candidate)
                     continue
                 try:
@@ -645,8 +632,7 @@ class FleetServer:
                     replica = candidate
                     break
                 except ReplicaCrashed:
-                    if breaker is not None:
-                        breaker.record_failure()
+                    candidate.breaker.record_failure()
                     continue
             if replica_future is not None:
                 break
@@ -716,12 +702,10 @@ class FleetServer:
                 "replica shut down mid-request", replica=replica.name)
         else:
             error = replica_future.exception()
-        breaker = getattr(replica, "breaker", None)
-        if breaker is not None:
-            if error is None:
-                breaker.record_success()
-            else:
-                breaker.record_failure()
+        if error is None:
+            replica.breaker.record_success()
+        else:
+            replica.breaker.record_failure()
         crash = isinstance(error, (ReplicaCrashed, BatcherClosed))
         if crash and request.retries == 0:
             request.retries = 1
@@ -883,15 +867,12 @@ class FleetServer:
             {
                 "slot": slot.index,
                 "name": slot.replica.name,
-                "kind": slot.replica.kind,
                 "alive": slot.replica.alive,
                 "outstanding": slot.replica.outstanding,
                 "queue_depth": slot.replica.queue_depth,
                 "utilization": slot.replica.utilization(),
                 "restarts": slot.restarts,
-                "breaker": (slot.replica.breaker.state
-                            if getattr(slot.replica, "breaker", None) is not None
-                            else CLOSED),
+                "breaker": slot.replica.breaker.state,
             }
             for slot in entry.group.slots
         ]
@@ -907,10 +888,9 @@ class FleetServer:
         replicas = []
         ready = False
         for slot in entry.group.slots:
-            breaker = getattr(slot.replica, "breaker", None)
-            state = breaker.state if breaker is not None else CLOSED
+            breaker = slot.replica.breaker
             alive = slot.replica.alive
-            routable = alive and state != OPEN
+            routable = alive and breaker.state != OPEN
             ready = ready or routable
             replicas.append({
                 "slot": slot.index,
@@ -918,7 +898,7 @@ class FleetServer:
                 "alive": alive,
                 "routable": routable,
                 "restarts": slot.restarts,
-                "breaker": breaker.snapshot() if breaker is not None else None,
+                "breaker": breaker.snapshot(),
             })
         return {
             "model": name,
@@ -990,4 +970,4 @@ class FleetServer:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"FleetServer(models={self.models()}, "
-                f"replicas={self.default_replicas}, kind={self.default_kind!r})")
+                f"replicas={self.default_replicas})")

@@ -30,7 +30,7 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.serve.stats import ServerStats
 
 __all__ = ["MicroBatcher", "BatcherClosed"]
 
-#: Queue sentinel asking a worker thread to exit.
+#: Queue sentinel asking the worker thread to exit.
 _SHUTDOWN = object()
 
 
@@ -48,7 +48,7 @@ class BatcherClosed(RuntimeError):
     """The batcher shut down before this queued request could be served.
 
     Raised from ``future.result()`` for requests that were accepted into the
-    queue but never reached a worker — :meth:`MicroBatcher.close` resolves
+    queue but never reached the worker — :meth:`MicroBatcher.close` resolves
     every still-queued future with this error (or a plain cancellation when
     the future can still be cancelled), so no caller blocks forever across a
     shutdown.
@@ -57,6 +57,9 @@ class BatcherClosed(RuntimeError):
 
 class MicroBatcher:
     """Coalesce single-sample requests into fused batches.
+
+    One worker thread drains the queue: the NumPy engine serialises forwards
+    internally, so a second worker would only contend for its lock.
 
     Parameters
     ----------
@@ -69,12 +72,9 @@ class MicroBatcher:
     max_wait_ms:
         Longest time the *first* request of a batch may wait for co-riders.
         Small values favour latency, large values favour batch fill.
-    num_workers:
-        Worker threads draining the queue.  One worker (the default) already
-        saturates the NumPy engine, which serialises forwards internally.
     stats:
         Optional :class:`~repro.serve.stats.ServerStats` receiving per-request
-        latencies and per-batch fill/duration records.
+        latencies and per-batch fill records.
     name:
         Served-model name carried as the ``model`` attribute on request /
         batch trace spans.
@@ -95,7 +95,6 @@ class MicroBatcher:
         infer_fn: Union[InferenceEngine, Callable[[np.ndarray], np.ndarray]],
         max_batch_size: int = 16,
         max_wait_ms: float = 2.0,
-        num_workers: int = 1,
         stats: Optional[ServerStats] = None,
         name: Optional[str] = None,
         span_name: str = "serve.request",
@@ -105,8 +104,6 @@ class MicroBatcher:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         if max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if isinstance(infer_fn, InferenceEngine):
             infer_fn = infer_fn.infer
         self._infer_fn = infer_fn
@@ -119,12 +116,9 @@ class MicroBatcher:
         self._queue: "queue.Queue" = queue.Queue()
         self._closed = False
         self._close_lock = threading.Lock()
-        self._workers: List[threading.Thread] = []
-        for index in range(num_workers):
-            worker = threading.Thread(target=self._worker_loop,
-                                      name=f"micro-batcher-{index}", daemon=True)
-            worker.start()
-            self._workers.append(worker)
+        self._worker = threading.Thread(target=self._worker_loop,
+                                        name="micro-batcher", daemon=True)
+        self._worker.start()
 
     # -- submission ---------------------------------------------------------------
 
@@ -173,8 +167,7 @@ class MicroBatcher:
     def _gather(self, first) -> Tuple[list, bool]:
         """Collect up to ``max_batch_size`` requests starting from ``first``.
 
-        Returns the gathered batch and whether a shutdown sentinel was seen
-        (it is re-queued so sibling workers also terminate).
+        Returns the gathered batch and whether a shutdown sentinel was seen.
         """
         batch = [first]
         deadline = time.monotonic() + self.max_wait_s
@@ -188,7 +181,6 @@ class MicroBatcher:
             except queue.Empty:
                 break
             if item is _SHUTDOWN:
-                self._queue.put(_SHUTDOWN)
                 return batch, True
             batch.append(item)
         return batch, False
@@ -218,7 +210,6 @@ class MicroBatcher:
             stall = injector.maybe("batcher.stall", model=self.name or "")
             if stall is not None:
                 time.sleep(float(stall.get("seconds", 0.05)))
-        start = time.monotonic()
         start_perf = time.perf_counter()
         # One shared batch span, parented on the first traced request (the
         # batch leader) and linked into every other rider's tree below.
@@ -273,7 +264,7 @@ class MicroBatcher:
             if self.stats is not None:
                 self.stats.record_request(done - enqueued)
         if self.stats is not None:
-            self.stats.record_batch(len(live), done - start)
+            self.stats.record_batch(len(live))
 
     def _worker_loop(self) -> None:
         while True:
@@ -288,18 +279,18 @@ class MicroBatcher:
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self, timeout: Optional[float] = 10.0, drain: bool = True) -> None:
-        """Stop the workers and deterministically resolve every queued future.
+        """Stop the worker and deterministically resolve every queued future.
 
-        With ``drain=True`` (default) the workers finish all already-queued
+        With ``drain=True`` (default) the worker finishes all already-queued
         requests before exiting; with ``drain=False`` queued requests are
         resolved immediately (cancelled, or failed with
         :class:`BatcherClosed` if cancellation is no longer possible) without
         running the engine.  In *either* mode, anything still queued after
-        the workers have been joined — a worker wedged inside ``infer_fn``
+        the worker has been joined — a worker wedged inside ``infer_fn``
         past ``timeout``, or one that died — is resolved the same way, so no
         caller blocked in ``future.result()`` can hang across shutdown.
-        Requests already handed to a worker resolve through the normal batch
-        path.  New submissions fail fast once ``close`` has begun.
+        Requests already handed to the worker resolve through the normal
+        batch path.  New submissions fail fast once ``close`` has begun.
         """
         with self._close_lock:
             if self._closed:
@@ -307,16 +298,14 @@ class MicroBatcher:
             self._closed = True
         if not drain:
             self._resolve_queued()
-        for _ in self._workers:
-            self._queue.put(_SHUTDOWN)
-        for worker in self._workers:
-            worker.join(timeout=timeout)
+        self._queue.put(_SHUTDOWN)
+        self._worker.join(timeout=timeout)
         self._resolve_queued()
 
     def _resolve_queued(self) -> None:
         """Pop every queued request and resolve its future (cancel or fail).
 
-        Shutdown sentinels are re-queued so a worker that un-wedges later
+        The shutdown sentinel is re-queued so a worker that un-wedges later
         still finds its exit signal instead of blocking on an empty queue.
         """
         items: list = []
@@ -357,5 +346,4 @@ class MicroBatcher:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"MicroBatcher(max_batch_size={self.max_batch_size}, "
-                f"max_wait_ms={self.max_wait_s * 1e3:.1f}, "
-                f"workers={len(self._workers)})")
+                f"max_wait_ms={self.max_wait_s * 1e3:.1f})")

@@ -43,7 +43,7 @@ class InferenceServer:
     registry:
         An existing :class:`~repro.serve.registry.ModelRegistry` to serve
         from; a fresh one is created when omitted.
-    max_batch_size, max_wait_ms, num_workers:
+    max_batch_size, max_wait_ms:
         Micro-batching policy applied to every registered model (see
         :class:`~repro.serve.batcher.MicroBatcher`).
     cache_capacity:
@@ -55,13 +55,11 @@ class InferenceServer:
         registry: Optional[ModelRegistry] = None,
         max_batch_size: int = 16,
         max_wait_ms: float = 2.0,
-        num_workers: int = 1,
         cache_capacity: int = 1024,
     ):
         self.registry = registry if registry is not None else ModelRegistry()
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
-        self.num_workers = num_workers
         self.cache_capacity = cache_capacity
         self._lock = threading.Lock()
         self._batchers: Dict[str, MicroBatcher] = {}
@@ -72,8 +70,15 @@ class InferenceServer:
     # -- model management ---------------------------------------------------------
 
     def _ensure_plumbing(self, name: str) -> None:
-        """Create the batcher / cache / stats trio for ``name`` exactly once."""
+        """Create the batcher / cache / stats trio for ``name`` exactly once.
+
+        Checked under the lock :meth:`close` takes, so a ``register`` or a
+        first ``submit`` that races ``close`` raises instead of starting a
+        batcher thread nothing will ever stop.
+        """
         with self._lock:
+            if self._closed:
+                raise RuntimeError("InferenceServer is closed")
             if name in self._batchers:
                 return
             stats = ServerStats(name=name)
@@ -83,7 +88,6 @@ class InferenceServer:
                 lambda batch, _name=name: self.registry.get(_name).infer(batch),
                 max_batch_size=self.max_batch_size,
                 max_wait_ms=self.max_wait_ms,
-                num_workers=self.num_workers,
                 stats=stats,
                 name=name,
             )

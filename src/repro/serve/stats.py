@@ -90,7 +90,6 @@ class ServerStats:
                 self._registry.register(instrument, replace=True)
         self._lock = threading.Lock()
         self._batch_sizes: Dict[int, int] = {}
-        self._batch_seconds = 0.0
         self._first_ts: Optional[float] = None
         self._last_ts: Optional[float] = None
 
@@ -106,11 +105,10 @@ class ServerStats:
                 self._first_ts = now - latency_s
             self._last_ts = now
 
-    def record_batch(self, size: int, duration_s: float) -> None:
-        """Record one fused forward: how many requests it answered, how long it took."""
+    def record_batch(self, size: int) -> None:
+        """Record one fused forward and how many requests it answered."""
         self._m_batches.inc()
         with self._lock:
-            self._batch_seconds += float(duration_s)
             self._batch_sizes[int(size)] = self._batch_sizes.get(int(size), 0) + 1
 
     def record_cache(self, hit: bool) -> None:
@@ -228,6 +226,5 @@ class ServerStats:
         self._m_misses.reset()
         with self._lock:
             self._batch_sizes.clear()
-            self._batch_seconds = 0.0
             self._first_ts = None
             self._last_ts = None

@@ -8,7 +8,8 @@ Covers the full subsystem:
   split and the promote/rollback gate, pure-unit and end-to-end;
 * :class:`FleetServer` — burst correctness vs a direct engine, deadline and
   overload shedding with typed errors, crash rerouting plus supervised
-  restart (thread and fork replicas), rollout under live traffic;
+  restart, ``register`` racing ``register`` or ``close``, rollout under
+  live traffic;
 * :class:`StreamingSession` — chunked persistent-membrane inference equal
   to the one-shot fixed-``T`` forward, replica affinity, crash re-pinning
   and idle eviction;
@@ -21,7 +22,6 @@ rather than statistical.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
 from concurrent.futures import Future
@@ -50,8 +50,6 @@ from repro.serve.engine import InferenceEngine
 TIMESTEPS = 2
 SAMPLE_SHAPE = (3, 10, 10)
 NUM_CLASSES = 4
-
-_FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
 
 @pytest.fixture(autouse=True)
@@ -186,13 +184,20 @@ class TestRolloutUnits:
 
 
 class TestFleetServing:
-    def test_burst_matches_direct_engine(self):
+    @pytest.mark.parametrize("kill_first", [False, True])
+    def test_burst_matches_direct_engine(self, kill_first):
+        # With ``kill_first`` slot 0 dies between two halves of the burst:
+        # its stranded requests reroute to the sibling, so every request
+        # still answers with the direct engine's row.
         model = _tiny_model()
         samples = _samples(16)
         direct = InferenceEngine(model).infer(samples)
         with FleetServer(replicas=2, max_batch_size=4, max_wait_ms=1.0) as fleet:
             fleet.register("vgg", model, warmup_sample=samples[0])
-            futures = [fleet.submit("vgg", sample) for sample in samples]
+            futures = [fleet.submit("vgg", sample) for sample in samples[:8]]
+            if kill_first:
+                fleet._entry("vgg").group.slots[0].replica.kill()
+            futures += [fleet.submit("vgg", sample) for sample in samples[8:]]
             rows = np.stack([future.result(timeout=60) for future in futures])
         np.testing.assert_allclose(rows, direct, atol=1e-6)
 
@@ -295,26 +300,85 @@ class TestFleetServing:
             with pytest.raises(ValueError):
                 fleet.submit("vgg", np.zeros((2,) + SAMPLE_SHAPE, np.float32))
 
-    @pytest.mark.skipif(not _FORK_AVAILABLE, reason="fork start method unavailable")
-    def test_process_replicas_serve_and_survive_a_kill(self):
-        model = _tiny_model()
-        samples = _samples(8)
-        direct = InferenceEngine(model).infer(samples)
-        with FleetServer(replicas=2, replica_kind="process", max_batch_size=4,
-                         max_wait_ms=2.0, restart_backoff_s=0.05) as fleet:
-            fleet.register("vgg", model)
-            futures = [fleet.submit("vgg", sample) for sample in samples]
-            rows = np.stack([future.result(timeout=120) for future in futures])
-            np.testing.assert_allclose(rows, direct, atol=1e-6)
-            entry = fleet._entry("vgg")
-            entry.group.slots[0].replica.kill()
-            futures = [fleet.submit("vgg", sample) for sample in samples]
-            for future, expected in zip(futures, direct):
-                try:
-                    row = future.result(timeout=120)
-                except (FleetError, BatcherClosed):
-                    continue
-                np.testing.assert_allclose(row, expected, atol=1e-6)
+
+def _serving_threads(before) -> list:
+    """Dispatcher and batcher threads started since ``before`` and still alive."""
+    return [thread for thread in threading.enumerate()
+            if thread not in before and thread.is_alive()
+            and thread.name.startswith(("fleet-dispatch-", "micro-batcher"))]
+
+
+class TestRegisterRaces:
+    """``register`` builds its group outside the fleet lock; whatever it
+    races, the loser gets one typed error and leaves no thread running."""
+
+    def test_concurrent_duplicate_register_keeps_one_group(self, monkeypatch):
+        before = set(threading.enumerate())
+        both_built = threading.Barrier(2, timeout=60)
+        original = FleetServer._build_group
+
+        def build_then_meet(self, *args, **kwargs):
+            group = original(self, *args, **kwargs)
+            both_built.wait()  # both calls passed the first name check
+            return group
+
+        monkeypatch.setattr(FleetServer, "_build_group", build_then_meet)
+        fleet = FleetServer(replicas=1, max_wait_ms=1.0)
+        errors = []
+
+        def register() -> None:
+            try:
+                fleet.register("m", _tag_model(1.0))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=register) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        try:
+            assert [type(exc) for exc in errors] == [ValueError]
+            assert fleet.models() == ["m"]
+            np.testing.assert_allclose(
+                fleet.infer("m", _samples(1)[0], timeout=60),
+                np.ones(NUM_CLASSES), atol=1e-6)
+        finally:
+            fleet.close()
+        assert _serving_threads(before) == []
+
+    def test_register_finishing_after_close_raises(self, monkeypatch):
+        before = set(threading.enumerate())
+        built, release = threading.Event(), threading.Event()
+        original = FleetServer._build_group
+
+        def build_then_hold(self, *args, **kwargs):
+            group = original(self, *args, **kwargs)
+            built.set()
+            assert release.wait(timeout=60)
+            return group
+
+        monkeypatch.setattr(FleetServer, "_build_group", build_then_hold)
+        fleet = FleetServer(replicas=1, max_wait_ms=1.0)
+        errors = []
+
+        def register() -> None:
+            try:
+                fleet.register("late", _tag_model(1.0))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        thread = threading.Thread(target=register)
+        thread.start()
+        try:
+            assert built.wait(timeout=60)
+            fleet.close()
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert [type(exc) for exc in errors] == [RuntimeError]
+        assert fleet.models() == []
+        assert _serving_threads(before) == []
 
 
 class TestRolloutEndToEnd:

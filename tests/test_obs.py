@@ -187,7 +187,7 @@ class TestServerStats:
         stats = ServerStats()
         stats.record_request(0.010, timestamp=1.0)
         stats.record_request(0.020, timestamp=2.0)
-        stats.record_batch(2, 0.015)
+        stats.record_batch(2)
         stats.record_cache(hit=True)
         stats.record_cache(hit=False)
         table = stats.as_table()

@@ -411,7 +411,7 @@ class TestServerStats:
     def test_batch_fill_histogram_and_mean(self):
         stats = ServerStats()
         for size in (4, 4, 8):
-            stats.record_batch(size, 0.01)
+            stats.record_batch(size)
         assert stats.batch_fill_histogram() == {4: 2, 8: 1}
         assert stats.mean_batch_fill() == pytest.approx(16 / 3)
 
@@ -431,7 +431,7 @@ class TestServerStats:
     def test_reset(self):
         stats = ServerStats()
         stats.record_request(0.5)
-        stats.record_batch(4, 0.1)
+        stats.record_batch(4)
         stats.record_cache(hit=True)
         stats.reset()
         assert stats.requests == 0 and stats.batches == 0 and stats.cache_hits == 0
@@ -601,6 +601,44 @@ class TestInferenceServer:
             server.submit("vgg", rng.random(SAMPLE_SHAPE).astype(np.float32))
         with pytest.raises(RuntimeError):
             server.register("other", tiny_engine)
+
+    def test_register_racing_close_raises_and_starts_no_batcher(
+            self, tiny_engine, monkeypatch):
+        # The registry publishes outside the server lock; a close() landing
+        # meanwhile must fail the register, not leave a batcher thread behind.
+        before = set(threading.enumerate())
+        published, release = threading.Event(), threading.Event()
+        original = ModelRegistry.register
+
+        def publish_then_hold(self, *args, **kwargs):
+            engine = original(self, *args, **kwargs)
+            published.set()
+            assert release.wait(timeout=60)
+            return engine
+
+        monkeypatch.setattr(ModelRegistry, "register", publish_then_hold)
+        server = InferenceServer(max_wait_ms=1)
+        errors = []
+
+        def register() -> None:
+            try:
+                server.register("late", tiny_engine)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        thread = threading.Thread(target=register)
+        thread.start()
+        try:
+            assert published.wait(timeout=60)
+            server.close()
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert [type(exc) for exc in errors] == [RuntimeError]
+        leaked = [t for t in threading.enumerate()
+                  if t not in before and t.is_alive()
+                  and t.name.startswith("micro-batcher")]
+        assert leaked == []
 
     def test_pipeline_result_is_directly_servable(self, tiny_static_dataset):
         from repro.training.config import TrainingConfig
