@@ -21,7 +21,10 @@ Public API
     for weight reconstruction after training).
 
 The functional layer (convolution, pooling, activations, losses) lives in
-:mod:`repro.autograd.functional` and :mod:`repro.autograd.conv`.
+:mod:`repro.autograd.functional` and :mod:`repro.autograd.conv`; the
+forward and backward kernel of every op the engine records lives once, in
+the op table of :mod:`repro.autograd.ops`, which the compiled runtime
+replays as well.
 """
 
 from repro.autograd.tensor import Tensor, Function, no_grad, is_grad_enabled, as_tensor

@@ -12,7 +12,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.autograd.tensor import Function, Tensor, as_tensor, record_op, ws_buf
+from repro.autograd.tensor import Function, Tensor, apply_op, as_tensor, ws_buf
 from repro.autograd.conv import _pair, conv2d_output_shape, im2col
 
 __all__ = [
@@ -59,9 +59,7 @@ def _stopgrad_max(x: Tensor, axis: int) -> Tensor:
     reported to the op trace: a replay must recompute it from the live input,
     not reuse the value baked at capture time.
     """
-    out = Tensor(x.data.max(axis=axis, keepdims=True))
-    record_op("stopgrad_max", (x,), out, {"axis": axis})
-    return out
+    return apply_op("stopgrad_max", (x,), {"axis": axis})
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -134,18 +132,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     rng = rng or np.random.default_rng()
-    x = as_tensor(x)
-    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    out_data = x.data * mask
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate_grad(np.asarray(grad) * mask)
-
-    # One traced node carrying the generator itself: a replay draws a fresh
-    # mask from the same stream instead of reusing the capture realisation.
-    out = Tensor._make(out_data, (x,), backward)
-    record_op("dropout", (x,), out, {"p": p, "rng": rng}, saved=mask)
-    return out
+    return apply_op("dropout", (as_tensor(x),), {"p": p, "rng": rng})
 
 
 def pad2d(x: Tensor, padding: Tuple[int, int]) -> Tensor:
@@ -153,16 +140,7 @@ def pad2d(x: Tensor, padding: Tuple[int, int]) -> Tensor:
     ph, pw = padding
     if ph == 0 and pw == 0:
         return as_tensor(x)
-    x = as_tensor(x)
-    out_data = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
-
-    def backward(grad: np.ndarray) -> None:
-        h, w = x.shape[-2], x.shape[-1]
-        x._accumulate_grad(np.asarray(grad)[..., ph:ph + h, pw:pw + w])
-
-    out = Tensor._make(out_data, (x,), backward)
-    record_op("pad2d", (x,), out, {"padding": (ph, pw)})
-    return out
+    return apply_op("pad2d", (as_tensor(x),), {"padding": (ph, pw)})
 
 
 class _AvgPool2dFunction(Function):

@@ -15,25 +15,33 @@ Broadcasting is fully supported: gradients flowing into a broadcast operand
 are reduced (summed) over the broadcast axes so that ``grad.shape`` always
 matches ``data.shape``.
 
-Op tracing
-----------
-Every differentiable op additionally reports itself to an *active trace*
-(installed per-thread via :func:`set_trace`) as a structured record — op
-name, input/output tensors, static attributes and, where needed, saved
-forward state.  The compiled runtime (:mod:`repro.runtime`) installs a
-:class:`~repro.runtime.graph.GraphCapture` as the trace to turn one eager
-step into a replayable execution plan; with no trace installed the check is
-a single thread-local read per op.
+Op table and tracing
+--------------------
+Every op's math lives once, in the op table of :mod:`repro.autograd.ops`.
+The ``Tensor`` methods, the functional helpers and :meth:`Function.apply`
+all go through :func:`apply_op`, which runs the op's forward kernel, wires
+a backward closure that calls its backward kernel, and reports the op to an
+*active trace* (installed per-thread via :func:`set_trace`) as a structured
+record — op name, input/output tensors, static attributes and, where
+needed, saved forward state.  The compiled runtime (:mod:`repro.runtime`)
+installs a :class:`~repro.runtime.graph.GraphCapture` as the trace to turn
+one eager step into a replayable execution plan, and replays it through the
+same table; with no trace installed the check is a single thread-local read
+per op.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import operator
 import threading
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from itertools import compress
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from repro.autograd.ops import OPS, _index_backward, _index_repeats, _unbroadcast  # noqa: F401
 
 __all__ = [
     "Tensor",
@@ -46,6 +54,7 @@ __all__ = [
     "set_trace",
     "active_trace",
     "record_op",
+    "apply_op",
 ]
 
 # ---------------------------------------------------------------------------
@@ -114,14 +123,49 @@ def record_op(op: str, inputs: Tuple["Tensor", ...], out: Optional["Tensor"],
         trace.record(op, inputs, out, attrs or {}, saved)
 
 
-def _traced(op: str, data: np.ndarray, parents: Sequence["Tensor"],
-            backward: Optional[Callable[[np.ndarray], None]],
-            attrs: Optional[dict] = None, saved=None) -> "Tensor":
-    """Create an op result via :meth:`Tensor._make` and report it to the trace."""
-    out = Tensor._make(data, parents, backward)
+_NO_ATTRS: dict = {}
+# C-level accessors: on Python 3.11 a comprehension costs a frame per op.
+_data_of = operator.attrgetter("data")
+_requires_grad_of = operator.attrgetter("requires_grad")
+
+
+def apply_op(op: str, parents: Tuple["Tensor", ...], attrs: dict = _NO_ATTRS):
+    """Run ``OPS[op]`` on ``parents`` eagerly, wire its backward and trace it.
+
+    The forward kernel's result becomes the output tensor; a kernel that
+    returns ``(result, saved)`` hands ``saved`` to its backward kernel and
+    to the trace, and one that returns ``None`` is a side-effect op with no
+    output.  The backward closure calls the op's backward kernel and
+    accumulates each gradient into the parent that needs one, so eager steps
+    and compiled replays run the same kernels.
+    """
+    opdef = OPS[op]
+    arrays = list(map(_data_of, parents))
+    result = opdef.forward(arrays, attrs)
+    saved = None
+    if type(result) is tuple:
+        result, saved = result
+    out = None
+    if result is not None:
+        out = Tensor(result)
+        kernel = opdef.backward
+        if kernel is not None and _GRAD_ENABLED.get():
+            needs = tuple(map(_requires_grad_of, parents))
+            if True in needs:
+                data = out.data
+
+                def backward(grad: np.ndarray) -> None:
+                    grads = kernel(grad, arrays, data, saved, attrs, needs)
+                    for parent, need, g in zip(parents, needs, grads):
+                        if need and g is not None:
+                            parent._accumulate_grad(g)
+
+                out.requires_grad = True
+                out._prev = tuple(compress(parents, needs))
+                out._backward = backward
     trace = getattr(_TRACE_TLS, "trace", None)
     if trace is not None:
-        trace.record(op, tuple(parents), out, attrs or {}, saved)
+        trace.record(op, parents, out, attrs, saved)
     return out
 
 
@@ -132,26 +176,6 @@ def _traced(op: str, data: np.ndarray, parents: Sequence["Tensor"],
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
 
-def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` so that it has ``shape``.
-
-    NumPy broadcasting may have expanded an operand along leading axes or along
-    axes of size one; the gradient of a broadcast is the sum over the expanded
-    axes.
-    """
-    if grad.shape == shape:
-        return grad
-    # Sum over the extra leading dimensions.
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    # Sum over axes that were of size 1 in the original shape.
-    axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 def _channel_sums(rows: np.ndarray) -> np.ndarray:
     """Sums over the second-to-last axis: ``(..., M, C)`` to ``(..., C)``.
 
@@ -160,50 +184,6 @@ def _channel_sums(rows: np.ndarray) -> np.ndarray:
     slower when ``C`` is small.
     """
     return np.matmul(np.ones(rows.shape[-2], rows.dtype), rows)
-
-
-def _index_repeats(index) -> bool:
-    """Whether ``array[index]`` may select one element twice.
-
-    Ints, slices, ``None``, ``...`` and a lone boolean mask never do.  A lone
-    integer array does when two of its entries are equal, or when it mixes
-    signs (``-1`` and ``dim - 1`` name the same element).  Any other index
-    counts as repeating.
-    """
-    parts = index if isinstance(index, tuple) else (index,)
-    arrays = [part for part in parts
-              if part is not None and part is not Ellipsis
-              and not isinstance(part, (slice, int, np.integer))]
-    if not arrays:
-        return False
-    if len(arrays) > 1:
-        return True
-    array = np.asarray(arrays[0])
-    if array.dtype == np.bool_:
-        return False
-    if array.dtype.kind not in "iu":
-        return True
-    flat = array.ravel().tolist()
-    if flat and min(flat) < 0 <= max(flat):
-        return True
-    return len(set(flat)) != len(flat)
-
-
-def _index_backward(like: np.ndarray, index, grad) -> np.ndarray:
-    """Gradient of ``like[index]``: ``grad`` scattered into zeros shaped as ``like``.
-
-    ``np.add.at`` accumulates an index that selects an element twice, but it
-    is an unbuffered per-element loop; every other index is a plain
-    assignment.  Adding 0 before the assignment turns ``-0.0`` into ``+0.0``
-    as ``0 + grad`` in ``np.add.at`` does, so both routes agree bitwise.
-    """
-    full = np.zeros_like(like)
-    grad = np.asarray(grad)
-    if _index_repeats(index):
-        np.add.at(full, index, grad)
-    else:
-        full[index] = grad + 0
-    return full
 
 
 def as_tensor(value: ArrayLike, dtype=np.float32) -> "Tensor":
@@ -280,9 +260,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but detached from the graph."""
-        out = Tensor(self.data, requires_grad=False)
-        record_op("detach", (self,), out)
-        return out
+        return apply_op("detach", (self,))
 
     def copy(self) -> "Tensor":
         out = Tensor(self.data.copy(), requires_grad=self.requires_grad)
@@ -397,26 +375,12 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other_t = as_tensor(other, dtype=self.data.dtype)
-        out_data = self.data + other_t.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad or self._prev:
-                self._accumulate_grad(grad)
-            if other_t.requires_grad or other_t._prev:
-                other_t._accumulate_grad(grad)
-
-        return _traced("add", out_data, (self, other_t), backward)
+        return apply_op("add", (self, as_tensor(other, dtype=self.data.dtype)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        out_data = -self.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(-grad)
-
-        return _traced("neg", out_data, (self,), backward)
+        return apply_op("neg", (self,))
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-as_tensor(other, dtype=self.data.dtype))
@@ -425,30 +389,12 @@ class Tensor:
         return as_tensor(other, dtype=self.data.dtype) + (-self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other_t = as_tensor(other, dtype=self.data.dtype)
-        out_data = self.data * other_t.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad or self._prev:
-                self._accumulate_grad(grad * other_t.data)
-            if other_t.requires_grad or other_t._prev:
-                other_t._accumulate_grad(grad * self.data)
-
-        return _traced("mul", out_data, (self, other_t), backward)
+        return apply_op("mul", (self, as_tensor(other, dtype=self.data.dtype)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other_t = as_tensor(other, dtype=self.data.dtype)
-        out_data = self.data / other_t.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad or self._prev:
-                self._accumulate_grad(grad / other_t.data)
-            if other_t.requires_grad or other_t._prev:
-                other_t._accumulate_grad(-grad * self.data / (other_t.data ** 2))
-
-        return _traced("div", out_data, (self, other_t), backward)
+        return apply_op("div", (self, as_tensor(other, dtype=self.data.dtype)))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other, dtype=self.data.dtype) / self
@@ -456,74 +402,35 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("Tensor.__pow__ only supports scalar exponents")
-        out_data = self.data ** exponent
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(grad * exponent * self.data ** (exponent - 1))
-
-        return _traced("pow", out_data, (self,), backward, {"exponent": exponent})
+        return apply_op("pow", (self,), {"exponent": exponent})
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
-        other_t = as_tensor(other, dtype=self.data.dtype)
-        out_data = self.data @ other_t.data
-
-        def backward(grad: np.ndarray) -> None:
-            a, b = self.data, other_t.data
-            if self.requires_grad or self._prev:
-                if b.ndim == 1:
-                    grad_a = np.outer(grad, b) if a.ndim > 1 else grad * b
-                else:
-                    grad_a = grad @ np.swapaxes(b, -1, -2)
-                self._accumulate_grad(_unbroadcast(np.asarray(grad_a), a.shape))
-            if other_t.requires_grad or other_t._prev:
-                if a.ndim == 1:
-                    grad_b = np.outer(a, grad) if b.ndim > 1 else a * grad
-                else:
-                    grad_b = np.swapaxes(a, -1, -2) @ grad
-                other_t._accumulate_grad(_unbroadcast(np.asarray(grad_b), b.shape))
-
-        return _traced("matmul", out_data, (self, other_t), backward)
+        return apply_op("matmul", (self, as_tensor(other, dtype=self.data.dtype)))
 
     # -- comparisons (non differentiable, return plain Tensors) -------------
 
-    def _compare(self, other: ArrayLike, op: str, ufunc) -> "Tensor":
+    def _compare(self, other: ArrayLike, op: str) -> "Tensor":
         if isinstance(other, Tensor):
-            out = Tensor(ufunc(self.data, other.data).astype(self.data.dtype))
-            record_op(op, (self, other), out)
-        else:
-            other_arr = _asarray(other, self.data.dtype)
-            out = Tensor(ufunc(self.data, other_arr).astype(self.data.dtype))
-            record_op(op + "_scalar", (self,), out, {"other": other_arr})
-        return out
+            return apply_op(op, (self, other))
+        return apply_op(op + "_scalar", (self,),
+                        {"other": _asarray(other, self.data.dtype)})
 
     def __gt__(self, other: ArrayLike) -> "Tensor":
-        return self._compare(other, "greater", np.greater)
+        return self._compare(other, "greater")
 
     def __ge__(self, other: ArrayLike) -> "Tensor":
-        return self._compare(other, "greater_equal", np.greater_equal)
+        return self._compare(other, "greater_equal")
 
     def __lt__(self, other: ArrayLike) -> "Tensor":
-        return self._compare(other, "less", np.less)
+        return self._compare(other, "less")
 
     def __le__(self, other: ArrayLike) -> "Tensor":
-        return self._compare(other, "less_equal", np.less_equal)
+        return self._compare(other, "less_equal")
 
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            g = np.asarray(grad)
-            if axis is not None and not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                axes = tuple(a % self.data.ndim for a in axes)
-                shape = [1 if i in axes else s for i, s in enumerate(self.data.shape)]
-                g = g.reshape(shape)
-            self._accumulate_grad(np.broadcast_to(g, self.data.shape))
-
-        return _traced("sum", out_data, (self,), backward,
-                       {"axis": axis, "keepdims": keepdims})
+        return apply_op("sum", (self,), {"axis": axis, "keepdims": keepdims})
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -539,37 +446,14 @@ class Tensor:
         return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            g = np.asarray(grad)
-            expanded = self.data.max(axis=axis, keepdims=True)
-            if axis is not None and not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                axes = tuple(a % self.data.ndim for a in axes)
-                shape = [1 if i in axes else s for i, s in enumerate(self.data.shape)]
-                g = g.reshape(shape)
-            mask = (self.data == expanded).astype(self.data.dtype)
-            # Distribute gradient equally among ties.
-            denom = mask.sum(axis=axis, keepdims=True)
-            self._accumulate_grad(mask * g / denom)
-
-        return _traced("max", out_data, (self,), backward,
-                       {"axis": axis, "keepdims": keepdims})
+        return apply_op("max", (self,), {"axis": axis, "keepdims": keepdims})
 
     # -- shape manipulation ---------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        original = self.data.shape
-        out_data = self.data.reshape(shape)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(np.asarray(grad).reshape(original))
-
-        return _traced("reshape", out_data, (self,), backward,
-                       {"shape": tuple(out_data.shape)})
+        return apply_op("reshape", (self,), {"shape": shape})
 
     def view(self, *shape) -> "Tensor":
         return self.reshape(*shape)
@@ -584,111 +468,45 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
-        out_data = self.data.transpose(axes)
-        inverse = np.argsort(axes)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(np.asarray(grad).transpose(inverse))
-
-        return _traced("transpose", out_data, (self,), backward, {"axes": tuple(axes)})
+        return apply_op("transpose", (self,), {"axes": axes})
 
     def permute(self, *axes) -> "Tensor":
         return self.transpose(*axes)
 
     def squeeze(self, axis: Optional[int] = None) -> "Tensor":
-        original = self.data.shape
-        out_data = np.squeeze(self.data, axis=axis)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(np.asarray(grad).reshape(original))
-
-        return _traced("squeeze", out_data, (self,), backward, {"axis": axis})
+        return apply_op("squeeze", (self,), {"axis": axis})
 
     def unsqueeze(self, axis: int) -> "Tensor":
-        original = self.data.shape
-        out_data = np.expand_dims(self.data, axis=axis)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(np.asarray(grad).reshape(original))
-
-        return _traced("unsqueeze", out_data, (self,), backward, {"axis": axis})
+        return apply_op("unsqueeze", (self,), {"axis": axis})
 
     def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(_index_backward(self.data, index, grad))
-
-        return _traced("getitem", out_data, (self,), backward, {"index": index})
+        return apply_op("getitem", (self,), {"index": index})
 
     # -- elementwise math -----------------------------------------------------
 
     def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(grad * out_data)
-
-        return _traced("exp", out_data, (self,), backward)
+        return apply_op("exp", (self,))
 
     def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(grad / self.data)
-
-        return _traced("log", out_data, (self,), backward)
+        return apply_op("log", (self,))
 
     def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(grad * 0.5 / np.maximum(out_data, 1e-12))
-
-        return _traced("sqrt", out_data, (self,), backward)
+        return apply_op("sqrt", (self,))
 
     def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(grad * (1.0 - out_data ** 2))
-
-        return _traced("tanh", out_data, (self,), backward)
+        return apply_op("tanh", (self,))
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(grad * out_data * (1.0 - out_data))
-
-        return _traced("sigmoid", out_data, (self,), backward)
+        return apply_op("sigmoid", (self,))
 
     def relu(self) -> "Tensor":
-        mask = (self.data > 0).astype(self.data.dtype)
-        out_data = self.data * mask
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(grad * mask)
-
-        return _traced("relu", out_data, (self,), backward)
+        return apply_op("relu", (self,))
 
     def abs(self) -> "Tensor":
-        out_data = np.abs(self.data)
-        sign = np.sign(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(grad * sign)
-
-        return _traced("abs", out_data, (self,), backward)
+        return apply_op("abs", (self,))
 
     def clip(self, low: float, high: float) -> "Tensor":
-        out_data = np.clip(self.data, low, high)
-        mask = ((self.data >= low) & (self.data <= high)).astype(self.data.dtype)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_grad(grad * mask)
-
-        return _traced("clip", out_data, (self,), backward, {"low": low, "high": high})
+        return apply_op("clip", (self,), {"low": low, "high": high})
 
     # -- static constructors ---------------------------------------------------
 
@@ -711,33 +529,11 @@ class Tensor:
 
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = list(tensors)
-        out_data = np.stack([t.data for t in tensors], axis=axis)
-
-        def backward(grad: np.ndarray) -> None:
-            pieces = np.split(np.asarray(grad), len(tensors), axis=axis)
-            for t, piece in zip(tensors, pieces):
-                if t.requires_grad or t._prev:
-                    t._accumulate_grad(np.squeeze(piece, axis=axis))
-
-        return _traced("stack", out_data, tensors, backward, {"axis": axis})
+        return apply_op("stack", tuple(tensors), {"axis": axis})
 
     @staticmethod
     def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = list(tensors)
-        out_data = np.concatenate([t.data for t in tensors], axis=axis)
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(grad: np.ndarray) -> None:
-            g = np.asarray(grad)
-            for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad or t._prev:
-                    index = [slice(None)] * g.ndim
-                    index[axis] = slice(start, stop)
-                    t._accumulate_grad(g[tuple(index)])
-
-        return _traced("concatenate", out_data, tensors, backward, {"axis": axis})
+        return apply_op("concatenate", tuple(tensors), {"axis": axis})
 
 
 # ---------------------------------------------------------------------------
@@ -833,19 +629,5 @@ class Function:
     @classmethod
     def apply(cls, *inputs: ArrayLike, **kwargs) -> Tensor:
         """Run the op on ``inputs`` and wire it into the autograd graph."""
-        ctx = cls(**kwargs) if kwargs else cls()
-        tensors = [as_tensor(x) for x in inputs]
-        out_data = ctx.forward(*[t.data for t in tensors])
-
-        def backward(grad: np.ndarray) -> None:
-            grads = ctx.backward(np.asarray(grad))
-            if not isinstance(grads, tuple):
-                grads = (grads,)
-            for t, g in zip(tensors, grads):
-                if g is None:
-                    continue
-                if t.requires_grad or t._prev:
-                    t._accumulate_grad(g)
-
-        return _traced("fn", out_data, tensors, backward,
-                       {"cls": cls, "kwargs": kwargs}, saved=ctx)
+        return apply_op("fn", tuple([as_tensor(x) for x in inputs]),
+                        {"cls": cls, "kwargs": kwargs})

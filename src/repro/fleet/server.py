@@ -450,7 +450,9 @@ class FleetServer:
         error-rate + p99 gate.  ``mode="shadow"`` mirrors all traffic to the
         candidate, compares logits, and never answers from it; inspect
         :meth:`shadow_report` and cut over with :meth:`promote_shadow`.
-        Returns the rollout handle (``None`` for replace).
+        Returns the rollout handle (``None`` for replace).  Raises
+        ``RuntimeError``, after closing the new group, when the model is
+        unregistered (or the fleet closed) while the group is being built.
         """
         if mode not in ("replace", "canary", "shadow"):
             raise ValueError(f"mode must be replace/canary/shadow, got {mode!r}")
@@ -459,25 +461,30 @@ class FleetServer:
         group = self._build_group(name, model, version, count,
                                   warmup_sample, engine_kwargs)
         with entry.swap_lock:
-            if mode == "replace":
-                retired = entry.group
-                entry.group = group
-                entry.retired.append(retired)
-                return None
-            if entry.canary is not None or entry.shadow is not None:
-                entry.retired.append(group)
-                raise RuntimeError(
-                    f"model {name!r} already has an active rollout; finish it first")
-            if mode == "canary":
-                rollout = CanaryRollout(version, fraction=fraction,
-                                        min_requests=min_requests,
-                                        max_error_rate=max_error_rate,
-                                        max_p99_ratio=max_p99_ratio)
-                entry.canary = {"rollout": rollout, "group": group}
+            if not entry.stopping:
+                if mode == "replace":
+                    retired = entry.group
+                    entry.group = group
+                    entry.retired.append(retired)
+                    return None
+                if entry.canary is not None or entry.shadow is not None:
+                    entry.retired.append(group)
+                    raise RuntimeError(
+                        f"model {name!r} already has an active rollout; finish it first")
+                if mode == "canary":
+                    rollout = CanaryRollout(version, fraction=fraction,
+                                            min_requests=min_requests,
+                                            max_error_rate=max_error_rate,
+                                            max_p99_ratio=max_p99_ratio)
+                    entry.canary = {"rollout": rollout, "group": group}
+                    return rollout
+                rollout = ShadowRollout(version, tolerance=tolerance)
+                entry.shadow = {"rollout": rollout, "group": group}
                 return rollout
-            rollout = ShadowRollout(version, tolerance=tolerance)
-            entry.shadow = {"rollout": rollout, "group": group}
-            return rollout
+        # Only reached when an unregister/close won the race: it has already
+        # collected this entry's groups, so nothing else would close this one.
+        group.close()
+        raise RuntimeError(f"model {name!r} was unregistered during deploy")
 
     def canary_report(self, name: str) -> Optional[dict]:
         canary = self._entry(name).canary

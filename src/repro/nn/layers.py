@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.autograd import functional as F
 from repro.autograd.conv import conv2d, conv2d_channels_last, _pair, conv2d_output_shape
-from repro.autograd.tensor import Function, Tensor, _channel_sums, record_op, ws_buf
+from repro.autograd.tensor import Function, Tensor, _channel_sums, apply_op, ws_buf
 from repro.nn import init
 from repro.nn.module import (
     Module,
@@ -208,10 +208,9 @@ class BatchNormSequenceFunction(Function):
                              momentum: float) -> None:
         """Apply the ``T`` sequential momentum updates to the running buffers.
 
-        Exactly what ``T`` single-step batch-norm calls would do; shared by
-        the eager path (:func:`batch_norm_sequence`) and the compiled replay
-        kernel so the two can never drift apart — the runtime relies on
-        bitwise-equal statistics.
+        Exactly what ``T`` single-step batch-norm calls would do; called by
+        the ``bn_seq`` kernel and its workspace-cached variant, so the two
+        produce bitwise-equal statistics.
         """
         for t in range(self.batch_mean.shape[0]):
             running_mean[...] = (1 - momentum) * running_mean + momentum * self.batch_mean[t]
@@ -300,17 +299,9 @@ class BatchNorm2d(Module):
             raise ValueError(f"BatchNorm2d expects (N, C, H, W), got shape {x.shape}")
         axes = (0, 2, 3)
         if self.training:
-            batch_mean = x.data.mean(axis=axes)
-            batch_var = x.data.var(axis=axes)
-            self.running_mean.data[...] = (
-                (1 - self.momentum) * self.running_mean.data + self.momentum * batch_mean
-            )
-            self.running_var.data[...] = (
-                (1 - self.momentum) * self.running_var.data + self.momentum * batch_var
-            )
-            # Side-effect record: a replayed step must repeat the running-stat
-            # momentum update from the live input, not keep the baked values.
-            record_op("bn_stats", (x,), None, {
+            # Side-effect op: a replayed step repeats the running-stat
+            # momentum update from the live input, not the baked values.
+            apply_op("bn_stats", (x,), {
                 "running_mean": self.running_mean.data,
                 "running_var": self.running_var.data,
                 "momentum": self.momentum, "axes": axes,
@@ -377,34 +368,13 @@ def batch_norm_sequence(
             f"sequence shape {x_seq.shape} has {x_seq.shape[-1]} channels on the "
             f"(T, N, H, W, C) channel axis, but the norm layer has {running_mean.shape[0]}"
         )
-    ctx = BatchNormSequenceFunction(
-        eps=eps, training=training, running_mean=running_mean, running_var=running_var,
-        gamma_scale=gamma_scale,
-    )
-    if weight is not None:
-        inputs = (x_seq, weight, bias)
-    else:
-        inputs = (x_seq,)
-    out_data = ctx.forward(*[t.data for t in inputs])
-    if training:
-        ctx.update_running_stats(running_mean, running_var, momentum)
-
-    def backward(grad: np.ndarray) -> None:
-        grads = ctx.backward(np.asarray(grad))
-        for tensor, g in zip(inputs, grads):
-            if g is None:
-                continue
-            if tensor.requires_grad or tensor._prev:
-                tensor._accumulate_grad(g)
-
-    out = Tensor._make(out_data, inputs, backward)
-    record_op("bn_seq", inputs, out, {
+    inputs = (x_seq,) if weight is None else (x_seq, weight, bias)
+    return apply_op("bn_seq", inputs, {
         "cls": BatchNormSequenceFunction,
         "ctor": dict(eps=eps, training=training, running_mean=running_mean,
                      running_var=running_var, gamma_scale=gamma_scale),
         "momentum": momentum,
-    }, saved=ctx)
-    return out
+    })
 
 
 class AvgPool2d(StatelessModule):

@@ -27,12 +27,15 @@ that steady-state overhead with a three-stage pipeline:
    fresh arena allocations.
 4. **Replay** (:mod:`~repro.runtime.replay`): ``CompiledTrainStep`` /
    ``CompiledForward`` re-execute the plan on new input arrays through the
-   pure-kernel op registry (:mod:`~repro.runtime.ops`) — no tensors, no
-   closures, no module dispatch — and re-capture automatically when the
-   input signature (shape/dtype/train-mode/timesteps/step-mode) changes.
+   op table (:mod:`repro.autograd.ops`) — no tensors, no closures, no
+   module dispatch — and re-capture automatically when the input signature
+   (shape/dtype/train-mode/timesteps/step-mode) changes.
 
-Replay runs the NumPy reference kernels of :mod:`~repro.runtime.ops` in
-float32; there is no other kernel backend.
+One op table serves both engines: eager tensors run the same forward and
+backward kernels a replay runs, so there is one copy of each op's math.
+:mod:`~repro.runtime.ops` adds only the workspace-cached variants the
+optimizer rewrites nodes into.  Replay runs these NumPy kernels in float32;
+there is no other kernel backend.
 
 Entry points: ``BPTTTrainer(..., compile=True)``, ``Module.compile()`` and
 ``InferenceEngine(..., compile=True)``; see the README "Compiled runtime"

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, record_op
+from repro.autograd.tensor import Tensor, apply_op
 from repro.nn import init
 from repro.nn.layers import BatchNorm2d, batch_norm_sequence
 from repro.nn.module import Module, Parameter
@@ -64,17 +64,9 @@ class TDBatchNorm2d(Module):
             raise ValueError(f"TDBatchNorm2d expects (N, C, H, W), got {x.shape}")
         axes = (0, 2, 3)
         if self.training:
-            batch_mean = x.data.mean(axis=axes)
-            batch_var = x.data.var(axis=axes)
-            self.running_mean.data[...] = (
-                (1 - self.momentum) * self.running_mean.data + self.momentum * batch_mean
-            )
-            self.running_var.data[...] = (
-                (1 - self.momentum) * self.running_var.data + self.momentum * batch_var
-            )
-            # Side-effect record so compiled replays repeat the running-stat
-            # momentum update from the live input.
-            record_op("bn_stats", (x,), None, {
+            # Side-effect op: replays repeat the running-stat momentum
+            # update from the live input.
+            apply_op("bn_stats", (x,), {
                 "running_mean": self.running_mean.data,
                 "running_var": self.running_var.data,
                 "momentum": self.momentum, "axes": axes,

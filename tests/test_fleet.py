@@ -380,6 +380,42 @@ class TestRegisterRaces:
         assert fleet.models() == []
         assert _serving_threads(before) == []
 
+    @pytest.mark.parametrize("mode", ["replace", "canary", "shadow"])
+    def test_deploy_finishing_after_unregister_raises(self, monkeypatch, mode):
+        before = set(threading.enumerate())
+        fleet = FleetServer(replicas=1, max_wait_ms=1.0)
+        fleet.register("m", _tag_model(1.0))
+        built, release = threading.Event(), threading.Event()
+        original = FleetServer._build_group
+
+        def build_then_hold(self, *args, **kwargs):
+            group = original(self, *args, **kwargs)
+            built.set()
+            assert release.wait(timeout=60)
+            return group
+
+        monkeypatch.setattr(FleetServer, "_build_group", build_then_hold)
+        errors = []
+
+        def deploy() -> None:
+            try:
+                fleet.deploy("m", _tag_model(2.0), version=2, mode=mode)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        thread = threading.Thread(target=deploy)
+        thread.start()
+        try:
+            assert built.wait(timeout=60)
+            fleet.unregister("m")
+        finally:
+            release.set()
+            thread.join(timeout=60)
+            fleet.close()
+        assert [type(exc) for exc in errors] == [RuntimeError]
+        assert fleet.models() == []
+        assert _serving_threads(before) == []
+
 
 class TestRolloutEndToEnd:
     def test_canary_auto_promotes_healthy_version(self):
