@@ -99,14 +99,8 @@ class SpikingModel(Module):
 
         ``step_mode`` overrides the model's configured engine for this call.
         """
-        mode = step_mode if step_mode is not None else self.step_mode
-        if mode not in STEP_MODES:
-            raise ValueError(f"step_mode must be one of {STEP_MODES}, got {mode!r}")
-        # A Tensor input stays in the graph (sliced via traced getitem ops), so
-        # the compiled runtime can capture the step against a replayable
-        # placeholder; plain ndarrays keep the detached fast path.
-        tensor_in = inputs if isinstance(inputs, Tensor) else None
-        data = tensor_in.data if tensor_in is not None else np.asarray(inputs, dtype=np.float32)
+        tensor_in = isinstance(inputs, Tensor)
+        data = inputs.data if tensor_in else np.asarray(inputs, dtype=np.float32)
         if data.ndim != 5:
             raise ValueError(f"expected (T, N, C, H, W) input, got shape {data.shape}")
         if data.shape[0] < self.timesteps:
@@ -114,18 +108,13 @@ class SpikingModel(Module):
                 f"input provides {data.shape[0]} timesteps but the model needs {self.timesteps}"
             )
         self.reset()
-        if mode == "fused":
-            if tensor_in is not None:
-                sequence = tensor_in if data.shape[0] == self.timesteps else tensor_in[: self.timesteps]
-            else:
-                sequence = as_tensor(data[: self.timesteps])
-            logits_seq = self.forward_sequence(sequence)
-            return [logits_seq[t] for t in range(self.timesteps)]
-        outputs: List[Tensor] = []
-        for t in range(self.timesteps):
-            frame = tensor_in[t] if tensor_in is not None else as_tensor(data[t])
-            outputs.append(self.forward(frame))
-        return outputs
+        # A Tensor input stays in the graph (sliced via traced getitem ops), so
+        # the compiled runtime can capture the step against a replayable
+        # placeholder; plain ndarrays keep the detached fast path.
+        sequence = inputs if tensor_in else data
+        if data.shape[0] > self.timesteps:
+            sequence = sequence[: self.timesteps]
+        return self.stream_timesteps(sequence, step_mode=step_mode)
 
     def stream_timesteps(
         self,

@@ -275,8 +275,11 @@ class BatchNorm2d(Module):
     Tracks running statistics with momentum (PyTorch convention: the running
     mean is updated as ``(1 - momentum) * running + momentum * batch``).  The
     spiking-specific variants (tdBN / TEBN) in :mod:`repro.snn.norm` subclass
-    or wrap this layer.
+    or wrap this layer; tdBN only sets ``gamma_scale``, a constant factor on
+    the learned gain.
     """
+
+    gamma_scale = 1.0
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1,
                  affine: bool = True, gamma_init: float = 1.0):
@@ -296,7 +299,7 @@ class BatchNorm2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
-            raise ValueError(f"BatchNorm2d expects (N, C, H, W), got shape {x.shape}")
+            raise ValueError(f"{type(self).__name__} expects (N, C, H, W), got shape {x.shape}")
         axes = (0, 2, 3)
         if self.training:
             # Side-effect op: a replayed step repeats the running-stat
@@ -314,6 +317,8 @@ class BatchNorm2d(Module):
         normalised = (x - mean) / (var + self.eps).sqrt()
         if self.affine:
             gamma = self.weight.reshape(1, -1, 1, 1)
+            if self.gamma_scale != 1.0:
+                gamma = gamma * self.gamma_scale
             beta = self.bias.reshape(1, -1, 1, 1)
             normalised = normalised * gamma + beta
         return normalised
@@ -338,6 +343,7 @@ class BatchNorm2d(Module):
             training=self.training,
             running_mean=self.running_mean.data,
             running_var=self.running_var.data,
+            gamma_scale=self.gamma_scale,
         )
 
     def extra_repr(self) -> str:

@@ -21,6 +21,7 @@ __all__ = [
     "ModuleList",
     "StatelessModule",
     "StatefulModule",
+    "TimedModule",
     "SeqToBatch",
     "fold_time",
     "unfold_time",
@@ -266,6 +267,11 @@ class Module:
 #   folds time into the batch around its ordinary ``forward``.
 # * :class:`StatefulModule` — marker base class for layers that carry state
 #   across timesteps; they must implement ``forward_sequence`` themselves.
+# * :class:`TimedModule` — base class of every layer whose function depends
+#   on the timestep index (TEBN's per-timestep gain, the HTT schedule).  It
+#   owns the model's one kind of timestep counter: ``reset_model_state``
+#   rewinds it, streaming resumes it at the stream position, and each call
+#   advances it by the number of timesteps it consumed.
 # * :class:`SeqToBatch` — adapter wrapping an arbitrary stateless module (e.g.
 #   third-party layers that cannot inherit ``StatelessModule``).
 # * :func:`sequence_forward` — dispatcher used by the models' layer-by-layer
@@ -328,6 +334,41 @@ class StatefulModule(Module):
         raise NotImplementedError(
             f"{self.__class__.__name__} is stateful and must implement forward_sequence"
         )
+
+
+class TimedModule(Module):
+    """A layer whose computation depends on the index of the current timestep.
+
+    The counter ``_t`` is the timestep the next call consumes.  A per-step
+    ``forward`` advances it by one and a fused ``forward_sequence`` by the
+    sequence length, via :meth:`advance_time`; :meth:`reset_time` (hooked
+    into :func:`repro.snn.functional.reset_model_state`) rewinds it.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._t = 0
+
+    def reset_time(self) -> None:
+        """Rewind the timestep counter (a new input sequence starts)."""
+        self._t = 0
+
+    @property
+    def time_index(self) -> int:
+        """The timestep the next call consumes; streaming sets it to resume."""
+        return self._t
+
+    @time_index.setter
+    def time_index(self, t: int) -> None:
+        if t < 0:
+            raise ValueError(f"time_index must be >= 0, got {t}")
+        self._t = int(t)
+
+    def advance_time(self, steps: int = 1) -> range:
+        """Consume ``steps`` timesteps; returns their indices."""
+        start = self._t
+        self._t = start + steps
+        return range(start, start + steps)
 
 
 class SeqToBatch(Module):

@@ -21,9 +21,10 @@ caller holds the temporal state as an explicit, detached
   chunks with ordinary fixed-``T`` batch requests on the same engine is
   safe (the engine's lock provides the mutual exclusion);
 * chunked execution is *equivalent* to the one-shot run: the fused LIF
-  node seeds its recurrence from the carried membrane and temporal-norm
-  layers resume from the carried ``time_index``, so the concatenated
-  per-timestep logits of consecutive chunks match a single
+  node seeds its recurrence from the carried membrane, and every
+  :class:`~repro.nn.module.TimedModule` (TEBN, HTT layers, entangled
+  supernet layers) resumes at the stream position ``timesteps_seen``, so
+  the concatenated per-timestep logits of consecutive chunks match a single
   ``run_timesteps`` over the full sequence (asserted to 1e-6 in
   ``tests/test_fleet.py`` and the fleet benchmarks).
 """
@@ -35,6 +36,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor, no_grad
+from repro.nn.module import TimedModule
 from repro.snn.functional import reset_model_state
 from repro.snn.neurons import LIFNeuron
 
@@ -46,17 +48,16 @@ class TemporalState:
 
     ``membranes`` holds one entry per LIF layer (traversal order): ``None``
     before the first chunk, afterwards the post-reset membrane array carried
-    into the next chunk.  ``time_indices`` holds the ``time_index`` of every
-    temporal-norm layer.  ``timesteps_seen`` counts how many stream frames
-    produced this state — the denominator for running-mean logits.
+    into the next chunk.  ``timesteps_seen`` counts how many stream frames
+    produced this state — the denominator for running-mean logits, and the
+    timestep index every timed layer resumes at, since each one advances
+    once per frame.
     """
 
-    __slots__ = ("membranes", "time_indices", "timesteps_seen")
+    __slots__ = ("membranes", "timesteps_seen")
 
-    def __init__(self, membranes: List[Optional[np.ndarray]],
-                 time_indices: List[int], timesteps_seen: int = 0):
+    def __init__(self, membranes: List[Optional[np.ndarray]], timesteps_seen: int = 0):
         self.membranes = membranes
-        self.time_indices = time_indices
         self.timesteps_seen = timesteps_seen
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -79,36 +80,31 @@ class StreamingForward:
     def __init__(self, model):
         self.model = model
         self._lifs = [m for m in model.modules() if isinstance(m, LIFNeuron)]
-        self._timed = [m for m in model.modules()
-                       if not isinstance(m, LIFNeuron) and hasattr(m, "time_index")]
+        self._timed = [m for m in model.modules() if isinstance(m, TimedModule)]
 
     # -- state management ---------------------------------------------------------
 
     def initial_state(self) -> TemporalState:
         """The state of a brand-new stream (no membrane, ``t = 0``)."""
-        return TemporalState([None] * len(self._lifs), [0] * len(self._timed), 0)
+        return TemporalState([None] * len(self._lifs), 0)
 
     def _install(self, state: TemporalState) -> None:
-        if len(state.membranes) != len(self._lifs) or \
-                len(state.time_indices) != len(self._timed):
+        if len(state.membranes) != len(self._lifs):
             raise ValueError(
                 f"TemporalState shape mismatch: state has {len(state.membranes)} "
-                f"membranes / {len(state.time_indices)} time indices, model has "
-                f"{len(self._lifs)} LIF layers / {len(self._timed)} timed layers"
+                f"membranes, model has {len(self._lifs)} LIF layers"
             )
         for lif, membrane in zip(self._lifs, state.membranes):
             lif.state.membrane = None if membrane is None else Tensor(membrane)
-        for module, t in zip(self._timed, state.time_indices):
-            module.time_index = t
+        for module in self._timed:
+            module.time_index = state.timesteps_seen
 
     def _capture(self, state: TemporalState, chunk_steps: int) -> TemporalState:
         membranes = []
         for lif in self._lifs:
             held = lif.state.membrane
             membranes.append(None if held is None else np.array(held.data, copy=True))
-        time_indices = [int(module.time_index) for module in self._timed]
-        return TemporalState(membranes, time_indices,
-                             state.timesteps_seen + chunk_steps)
+        return TemporalState(membranes, state.timesteps_seen + chunk_steps)
 
     # -- execution ----------------------------------------------------------------
 

@@ -41,7 +41,7 @@ from repro.autograd.tensor import Tensor
 from repro.models.base import SpikingModel
 from repro.models.builder import _resolve_parent, decomposable_convolutions
 from repro.nn.layers import Conv2d
-from repro.nn.module import Module, fold_time, unfold_time
+from repro.nn.module import Module, TimedModule, fold_time, unfold_time
 from repro.search.space import FORMATS, LayerChoice, LayerSearchSpace, SearchSpace
 from repro.snn.functional import reset_model_state
 from repro.tt.decomposition import max_tt_ranks, tt_decompose_conv
@@ -85,7 +85,7 @@ class _SlicedConv:
                                     stride=self.stride, padding=self.padding)
 
 
-class EntangledTTConv2d(Module):
+class EntangledTTConv2d(TimedModule):
     """One supernet convolution: all (format, rank) choices share its weights.
 
     Parameters
@@ -163,18 +163,8 @@ class EntangledTTConv2d(Module):
                                     conv_weights):
                 conv.weight.data[...] = weight.astype(np.float32)
 
-        if timesteps < 1:
-            raise ValueError(f"timesteps must be >= 1, got {timesteps}")
+        self.schedule = parse_htt_schedule(schedule, int(timesteps))
         self.timesteps = int(timesteps)
-        if schedule is None:
-            full = self.timesteps - self.timesteps // 2
-            schedule = [False] * full + [True] * (self.timesteps // 2)
-        self.schedule = parse_htt_schedule(schedule)
-        if len(self.schedule) != self.timesteps:
-            raise ValueError(
-                f"schedule length {len(self.schedule)} does not match timesteps {self.timesteps}"
-            )
-        self._t = 0
         self._mixture: Optional[Tuple[Tensor, List[LayerChoice]]] = None
         # Default to the highest-capacity TT choice (or dense if TT-free).
         tt_formats = [f for f in space.formats if f != "dense"]
@@ -233,12 +223,6 @@ class EntangledTTConv2d(Module):
     def mixture_active(self) -> bool:
         return self._mixture is not None
 
-    # -- time bookkeeping (HTT choices) --------------------------------------
-
-    def reset_time(self) -> None:
-        """Rewind the timestep counter (hooked into ``reset_model_state``)."""
-        self._t = 0
-
     def half_timestep(self, t: int) -> bool:
         return self.schedule[min(t, self.timesteps - 1)]
 
@@ -276,8 +260,8 @@ class EntangledTTConv2d(Module):
         return unfold_time(wiring(*cl, fold_time(x_seq)), timesteps)
 
     def forward(self, x: Tensor) -> Tensor:
-        use_half = self.half_timestep(self._t)
-        self._t += 1
+        (t,) = self.advance_time()
+        use_half = self.half_timestep(t)
         if self._mixture is not None:
             weights, choices = self._mixture
             out = None
@@ -289,10 +273,7 @@ class EntangledTTConv2d(Module):
 
     def forward_sequence(self, x_seq: Tensor) -> Tensor:
         """Fused path over a channels-last ``(T, N, H, W, C)`` sequence."""
-        timesteps = x_seq.shape[0]
-        start = self._t
-        flags = [self.half_timestep(start + t) for t in range(timesteps)]
-        self._t = start + timesteps
+        flags = [self.half_timestep(t) for t in self.advance_time(x_seq.shape[0])]
         if self._mixture is not None:
             weights, choices = self._mixture
             out = None

@@ -162,31 +162,7 @@ class _FusedLIFSequence(Function):
         self.final_membrane: Optional[np.ndarray] = None
 
     def forward(self, currents: np.ndarray) -> np.ndarray:
-        timesteps = currents.shape[0]
-        membranes = ws_buf(self, "membranes", currents.shape, currents.dtype)
-        spikes = ws_buf(self, "spikes", currents.shape, currents.dtype)
-        post = ws_buf(self, "post", currents.shape[1:], currents.dtype)
-        scratch = ws_buf(self, "scratch", currents.shape[1:], currents.dtype)
-        if self.initial_membrane is None:
-            np.copyto(post, 0.0)
-        else:
-            np.copyto(post, self.initial_membrane)
-        for t in range(timesteps):
-            membrane = membranes[t]
-            np.multiply(post, self.tau_m, out=membrane)
-            membrane += currents[t]
-            spike = spikes[t]
-            np.greater_equal(membrane, self.v_threshold, out=spike, casting="unsafe")
-            if self.hard_reset:
-                np.subtract(1.0, spike, out=scratch)
-                np.multiply(membrane, scratch, out=post)
-            else:
-                np.multiply(spike, self.v_threshold, out=scratch)
-                np.subtract(membrane, scratch, out=post)
-        self._membranes = membranes
-        self._spikes = spikes
-        self.final_membrane = post
-        return spikes
+        return self._recurrence(currents, keep_history=True)
 
     def forward_inference(self, currents: np.ndarray) -> np.ndarray:
         """Forward without BPTT bookkeeping (compiled no-grad replay path).
@@ -196,16 +172,22 @@ class _FusedLIFSequence(Function):
         forward-only plans allocate one output and three frame-sized
         scratches per call.
         """
-        timesteps = currents.shape[0]
-        spikes = ws_buf(self, "spikes", currents.shape, currents.dtype)
-        membrane = ws_buf(self, "membrane", currents.shape[1:], currents.dtype)
-        scratch = ws_buf(self, "scratch", currents.shape[1:], currents.dtype)
-        post = ws_buf(self, "post", currents.shape[1:], currents.dtype)
-        if self.initial_membrane is None:
-            np.copyto(post, 0.0)
+        return self._recurrence(currents, keep_history=False)
+
+    def _recurrence(self, currents: np.ndarray, keep_history: bool) -> np.ndarray:
+        """The membrane recurrence; ``keep_history`` saves what backward needs."""
+        frame = currents.shape[1:]
+        if keep_history:
+            membranes = ws_buf(self, "membranes", currents.shape, currents.dtype)
         else:
-            np.copyto(post, self.initial_membrane)
-        for t in range(timesteps):
+            membrane = ws_buf(self, "membrane", frame, currents.dtype)
+        spikes = ws_buf(self, "spikes", currents.shape, currents.dtype)
+        post = ws_buf(self, "post", frame, currents.dtype)
+        scratch = ws_buf(self, "scratch", frame, currents.dtype)
+        np.copyto(post, 0.0 if self.initial_membrane is None else self.initial_membrane)
+        for t in range(currents.shape[0]):
+            if keep_history:
+                membrane = membranes[t]
             np.multiply(post, self.tau_m, out=membrane)
             membrane += currents[t]
             spike = spikes[t]
@@ -216,6 +198,9 @@ class _FusedLIFSequence(Function):
             else:
                 np.multiply(spike, self.v_threshold, out=scratch)
                 np.subtract(membrane, scratch, out=post)
+        if keep_history:
+            self._membranes = membranes
+            self._spikes = spikes
         self.final_membrane = post
         return spikes
 

@@ -16,7 +16,10 @@ and differ only in how the sub-convolutions are wired:
   effective receptive field is a 3x3 cross (no corners).
 * **HTT** (proposed): PTT wiring on "full" timesteps, and the short path
   ``conv1 -> conv4`` on "half" timesteps (Fig. 2), exploiting timestep
-  redundancy.
+  redundancy.  Both paths end in the same ``conv4``, so the fused sequence
+  path runs ``conv1`` and ``conv4`` once over all ``T`` timesteps and
+  ``conv2``/``conv3`` once per contiguous run of full timesteps, on slices
+  of ``conv1``'s output (:func:`htt_sequence_wiring`).
 
 A note on stride: the dense convolution's stride can be placed either on the
 *first* 1x1 sub-convolution (``stride_mode="first"``, the default) or on the
@@ -38,7 +41,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.nn.layers import Conv2d, _pair
-from repro.nn.module import Module, fold_time, unfold_time
+from repro.nn.module import Module, TimedModule, fold_time, unfold_time
 from repro.tt.decomposition import TTCores, max_tt_ranks, tt_decompose_conv
 
 __all__ = [
@@ -88,10 +91,7 @@ def htt_step_wiring(conv1, conv2, conv3, conv4, x: Tensor, use_half: bool) -> Te
     """One HTT timestep (Fig. 2): PTT wiring, or the short path on half steps."""
     if use_half:
         return conv4(conv1(x))
-    shared = conv1(x)
-    vertical = conv2(shared)
-    horizontal = conv3(shared)
-    return conv4(vertical + horizontal)
+    return ptt_wiring(conv1, conv2, conv3, conv4, x)
 
 
 def htt_sequence_wiring(conv1, conv2, conv3, conv4, x_seq: Tensor,
@@ -100,51 +100,58 @@ def htt_sequence_wiring(conv1, conv2, conv3, conv4, x_seq: Tensor,
 
     The convolution callables operate on folded channels-last ``(M, H, W, C)``
     batches; ``flags[t]`` is ``True`` when timestep ``t`` takes the half path.
-    ``conv1`` runs once on the whole folded batch; the expensive
-    ``conv2``/``conv3`` pair then runs only on the timesteps the schedule
-    marks full, the half timesteps take the short ``conv1 -> conv4`` path,
-    and the two groups are re-interleaved into time order.
+    ``conv1`` runs once on the whole folded batch.  The schedule is walked
+    as contiguous runs of full or half timesteps: a full run adds the
+    ``conv2 + conv3`` cross to its slice of ``conv1``'s output, a half run
+    passes its slice through.  The runs are joined in time order and
+    ``conv4`` runs once over all ``T`` timesteps.
     """
     timesteps = x_seq.shape[0]
     shared = unfold_time(conv1(fold_time(x_seq)), timesteps)
-    full_steps = [t for t, half in enumerate(flags) if not half]
-    half_steps = [t for t, half in enumerate(flags) if half]
-
-    if not half_steps:
-        folded = fold_time(shared)
-        out = conv4(conv2(folded) + conv3(folded))
-        return unfold_time(out, timesteps)
-    if not full_steps:
-        return unfold_time(conv4(fold_time(shared)), timesteps)
-
-    shared_full = fold_time(shared[full_steps])
-    out_full_folded = conv4(conv2(shared_full) + conv3(shared_full))
-    out_full = unfold_time(out_full_folded, len(full_steps))
-    out_half = unfold_time(conv4(fold_time(shared[half_steps])), len(half_steps))
-    combined = Tensor.concatenate([out_full, out_half], axis=0)
-    # Rows are ordered full-then-half; scatter them back into time order.
-    order = np.argsort(np.asarray(full_steps + half_steps, dtype=np.int64))
-    return combined[list(order)]
+    runs = []
+    start = 0
+    for stop in range(1, timesteps + 1):
+        if stop < timesteps and flags[stop] == flags[start]:
+            continue
+        run = shared if stop - start == timesteps else shared[start:stop]
+        if not flags[start]:
+            folded = fold_time(run)
+            run = unfold_time(conv2(folded) + conv3(folded), stop - start)
+        runs.append(run)
+        start = stop
+    mixed = runs[0] if len(runs) == 1 else Tensor.concatenate(runs, axis=0)
+    return unfold_time(conv4(fold_time(mixed)), timesteps)
 
 
-def parse_htt_schedule(schedule: Union[str, Sequence[bool]]) -> List[bool]:
+def parse_htt_schedule(schedule: Union[str, Sequence[bool], None],
+                       timesteps: Optional[int] = None) -> List[bool]:
     """Parse an HTT schedule into a list of per-timestep "use half path" flags.
 
     Accepts either a string of ``'F'`` (full) / ``'H'`` (half) characters —
     the notation of Table IV — or a sequence of booleans where ``True`` means
-    the half path is used at that timestep.
+    the half path is used at that timestep.  With ``timesteps`` given, the
+    schedule must have that length, and ``None`` selects the default: full
+    for the first half of the timesteps and half for the rest (Table IV's
+    best ordering).
     """
+    if timesteps is not None and timesteps < 1:
+        raise ValueError(f"timesteps must be >= 1, got {timesteps}")
+    if schedule is None:
+        if timesteps is None:
+            raise ValueError("the default HTT schedule needs the number of timesteps")
+        return [False] * (timesteps - timesteps // 2) + [True] * (timesteps // 2)
     if isinstance(schedule, str):
-        flags = []
-        for ch in schedule.upper():
-            if ch == "F":
-                flags.append(False)
-            elif ch == "H":
-                flags.append(True)
-            else:
-                raise ValueError(f"HTT schedule characters must be 'F' or 'H', got {ch!r}")
-        return flags
-    return [bool(x) for x in schedule]
+        bad = sorted(set(schedule.upper()) - {"F", "H"})
+        if bad:
+            raise ValueError(f"HTT schedule characters must be 'F' or 'H', got {bad}")
+        flags = [ch == "H" for ch in schedule.upper()]
+    else:
+        flags = [bool(x) for x in schedule]
+    if timesteps is not None and len(flags) != timesteps:
+        raise ValueError(
+            f"schedule length {len(flags)} does not match timesteps {timesteps}"
+        )
+    return flags
 
 
 class TTConv2dBase(Module):
@@ -344,14 +351,12 @@ class PTTConv2d(TTConv2dBase):
         return ptt_wiring(*(c.forward_channels_last for c in self.sub_convolutions()), x)
 
 
-class HTTConv2d(TTConv2dBase):
+class HTTConv2d(TTConv2dBase, TimedModule):
     """Half TT convolution (Fig. 2).
 
     Uses the full PTT wiring on timesteps marked ``'F'`` and the short path
-    ``conv1 -> conv4`` on timesteps marked ``'H'``.  The layer keeps an
-    internal timestep counter that advances on every forward call and is
-    rewound by :meth:`reset_time` (hooked into
-    :func:`repro.snn.functional.reset_model_state`).
+    ``conv1 -> conv4`` on timesteps marked ``'H'``.  The timestep counter of
+    :class:`~repro.nn.module.TimedModule` selects the schedule entry.
 
     Parameters
     ----------
@@ -382,32 +387,16 @@ class HTTConv2d(TTConv2dBase):
         super().__init__(in_channels, out_channels, kernel_size=kernel_size, rank=rank,
                          stride=stride, stride_mode=stride_mode,
                          dense_weight=dense_weight, rng=rng)
-        if timesteps < 1:
-            raise ValueError(f"timesteps must be >= 1, got {timesteps}")
+        self.schedule = parse_htt_schedule(schedule, timesteps)
         self.timesteps = timesteps
-        if schedule is None:
-            full = timesteps - timesteps // 2
-            schedule = [False] * full + [True] * (timesteps // 2)
-        self.schedule = parse_htt_schedule(schedule)
-        if len(self.schedule) != timesteps:
-            raise ValueError(
-                f"schedule length {len(self.schedule)} does not match timesteps {timesteps}"
-            )
-        self._t = 0
 
-    def reset_time(self) -> None:
-        """Rewind the timestep counter (called at the start of each sequence)."""
-        self._t = 0
-
-    def half_timestep(self, t: Optional[int] = None) -> bool:
-        """Whether timestep ``t`` (or the current one) uses the half path."""
-        index = self._t if t is None else t
-        return self.schedule[min(index, self.timesteps - 1)]
+    def half_timestep(self, t: int) -> bool:
+        """Whether timestep ``t`` uses the half path."""
+        return self.schedule[min(t, self.timesteps - 1)]
 
     def forward(self, x: Tensor) -> Tensor:
-        use_half = self.half_timestep()
-        self._t += 1
-        return htt_step_wiring(self.conv1, self.conv2, self.conv3, self.conv4, x, use_half)
+        (t,) = self.advance_time()
+        return htt_step_wiring(*self.sub_convolutions(), x, self.half_timestep(t))
 
     def forward_channels_last(self, x: Tensor) -> Tensor:
         # Folded batches mix timesteps, so the schedule cannot be applied;
@@ -417,17 +406,12 @@ class HTTConv2d(TTConv2dBase):
     def forward_sequence(self, x_seq: Tensor) -> Tensor:
         """Schedule-aware fused path over a channels-last ``(T, N, H, W, C)`` sequence.
 
-        ``conv1`` runs once on the whole folded batch; the expensive
-        ``conv2``/``conv3`` pair then runs only on the timesteps the schedule
-        marks full, the half timesteps take the short ``conv1 -> conv4``
-        path, and the two groups are re-interleaved into time order.
+        See :func:`htt_sequence_wiring`: ``conv2``/``conv3`` run only on the
+        timesteps the schedule marks full.
         """
-        timesteps = x_seq.shape[0]
-        start = self._t
-        flags = [self.half_timestep(start + t) for t in range(timesteps)]
-        self._t = start + timesteps
-        conv1, conv2, conv3, conv4 = (c.forward_channels_last for c in self.sub_convolutions())
-        return htt_sequence_wiring(conv1, conv2, conv3, conv4, x_seq, flags)
+        flags = [self.half_timestep(t) for t in self.advance_time(x_seq.shape[0])]
+        return htt_sequence_wiring(*(c.forward_channels_last for c in self.sub_convolutions()),
+                                   x_seq, flags)
 
     def extra_repr(self) -> str:
         schedule = "".join("H" if h else "F" for h in self.schedule)

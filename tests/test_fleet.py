@@ -29,6 +29,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from repro.autograd.tensor import no_grad
 from repro.fleet import (
     AdmissionQueue,
     CanaryRollout,
@@ -41,11 +42,15 @@ from repro.fleet import (
     SessionClosed,
     ShadowRollout,
 )
+from repro.models.builder import convert_to_tt
+from repro.models.resnet import spiking_resnet18
 from repro.models.vgg import spiking_vgg9
 from repro.obs.metrics import default_registry
 from repro.obs.trace import get_tracer
+from repro.search import LayerChoice, TTSupernet
 from repro.serve.batcher import BatcherClosed
 from repro.serve.engine import InferenceEngine
+from repro.tt.layers import HTTConv2d
 
 TIMESTEPS = 2
 SAMPLE_SHAPE = (3, 10, 10)
@@ -525,6 +530,42 @@ class TestStreamingSessions:
             session.close()
             with pytest.raises(SessionClosed):
                 session.send_chunk(frames[:1])
+
+    @pytest.mark.parametrize("kind", ["htt", "supernet"])
+    def test_chunked_stream_of_htt_model_matches_one_shot(self, kind):
+        """Unmerged HTT layers resume their schedule at every chunk boundary."""
+        # Residual paths keep spikes alive through a tiny randomly
+        # initialised network, so every HTT layer sees input.
+        model = spiking_resnet18(num_classes=NUM_CLASSES, in_channels=3, timesteps=4,
+                                 width_scale=0.07, rng=np.random.default_rng(3))
+        if kind == "htt":
+            convert_to_tt(model, variant="htt", rank=4, timesteps=4, schedule="FFHH")
+            timed = [m for m in model.modules() if isinstance(m, HTTConv2d)]
+        else:
+            model = TTSupernet(model, max_rank=4, schedule="FFHH")
+            model.apply_config([LayerChoice("htt", 4) for _ in model.space.layers])
+            timed = model.layers()
+        frames = _samples(4, seed=9)
+        # Calibrate the batch norms: with the initial running statistics no
+        # spike gets past the first layer and every schedule looks alike.
+        with no_grad():
+            for seed in range(3):
+                model.run_timesteps(_samples(16, seed=seed).reshape(4, 4, *SAMPLE_SHAPE))
+        model.eval()
+        engine = InferenceEngine(model, merge=False)
+        one_shot = engine.infer(frames[:, None])[0]
+        state = engine.stream_state()
+        total = np.zeros_like(one_shot)
+        for t in range(4):
+            logits_sum, state = engine.infer_stream(frames[t:t + 1], state)
+            total += logits_sum
+        assert state.timesteps_seen == 4
+        np.testing.assert_allclose(total / 4, one_shot, atol=1e-6)
+        # Not vacuous: the half timesteps change the logits.
+        for layer in timed:
+            layer.schedule = [False] * 4
+        all_full = InferenceEngine(model, merge=False).infer(frames[:, None])[0]
+        assert np.abs(all_full - one_shot).max() > 1e-3
 
     def test_session_repins_after_replica_crash(self):
         model = _tiny_model(seed=3, timesteps=6)

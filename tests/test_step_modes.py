@@ -112,12 +112,23 @@ class TestTTModels:
         _assert_equivalent(*_run_both_modes(model, inputs, labels))
 
     def test_htt_all_half_schedule(self):
-        """Degenerate HTT schedules (all half / all full) keep mode equivalence."""
-        for schedule in ("HH", "FF"):
-            model = spiking_resnet18(num_classes=4, timesteps=2, width_scale=0.07,
+        """Degenerate and interleaved HTT schedules keep mode equivalence.
+
+        The fused path walks the schedule's contiguous full/half runs, so the
+        cases cover a single run of either kind, several full runs and a
+        leading half run, with the stride on the first or the last 1x1.
+        """
+        cases = [("HH", "first"), ("FF", "first")]
+        cases += [(schedule, stride_mode)
+                  for schedule in ("FFFF", "HHHH", "FFHH", "HHFF", "FHFH", "HFFH", "FHHF")
+                  for stride_mode in ("first", "last")]
+        for schedule, stride_mode in cases:
+            timesteps = len(schedule)
+            model = spiking_resnet18(num_classes=4, timesteps=timesteps, width_scale=0.07,
                                      rng=np.random.default_rng(0))
-            convert_to_tt(model, variant="htt", rank=4, timesteps=2, schedule=schedule)
-            inputs, labels = _make_batch(2)
+            convert_to_tt(model, variant="htt", rank=4, timesteps=timesteps,
+                          schedule=schedule, stride_mode=stride_mode)
+            inputs, labels = _make_batch(timesteps)
             _assert_equivalent(*_run_both_modes(model, inputs, labels))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.autograd.conv import conv2d
 from repro.autograd.tensor import Tensor
+from repro.runtime.graph import GraphCapture
 from repro.tt.decomposition import max_tt_ranks
 from repro.tt.layers import HTTConv2d, PTTConv2d, STTConv2d, parse_htt_schedule
 
@@ -124,6 +125,12 @@ class TestHTT:
         assert parse_htt_schedule([True, False]) == [True, False]
         with pytest.raises(ValueError):
             parse_htt_schedule("FFXH")
+        assert parse_htt_schedule(None, 5) == [False, False, False, True, True]
+        assert parse_htt_schedule("HF", 2) == [True, False]
+        with pytest.raises(ValueError):
+            parse_htt_schedule("FFH", 4)
+        with pytest.raises(ValueError):
+            parse_htt_schedule(None)
 
     def test_default_schedule_half_late(self):
         layer = HTTConv2d(4, 4, 3, rank=2, timesteps=4)
@@ -157,6 +164,23 @@ class TestHTT:
         for _ in range(5):       # more calls than timesteps must not crash
             layer(x)
         assert layer.half_timestep(10) is True
+
+    @pytest.mark.parametrize("schedule, convs", [("FFHH", 4), ("FFFF", 4), ("HHHH", 2),
+                                                 ("FHFH", 6)])
+    def test_sequence_wiring_runs_conv4_once(self, rng, schedule, convs):
+        """conv1 and conv4 run once over all T; conv2/conv3 once per full run."""
+        layer = HTTConv2d(4, 6, 3, rank=3, timesteps=4, schedule=schedule)
+        x_seq = Tensor(rng.standard_normal((4, 2, 5, 5, 4)).astype(np.float32),
+                       requires_grad=True)
+        with GraphCapture() as capture:
+            layer.forward_sequence(x_seq)
+        fn_classes = [node.attrs["cls"].__name__ for node in capture.nodes if node.op == "fn"]
+        assert len(fn_classes) == convs
+        assert all("Conv" in name for name in fn_classes)
+        for node in capture.nodes:
+            if node.op == "getitem":
+                index = node.attrs["index"]
+                assert not isinstance(index, (list, np.ndarray)), index
 
     def test_invalid_timesteps(self):
         with pytest.raises(ValueError):
