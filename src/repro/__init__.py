@@ -29,8 +29,8 @@ Subpackages
 ``repro.resilience`` deterministic fault injection, durable checkpoints,
                      numeric guards, per-replica circuit breakers
 ``repro.search``     one-shot TT-rank/format search: entangled supernet,
-                     evolutionary + Gumbel-softmax strategies, hardware-aware
-                     Pareto selection
+                     random + evolutionary strategies, hardware-aware Pareto
+                     selection
 ``repro.experiments`` one driver per paper table / figure
 """
 

@@ -1,4 +1,4 @@
-"""Process pool for data-parallel training and parallel search evaluation.
+"""Process pool for data-parallel training.
 
 The pool owns ``num_workers`` forked processes, two shared-memory buffers
 (weights + per-worker gradient rows, :mod:`repro.parallel.shm`) and one
@@ -16,9 +16,6 @@ Command set (coordinator → worker):
   worker assembles its micro-shards from its own shard-aware
   :class:`~repro.data.datasets.DataLoader` (``num_shards``/``shard_index``),
   so epoch data never crosses the pipe.
-* ``eval_config`` — apply a search-space candidate to the replica (a
-  :class:`~repro.search.supernet.TTSupernet`) and score it on the worker's
-  validation dataset: the parallel half of ``repro.search``.
 * ``stats`` / ``ping`` / ``shutdown`` — bookkeeping.
 
 Failure model: a worker that raises mid-command reports the traceback and
@@ -44,11 +41,10 @@ weights.  Hangs (and crashes) are injectable deterministically through the
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.connection
 import os
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -194,8 +190,6 @@ def _worker_main(rank: int, conn, spec: Dict[str, object]) -> None:
             elif cmd == "epoch_end":
                 iterators = []
                 payload = {}
-            elif cmd == "eval_config":
-                payload = engine.eval_config(sync_weights, msg)
             elif cmd == "stats":
                 payload = {"runtime": engine.runtime_stats()}
             elif cmd == "ping":
@@ -232,7 +226,6 @@ class _WorkerEngine:
         self.augment = spec.get("augment")
         self.timesteps = int(spec["timesteps"])
         self.step_mode = spec.get("step_mode")
-        self.val_dataset = spec.get("val_dataset")
         self._params = [p for p in model.parameters() if p.requires_grad]
         self._compiled = None
         if spec.get("compile"):
@@ -265,22 +258,6 @@ class _WorkerEngine:
         correct = int((np.argmax(mean_logits, axis=1) == labels).sum())
         return float(loss), correct, bool(replayed)
 
-    def eval_config(self, sync_weights: Callable[[], None],
-                    msg: Dict[str, object]) -> Dict[str, object]:
-        """Score one search candidate on this worker's validation dataset."""
-        from repro.training.trainer import evaluate_accuracy
-
-        if self.val_dataset is None:
-            raise RuntimeError("pool was created without a validation dataset")
-        t_start = time.perf_counter()
-        sync_weights()
-        self.model.apply_config(msg["config"])
-        accuracy = evaluate_accuracy(
-            self.model, self.val_dataset, batch_size=int(msg["batch_size"]),
-            timesteps=int(msg["timesteps"]))
-        return {"accuracy": float(accuracy), "t_start": t_start,
-                "t_end": time.perf_counter()}
-
     def runtime_stats(self) -> Optional[Dict[str, object]]:
         return self._compiled.runtime_stats() if self._compiled is not None else None
 
@@ -289,10 +266,8 @@ class WorkerPool:
     """Spawn and coordinate ``num_workers`` model-replica processes.
 
     Parameters mirror :class:`~repro.training.trainer.BPTTTrainer` where
-    they overlap; the pool itself is engine-agnostic — the
-    :class:`~repro.parallel.trainer.DataParallelTrainer` drives it for
-    training, :class:`~repro.search.searcher.Searcher` for candidate
-    evaluation.  Workers are forked (``start_method="fork"``), so the model
+    they overlap; :class:`~repro.parallel.trainer.DataParallelTrainer`
+    drives it.  Workers are forked (``start_method="fork"``), so the model
     and datasets are inherited copy-on-write and never pickled.
     """
 
@@ -310,7 +285,6 @@ class WorkerPool:
         effective_batch: int = 1,
         accum_steps: int = 1,
         train_dataset=None,
-        val_dataset=None,
         batch_size: Optional[int] = None,
         shuffle: bool = True,
         drop_last: bool = False,
@@ -358,7 +332,6 @@ class WorkerPool:
             "optimize": optimize,
             "effective_batch": effective_batch,
             "train_dataset": train_dataset,
-            "val_dataset": val_dataset,
             "batch_size": batch_size or effective_batch,
             "shuffle": shuffle,
             "drop_last": drop_last,
@@ -368,7 +341,6 @@ class WorkerPool:
             # ``_worker_main``); ``None`` keeps the zero-cost no-op path.
             "fault_plan": faults.active_plan(),
         }
-        self._val_dataset = val_dataset
         self.worker_restarts = 0
 
         # Kept for the watchdog: ``restart_worker`` respawns a single rank
@@ -446,40 +418,6 @@ class WorkerPool:
     def gather(self, timeout: float = DEFAULT_TIMEOUT_S) -> List[Dict[str, object]]:
         """Collect one reply per worker, in rank order."""
         return [self.recv(rank, timeout=timeout) for rank in range(self.num_workers)]
-
-    def map(self, messages: Sequence[Dict[str, object]],
-            timeout: float = DEFAULT_TIMEOUT_S) -> List[Dict[str, object]]:
-        """Run arbitrary per-item commands across the pool, preserving order.
-
-        Items are handed to workers as they free up (simple greedy
-        scheduler); used by the searcher, where candidates are independent
-        and of uneven cost.
-        """
-        results: List[Optional[Dict[str, object]]] = [None] * len(messages)
-        pending = list(enumerate(messages))
-        inflight: Dict[int, int] = {}  # rank -> item index
-        free = list(range(self.num_workers))
-        while pending or inflight:
-            while pending and free:
-                index, msg = pending.pop(0)
-                rank = free.pop(0)
-                self.send(rank, msg)
-                inflight[rank] = index
-            # Wait for whichever in-flight worker answers first.
-            ready = multiprocessing.connection.wait(
-                [self._conns[rank] for rank in inflight], timeout=timeout)
-            if not ready:
-                self._crash(next(iter(inflight)), f"no reply within {timeout:.0f}s")
-            for conn in ready:
-                rank = self._conns.index(conn)
-                try:
-                    results[inflight.pop(rank)] = self.recv(rank, timeout=timeout)
-                except WorkerHungError as exc:
-                    # map() callers (the searcher) carry no per-item retry
-                    # state, so a hang here keeps the fatal-teardown contract.
-                    self._crash(exc.rank, f"no reply within {timeout:.0f}s")
-                free.append(rank)
-        return results  # type: ignore[return-value]
 
     # -- all-reduce ---------------------------------------------------------------
 

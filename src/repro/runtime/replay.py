@@ -18,10 +18,7 @@ Models can extend the signature through an optional ``runtime_signature()``
 method (duck-typed): its return value is appended to the plan key, so
 architectural state invisible to the input shape — e.g. the sampled
 (format, rank) configuration of an entangled supernet
-(:mod:`repro.search.supernet`) — re-captures when it changes.  Returning
-``None`` marks the current state as *uncompilable* (e.g. a Gumbel-softmax
-mixture whose weights change every step); both engines then run that call
-eagerly instead of capturing a plan that would bake stale values.
+(:mod:`repro.search.supernet`) — re-captures when it changes.
 """
 
 from __future__ import annotations
@@ -73,7 +70,6 @@ class _CompiledBase:
         self.capture_time_s = 0.0
         self.replay_count = 0
         self.replay_time_s = 0.0
-        self.eager_count = 0
         # Bounded window: long-running servers replay millions of times.
         self.replay_durations: "deque[float]" = deque(maxlen=1024)
         # Process-wide instruments (get-or-create: shared across runtimes).
@@ -81,8 +77,6 @@ class _CompiledBase:
             "repro_runtime_captures_total", "Compiled-plan captures")
         self._m_replays = _metrics.counter(
             "repro_runtime_replays_total", "Compiled-plan replays")
-        self._m_eager = _metrics.counter(
-            "repro_runtime_eager_total", "Eager fallbacks (uncompilable state)")
         self._m_replay_seconds = _metrics.histogram(
             "repro_runtime_replay_seconds", "Replay wall-clock seconds")
 
@@ -109,7 +103,6 @@ class _CompiledBase:
             "replay_time_s": self.replay_time_s,
             "mean_capture_s": self.capture_time_s / max(1, self.capture_count),
             "mean_replay_s": self.replay_time_s / max(1, self.replay_count),
-            "eager_steps": self.eager_count,
             "plans": len(self._plans),
             "optimize": self.optimize,
             "arena": self.arena.stats(),
@@ -162,30 +155,24 @@ class CompiledTrainStep(_CompiledBase):
         self.loss_fn = loss_fn
         self.step_mode = step_mode
 
-    def signature(self, batch: np.ndarray) -> Optional[tuple]:
+    def signature(self, batch: np.ndarray) -> tuple:
         mode = self.step_mode if self.step_mode is not None else self.model.step_mode
         base = (tuple(batch.shape), batch.dtype.str, bool(self.model.training),
                 int(self.model.timesteps), mode)
         hook = getattr(self.model, "runtime_signature", None)
         if callable(hook):
-            extra = hook()
-            if extra is None:
-                return None
-            base = base + (extra,)
+            base = base + (hook(),)
         return base
 
     def run(self, batch: np.ndarray, labels: np.ndarray) -> Tuple[float, List[np.ndarray], bool]:
         """Execute one training step; returns ``(loss, per-timestep logits, replayed)``.
 
         ``replayed`` is ``False`` on capture steps (first occurrence of the
-        input signature) and on eager fallbacks (uncompilable model state),
-        and ``True`` afterwards.
+        input signature) and ``True`` afterwards.
         """
         batch = np.asarray(batch, dtype=np.float32)
         labels = np.asarray(labels)
         key = self.signature(batch)
-        if key is None:
-            return self._eager(batch, labels)
         entry = self._plans.get(key)
         if entry is None:
             return self._capture(key, batch, labels)
@@ -214,21 +201,6 @@ class CompiledTrainStep(_CompiledBase):
         self._m_replays.inc()
         self._m_replay_seconds.observe(elapsed)
         return loss, outputs, True
-
-    def _eager(self, batch: np.ndarray,
-               labels: np.ndarray) -> Tuple[float, List[np.ndarray], bool]:
-        """Plain eager autograd step for uncompilable model state.
-
-        Contract-identical to a capture step minus the plan: gradients land
-        on ``Parameter.grad`` for the caller's optimiser update.
-        """
-        with get_tracer().span("runtime.eager", kind="train"):
-            outputs = self.model.run_timesteps(batch, step_mode=self.step_mode)
-            loss = self.loss_fn(outputs, labels)
-            loss.backward()
-        self.eager_count += 1
-        self._m_eager.inc()
-        return float(loss.data), [out.data for out in outputs], False
 
     def _capture(self, key: tuple, batch: np.ndarray,
                  labels: np.ndarray) -> Tuple[float, List[np.ndarray], bool]:
@@ -273,25 +245,20 @@ class CompiledForward(_CompiledBase):
         self.fn = fn
         self.owner = owner
 
-    def signature(self, array: np.ndarray) -> Optional[tuple]:
+    def signature(self, array: np.ndarray) -> tuple:
         extras: tuple = ()
         if self.owner is not None:
             extras = (bool(getattr(self.owner, "training", False)),
                       getattr(self.owner, "timesteps", None))
             hook = getattr(self.owner, "runtime_signature", None)
             if callable(hook):
-                extra = hook()
-                if extra is None:
-                    return None
-                extras = extras + (extra,)
+                extras = extras + (hook(),)
         return (tuple(array.shape), array.dtype.str) + extras
 
     def __call__(self, array: np.ndarray) -> Union[np.ndarray, List[np.ndarray]]:
         """Run the compiled forward; output arrays are valid until the next call."""
         array = np.asarray(array, dtype=np.float32)
         key = self.signature(array)
-        if key is None:
-            return self._eager(array)
         entry = self._plans.get(key)
         if entry is None:
             return self._capture(key, array)
@@ -316,17 +283,6 @@ class CompiledForward(_CompiledBase):
         self._m_replays.inc()
         self._m_replay_seconds.observe(elapsed)
         return outputs if is_sequence else outputs[0]
-
-    def _eager(self, array: np.ndarray) -> Union[np.ndarray, List[np.ndarray]]:
-        """No-grad eager forward for uncompilable owner state."""
-        with get_tracer().span("runtime.eager", kind="forward"):
-            with no_grad():
-                result = self.fn(Tensor(array))
-        self.eager_count += 1
-        self._m_eager.inc()
-        if isinstance(result, (list, tuple)):
-            return [out.data for out in result]
-        return result.data
 
     def _capture(self, key: tuple, array: np.ndarray):
         start = time.perf_counter()

@@ -13,15 +13,15 @@ without training each candidate from scratch:
     a leading slice of the shared rank-``R`` core, and all formats are
     wirings of the same four cores — so one supernet trains every choice.
 :mod:`repro.search.strategies`
-    Random sampling, evolutionary search and differentiable Gumbel-softmax
-    mixtures over the supernet.
+    Random sampling and evolutionary search over the supernet; each
+    candidate is scored in-process on the validation set.
 :mod:`repro.search.cost`
     The shared ``model_cost()`` helper: analytic parameters/MACs
     (:mod:`repro.metrics`) plus simulated training energy on an accelerator
     model (:mod:`repro.hardware`).
 :mod:`repro.search.pareto`
     Accuracy-vs-cost Pareto front extraction and winner selection
-    (knee / best-accuracy / cost-budget).
+    (knee / best-accuracy / lowest-cost / cost-budget).
 :mod:`repro.search.searcher`
     The end-to-end :class:`~repro.search.searcher.Searcher`: warm-up,
     explore, select, materialise the winner into a concrete model and hand
@@ -40,7 +40,6 @@ from repro.search.cost import CandidateCost, measured_params, mixed_format_energ
 from repro.search.pareto import ParetoPoint, dominates, pareto_front, select_winner
 from repro.search.strategies import (
     EvolutionarySearch,
-    GumbelSoftmaxSearch,
     RandomSearch,
     SearchStrategy,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "SearchStrategy",
     "RandomSearch",
     "EvolutionarySearch",
-    "GumbelSoftmaxSearch",
     "SearchConfig",
     "SearchResult",
     "Searcher",

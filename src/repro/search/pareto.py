@@ -15,7 +15,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.search.cost import CandidateCost
 from repro.search.space import LayerChoice
 
-__all__ = ["ParetoPoint", "dominates", "pareto_front", "select_winner"]
+__all__ = ["SELECTION_MODES", "ParetoPoint", "dominates", "pareto_front", "select_winner"]
+
+#: Winner-selection modes accepted by :func:`select_winner`.
+SELECTION_MODES: Tuple[str, ...] = ("knee", "accuracy", "cost", "budget")
 
 
 @dataclass
@@ -95,6 +98,8 @@ def select_winner(
         three points, or zero accuracy/cost spread) fall back to
         ``"accuracy"``.
     """
+    if mode not in SELECTION_MODES:
+        raise ValueError(f"unknown selection mode {mode!r}; options: {SELECTION_MODES}")
     if not front:
         raise ValueError("cannot select a winner from an empty Pareto front")
     points = sorted(front, key=lambda p: (p.cost.scalar(metric), -p.accuracy))
@@ -109,8 +114,6 @@ def select_winner(
         if not affordable:
             return points[0]
         return max(affordable, key=lambda p: (p.accuracy, -p.cost.scalar(metric)))
-    if mode != "knee":
-        raise ValueError(f"unknown selection mode '{mode}'")
 
     costs = [p.cost.scalar(metric) for p in points]
     accs = [p.accuracy for p in points]

@@ -1,24 +1,23 @@
 """End-to-end one-shot search: warm-up, explore, Pareto-select, materialise, serve.
 
-:class:`Searcher` drives the whole pipeline the ISSUE's Algorithm replaces
-the paper's single VBMF pass with:
+:class:`Searcher` drives the whole pipeline that replaces the paper's single
+VBMF pass:
 
 1. **warm-up** — train the entangled supernet with uniform random
-   (format, rank) sampling per step (SPOS-style), through the ordinary
-   :class:`~repro.training.trainer.BPTTTrainer`.  The trainer may run
-   compiled: the supernet extends the plan key with its sampled
-   configuration, so fixed-config steps replay while per-step sampling
-   captures per distinct config (the default keeps warm-up eager).
+   (format, rank) sampling per step (SPOS-style), through an eager
+   :class:`~repro.training.trainer.BPTTTrainer` (per-step sampling would
+   capture one compiled plan per distinct configuration).
 2. **explore** — delegate to a :class:`~repro.search.strategies.SearchStrategy`
-   (random / evolutionary / Gumbel-softmax); every candidate is scored by
-   validation accuracy of the sampled subnet plus the analytic
-   :func:`~repro.search.cost.model_cost` (hardware-aware when an accelerator
-   model is given).
+   (random / evolutionary); each candidate is scored in-process by
+   :meth:`Searcher.evaluate_config`: validation accuracy of the sampled
+   subnet plus the analytic :func:`~repro.search.cost.model_cost`
+   (hardware-aware when an accelerator model is given).
 3. **select** — extract the accuracy-vs-cost Pareto front and pick a winner
    (:func:`~repro.search.pareto.select_winner`).
 4. **materialise** — turn the winning configuration into a standalone
    concrete model (bitwise-equal to the sampled subnet), optionally
-   fine-tune it, and expose it to :mod:`repro.serve` — the merged (Eq. 6)
+   fine-tune it with a compiled trainer (fixed config: one capture, then
+   replays), and expose it to :mod:`repro.serve` — the merged (Eq. 6)
    engine answers requests like any other trained model.
 """
 
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,9 +33,9 @@ from repro.data.datasets import DataLoader, Dataset
 from repro.hardware.accelerator import ExistingAcceleratorModel
 from repro.models.base import SpikingModel
 from repro.models.specs import LayerSpec
-from repro.obs.trace import Span, current_span, get_tracer
-from repro.search.cost import measured_params, model_cost
-from repro.search.pareto import ParetoPoint, pareto_front, select_winner
+from repro.obs.trace import get_tracer
+from repro.search.cost import COST_METRICS, measured_params, model_cost
+from repro.search.pareto import SELECTION_MODES, ParetoPoint, pareto_front, select_winner
 from repro.search.space import CandidateConfig, LayerChoice
 from repro.search.strategies import EvolutionarySearch, SearchStrategy
 from repro.search.supernet import TTSupernet
@@ -52,7 +51,7 @@ class SearchConfig:
 
     #: supernet warm-up epochs with per-step random sampling
     warmup_epochs: int = 1
-    #: training batch size (warm-up and Gumbel steps)
+    #: training batch size (warm-up and fine-tuning)
     batch_size: int = 16
     learning_rate: float = 0.05
     momentum: float = 0.9
@@ -68,13 +67,6 @@ class SearchConfig:
     cost_budget: Optional[float] = None
     #: fine-tuning epochs for the materialised winner (0 skips fine-tuning)
     finetune_epochs: int = 1
-    #: compile the supernet trainer (per-step random sampling captures one
-    #: plan per distinct configuration, so the default stays eager; mixture
-    #: steps always fall back to eager regardless)
-    compile_supernet: bool = False
-    #: compile the winner's fine-tuning trainer (fixed config: one capture,
-    #: then replays)
-    compile_finetune: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -82,6 +74,14 @@ class SearchConfig:
             raise ValueError("warmup_epochs must be >= 0")
         if self.finetune_epochs < 0:
             raise ValueError("finetune_epochs must be >= 0")
+        if self.selection not in SELECTION_MODES:
+            raise ValueError(f"unknown selection mode {self.selection!r}; "
+                             f"options: {SELECTION_MODES}")
+        if self.cost_metric not in COST_METRICS:
+            raise ValueError(f"unknown cost metric {self.cost_metric!r}; "
+                             f"options: {COST_METRICS}")
+        if self.selection == "budget" and self.cost_budget is None:
+            raise ValueError("selection='budget' needs a cost_budget")
 
 
 @dataclass
@@ -153,12 +153,6 @@ class Searcher:
         Optional hardware model (e.g.
         :class:`~repro.hardware.accelerator.ExistingAcceleratorModel` or the
         multi-cluster design); enables the ``"energy_pj"`` cost axis.
-    num_workers:
-        With ``num_workers > 1`` candidate evaluations fan out over a
-        :class:`~repro.parallel.pool.WorkerPool` of supernet replicas
-        (validation accuracy is the dominant cost and candidates are
-        independent); strategies submit whole batches through
-        :meth:`evaluate_configs`.  The default ``1`` evaluates in-process.
     """
 
     def __init__(
@@ -170,10 +164,7 @@ class Searcher:
         config: Optional[SearchConfig] = None,
         strategy: Optional[SearchStrategy] = None,
         accelerator: Optional[ExistingAcceleratorModel] = None,
-        num_workers: int = 1,
     ):
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.supernet = supernet
         self.train_dataset = train_dataset
         self.val_dataset = val_dataset
@@ -211,13 +202,8 @@ class Searcher:
             weight_decay=self.config.weight_decay,
             seed=self.config.seed,
         )
-        self.trainer = BPTTTrainer(self.supernet, training,
-                                   compile=self.config.compile_supernet)
-        self.num_workers = num_workers
-        self._pool = None
+        self.trainer = BPTTTrainer(self.supernet, training)
         self._eval_cache: Dict[tuple, ParetoPoint] = {}
-        #: upper bound on cached replay plans during compiled warm-up
-        self._plan_cache_limit = 32
 
     @property
     def space(self):
@@ -226,20 +212,6 @@ class Searcher:
     @property
     def cost_metric(self) -> str:
         return self.config.cost_metric
-
-    # -- data plumbing -------------------------------------------------------
-
-    def train_batches(self, steps: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Yield ``steps`` training batches, cycling over the training set."""
-        produced = 0
-        while produced < steps:
-            loader = DataLoader(self.train_dataset, batch_size=self.config.batch_size,
-                                shuffle=True, seed=self.config.seed + produced)
-            for data, labels in loader:
-                if produced >= steps:
-                    return
-                yield data, labels
-                produced += 1
 
     # -- pipeline stages -----------------------------------------------------
 
@@ -258,11 +230,6 @@ class Searcher:
                 stats = self.trainer.train_step(data, labels)
                 losses.append(stats["loss"])
                 accuracies.append(stats["accuracy"])
-                # Per-step sampling under a compiled trainer captures one plan
-                # (with persistent buffers) per distinct configuration; bound
-                # the cache so an opted-in compiled warm-up cannot grow
-                # without limit across a huge space.
-                self.trainer.prune_plans(self._plan_cache_limit)
             history.append(EpochResult(
                 epoch=epoch,
                 loss=float(np.mean(losses)) if losses else float("nan"),
@@ -295,81 +262,6 @@ class Searcher:
             self._eval_cache[key] = point
             return point
 
-    def evaluate_configs(self, configs: Sequence[Sequence[LayerChoice]]) -> List[ParetoPoint]:
-        """Score a batch of candidates, fanning out over the worker pool.
-
-        Order-preserving and cache-coherent with :meth:`evaluate_config`:
-        already-scored candidates (and duplicates within the batch) are
-        served from the cache; only genuinely new configurations reach the
-        workers.  With ``num_workers == 1`` this degrades to the sequential
-        path, so strategies can call it unconditionally.
-        """
-        configs = [self.space.validate_config(c) for c in configs]
-        if self.num_workers == 1:
-            return [self.evaluate_config(c) for c in configs]
-        keys = [self.space.encode(c) for c in configs]
-        fresh: Dict[tuple, Sequence[LayerChoice]] = {}
-        for key, config in zip(keys, configs):
-            if key not in self._eval_cache:
-                fresh.setdefault(key, config)
-        if fresh:
-            pool = self._ensure_pool()
-            pool.sync_weights()
-            order = list(fresh.items())
-            replies = pool.map([
-                {"cmd": "eval_config", "config": config,
-                 "batch_size": self.config.eval_batch_size,
-                 "timesteps": self.timesteps}
-                for _, config in order
-            ])
-            tracer = get_tracer()
-            parent = current_span() if tracer.enabled else None
-            for (key, config), reply in zip(order, replies):
-                cost = model_cost(
-                    config, self.specs, timesteps=self.timesteps,
-                    half_timesteps=self.half_timesteps, accelerator=self.accelerator,
-                )
-                point = ParetoPoint(config=config, accuracy=reply["accuracy"],
-                                    cost=cost)
-                self._eval_cache[key] = point
-                if tracer.enabled:
-                    span = Span("search.candidate", parent=parent,
-                                attrs={"config": str(key), "cached": False,
-                                       "parallel": True,
-                                       "accuracy": point.accuracy},
-                                start_perf=reply["t_start"])
-                    tracer.finish_span(span, end_perf=reply["t_end"])
-        return [self._eval_cache[key] for key in keys]
-
-    # -- worker pool ---------------------------------------------------------
-
-    def _ensure_pool(self):
-        """Lazily spawn the evaluation pool (supernet replicas, fork-shared)."""
-        if self._pool is not None and not self._pool.closed:
-            return self._pool
-        from repro.parallel.pool import WorkerPool
-
-        self._pool = WorkerPool(
-            self.supernet, self.num_workers,
-            timesteps=self.timesteps,
-            val_dataset=self.val_dataset,
-            effective_batch=self.config.eval_batch_size,
-            seed=self.config.seed,
-        )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the evaluation pool down (idempotent; no-op when sequential)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "Searcher":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def finetune(self, model: SpikingModel) -> List[EpochResult]:
         """Fine-tune a materialised winner on the training set."""
         if self.config.finetune_epochs < 1:
@@ -383,18 +275,13 @@ class Searcher:
             weight_decay=self.config.weight_decay,
             seed=self.config.seed,
         )
-        trainer = BPTTTrainer(model, training, compile=self.config.compile_finetune)
+        trainer = BPTTTrainer(model, training, compile=True)
         return trainer.fit(self.train_dataset)
 
     def run(self) -> SearchResult:
         """Full pipeline; see the module docstring for the stages."""
         warmup_history = self.warmup()
-        try:
-            evaluated = self.strategy.search(self)
-        finally:
-            # The pool replicates warm-up weights lazily per batch; keeping
-            # it alive past exploration would only pin memory.
-            self.close()
+        evaluated = self.strategy.search(self)
         if not evaluated:
             raise RuntimeError(f"strategy '{self.strategy.name}' evaluated no candidates")
         front = pareto_front(evaluated, metric=self.config.cost_metric)

@@ -217,9 +217,11 @@ class SearchSpace:
         """Same format everywhere, rank at a fraction of each layer's grid.
 
         Reproduces paper-style configurations (e.g. all-PTT) inside the
-        search space; ``rank_fraction`` indexes into each layer's grid
-        (1.0 = the largest candidate).
+        search space; ``rank_fraction`` in [0, 1] indexes into each layer's
+        grid (0.0 = the smallest candidate, 1.0 = the largest).
         """
+        if not 0.0 <= rank_fraction <= 1.0:
+            raise ValueError(f"rank_fraction must lie in [0, 1], got {rank_fraction}")
         choices = []
         for layer in self.layers:
             if format == "dense":

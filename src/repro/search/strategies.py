@@ -3,31 +3,28 @@
 Every strategy consumes the :class:`~repro.search.searcher.Searcher` facade
 (which owns the supernet, the trainer, the validation data and the cost
 model) and returns the list of evaluated candidates it explored; the searcher
-extracts the Pareto front from that history.  Three strategies are provided:
+extracts the Pareto front from that history.  Each candidate is scored with
+:meth:`~repro.search.searcher.Searcher.evaluate_config`, one at a time.  Two
+strategies are provided:
 
 * :class:`RandomSearch` — uniform sampling; the one-shot baseline and the
   warm-up distribution.
 * :class:`EvolutionarySearch` — tournament-free (top-k parent) evolution with
   uniform crossover and per-layer mutation, the standard one-shot NAS
   selector (SPOS-style).
-* :class:`GumbelSoftmaxSearch` — differentiable architecture search: each
-  layer's choice distribution is parameterised by trainable logits, every
-  training step runs the supernet as a Gumbel-softmax *mixture* over choices
-  (the compiled runtime falls back to eager for these steps), and gradients
-  from the task loss update both the shared cores and the logits.
+
+At an equal evaluation budget neither beats the other beyond the seed spread
+at quickstart scale (EXPERIMENTS.md, "Search strategies at an equal budget").
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
-
-from repro.autograd.tensor import Tensor
 from repro.search.pareto import ParetoPoint
-from repro.search.space import CandidateConfig, LayerChoice
+from repro.search.space import CandidateConfig
 
-__all__ = ["SearchStrategy", "RandomSearch", "EvolutionarySearch", "GumbelSoftmaxSearch"]
+__all__ = ["SearchStrategy", "RandomSearch", "EvolutionarySearch"]
 
 
 class SearchStrategy:
@@ -50,16 +47,13 @@ class RandomSearch(SearchStrategy):
         self.num_samples = num_samples
 
     def search(self, searcher) -> List[ParetoPoint]:
-        # Draw the distinct sample set first, then submit it as one batch so
-        # a parallel searcher can fan the evaluations out; the draw order is
-        # identical to evaluating one-by-one, so results match sequential.
         seen: Dict[tuple, CandidateConfig] = {}
         attempts = 0
         while len(seen) < self.num_samples and attempts < self.num_samples * 10:
             attempts += 1
             config = searcher.space.random_config(searcher.rng)
             seen.setdefault(searcher.space.encode(config), config)
-        return searcher.evaluate_configs(list(seen.values()))
+        return [searcher.evaluate_config(config) for config in seen.values()]
 
 
 class EvolutionarySearch(SearchStrategy):
@@ -84,6 +78,8 @@ class EvolutionarySearch(SearchStrategy):
             raise ValueError(f"parents must lie in [1, {population_size}], got {parents}")
         if not 0 <= elite <= parents:
             raise ValueError(f"elite must lie in [0, {parents}], got {elite}")
+        if not 0.0 <= mutation_prob <= 1.0:
+            raise ValueError(f"mutation_prob must lie in [0, 1], got {mutation_prob}")
         self.population_size = population_size
         self.generations = generations
         self.parents = parents
@@ -95,10 +91,7 @@ class EvolutionarySearch(SearchStrategy):
         evaluated: Dict[tuple, ParetoPoint] = {}
 
         def evaluate_generation(configs: List[CandidateConfig]) -> List[ParetoPoint]:
-            # One batch per generation: within a generation candidates are
-            # independent (selection only happens between generations), so
-            # this is the natural parallel fan-out unit.
-            points = searcher.evaluate_configs(configs)
+            points = [searcher.evaluate_config(config) for config in configs]
             for config, point in zip(configs, points):
                 evaluated[space.encode(config)] = point
             return points
@@ -120,90 +113,3 @@ class EvolutionarySearch(SearchStrategy):
             population = children
         evaluate_generation(population)
         return list(evaluated.values())
-
-
-class GumbelSoftmaxSearch(SearchStrategy):
-    """Differentiable mixture search with per-layer architecture logits.
-
-    For ``steps`` training batches the supernet runs as a Gumbel-softmax
-    mixture: layer ``l`` mixes all its choices with weights
-    ``softmax((alpha_l + g) / tau)`` where ``g`` is fresh Gumbel noise and
-    ``tau`` anneals from ``tau`` to ``tau_min``.  The task loss backprops
-    into both the entangled cores (through the sampled slices) and the
-    logits ``alpha`` (through the mixture weights); the logits take a plain
-    gradient step with learning rate ``alpha_lr``.
-
-    Afterwards the per-layer argmax configuration plus ``proposals - 1``
-    samples from the learned choice distributions are evaluated.
-    """
-
-    name = "gumbel"
-
-    def __init__(self, steps: int = 32, tau: float = 2.0, tau_min: float = 0.5,
-                 alpha_lr: float = 0.1, proposals: int = 8):
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        if proposals < 1:
-            raise ValueError(f"proposals must be >= 1, got {proposals}")
-        self.steps = steps
-        self.tau = tau
-        self.tau_min = tau_min
-        self.alpha_lr = alpha_lr
-        self.proposals = proposals
-
-    @staticmethod
-    def _softmax(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max()
-        exp = np.exp(shifted)
-        return exp / exp.sum()
-
-    def _mixture_weights(self, alpha: Tensor, tau: float,
-                         rng: np.random.Generator) -> Tensor:
-        """Differentiable Gumbel-softmax weights over one layer's choices."""
-        gumbel = rng.gumbel(size=alpha.shape[0]).astype(np.float32)
-        z = (alpha + Tensor(gumbel)) * (1.0 / tau)
-        # Constant max-shift for stability; softmax is shift-invariant, so
-        # treating the shift as a constant leaves the gradient exact.
-        z = z - float(z.data.max())
-        exp = z.exp()
-        return exp / exp.sum()
-
-    def search(self, searcher) -> List[ParetoPoint]:
-        supernet, rng = searcher.supernet, searcher.rng
-        layer_choices: List[List[LayerChoice]] = [
-            layer.choices() for layer in searcher.space.layers
-        ]
-        alphas = [Tensor(np.zeros(len(choices), dtype=np.float32), requires_grad=True)
-                  for choices in layer_choices]
-
-        self.alphas_: List[np.ndarray] = []
-        for step, (data, labels) in enumerate(searcher.train_batches(self.steps)):
-            anneal = step / max(1, self.steps - 1)
-            tau = self.tau + (self.tau_min - self.tau) * anneal
-            weight_tensors = [self._mixture_weights(alpha, tau, rng) for alpha in alphas]
-            for layer, weights, choices in zip(supernet.layers(), weight_tensors,
-                                               layer_choices):
-                layer.set_mixture(weights, choices)
-            searcher.trainer.train_step(data, labels)
-            for alpha in alphas:
-                if alpha.grad is not None:
-                    alpha.data[...] -= self.alpha_lr * alpha.grad
-                    alpha.zero_grad()
-        supernet.clear_mixture()
-        self.alphas_ = [alpha.data.copy() for alpha in alphas]
-
-        proposals: Dict[tuple, CandidateConfig] = {}
-        argmax = tuple(
-            choices[int(np.argmax(alpha))]
-            for alpha, choices in zip(self.alphas_, layer_choices)
-        )
-        proposals[searcher.space.encode(argmax)] = argmax
-        attempts = 0
-        while len(proposals) < self.proposals and attempts < self.proposals * 10:
-            attempts += 1
-            sampled = tuple(
-                choices[int(rng.choice(len(choices), p=self._softmax(alpha)))]
-                for alpha, choices in zip(self.alphas_, layer_choices)
-            )
-            proposals.setdefault(searcher.space.encode(sampled), sampled)
-        return searcher.evaluate_configs(list(proposals.values()))

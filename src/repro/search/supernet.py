@@ -23,9 +23,8 @@ core slices (the entanglement invariant, asserted in
 ``tests/test_supernet.py``): same values, same operations, same order.
 
 :class:`TTSupernet` applies the conversion to a whole spiking backbone,
-exposes configuration sampling, Gumbel-softmax mixtures for differentiable
-search, and :meth:`TTSupernet.materialise` to turn a chosen configuration
-into a concrete standalone model that round-trips through
+exposes configuration sampling, and :meth:`TTSupernet.materialise` to turn
+a chosen configuration into a concrete standalone model that round-trips through
 :func:`repro.tt.reconstruct.snapshot_merged` into :mod:`repro.serve`.
 """
 
@@ -165,7 +164,6 @@ class EntangledTTConv2d(TimedModule):
 
         self.schedule = parse_htt_schedule(schedule, int(timesteps))
         self.timesteps = int(timesteps)
-        self._mixture: Optional[Tuple[Tensor, List[LayerChoice]]] = None
         # Default to the highest-capacity TT choice (or dense if TT-free).
         tt_formats = [f for f in space.formats if f != "dense"]
         if tt_formats:
@@ -181,7 +179,7 @@ class EntangledTTConv2d(TimedModule):
         return self._choice
 
     def set_choice(self, choice: Union[LayerChoice, str], rank: Optional[int] = None) -> None:
-        """Sample one choice; clears any active mixture."""
+        """Sample one (format, rank) choice."""
         if not isinstance(choice, LayerChoice):
             choice = LayerChoice(str(choice), 0 if rank is None else int(rank))
         if choice.format not in self.layer_space.formats:
@@ -194,34 +192,6 @@ class EntangledTTConv2d(TimedModule):
                 f"rank {choice.rank} is outside the entangled range [1, {self.max_rank}]"
             )
         self._choice = choice
-        self._mixture = None
-
-    def set_mixture(self, weights: Tensor,
-                    choices: Optional[Sequence[LayerChoice]] = None) -> None:
-        """Activate a differentiable mixture over choices (Gumbel-softmax path).
-
-        ``weights`` is a 1-D tensor of mixing coefficients aligned with
-        ``choices`` (default: the layer space's full choice enumeration).
-        Forward passes then return the weighted sum of every choice's output,
-        with gradients flowing both into the shared cores and into whatever
-        graph produced ``weights`` (e.g. architecture logits).
-        """
-        choices = list(choices) if choices is not None else self.layer_space.choices()
-        if weights.ndim != 1 or weights.shape[0] != len(choices):
-            raise ValueError(
-                f"mixture weights shape {weights.shape} does not match {len(choices)} choices"
-            )
-        for choice in choices:
-            if choice.format != "dense" and choice.rank > self.max_rank:
-                raise ValueError(f"mixture choice {choice.encode()} exceeds core rank")
-        self._mixture = (weights, choices)
-
-    def clear_mixture(self) -> None:
-        self._mixture = None
-
-    @property
-    def mixture_active(self) -> bool:
-        return self._mixture is not None
 
     def half_timestep(self, t: int) -> bool:
         return self.schedule[min(t, self.timesteps - 1)]
@@ -238,7 +208,9 @@ class EntangledTTConv2d(TimedModule):
             _SlicedConv(self.conv4.weight[:, :r], self.conv4.stride, self.conv4.padding),
         )
 
-    def _forward_choice(self, choice: LayerChoice, x: Tensor, use_half: bool) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
+        (t,) = self.advance_time()
+        choice = self._choice
         if choice.format == "dense":
             return self.dense(x)
         c1, c2, c3, c4 = self._sliced_convs(choice.rank)
@@ -246,42 +218,19 @@ class EntangledTTConv2d(TimedModule):
             return stt_wiring(c1, c2, c3, c4, x)
         if choice.format == "ptt":
             return ptt_wiring(c1, c2, c3, c4, x)
-        return htt_step_wiring(c1, c2, c3, c4, x, use_half)
+        return htt_step_wiring(c1, c2, c3, c4, x, self.half_timestep(t))
 
-    def _sequence_choice(self, choice: LayerChoice, x_seq: Tensor,
-                         flags: List[bool]) -> Tensor:
-        timesteps = x_seq.shape[0]
+    def forward_sequence(self, x_seq: Tensor) -> Tensor:
+        """Fused path over a channels-last ``(T, N, H, W, C)`` sequence."""
+        steps = self.advance_time(x_seq.shape[0])
+        choice = self._choice
         if choice.format == "dense":
             return self.dense.forward_sequence(x_seq)
         cl = tuple(c.forward_channels_last for c in self._sliced_convs(choice.rank))
         if choice.format == "htt":
-            return htt_sequence_wiring(*cl, x_seq, flags)
+            return htt_sequence_wiring(*cl, x_seq, [self.half_timestep(t) for t in steps])
         wiring = stt_wiring if choice.format == "stt" else ptt_wiring
-        return unfold_time(wiring(*cl, fold_time(x_seq)), timesteps)
-
-    def forward(self, x: Tensor) -> Tensor:
-        (t,) = self.advance_time()
-        use_half = self.half_timestep(t)
-        if self._mixture is not None:
-            weights, choices = self._mixture
-            out = None
-            for index, choice in enumerate(choices):
-                term = weights[index] * self._forward_choice(choice, x, use_half)
-                out = term if out is None else out + term
-            return out
-        return self._forward_choice(self._choice, x, use_half)
-
-    def forward_sequence(self, x_seq: Tensor) -> Tensor:
-        """Fused path over a channels-last ``(T, N, H, W, C)`` sequence."""
-        flags = [self.half_timestep(t) for t in self.advance_time(x_seq.shape[0])]
-        if self._mixture is not None:
-            weights, choices = self._mixture
-            out = None
-            for index, choice in enumerate(choices):
-                term = weights[index] * self._sequence_choice(choice, x_seq, flags)
-                out = term if out is None else out + term
-            return out
-        return self._sequence_choice(self._choice, x_seq, flags)
+        return unfold_time(wiring(*cl, fold_time(x_seq)), x_seq.shape[0])
 
     # -- materialisation -----------------------------------------------------
 
@@ -329,14 +278,13 @@ class TTSupernet(SpikingModel):
 
     Replaces every decomposable convolution of ``model`` (in place) with an
     :class:`EntangledTTConv2d` and exposes whole-network configuration
-    sampling, mixture control, and materialisation.  The wrapper is itself a
+    sampling and materialisation.  The wrapper is itself a
     :class:`~repro.models.base.SpikingModel`, so the existing trainer,
     evaluation and serving stack apply unchanged.
 
     The supernet also implements the compiled runtime's duck-typed
     ``runtime_signature()`` hook: the sampled configuration is part of the
-    plan key (a choice change re-captures), and mixture mode returns ``None``
-    (the runtime falls back to eager for those steps).
+    plan key, so a choice change re-captures.
     """
 
     def __init__(
@@ -394,7 +342,7 @@ class TTSupernet(SpikingModel):
         return tuple(layer.choice for layer in self._entangled)
 
     def apply_config(self, config: Sequence[LayerChoice]) -> Tuple[LayerChoice, ...]:
-        """Sample one whole-network configuration (clears mixtures)."""
+        """Sample one whole-network configuration."""
         config = self.space.validate_config(config)
         for layer, choice in zip(self._entangled, config):
             layer.set_choice(choice)
@@ -404,32 +352,12 @@ class TTSupernet(SpikingModel):
         """Sample and apply a uniformly random configuration (SPOS warm-up)."""
         return self.apply_config(self.space.random_config(rng))
 
-    def set_mixture_weights(self, weight_tensors: Sequence[Tensor]) -> None:
-        """Activate per-layer mixtures (one weight tensor per layer, in order)."""
-        if len(weight_tensors) != len(self._entangled):
-            raise ValueError(
-                f"{len(weight_tensors)} weight tensors for {len(self._entangled)} layers"
-            )
-        for layer, weights in zip(self._entangled, weight_tensors):
-            layer.set_mixture(weights)
-
-    def clear_mixture(self) -> None:
-        for layer in self._entangled:
-            layer.clear_mixture()
-
-    @property
-    def mixture_active(self) -> bool:
-        return any(layer.mixture_active for layer in self._entangled)
-
     def runtime_signature(self):
         """Plan-cache key extension for the compiled runtime.
 
-        Returns the sampled configuration encoding — so compiled training
-        re-captures when the architecture changes — or ``None`` in mixture
-        mode, which the runtime treats as "run this step eagerly".
+        Returns the sampled configuration encoding, so compiled training
+        and forwards re-capture when the architecture changes.
         """
-        if self.mixture_active:
-            return None
         return self.space.encode(self.current_config())
 
     # -- materialisation -----------------------------------------------------
@@ -441,13 +369,10 @@ class TTSupernet(SpikingModel):
         copy by its materialised concrete module (STT / PTT / HTT / dense
         with copied weight slices).  The result is a plain spiking model:
         trainable, mergeable via :func:`repro.tt.reconstruct.snapshot_merged`
-        and servable through :mod:`repro.serve`.  Mixtures are cleared first
-        (their weight tensors can hold autograd graphs that must not be
-        deep-copied).
+        and servable through :mod:`repro.serve`.
         """
         config = self.space.validate_config(config if config is not None
                                             else self.current_config())
-        self.clear_mixture()
         reset_model_state(self.model)
         # Swap the concrete layers in *before* the deepcopy so the copy never
         # duplicates the supernet's heavyweight state (dense kernel + four

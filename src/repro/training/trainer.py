@@ -237,7 +237,7 @@ class BPTTTrainer:
                                                profile=self.profile,
                                                guard_numerics=self.guard_numerics)
         self.optimizer.zero_grad()
-        # The forward+backward span (runtime.replay / capture / eager) is
+        # The forward+backward span (runtime.replay / capture) is
         # opened inside CompiledTrainStep.run, with per-kernel children when
         # sampling is on; only the eager parameter update is timed here.
         try:
@@ -261,19 +261,6 @@ class BPTTTrainer:
         if self._compiled is None:
             return None
         return self._compiled.runtime_stats()
-
-    def prune_plans(self, max_plans: int) -> bool:
-        """Drop every cached replay plan once more than ``max_plans`` are alive.
-
-        Callers that change the model's architecture signature per step (the
-        supernet's random warm-up sampling captures one plan per distinct
-        configuration) use this to bound plan-cache memory; returns whether a
-        prune happened.  A no-op on eager trainers.
-        """
-        if self._compiled is not None and self._compiled.plan_count > max_plans:
-            self._compiled.invalidate()
-            return True
-        return False
 
     # -- epochs ------------------------------------------------------------------
 

@@ -336,63 +336,6 @@ class TestWorkerCrash:
         assert all(not p.is_alive() for p in procs)
 
 
-class TestParallelSearch:
-    def test_parallel_candidate_evaluation_matches_sequential(self):
-        from repro.models.specs import vgg_layer_specs
-        from repro.models.vgg import VGG9_CONFIG, spiking_vgg9
-        from repro.search import RandomSearch, SearchConfig, Searcher, TTSupernet
-
-        def build():
-            model = spiking_vgg9(num_classes=4, in_channels=3, timesteps=2,
-                                 width_scale=0.12, rng=np.random.default_rng(0))
-            return TTSupernet(model, max_rank=8)
-
-        train = make_static_image_dataset(32, 4, height=14, width=14,
-                                          noise=0.25, seed=1)
-        val = make_static_image_dataset(24, 4, height=14, width=14,
-                                        noise=0.25, seed=2)
-        specs = vgg_layer_specs(VGG9_CONFIG, num_classes=4)
-
-        def run(num_workers):
-            searcher = Searcher(
-                build(), train, val, specs,
-                config=SearchConfig(warmup_epochs=1, batch_size=16,
-                                    eval_batch_size=24, cost_metric="macs",
-                                    finetune_epochs=0, seed=0),
-                strategy=RandomSearch(num_samples=3),
-                num_workers=num_workers)
-            result = searcher.run()
-            assert searcher._pool is None or searcher._pool.closed
-            return [(searcher.space.encode(p.config), p.accuracy,
-                     p.cost.scalar("macs")) for p in result.evaluated]
-
-        assert run(2) == run(1)
-
-    def test_evaluate_configs_uses_cache(self):
-        from repro.models.specs import vgg_layer_specs
-        from repro.models.vgg import VGG9_CONFIG, spiking_vgg9
-        from repro.search import SearchConfig, Searcher, TTSupernet
-
-        model = spiking_vgg9(num_classes=4, in_channels=3, timesteps=2,
-                             width_scale=0.12, rng=np.random.default_rng(0))
-        supernet = TTSupernet(model, max_rank=8)
-        train = make_static_image_dataset(16, 4, height=14, width=14, seed=1)
-        val = make_static_image_dataset(16, 4, height=14, width=14, seed=2)
-        searcher = Searcher(
-            supernet, train, val, vgg_layer_specs(VGG9_CONFIG, num_classes=4),
-            config=SearchConfig(warmup_epochs=0, eval_batch_size=16,
-                                cost_metric="macs", finetune_epochs=0),
-            num_workers=2)
-        try:
-            config = searcher.space.random_config(np.random.default_rng(0))
-            first = searcher.evaluate_configs([config, config])
-            assert first[0] is first[1]  # in-batch dedup
-            again = searcher.evaluate_configs([config])
-            assert again[0] is first[0]  # cross-call cache, no new worker round
-        finally:
-            searcher.close()
-
-
 class TestObsIntegration:
     def test_worker_spans_and_allreduce_metrics(self, static_ds):
         from repro.obs.metrics import default_registry

@@ -107,6 +107,14 @@ class TestSearchSpaceForModel:
         assert all(c.rank == layer.max_rank for c, layer in zip(config, space.layers))
         dense = space.uniform_config("dense")
         assert all(c == LayerChoice("dense", 0) for c in dense)
+        smallest = space.uniform_config("ptt", rank_fraction=0.0)
+        assert all(c.rank == layer.ranks[0] for c, layer in zip(smallest, space.layers))
+
+    @pytest.mark.parametrize("fraction", [-0.5, -0.01, 1.01, 1.5, float("nan")])
+    def test_uniform_config_rejects_fraction_outside_unit_interval(self, fraction):
+        space = SearchSpace.for_model(_tiny_model())
+        with pytest.raises(ValueError, match="rank_fraction"):
+            space.uniform_config("ptt", rank_fraction=fraction)
 
     def test_mutate_stays_valid_and_changes_something(self):
         space = SearchSpace.for_model(_tiny_model())

@@ -11,7 +11,6 @@ from repro.models.specs import vgg_layer_specs
 from repro.models.vgg import VGG9_CONFIG, spiking_vgg9
 from repro.search import (
     EvolutionarySearch,
-    GumbelSoftmaxSearch,
     RandomSearch,
     SearchConfig,
     Searcher,
@@ -97,15 +96,6 @@ class TestSearcherEndToEnd:
                    for p in result.evaluated)
         assert len(result.front) >= 1
 
-    def test_gumbel_strategy_trains_logits_and_proposes(self):
-        strategy = GumbelSoftmaxSearch(steps=6, proposals=4)
-        searcher = _searcher(strategy, warmup_epochs=1)
-        result = searcher.run()
-        assert len(strategy.alphas_) == len(searcher.space)
-        assert all(np.abs(alpha).max() > 0 for alpha in strategy.alphas_)
-        assert 1 <= len(result.evaluated) <= 4
-        assert not searcher.supernet.mixture_active  # cleaned up after search
-
     def test_winner_is_bitwise_reproducible_from_supernet(self):
         searcher = _searcher(RandomSearch(num_samples=4), warmup_epochs=1)
         result = searcher.run()
@@ -148,6 +138,20 @@ class TestSearcherEndToEnd:
         assert default.half_timesteps == 1
         htt_default = default.evaluate_config(default.space.uniform_config("htt"))
         assert htt_default.cost.macs < ptt.cost.macs
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"selection": "kne"}, "selection mode"),
+        ({"cost_metric": "flops"}, "cost metric"),
+        ({"selection": "budget"}, "cost_budget"),
+    ])
+    def test_search_config_rejects_bad_inputs_at_construction(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            SearchConfig(**overrides)
+
+    @pytest.mark.parametrize("prob", [-0.1, 1.5, 7.0])
+    def test_evolution_rejects_mutation_prob_outside_unit_interval(self, prob):
+        with pytest.raises(ValueError, match="mutation_prob"):
+            EvolutionarySearch(mutation_prob=prob)
 
     def test_energy_metric_requires_accelerator(self):
         train, val = _datasets()

@@ -3,8 +3,8 @@
 The load-bearing guarantee is the **entanglement invariant**: a subnet
 sampled from the supernet produces *bitwise-identical* logits to a standalone
 model built with the same (format, rank) configuration and copied core
-slices.  Everything else — gradient locality of sliced training, mixture
-semantics, compiled-runtime integration — builds on it.
+slices.  Everything else — gradient locality of sliced training and
+compiled-runtime integration — builds on it.
 """
 
 from __future__ import annotations
@@ -174,70 +174,6 @@ class TestEntangledTraining:
         assert np.array_equal(full.conv1.weight.data[:4], layer.conv1.weight.data[:4])
 
 
-class TestMixture:
-    def test_one_hot_mixture_matches_single_choice(self):
-        net = _supernet()
-        net.eval()
-        batch = _batch()
-        choice_index = {}
-        outputs_single = None
-        config = []
-        for layer in net.space.layers:
-            config.append(LayerChoice("ptt", layer.ranks[-1]))
-        net.apply_config(config)
-        outputs_single = _logits(net, batch)
-        from repro.autograd.tensor import Tensor
-
-        for layer, choice in zip(net.layers(), config):
-            choices = layer.layer_space.choices()
-            weights = np.zeros(len(choices), dtype=np.float32)
-            weights[choices.index(choice)] = 1.0
-            layer.set_mixture(Tensor(weights), choices)
-        outputs_mixture = _logits(net, batch)
-        for single, mixture in zip(outputs_single, outputs_mixture):
-            np.testing.assert_allclose(single, mixture, atol=1e-6)
-
-    def test_mixture_gradient_reaches_the_weights(self):
-        from repro.autograd.tensor import Tensor
-
-        net = _supernet()
-        weight_tensors = []
-        for layer in net.space.layers:
-            n = len(layer.choices())
-            weight_tensors.append(Tensor(np.full(n, 1.0 / n, dtype=np.float32),
-                                         requires_grad=True))
-        net.set_mixture_weights(weight_tensors)
-        trainer = BPTTTrainer(net, TrainingConfig(timesteps=2, batch_size=4, epochs=1))
-        rng = np.random.default_rng(3)
-        trainer.train_step(rng.random((4, 3, 12, 12)).astype(np.float32),
-                           rng.integers(0, 4, 4))
-        for weights in weight_tensors:
-            assert weights.grad is not None and np.abs(weights.grad).max() > 0
-
-    def test_mixture_blocks_runtime_signature(self):
-        from repro.autograd.tensor import Tensor
-
-        net = _supernet()
-        assert net.runtime_signature() is not None
-        layer = net.layers()[0]
-        choices = layer.layer_space.choices()
-        layer.set_mixture(Tensor(np.ones(len(choices), np.float32) / len(choices)))
-        assert net.mixture_active
-        assert net.runtime_signature() is None
-        net.clear_mixture()
-        assert net.runtime_signature() is not None
-
-    def test_apply_config_clears_mixture(self):
-        from repro.autograd.tensor import Tensor
-
-        net = _supernet()
-        layer = net.layers()[0]
-        choices = layer.layer_space.choices()
-        layer.set_mixture(Tensor(np.ones(len(choices), np.float32)))
-        net.apply_config(net.space.uniform_config("ptt"))
-        assert not net.mixture_active
-
-
 class TestCompiledRuntimeIntegration:
     def test_fixed_config_captures_once_and_replays(self):
         net = _supernet()
@@ -268,27 +204,27 @@ class TestCompiledRuntimeIntegration:
         stats = trainer.runtime_stats()
         assert stats["captures"] == 2 and stats["plans"] == 2
 
-    def test_mixture_steps_run_eagerly_under_compile(self):
-        from repro.autograd.tensor import Tensor
-
+    def test_compiled_forward_follows_config_changes(self):
+        """``compile(fn=run_timesteps)`` re-captures per config, replays seen ones."""
         net = _supernet()
-        weight_tensors = [
-            Tensor(np.ones(len(layer.choices()), np.float32) / len(layer.choices()),
-                   requires_grad=True)
-            for layer in net.space.layers
-        ]
-        net.set_mixture_weights(weight_tensors)
-        trainer = BPTTTrainer(net, TrainingConfig(timesteps=2, batch_size=4, epochs=1),
-                              compile=True)
-        rng = np.random.default_rng(6)
-        data = rng.random((4, 3, 12, 12)).astype(np.float32)
-        labels = rng.integers(0, 4, 4)
-        for _ in range(2):
-            assert trainer.train_step(data, labels)["replayed"] == 0.0
-        stats = trainer.runtime_stats()
-        assert stats["captures"] == 0 and stats["eager_steps"] == 2
-        # The mixture weights still receive gradients on the eager path.
-        assert all(w.grad is not None for w in weight_tensors)
+        net.eval()
+        batch = _batch()
+        compiled = net.compile(fn=net.run_timesteps)
+        configs = [net.space.uniform_config("ptt"),
+                   net.space.uniform_config("htt", rank_fraction=0.5),
+                   net.space.uniform_config("ptt"),
+                   net.space.uniform_config("dense")]
+        captures = []
+        for config in configs:
+            net.apply_config(config)
+            eager = _logits(net, batch)
+            reset_model_state(net)
+            replayed = [out.copy() for out in compiled(batch)]
+            captures.append(compiled.capture_count)
+            for ours, theirs in zip(replayed, eager):
+                assert np.array_equal(ours, theirs)  # bitwise, not approx
+        assert captures == [1, 2, 2, 3]
+        assert compiled.replay_count == 1 and compiled.plan_count == 3
 
     def test_compiled_matches_eager_over_steps(self):
         def build():
