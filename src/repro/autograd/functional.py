@@ -174,62 +174,71 @@ class _AvgPool2dFunction(Function):
         return (grad_x,)
 
 
-def _window_max_first_wins(views, best_out=None, arg_out=None):
-    """First-wins max + window-index map over kernel-position views.
+def _window_max_first_wins(ctx, views, index: bool = True):
+    """First-wins max (and, with ``index``, the window-index map) over kernel-position views.
 
-    ``views`` lists the slices of each kernel position in ``argmax`` order;
-    strict ``>`` keeps the earlier position on ties, matching
-    ``cols.argmax(axis)`` semantics — which matters because spike maps are
-    binary and tie constantly.  Shared by the NCHW and channels-last pools
-    so their tie-breaking can never diverge.  ``best_out``/``arg_out`` are
-    optional persistent buffers (compiled replays).
+    ``views`` lists the slices of each kernel position in ``argmax`` order.
+    Shared by the training and inference paths of the NCHW and
+    channels-last pools, so their tie-breaking can never diverge.  The
+    result (``"out"``) and every scratch array come from ``ws_buf``, so a
+    context with a workspace allocates nothing after its first call.
 
-    The update is an ``np.where`` select rather than a masked ``np.copyto``:
-    the same values, but NumPy's masked copy is much slower than a
-    vectorised select.
+    The select is plain ufuncs with ``out=``: a three-operand ``where``
+    select, or a masked ``copyto``, costs many times a ufunc on these
+    strided views.  Per position ``k``, ``better = candidate > best`` marks
+    the strict winners and ``np.maximum`` updates the running max.  The
+    index map is the last ``k`` whose candidate was better, i.e.
+    ``max_k(k * better)``, so strict ``>`` keeps the earlier position on
+    ties, matching ``cols.argmax(axis)`` — which matters because spike maps
+    are binary and tie constantly.  ``np.maximum`` takes ``best`` as its
+    second operand, which NumPy's SIMD loops return on equal inputs, so a
+    ``+0.0``/``-0.0`` tie keeps the earlier sign as well.  A NaN in a window
+    reaches the output, as in the im2col path.
     """
-    best = views[0]
-    arg = None
+    best = ws_buf(ctx, "out", views[0].shape, views[0].dtype)
+    np.copyto(best, views[0])
+    if not index:
+        for candidate in views[1:]:
+            np.maximum(candidate, best, out=best)
+        return best, None
+    # int8 while the largest window index (len(views) - 1) fits in it.
+    dtype = np.int8 if len(views) <= 128 else np.int32
+    arg = ws_buf(ctx, "arg", best.shape, dtype)
+    arg.fill(0)
+    better = ws_buf(ctx, "mask", best.shape, np.bool_)
+    step = ws_buf(ctx, "step", best.shape, dtype)
     for k, candidate in enumerate(views[1:], start=1):
-        better = candidate > best
-        best = np.where(better, candidate, best)
-        arg = np.where(better, np.int8(k),
-                       arg if arg is not None else np.int8(0))
-    if arg is None:
-        arg = np.zeros(best.shape, dtype=np.int8)
-    # Land the results in the persistent buffers so downstream cached
-    # views keep a stable base array across replays.
-    if best_out is not None:
-        np.copyto(best_out, best)
-        best = best_out
-    elif best is views[0]:
-        best = best.copy()
-    if arg_out is not None:
-        np.copyto(arg_out, arg)
-        arg = arg_out
+        np.greater(candidate, best, out=better)
+        np.maximum(candidate, best, out=best)
+        np.multiply(better, dtype(k), out=step)
+        np.maximum(arg, step, out=arg)
     return best, arg
 
 
-def _window_max_scatter_grad(grad_views, grad_output, argmax):
+def _window_max_scatter_grad(ctx, grad_views, grad_output, argmax):
     """Scatter ``grad_output`` into the winning window position of each view.
 
     Writes ``grad * (argmax == k)`` into each (non-overlapping, jointly
-    covering) window view, so the gradient buffer needs no pre-zeroing.  A
-    losing position holds ``grad * 0``, which is ``-0.0`` where ``grad`` is
-    negative.
+    covering) window view, so the gradient buffer needs no pre-zeroing; the
+    ``argmax == k`` masks share one ``ws_buf`` scratch (the forward's
+    mask).  A losing position holds ``grad * 0``, which is ``-0.0`` where
+    ``grad`` is negative.
     """
+    mask = ws_buf(ctx, "mask", argmax.shape, np.bool_)
     for k, view in enumerate(grad_views):
-        np.multiply(grad_output, argmax == k, out=view)
+        np.equal(argmax, k, out=mask)
+        np.multiply(grad_output, mask, out=view)
 
 
 class _MaxPool2dFunction(Function):
     """Max pooling with im2col lowering (argmax stored for backward).
 
     Non-overlapping pools (stride == kernel, no padding, divisible sizes —
-    the ubiquitous 2x2/2 case) take a copy-free path built from strided
-    window views and a first-wins comparison tree; everything else falls back
-    to the general im2col lowering.  Tie-breaking matches ``argmax`` (first
-    window element wins), which matters because spike maps are binary.
+    the ubiquitous 2x2/2 case) run strided window views through
+    :func:`_window_max_first_wins`, one ufunc select for training and
+    inference; everything else falls back to the general im2col lowering.
+    Tie-breaking matches ``argmax`` (first window element wins), which
+    matters because spike maps are binary.
     """
 
     def __init__(self, kernel_size, stride=None, padding=0):
@@ -247,36 +256,25 @@ class _MaxPool2dFunction(Function):
             for j in range(kw):
                 yield x[:, :, i::kh, j::kw]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
+    def _is_fast(self, h: int, w: int) -> bool:
         kh, kw = self.kernel
-        self._fast = (
-            self.stride == self.kernel and self.padding == (0, 0)
-            and h % kh == 0 and w % kw == 0 and kh * kw > 1
-        )
+        return (self.stride == self.kernel and self.padding == (0, 0)
+                and h % kh == 0 and w % kw == 0 and kh * kw > 1)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._fast = self._is_fast(*x.shape[2:])
         if self._fast:
             self._x_shape = x.shape
-            out_shape = (n, c, h // kh, w // kw)
-            best_out = arg_out = None
-            if self._ws is not None:
-                best_out = ws_buf(self, "out", out_shape, x.dtype)
-                arg_out = ws_buf(self, "arg", out_shape, np.int8)
-            best, self._argmax = _window_max_first_wins(list(self._window_views(x)),
-                                                        best_out, arg_out)
+            best, self._argmax = _window_max_first_wins(self, list(self._window_views(x)))
             return best
         return self._forward_general(x)
 
     def forward_inference(self, x: np.ndarray) -> np.ndarray:
         """Max pooling without the argmax map (compiled no-grad replay path)."""
+        if self._is_fast(*x.shape[2:]):
+            return _window_max_first_wins(self, list(self._window_views(x)), index=False)[0]
         n, c, h, w = x.shape
         kh, kw = self.kernel
-        if (self.stride == self.kernel and self.padding == (0, 0)
-                and h % kh == 0 and w % kw == 0 and kh * kw > 1):
-            views = list(self._window_views(x))
-            best = views[0].copy()
-            for candidate in views[1:]:
-                np.maximum(best, candidate, out=best)
-            return best
         out_h, out_w = conv2d_output_shape((h, w), (kh, kw), self.stride, self.padding)
         cols = im2col(x, (kh, kw), self.stride, self.padding, ctx=self, key="f")
         cols = cols.reshape(n, c, kh * kw, out_h * out_w)
@@ -297,7 +295,7 @@ class _MaxPool2dFunction(Function):
     def backward(self, grad_output: np.ndarray):
         if self._fast:
             grad_x = ws_buf(self, "gx", self._x_shape, grad_output.dtype)
-            _window_max_scatter_grad(self._window_views(grad_x), grad_output, self._argmax)
+            _window_max_scatter_grad(self, self._window_views(grad_x), grad_output, self._argmax)
             return (grad_x,)
         from repro.autograd.conv import col2im
 
@@ -317,8 +315,9 @@ class _ChannelsLastPoolBase(Function):
 
     The non-overlapping case (stride == kernel, no padding, divisible sizes —
     every pool in the model zoo) runs on strided window views with
-    C-contiguous inner runs; anything else transposes to NCHW and delegates
-    to the general functions (correct, just slower).
+    C-contiguous inner runs (max pooling through the same
+    :func:`_window_max_first_wins` select as NCHW); anything else transposes
+    to NCHW and delegates to the general functions (correct, just slower).
     """
 
     def __init__(self, kernel_size, stride=None, padding=0):
@@ -357,46 +356,27 @@ class _MaxPool2dCLFunction(_ChannelsLastPoolBase):
     """Channels-last max pooling (first-wins ties, matching the NCHW path)."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        m, h, w, c = x.shape
-        if not self._is_fast(h, w):
+        if not self._is_fast(*x.shape[1:3]):
             return self._fallback_forward(x, _MaxPool2dFunction)
         self._x_shape = x.shape
-        kh, kw = self.kernel
-        out_shape = (m, h // kh, w // kw, c)
-        best_out = arg_out = None
-        if self._ws is not None:
-            best_out = ws_buf(self, "out", out_shape, x.dtype)
-            arg_out = ws_buf(self, "arg", out_shape, np.int8)
-        best, self._argmax = _window_max_first_wins(list(self._windows(x)),
-                                                    best_out, arg_out)
+        best, self._argmax = _window_max_first_wins(self, list(self._windows(x)))
         return best
 
     def forward_inference(self, x: np.ndarray) -> np.ndarray:
         """Max pooling without the argmax map (compiled no-grad replay path)."""
-        m, h, w, c = x.shape
-        if not self._is_fast(h, w):
+        if not self._is_fast(*x.shape[1:3]):
             inner = _MaxPool2dFunction(self.kernel, self.stride, self.padding)
             inner.set_workspace(self._ws)
             out = inner.forward_inference(np.ascontiguousarray(x.transpose(0, 3, 1, 2)))
             return np.ascontiguousarray(out.transpose(0, 2, 3, 1))
-        views = self._windows(x)
-        first = next(views)
-        if self._ws is None:
-            best = first.copy()
-        else:
-            kh, kw = self.kernel
-            best = ws_buf(self, "out", (m, h // kh, w // kw, c), x.dtype)
-            np.copyto(best, first)
-        for candidate in views:
-            np.maximum(best, candidate, out=best)
-        return best
+        return _window_max_first_wins(self, list(self._windows(x)), index=False)[0]
 
     def backward(self, grad_output: np.ndarray):
         if self._fallback is not None:
             return self._fallback_backward(grad_output)
         # The window views jointly cover grad_x, so no pre-zeroing.
         grad_x = ws_buf(self, "gx", self._x_shape, grad_output.dtype)
-        _window_max_scatter_grad(self._windows(grad_x), grad_output, self._argmax)
+        _window_max_scatter_grad(self, self._windows(grad_x), grad_output, self._argmax)
         return (grad_x,)
 
 

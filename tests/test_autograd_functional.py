@@ -123,10 +123,14 @@ def _pool_inputs(rng, shape):
     ]
 
 
+# 12 and 16 have more window positions than an int8 index map can hold.
+WINDOW_KERNELS = [2, 3, 12, 16]
+
+
 class TestMaxPoolWindowPath:
     """The strided-window max pool against the independent im2col/argmax path."""
 
-    @pytest.mark.parametrize("kernel", [2, 3])
+    @pytest.mark.parametrize("kernel", WINDOW_KERNELS)
     @pytest.mark.parametrize("workspace", [False, True])
     def test_nchw_matches_im2col_reference(self, rng, kernel, workspace):
         ctx = F._MaxPool2dFunction(kernel)
@@ -144,7 +148,7 @@ class TestMaxPoolWindowPath:
             (grad_x,) = ctx.backward(grad)
             np.testing.assert_array_equal(grad_x, want_grad)
 
-    @pytest.mark.parametrize("kernel", [2, 3])
+    @pytest.mark.parametrize("kernel", WINDOW_KERNELS)
     @pytest.mark.parametrize("workspace", [False, True])
     def test_channels_last_matches_im2col_reference(self, rng, kernel, workspace):
         ctx = F._MaxPool2dCLFunction(kernel)
@@ -162,6 +166,83 @@ class TestMaxPoolWindowPath:
                                           want_out.transpose(0, 2, 3, 1))
             (grad_x,) = ctx.backward(grad)
             np.testing.assert_array_equal(grad_x, want_grad.transpose(0, 2, 3, 1))
+
+
+def _pool_ctx(layout: str, kernel: int, workspace: bool):
+    ctx = (F._MaxPool2dFunction if layout == "nchw" else F._MaxPool2dCLFunction)(kernel)
+    if workspace:
+        ctx.set_workspace(Workspace())
+    return ctx
+
+
+def _to_layout(nchw: np.ndarray, layout: str) -> np.ndarray:
+    return nchw if layout == "nchw" else np.ascontiguousarray(nchw.transpose(0, 2, 3, 1))
+
+
+def _reference_2x2(x: np.ndarray, layout: str) -> np.ndarray:
+    """im2col/argmax 2x2 max-pool output, in ``layout``."""
+    reference = F._MaxPool2dFunction(2)
+    if layout == "nchw":
+        return reference._forward_general(x)
+    out = reference._forward_general(np.ascontiguousarray(x.transpose(0, 3, 1, 2)))
+    return out.transpose(0, 2, 3, 1)
+
+
+def _signed_zero_spikes(rng, shape):
+    """Binary spike map whose zeros carry random signs (``+0.0``/``-0.0`` ties)."""
+    spikes = (rng.random(shape) < 0.3).astype(np.float32)
+    return np.where(rng.random(shape) < 0.5, spikes, -spikes)  # -0.0 where no spike
+
+
+def _nan_windows(rng, shape):
+    x = rng.standard_normal(shape).astype(np.float32)
+    x[rng.random(shape) < 0.1] = np.nan
+    return x
+
+
+LAYOUTS = ["nchw", "channels_last"]
+
+
+class TestMaxPoolSelectInvariants:
+    """One first-wins select serves training and inference, on any input."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("workspace", [False, True])
+    def test_nan_inside_a_window_reaches_the_training_output(self, layout, workspace):
+        x = _to_layout(np.array([[[[1, np.nan, 2, 3], [0, 0, np.nan, 5]]]], dtype=np.float32),
+                       layout)
+        ctx = _pool_ctx(layout, 2, workspace)
+        out = ctx.forward(x).copy()
+        want = _reference_2x2(x, layout)
+        assert np.isnan(want).all()
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(ctx.forward_inference(x), want)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("workspace", [False, True])
+    def test_training_and_inference_outputs_are_bitwise_equal(self, rng, layout, workspace):
+        ctx = _pool_ctx(layout, 2, workspace)
+        shape = (2, 3, 8, 6)
+        for nchw in (_signed_zero_spikes(rng, shape), rng.standard_normal(shape).astype(np.float32),
+                     _nan_windows(rng, shape)):
+            x = _to_layout(nchw, layout)
+            out = ctx.forward(x).copy()
+            inferred = ctx.forward_inference(x)
+            np.testing.assert_array_equal(np.signbit(out), np.signbit(inferred))
+            np.testing.assert_array_equal(out, inferred)
+            np.testing.assert_array_equal(out, _reference_2x2(x, layout))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_workspace_scratch_does_not_grow_per_call(self, rng, layout):
+        ctx = _pool_ctx(layout, 2, workspace=True)
+        sizes = []
+        for nchw in _pool_inputs(rng, (2, 3, 8, 6)):
+            x = _to_layout(nchw, layout)
+            out = ctx.forward(x)
+            ctx.backward(np.ones_like(out))
+            ctx.forward_inference(x)
+            sizes.append(len(ctx._ws._buffers))
+        assert len(set(sizes)) == 1, sizes
 
 
 class TestDropoutAndPad:
