@@ -252,11 +252,14 @@ class Conv2dFunction(Function):
             )                                                           # (N, O*kh*kw, H*W)
             h, w = self._x_shape[2], self._x_shape[3]
             if self._ws is None:
-                grad_x = np.matmul(w_flip, g_cols)
+                # GEMM into the image-shaped array, so the returned gradient
+                # owns its storage and the tape adopts it without a copy.
+                grad_x = np.empty((n, in_c, h, w), grad_output.dtype)
+                np.matmul(w_flip, g_cols, out=grad_x.reshape(n, in_c, h * w))
             else:
                 grad_x = ws_buf(self, "gx", (n, in_c, h * w), grad_output.dtype)
                 np.matmul(w_flip, g_cols, out=grad_x)
-            grad_x = grad_x.reshape(n, in_c, h, w)
+                grad_x = grad_x.reshape(n, in_c, h, w)
         else:
             w_mat = weight.reshape(out_c, -1)
             grad_cols = np.matmul(w_mat.T, grad_nol)                    # (N, K, L)
@@ -498,7 +501,12 @@ class ConvChannelsLastFunction(Function):
         ph, pw = self.padding
         if self._is_1x1 and (sh, sw) == (1, 1):
             if self._ws is None:
-                grad_x = (grad_flat @ weight.reshape(out_c, in_c)).reshape(self._x_shape)
+                # GEMMs into the image-shaped array here and below: the
+                # returned gradient owns its storage, so the tape adopts it
+                # without a copy.
+                grad_x = np.empty(self._x_shape, grad_output.dtype)
+                np.matmul(grad_flat, weight.reshape(out_c, in_c),
+                          out=grad_x.reshape(m * h * w, in_c))
             else:
                 grad_x = ws_buf(self, "gx", (m * h * w, in_c), grad_output.dtype)
                 np.matmul(grad_flat, weight.reshape(out_c, in_c), out=grad_x)
@@ -517,7 +525,8 @@ class ConvChannelsLastFunction(Function):
             g_cols = _im2col_cl(grad_output, (kh, kw), 1, (kh - 1 - ph, kw - 1 - pw),
                                 ctx=self, key="g")
             if self._ws is None:
-                grad_x = (g_cols @ w_flip).reshape(self._x_shape)
+                grad_x = np.empty(self._x_shape, grad_output.dtype)
+                np.matmul(g_cols, w_flip, out=grad_x.reshape(m * h * w, in_c))
             else:
                 grad_x = ws_buf(self, "gx", (m * h * w, in_c), grad_output.dtype)
                 np.matmul(g_cols, w_flip, out=grad_x)

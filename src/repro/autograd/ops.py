@@ -450,8 +450,22 @@ def _concat_bwd(g, ins, out, saved, attrs, needs):
     return grads
 
 
+def _repeat_time_fwd(ins, attrs, out=None):
+    x = ins[0]
+    if out is None:
+        out = np.empty((attrs["timesteps"],) + x.shape[1:], dtype=x.dtype)
+    out[...] = x
+    return out
+
+
+def _repeat_time_bwd(g, ins, out, saved, attrs, needs):
+    return [np.asarray(g).sum(axis=0, keepdims=True)]
+
+
 register_op("stack", _stack_fwd, _stack_bwd)
 register_op("concatenate", _concat_fwd, _concat_bwd)
+# One timestep ``(1, N, ...)`` copied to ``(T, N, ...)``; backward sums over time.
+register_op("repeat_time", _repeat_time_fwd, _repeat_time_bwd, out_capable=True)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +549,10 @@ def _fn_infer(ins, attrs, out=None):
 
 
 def _fn_bwd(g, ins, out, saved, attrs, needs):
+    if not needs[0] and getattr(saved, "input_needs_grad", False):
+        # Nobody reads the first input's gradient (e.g. the network input):
+        # the convolutions then skip the input-gradient gather and GEMM.
+        saved.input_needs_grad = False
     grads = saved.backward(np.asarray(g))
     if not isinstance(grads, (tuple, list)):
         grads = (grads,)

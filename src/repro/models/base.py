@@ -20,6 +20,13 @@ Two execution engines ("step modes") are available:
 
 Both engines produce the same logits and parameter gradients (to float32
 rounding); ``tests/test_step_modes.py`` asserts the equivalence at ``1e-5``.
+
+Static images enter through :meth:`SpikingModel.run_images` instead: direct
+coding feeds the same ``(N, C, H, W)`` image at every timestep, so the fused
+engine runs the time-invariant stem (convolution and batch norm) once on
+``N`` images and copies its output to ``T`` timesteps right before the first
+time-dependent layer.  :meth:`SpikingModel.run_batch` dispatches on the
+input's rank.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from repro.autograd.tensor import Tensor, as_tensor
-from repro.nn.module import Module
+from repro.nn.module import Module, repeat_time
 from repro.snn.functional import reset_model_state
 
 __all__ = ["SpikingModel", "STEP_MODES"]
@@ -84,6 +91,16 @@ class SpikingModel(Module):
         timesteps = x_seq.shape[0]
         return Tensor.stack([self.forward(x_seq[t]) for t in range(timesteps)], axis=0)
 
+    def forward_images(self, images: Tensor, timesteps: int) -> Tensor:
+        """Map static ``(N, C, H, W)`` images to ``(T, N, num_classes)`` logits.
+
+        The fused direct-coded forward.  The zoo models override it to run
+        their stem once on ``N`` images (:func:`repro.models.blocks.direct_coded_stem`);
+        this fallback copies the images to ``T`` timesteps and runs
+        :meth:`forward_sequence`.
+        """
+        return self.forward_sequence(repeat_time(images.reshape((1,) + images.shape), timesteps))
+
     def run_timesteps(
         self,
         inputs: Union[np.ndarray, Tensor],
@@ -115,6 +132,50 @@ class SpikingModel(Module):
         if data.shape[0] > self.timesteps:
             sequence = sequence[: self.timesteps]
         return self.stream_timesteps(sequence, step_mode=step_mode)
+
+    def run_images(
+        self,
+        images: Union[np.ndarray, Tensor],
+        step_mode: Optional[str] = None,
+    ) -> List[Tensor]:
+        """Direct-coded simulation of static ``(N, C, H, W)`` images.
+
+        The same image is the input at each of the model's ``timesteps``
+        steps, so the result equals :meth:`run_timesteps` on the
+        :class:`~repro.snn.encoding.DirectEncoder` output: the logits and the
+        batch-norm running buffers bitwise, the gradients to float rounding
+        (the stem's gradients are summed over time in a different order).
+        In fused mode the stem convolution and its batch norm run once, on
+        ``N`` images instead of ``T * N``; the single-step engine feeds the
+        image at each step.  Returns one ``(N, num_classes)`` logits tensor
+        per timestep.
+        """
+        mode = step_mode if step_mode is not None else self.step_mode
+        if mode not in STEP_MODES:
+            raise ValueError(f"step_mode must be one of {STEP_MODES}, got {mode!r}")
+        image_t = as_tensor(images)
+        if image_t.ndim != 4:
+            raise ValueError(f"expected (N, C, H, W) images, got shape {image_t.shape}")
+        self.reset()
+        if mode == "fused":
+            logits_seq = self.forward_images(image_t, self.timesteps)
+            return [logits_seq[t] for t in range(self.timesteps)]
+        return [self.forward(image_t) for _ in range(self.timesteps)]
+
+    def run_batch(
+        self,
+        inputs: Union[np.ndarray, Tensor],
+        step_mode: Optional[str] = None,
+    ) -> List[Tensor]:
+        """:meth:`run_images` for 4-D static images, :meth:`run_timesteps` for 5-D sequences.
+
+        :func:`repro.snn.encoding.prepare_batch` decides which of the two a
+        batch becomes.
+        """
+        ndim = inputs.ndim if isinstance(inputs, Tensor) else np.ndim(inputs)
+        if ndim == 4:
+            return self.run_images(inputs, step_mode=step_mode)
+        return self.run_timesteps(inputs, step_mode=step_mode)
 
     def stream_timesteps(
         self,
@@ -159,6 +220,9 @@ class SpikingModel(Module):
                 step_mode: Optional[str] = None) -> np.ndarray:
         """Class predictions from time-averaged logits (no gradient tracking).
 
+        ``inputs`` is a ``(T, N, C, H, W)`` sequence or ``(N, C, H, W)``
+        static images (see :meth:`run_batch`).
+
         Prediction always runs in ``eval()`` mode — batch norms use their
         running statistics instead of (and without updating) batch
         statistics — and the previous ``training`` flag is restored
@@ -170,7 +234,7 @@ class SpikingModel(Module):
         self.eval()
         try:
             with no_grad():
-                outputs = self.run_timesteps(inputs, step_mode=step_mode)
+                outputs = self.run_batch(inputs, step_mode=step_mode)
                 mean_logits = sum(o.data for o in outputs) / len(outputs)
         finally:
             if was_training:

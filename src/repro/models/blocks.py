@@ -15,11 +15,11 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.nn.layers import BatchNorm2d, Conv2d, Identity, Sequential
-from repro.nn.module import Module, sequence_forward
+from repro.nn.module import Module, repeat_time, sequence_forward
 from repro.snn.neurons import LIFNeuron
 from repro.snn.norm import TDBatchNorm2d, TEBatchNorm2d
 
-__all__ = ["make_norm", "SpikingConvBlock", "MSBasicBlock"]
+__all__ = ["make_norm", "direct_coded_stem", "SpikingConvBlock", "MSBasicBlock"]
 
 
 def make_norm(kind: str, num_features: int, timesteps: int = 4,
@@ -42,6 +42,29 @@ def make_norm(kind: str, num_features: int, timesteps: int = 4,
     if kind == "none":
         return Identity()
     raise ValueError(f"unknown norm kind '{kind}'; options: bn, tdbn, tebn, none")
+
+
+def direct_coded_stem(conv: Module, norm: Module, neuron: Module, images: Tensor,
+                      timesteps: int) -> Tensor:
+    """Fused ``conv -> norm -> LIF`` stem over static ``(N, C, H, W)`` images.
+
+    Direct coding feeds the same image at every timestep, so the convolution
+    and a norm without per-timestep parameters would compute ``T`` identical
+    copies.  They run once, on a one-step ``(1, N, H, W, C)`` sequence; the
+    result is copied to ``T`` timesteps right before the first
+    time-dependent part — inside the norm when it has one
+    (``forward_repeated``: batch norms count ``T`` running-stat updates,
+    TEBN applies its per-timestep gains to the copies), else before it.
+    Returns the stem's ``(T, N, H', W', C')`` channels-last spikes.
+    """
+    x_step = images.reshape((1,) + images.shape).transpose(0, 1, 3, 4, 2)
+    out = sequence_forward(conv, x_step)
+    forward_repeated = getattr(norm, "forward_repeated", None)
+    if forward_repeated is not None:
+        out = forward_repeated(out, timesteps)
+    else:
+        out = sequence_forward(norm, repeat_time(out, timesteps))
+    return sequence_forward(neuron, out)
 
 
 class SpikingConvBlock(Module):

@@ -23,7 +23,7 @@ from repro.nn.layers import AdaptiveAvgPool2d, BatchNorm2d, Conv2d, Flatten, Lin
 from repro.nn.module import Module, ModuleList, sequence_forward
 from repro.snn.neurons import LIFNeuron
 from repro.models.base import SpikingModel
-from repro.models.blocks import MSBasicBlock, make_norm
+from repro.models.blocks import MSBasicBlock, direct_coded_stem, make_norm
 from repro.models.specs import scaled_width as _scaled
 
 __all__ = ["SpikingResNet", "spiking_resnet18", "spiking_resnet34", "spiking_resnet20"]
@@ -121,6 +121,19 @@ class SpikingResNet(SpikingModel):
         """
         out = sequence_forward(self.stem_conv, x_seq.transpose(0, 1, 3, 4, 2))
         out = sequence_forward(self.stem_neuron, sequence_forward(self.stem_norm, out))
+        return self._propagate(out)
+
+    def forward_images(self, images: Tensor, timesteps: int) -> Tensor:
+        """Direct-coded fused forward: the stem runs once on ``N`` images.
+
+        See :func:`repro.models.blocks.direct_coded_stem`.
+        """
+        out = direct_coded_stem(self.stem_conv, self.stem_norm, self.stem_neuron,
+                                images, timesteps)
+        return self._propagate(out)
+
+    def _propagate(self, out: Tensor) -> Tensor:
+        """Run the stem's ``(T, N, H, W, C)`` spikes through the stages and the head."""
         for stage in self.stages:
             for block in stage:
                 out = sequence_forward(block, out)

@@ -16,7 +16,7 @@ from repro.autograd.tensor import Tensor
 from repro.nn.layers import AdaptiveAvgPool2d, Conv2d, Flatten, Linear, MaxPool2d
 from repro.nn.module import ModuleList, sequence_forward
 from repro.models.base import SpikingModel
-from repro.models.blocks import SpikingConvBlock
+from repro.models.blocks import SpikingConvBlock, direct_coded_stem
 from repro.models.specs import scaled_width as _scaled
 from repro.snn.neurons import LIFNeuron
 
@@ -96,8 +96,22 @@ class SpikingVGG(SpikingModel):
         to ``(T, N, H, W, C)`` once here, and the spatial axes vanish before
         the classifier, so no conversion back is needed.
         """
-        out = x_seq.transpose(0, 1, 3, 4, 2)
-        for layer in self.features:
+        return self._propagate(x_seq.transpose(0, 1, 3, 4, 2), self.features)
+
+    def forward_images(self, images: Tensor, timesteps: int) -> Tensor:
+        """Direct-coded fused forward: the first block runs as the stem.
+
+        See :func:`repro.models.blocks.direct_coded_stem`.
+        """
+        first = self.features[0]
+        if not isinstance(first, SpikingConvBlock):
+            return super().forward_images(images, timesteps)
+        out = direct_coded_stem(first.conv, first.norm, first.neuron, images, timesteps)
+        return self._propagate(out, list(self.features)[1:])
+
+    def _propagate(self, out: Tensor, layers) -> Tensor:
+        """Run a channels-last ``(T, N, H, W, C)`` sequence through ``layers`` and the head."""
+        for layer in layers:
             if isinstance(layer, MaxPool2d) and (out.shape[2] < 2 or out.shape[3] < 2):
                 # Same guard as forward(): skip pools once the spatial
                 # resolution is exhausted on scaled-down inputs.

@@ -21,6 +21,7 @@ from repro.nn.module import (
     Parameter,
     StatelessModule,
     fold_time,
+    repeat_time,
     sequence_forward,
     unfold_time,
 )
@@ -159,12 +160,13 @@ class BatchNormSequenceFunction(Function):
     def __init__(self, eps: float, training: bool,
                  running_mean: Optional[np.ndarray] = None,
                  running_var: Optional[np.ndarray] = None,
-                 gamma_scale: float = 1.0):
+                 gamma_scale: float = 1.0, repeats: int = 1):
         self.eps = eps
         self.training = training
         self.running_mean = running_mean
         self.running_var = running_var
         self.gamma_scale = gamma_scale
+        self.repeats = repeats                         # copies of the sequence in time
         self.batch_mean: Optional[np.ndarray] = None   # (T, C), read by the layer
         self.batch_var: Optional[np.ndarray] = None
         self._xhat: Optional[np.ndarray] = None        # (T, M, C)
@@ -210,11 +212,14 @@ class BatchNormSequenceFunction(Function):
 
         Exactly what ``T`` single-step batch-norm calls would do; called by
         the ``bn_seq`` kernel and its workspace-cached variant, so the two
-        produce bitwise-equal statistics.
+        produce bitwise-equal statistics.  A sequence that stands for
+        ``repeats`` copies of itself in time (a direct-coded stem) updates
+        once per copy.
         """
-        for t in range(self.batch_mean.shape[0]):
-            running_mean[...] = (1 - momentum) * running_mean + momentum * self.batch_mean[t]
-            running_var[...] = (1 - momentum) * running_var + momentum * self.batch_var[t]
+        for _ in range(self.repeats):
+            for t in range(self.batch_mean.shape[0]):
+                running_mean[...] = (1 - momentum) * running_mean + momentum * self.batch_mean[t]
+                running_var[...] = (1 - momentum) * running_var + momentum * self.batch_var[t]
 
     def forward_inference(self, *arrays: np.ndarray) -> np.ndarray:
         """Eval-mode fast path: fold mean/var/affine into one scale-and-shift.
@@ -249,7 +254,10 @@ class BatchNormSequenceFunction(Function):
         coeff = self._inv_std * scale
         if self.training:
             coeff = coeff[:, None, :]
-        grad_x = ws_buf(self, "gx", grad.shape, grad.dtype)
+        # Shaped as the input, so the returned gradient owns its storage and
+        # the tape adopts it without a copy; the kernel works on a row view.
+        grad_in = ws_buf(self, "gx", grad_output.shape, grad.dtype)
+        grad_x = grad_in.reshape(grad.shape)
         np.multiply(grad, coeff, out=grad_x)
         if self._affine or self.training:
             sum_grad = _channel_sums(grad)
@@ -263,10 +271,9 @@ class BatchNormSequenceFunction(Function):
             np.multiply(xhat, coeff * (sum_proj / count)[:, None, :], out=product)
             grad_x -= product
             grad_x -= coeff * (sum_grad / count)[:, None, :]
-        grad_x = grad_x.reshape(grad_output.shape)
         if self._affine:
-            return grad_x, self.gamma_scale * sum_proj.sum(axis=0), sum_grad.sum(axis=0)
-        return (grad_x,)
+            return grad_in, self.gamma_scale * sum_proj.sum(axis=0), sum_grad.sum(axis=0)
+        return (grad_in,)
 
 
 class BatchNorm2d(Module):
@@ -323,7 +330,7 @@ class BatchNorm2d(Module):
             normalised = normalised * gamma + beta
         return normalised
 
-    def forward_sequence(self, x_seq: Tensor) -> Tensor:
+    def forward_sequence(self, x_seq: Tensor, repeats: int = 1) -> Tensor:
         """Normalise a channels-last ``(T, N, H, W, C)`` sequence per timestep.
 
         Equivalent to calling :meth:`forward` once per timestep — statistics
@@ -332,7 +339,9 @@ class BatchNorm2d(Module):
         sequence runs as one fused autograd node
         (:class:`BatchNormSequenceFunction`) instead of ``T`` separate
         multi-op graphs.  The channels-last layout is the fused engine's
-        convention (see :mod:`repro.nn.module`).
+        convention (see :mod:`repro.nn.module`).  ``repeats`` declares the
+        sequence ``repeats`` copies of itself in time: the output is the same,
+        the running buffers get ``repeats * T`` updates.
         """
         return batch_norm_sequence(
             x_seq,
@@ -344,7 +353,20 @@ class BatchNorm2d(Module):
             running_mean=self.running_mean.data,
             running_var=self.running_var.data,
             gamma_scale=self.gamma_scale,
+            repeats=repeats,
         )
+
+    def forward_repeated(self, x_step: Tensor, timesteps: int) -> Tensor:
+        """Normalise one ``(1, N, H, W, C)`` step that repeats ``timesteps`` times.
+
+        Returns the ``(T, N, H, W, C)`` sequence equal to :meth:`forward_sequence`
+        on ``T`` copies of the step: the statistics of every copy are those
+        of the one step, so the normalisation runs once, the running buffers
+        get their ``T`` updates and :func:`~repro.nn.module.repeat_time`
+        copies the result (after the norm, so the eval-BN fold still finds
+        the convolution right before it).
+        """
+        return repeat_time(self.forward_sequence(x_step, repeats=timesteps), timesteps)
 
     def extra_repr(self) -> str:
         return f"{self.num_features}, eps={self.eps}, momentum={self.momentum}"
@@ -360,12 +382,14 @@ def batch_norm_sequence(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     gamma_scale: float = 1.0,
+    repeats: int = 1,
 ) -> Tensor:
     """Fused per-timestep batch norm over a channels-last ``(T, N, H, W, C)`` sequence.
 
     Wires :class:`BatchNormSequenceFunction` into the autograd graph and
     replays the ``T`` sequential momentum updates on the running buffers
-    (in place), exactly as ``T`` single-step calls would.
+    (in place), exactly as ``T`` single-step calls would — ``repeats`` times
+    over when the sequence stands for that many copies of itself in time.
     """
     if x_seq.ndim != 5:
         raise ValueError(f"expected a 5-D time-major sequence, got shape {x_seq.shape}")
@@ -378,7 +402,8 @@ def batch_norm_sequence(
     return apply_op("bn_seq", inputs, {
         "cls": BatchNormSequenceFunction,
         "ctor": dict(eps=eps, training=training, running_mean=running_mean,
-                     running_var=running_var, gamma_scale=gamma_scale),
+                     running_var=running_var, gamma_scale=gamma_scale,
+                     repeats=repeats),
         "momentum": momentum,
     })
 

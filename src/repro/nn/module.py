@@ -13,7 +13,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, apply_op
 
 __all__ = [
     "Parameter",
@@ -25,6 +25,7 @@ __all__ = [
     "SeqToBatch",
     "fold_time",
     "unfold_time",
+    "repeat_time",
     "sequence_forward",
 ]
 
@@ -263,6 +264,8 @@ class Module:
 #
 # * :func:`fold_time` / :func:`unfold_time` — the ``(T, N, ...) <-> (T*N, ...)``
 #   reshapes (differentiable, zero-copy on contiguous data).
+# * :func:`repeat_time` — copies one timestep ``(1, N, ...)`` to ``(T, N, ...)``;
+#   direct-coded models run their time-invariant stem once and expand here.
 # * :class:`StatelessModule` — mixin giving a layer a ``forward_sequence`` that
 #   folds time into the batch around its ordinary ``forward``.
 # * :class:`StatefulModule` — marker base class for layers that carry state
@@ -305,6 +308,19 @@ def unfold_time(x: Tensor, timesteps: int) -> Tensor:
             f"folded batch of {shape[0]} rows is not divisible into {timesteps} timesteps"
         )
     return x.reshape((timesteps, shape[0] // timesteps) + shape[1:])
+
+
+def repeat_time(x_step: Tensor, timesteps: int) -> Tensor:
+    """Copy a one-step ``(1, N, ...)`` sequence to ``(T, N, ...)``.
+
+    One traced op: its forward makes one copy per timestep, its backward sums
+    the gradient over the time axis.
+    """
+    if x_step.ndim < 2 or x_step.shape[0] != 1:
+        raise ValueError(f"expected a one-step (1, N, ...) sequence, got shape {x_step.shape}")
+    if timesteps < 1:
+        raise ValueError(f"timesteps must be >= 1, got {timesteps}")
+    return apply_op("repeat_time", (x_step,), {"timesteps": int(timesteps)})
 
 
 class StatelessModule(Module):

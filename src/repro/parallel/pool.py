@@ -237,11 +237,9 @@ class _WorkerEngine:
 
     def forward_backward(self, data, labels) -> Tuple[float, int, bool]:
         """One micro-shard step; returns ``(mean loss, correct, replayed)``."""
-        from repro.snn.encoding import encode_batch
+        from repro.snn.encoding import prepare_batch
 
-        batch = encode_batch(np.asarray(data, dtype=np.float32), self.timesteps)
-        if self.augment is not None:
-            batch = self.augment(batch)
+        batch = prepare_batch(data, self.timesteps, self.augment)
         labels = np.asarray(labels)
         for param in self._params:
             param.zero_grad(set_to_none=True)
@@ -249,7 +247,7 @@ class _WorkerEngine:
             loss, logits_per_step, replayed = self._compiled.run(batch, labels)
             mean_logits = sum(logits_per_step) / len(logits_per_step)
         else:
-            outputs = self.model.run_timesteps(batch, step_mode=self.step_mode)
+            outputs = self.model.run_batch(batch, step_mode=self.step_mode)
             loss_t = self.loss_fn(outputs, labels)
             loss_t.backward()
             loss = float(loss_t.data)

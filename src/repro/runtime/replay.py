@@ -210,7 +210,9 @@ class CompiledTrainStep(_CompiledBase):
             with GraphCapture() as capture:
                 batch_t = Tensor(batch)
                 capture.placeholder(batch_t, "batch")
-                outputs = self.model.run_timesteps(batch_t, step_mode=mode)
+                # 4-D static images run direct-coded (their own plan key).
+                run = self.model.run_images if batch.ndim == 4 else self.model.run_timesteps
+                outputs = run(batch_t, step_mode=mode)
                 num_classes = int(outputs[0].shape[-1])
                 onehot_t = Tensor(_one_hot(labels, num_classes))
                 capture.placeholder(onehot_t, "labels_onehot")

@@ -332,6 +332,9 @@ class TTSupernet(SpikingModel):
     def forward_sequence(self, x_seq: Tensor) -> Tensor:
         return self.model.forward_sequence(x_seq)
 
+    def forward_images(self, images: Tensor, timesteps: int) -> Tensor:
+        return self.model.forward_images(images, timesteps)
+
     # -- configuration management --------------------------------------------
 
     def layers(self) -> List[EntangledTTConv2d]:

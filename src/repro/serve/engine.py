@@ -10,12 +10,15 @@ dense kernels so that inference runs as an ordinary spike-driven CNN (Eq. 6).
    equivalent via :func:`repro.tt.reconstruct.snapshot_merged`;
 3. **freeze** — force ``eval()`` mode (batch norms use running statistics)
    and drop leftover gradients;
-4. **serve** — every request runs the fused ``(T, N, ...)`` engine from PR 1
-   under ``no_grad`` as the *only* code path.
+4. **serve** — every request runs the fused engine under ``no_grad`` as the
+   *only* code path.
 
-The engine accepts raw ``(N, C, H, W)`` images (direct-coded to the model's
-timestep count), pre-encoded ``(T, N, C, H, W)`` sequences, or a single
-``(C, H, W)`` sample, and returns time-averaged logits.  Because the spiking
+The engine accepts raw ``(N, C, H, W)`` images, pre-encoded
+``(T, N, C, H, W)`` sequences, or a single ``(C, H, W)`` sample, and returns
+time-averaged logits.  Images are direct-coded by the model itself
+(:meth:`~repro.models.base.SpikingModel.run_images`): the stem convolution
+and its batch norm run once per image rather than once per timestep, and
+compiled plans for image batches are cached apart from those for sequences.  Because the spiking
 state (LIF membranes, HTT counters) lives inside the model, a lock serialises
 concurrent ``infer`` calls — throughput scaling comes from batching requests
 (:class:`repro.serve.batcher.MicroBatcher`), not from re-entrancy.
@@ -32,7 +35,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor, no_grad
 from repro.models.base import SpikingModel
 from repro.obs.trace import get_tracer
-from repro.snn.encoding import encode_batch
+from repro.snn.encoding import prepare_batch
 
 __all__ = ["InferenceEngine"]
 
@@ -60,7 +63,8 @@ class InferenceEngine:
         Serve through the capture/replay runtime (:mod:`repro.runtime`):
         request batches are zero-padded up to the next power-of-two batch
         size and executed by a compiled no-grad forward plan cached per
-        padded shape, so :class:`~repro.serve.batcher.MicroBatcher` bursts of
+        padded shape (and rank: images and sequences get separate plans),
+        so :class:`~repro.serve.batcher.MicroBatcher` bursts of
         any fill level hit a replayed plan instead of rebuilding the Python
         forward.  Padding is exact — eval-mode layers are per-sample
         independent, and the pad rows are sliced off before returning.
@@ -147,7 +151,7 @@ class InferenceEngine:
             from repro.runtime.replay import CompiledForward
 
             self._compiled = CompiledForward(
-                lambda batch_t: self.model.run_timesteps(batch_t, step_mode="fused"),
+                lambda batch_t: self.model.run_batch(batch_t, step_mode="fused"),
                 owner=self.model,
                 optimize=optimize,
                 profile=profile,
@@ -187,14 +191,14 @@ class InferenceEngine:
         """
         data, single = self._shape_batch(inputs)
         with get_tracer().span("engine.infer", compiled=self.compile) as sp:
-            batch = encode_batch(data, self.timesteps)
-            sp.set_attr("batch_size", int(batch.shape[1]))
+            batch = prepare_batch(data, self.timesteps)
+            sp.set_attr("batch_size", int(batch.shape[-4]))
             with self._lock:
                 if self._compiled is not None:
                     logits = self._infer_compiled(batch)
                 else:
                     with no_grad():
-                        outputs = self.model.run_timesteps(batch, step_mode="fused")
+                        outputs = self.model.run_batch(batch, step_mode="fused")
                         logits = sum(o.data for o in outputs) / len(outputs)
                     if self.guard_numerics and not np.isfinite(logits).all():
                         from repro.resilience.errors import NumericFault
@@ -205,19 +209,23 @@ class InferenceEngine:
         return logits[0] if single else logits
 
     def _infer_compiled(self, batch: np.ndarray) -> np.ndarray:
-        """Replay the compiled forward plan for the padded batch size."""
-        n = batch.shape[1]
+        """Replay the compiled forward plan for the padded batch size.
+
+        ``batch`` is ``(N, C, H, W)`` images or a ``(T, N, C, H, W)``
+        sequence; either way the batch axis is the fourth from the end.
+        """
+        n = batch.shape[-4]
         n_padded = 1 << max(0, n - 1).bit_length() if n > 1 else 1
         if n_padded != n:
             # One persistent buffer per padded shape (serialised by the engine
             # lock): the hot path stays allocation-free, only the pad rows are
             # re-zeroed in case a previous larger request left samples there.
-            shape = batch.shape[:1] + (n_padded,) + batch.shape[2:]
+            shape = batch.shape[:-4] + (n_padded,) + batch.shape[-3:]
             padded = self._pad_buffers.get(shape)
             if padded is None:
                 padded = self._pad_buffers[shape] = np.zeros(shape, dtype=np.float32)
-            padded[:, :n] = batch
-            padded[:, n:] = 0.0
+            padded[..., :n, :, :, :] = batch
+            padded[..., n:, :, :, :] = 0.0
             batch = padded
         outputs = self._compiled(batch)
         # The mean allocates a fresh array, so the returned logits stay valid

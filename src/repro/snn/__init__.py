@@ -24,7 +24,8 @@ from repro.snn.neurons import (
     lif_sequence,
     spike_function,
 )
-from repro.snn.encoding import DirectEncoder, PoissonEncoder, RepeatEncoder, encode_batch
+from repro.snn.encoding import (DirectEncoder, PoissonEncoder, RepeatEncoder, encode_batch,
+                                prepare_batch)
 from repro.snn.norm import TDBatchNorm2d, TEBatchNorm2d
 from repro.snn.loss import TETLoss, mean_output_cross_entropy
 from repro.snn.augment import NeuromorphicAugment
@@ -39,6 +40,7 @@ __all__ = [
     "spike_function",
     "lif_sequence",
     "encode_batch",
+    "prepare_batch",
     "DirectEncoder",
     "PoissonEncoder",
     "RepeatEncoder",

@@ -6,11 +6,16 @@ timestep, and that layer's LIF neurons produce the first spike trains.  For
 dynamic datasets (N-Caltech101, DVS Gesture) the input already is a sequence
 of event frames, one per timestep, so the encoder simply validates and
 forwards them.
+
+The trainer, evaluation, the data-parallel workers and the inference engine
+leave direct coding to the model: :func:`prepare_batch` keeps static images
+4-D, and :meth:`~repro.models.base.SpikingModel.run_images` runs the
+time-invariant stem once on them instead of on ``T`` identical copies.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,6 +27,7 @@ __all__ = [
     "PoissonEncoder",
     "EventFrameEncoder",
     "encode_batch",
+    "prepare_batch",
 ]
 
 
@@ -30,7 +36,12 @@ class DirectEncoder:
 
     Output shape is ``(T, N, C, H, W)``.  The conversion to spikes happens in
     the first convolution + LIF stage of the network (the paper's "direct
-    coding" scheme), so the encoder itself performs no binarisation.
+    coding" scheme), so the encoder itself performs no binarisation.  The
+    explicit copies are for callers that need the sequence itself (an
+    augmentation, :meth:`~repro.models.base.SpikingModel.run_timesteps`);
+    models run static images cheaper through
+    :meth:`~repro.models.base.SpikingModel.run_images`, which computes the
+    time-invariant stem once.
     """
 
     def __init__(self, timesteps: int):
@@ -58,7 +69,8 @@ def encode_batch(data: np.ndarray, timesteps: int) -> np.ndarray:
     ``(T', N, C, H, W)`` event sequences are truncated or padded (by tiling
     the last frame) to exactly ``timesteps`` frames.  Returns a contiguous
     ``(T, N, C, H, W)`` array, which both the single-step loop and the fused
-    batch-folding engine consume directly.
+    batch-folding engine consume directly.  Static images that need no
+    per-timestep augmentation are cheaper through :func:`prepare_batch`.
     """
     data = np.asarray(data, dtype=np.float32)
     if data.ndim == 4:
@@ -66,6 +78,23 @@ def encode_batch(data: np.ndarray, timesteps: int) -> np.ndarray:
     if data.ndim == 5:
         return EventFrameEncoder(timesteps)(data)
     raise ValueError(f"unsupported batch shape {data.shape}")
+
+
+def prepare_batch(data: np.ndarray, timesteps: int,
+                  augment: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
+    """Shape one batch for :meth:`~repro.models.base.SpikingModel.run_batch`.
+
+    Static ``(N, C, H, W)`` images without an ``augment`` stay 4-D: the model
+    direct-codes them itself (:meth:`~repro.models.base.SpikingModel.run_images`)
+    and simulates its own ``timesteps``.  Anything else — event sequences, or
+    images an augmentation must see as ``(T, N, C, H, W)`` — goes through
+    :func:`encode_batch` and then ``augment``.
+    """
+    data = np.asarray(data, dtype=np.float32)
+    if data.ndim == 4 and augment is None:
+        return data
+    batch = encode_batch(data, timesteps)
+    return batch if augment is None else augment(batch)
 
 
 class PoissonEncoder:

@@ -100,10 +100,23 @@ class TEBatchNorm2d(TimedModule):
                 f"channels-last sequence has {x_seq.shape[-1]} channels in the last axis, "
                 f"expected {self.num_features} — the fused engine is channels-last"
             )
-        timesteps = x_seq.shape[0]
+        gains = self._gains(x_seq.shape[0])
+        return self.bn.forward_sequence(x_seq) * gains
+
+    def forward_repeated(self, x_step: Tensor, timesteps: int) -> Tensor:
+        """TEBN over ``timesteps`` copies of one ``(1, N, H, W, C)`` step.
+
+        The shared batch norm runs once on the step
+        (:meth:`~repro.nn.layers.BatchNorm2d.forward_repeated`); the
+        per-timestep gains then see ``T`` copies, as in :meth:`forward_sequence`.
+        """
+        gains = self._gains(timesteps)
+        return self.bn.forward_repeated(x_step, timesteps) * gains
+
+    def _gains(self, timesteps: int) -> Tensor:
+        """The ``(T, 1, 1, 1, 1)`` gains of the next ``timesteps`` timesteps."""
         indices = [min(t, self.timesteps - 1) for t in self.advance_time(timesteps)]
-        scale = self.temporal_weight[indices].reshape(timesteps, 1, 1, 1, 1)
-        return self.bn.forward_sequence(x_seq) * scale
+        return self.temporal_weight[indices].reshape(timesteps, 1, 1, 1, 1)
 
     def extra_repr(self) -> str:
         return f"{self.num_features}, timesteps={self.timesteps}"

@@ -22,7 +22,7 @@ from repro.obs.trace import event as _span_event
 from repro.obs.trace import get_tracer
 from repro.optim import SGD, Adam, CosineAnnealingLR
 from repro.resilience.errors import NumericFault
-from repro.snn.encoding import encode_batch
+from repro.snn.encoding import encode_batch, prepare_batch
 from repro.snn.loss import mean_output_cross_entropy
 from repro.training.config import TrainingConfig
 
@@ -49,7 +49,11 @@ def evaluate_accuracy(model: SpikingModel, dataset: Dataset, batch_size: int = 6
                       timesteps: Optional[int] = None,
                       augment: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                       step_mode: Optional[str] = None) -> float:
-    """Top-1 accuracy of ``model`` on ``dataset`` (no gradients, eval mode)."""
+    """Top-1 accuracy of ``model`` on ``dataset`` (no gradients, eval mode).
+
+    Static images without ``augment`` run direct-coded over the model's own
+    timesteps (:func:`~repro.snn.encoding.prepare_batch`).
+    """
     timesteps = timesteps or model.timesteps
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
     was_training = model.training
@@ -59,9 +63,7 @@ def evaluate_accuracy(model: SpikingModel, dataset: Dataset, batch_size: int = 6
     try:
         with no_grad():
             for data, labels in loader:
-                batch = encode_batch(data, timesteps)
-                if augment is not None:
-                    batch = augment(batch)
+                batch = prepare_batch(data, timesteps, augment)
                 predictions = model.predict(batch, step_mode=step_mode)
                 correct += int((predictions == labels).sum())
                 total += len(labels)
@@ -89,6 +91,9 @@ class BPTTTrainer:
     augment:
         Optional batch augmentation applied to the ``(T, N, C, H, W)`` input
         (e.g. :class:`~repro.snn.augment.NeuromorphicAugment` for NDA).
+        Without one, static ``(N, C, H, W)`` images run direct-coded
+        (:meth:`~repro.models.base.SpikingModel.run_images`): the stem
+        computes once instead of on ``T`` identical copies.
     compile:
         Opt into the capture/replay runtime (:mod:`repro.runtime`): the first
         step per input signature is captured into an execution plan, every
@@ -172,15 +177,13 @@ class BPTTTrainer:
         tracer = get_tracer()
         with tracer.span("train.step", compiled=self.compile,
                          batch_size=int(np.asarray(data).shape[0])):
-            batch = encode_batch(np.asarray(data, dtype=np.float32), self.config.timesteps)
-            if self.augment is not None:
-                batch = self.augment(batch)
+            batch = prepare_batch(data, self.config.timesteps, self.augment)
             labels = np.asarray(labels)
             if self.compile:
                 return self._compiled_step(batch, labels)
             self.optimizer.zero_grad()
             with tracer.span("train.forward"):
-                outputs = self.model.run_timesteps(batch, step_mode=self.config.step_mode)
+                outputs = self.model.run_batch(batch, step_mode=self.config.step_mode)
                 loss = self.loss_fn(outputs, labels)
             with tracer.span("train.backward"):
                 loss.backward()

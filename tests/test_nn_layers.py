@@ -187,6 +187,45 @@ class TestBatchNormSequenceFunction:
             np.testing.assert_array_equal(running_var, before[1])
 
 
+    def test_input_gradient_is_adopted_without_a_copy(self):
+        """The eager input gradient owns its storage, so the tape adopts it."""
+        from repro.nn.layers import batch_norm_sequence
+
+        rng = np.random.default_rng(12)
+        shape = (3, 2, 4, 4, 5)
+        x_val = rng.standard_normal(shape).astype(np.float32)
+        grad = rng.standard_normal(shape).astype(np.float32)
+        weight = Tensor(np.ones(5, np.float32), requires_grad=True)
+        bias = Tensor(np.zeros(5, np.float32), requires_grad=True)
+        x = Tensor(x_val, requires_grad=True)
+        out = batch_norm_sequence(x, weight, bias, eps=1e-5, momentum=0.1, training=True,
+                                  running_mean=np.zeros(5, np.float32),
+                                  running_var=np.ones(5, np.float32))
+        (out * Tensor(grad)).sum().backward()
+        assert x.grad.base is None and not x._grad_owned
+
+        # The workspace kernel (compiled replays) computes the same bits.
+        ctx = BatchNormSequenceFunction(1e-5, True)
+        ctx.set_workspace(Workspace())
+        ctx.forward(x_val, weight.data, bias.data)
+        np.testing.assert_array_equal(x.grad.view(np.uint32),
+                                      ctx.backward(grad)[0].view(np.uint32))
+
+    def test_repeats_count_running_stat_updates(self):
+        """A step declared as T copies updates the buffers as T copies would."""
+        rng = np.random.default_rng(13)
+        step = rng.standard_normal((1, 3, 2, 2, 4)).astype(np.float32)
+        stats = {}
+        for name, x, repeats in (("repeated", step, 3), ("copies", np.repeat(step, 3, 0), 1)):
+            mean, var = np.zeros(4, np.float32), np.ones(4, np.float32)
+            ctx = BatchNormSequenceFunction(1e-5, True, repeats=repeats)
+            ctx.forward(x)
+            ctx.update_running_stats(mean, var, 0.1)
+            stats[name] = (mean, var)
+        for got, want in zip(stats["repeated"], stats["copies"]):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestPoolingLayers:
     def test_avg_and_max_pool_layers(self, small_image_batch):
         assert AvgPool2d(2)(Tensor(small_image_batch)).shape == (2, 3, 4, 4)

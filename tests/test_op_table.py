@@ -18,6 +18,7 @@ from repro.autograd.conv import conv2d
 from repro.autograd.ops import OPS
 from repro.autograd.tensor import Tensor
 from repro.nn.layers import BatchNorm2d, batch_norm_sequence
+from repro.nn.module import repeat_time
 from repro.runtime.graph import GraphCapture
 from repro.runtime.planner import compile_plan
 from repro.snn.norm import TDBatchNorm2d
@@ -93,6 +94,7 @@ CASES = {
     "stack": ([(3, 4), (3, 4)], None, _stateless(lambda a, b: Tensor.stack([a, b], axis=1))),
     "concatenate": ([(3, 2), (3, 4)], None,
                     _stateless(lambda a, b: Tensor.concatenate([a, b], axis=1))),
+    "repeat_time": ([(1, 2, 3, 4)], None, _stateless(lambda a: repeat_time(a, 3))),
     "log_softmax": ([(3, 5)], None, _stateless(lambda a: F.log_softmax(a, axis=1))),
     "pad2d": ([(2, 3, 4, 5)], None, _stateless(lambda a: F.pad2d(a, (1, 2)))),
     "fn_max_pool2d": ([(2, 3, 4, 4)], None, _stateless(lambda a: F.max_pool2d(a, 2))),

@@ -25,6 +25,7 @@ from repro.parallel import DataParallelTrainer
 from repro.runtime import (BufferArena, CompiledForward, CompiledTrainStep,
                            ExecutionPlan, compile_plan)
 from repro.serve.engine import InferenceEngine
+from repro.snn.encoding import encode_batch
 from repro.snn.loss import TETLoss
 from repro.training.config import TrainingConfig
 from repro.training.trainer import BPTTTrainer
@@ -423,7 +424,8 @@ def test_compiled_engine_serves_float32(arch, input_dtype):
 
 def test_engine_pad_buffers_are_float32_and_reused():
     """A batch of 3 pads to the 4-sample plan through one persistent float32
-    buffer per padded shape, whose pad rows stay zero across requests."""
+    buffer per padded shape, whose pad rows stay zero across requests.
+    Images pad their leading batch axis, sequences the axis after time."""
     model = _make_model("vgg9", "ptt")
     engine = InferenceEngine(model, compile=True)
     eager = InferenceEngine(model)
@@ -435,13 +437,18 @@ def test_engine_pad_buffers_are_float32_and_reused():
     first = engine.infer(three)
     assert len(engine._pad_buffers) == 1
     (shape, buffer), = engine._pad_buffers.items()
-    assert shape == (TIMESTEPS, 4, 3, 8, 8) and buffer.dtype == np.float32
+    assert shape == (4, 3, 8, 8) and buffer.dtype == np.float32
     engine.infer(four)
     second = engine.infer(three)
     assert engine._pad_buffers[shape] is buffer
-    assert not buffer[:, 3:].any()
+    assert not buffer[3:].any()
     np.testing.assert_array_equal(first, second)
     np.testing.assert_allclose(second, eager.infer(three), atol=1e-5)
+
+    sequence = encode_batch(three, TIMESTEPS)
+    np.testing.assert_array_equal(engine.infer(sequence), second)
+    assert engine._pad_buffers[(TIMESTEPS, 4, 3, 8, 8)].dtype == np.float32
+    assert not engine._pad_buffers[(TIMESTEPS, 4, 3, 8, 8)][:, 3:].any()
 
 
 # ---------------------------------------------------------------------------
