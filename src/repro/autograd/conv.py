@@ -16,7 +16,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.autograd.tensor import Function, Tensor, as_tensor, ws_buf
+from repro.autograd.tensor import Function, Tensor, as_tensor
 
 __all__ = [
     "conv2d",
@@ -66,11 +66,9 @@ def im2col(
     kernel_hw: Tuple[int, int],
     stride: IntOrPair = 1,
     padding: IntOrPair = 0,
-    ctx=None,
-    key: str = "",
 ) -> np.ndarray:
     """Lower ``x (N, C, H, W)`` into column form ``(N, C*kh*kw, out_h*out_w)``."""
-    return _im2col_batched(x, kernel_hw, stride, padding, ctx=ctx, key=key)
+    return _im2col_batched(x, kernel_hw, stride, padding)
 
 
 def col2im(
@@ -104,8 +102,6 @@ def _im2col_batched(
     kernel_hw: Tuple[int, int],
     stride: IntOrPair = 1,
     padding: IntOrPair = 0,
-    ctx=None,
-    key: str = "",
 ) -> np.ndarray:
     """Lower ``x (N, C, H, W)`` into batched columns ``(N, C*kh*kw, out_h*out_w)``.
 
@@ -113,27 +109,17 @@ def _im2col_batched(
     ``(O, K) @ (N, K, L) -> (N, O, L)`` — so the convolution output lands
     directly in ``(N, O, ...)`` order with no transpose copy, and a
     time-folded ``(T*N, ...)`` batch runs through one strided-BLAS call.
-
-    ``ctx``/``key`` route the padded image and the column copy through the
-    context's persistent workspace when one is installed (compiled replays);
-    without a workspace the behaviour is the original allocate-per-call one.
     """
     n, c, h, w = x.shape
     kh, kw = kernel_hw
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     out_h, out_w = conv2d_output_shape((h, w), (kh, kw), (sh, sw), (ph, pw))
-    ws = getattr(ctx, "_ws", None) if ctx is not None else None
 
     if ph or pw:
-        if ws is None:
-            # Direct zero-fill + slice assignment: same result as np.pad
-            # without its per-call Python overhead.
-            padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-        else:
-            # Persistent pad buffer: the border is zeroed once at creation
-            # and never written again; only the interior is refreshed.
-            padded = ws.buf(key + "pad", (n, c, h + 2 * ph, w + 2 * pw), x.dtype, zero=True)
+        # Direct zero-fill + slice assignment: same result as np.pad
+        # without its per-call Python overhead.
+        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
         padded[:, :, ph:ph + h, pw:pw + w] = x
         x = padded
 
@@ -142,11 +128,7 @@ def _im2col_batched(
     shape = (n, c, kh, kw, out_h, out_w)
     strides = (stride_n, stride_c, stride_h, stride_w, stride_h * sh, stride_w * sw)
     patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    if ws is None:
-        return patches.reshape(n, c * kh * kw, out_h * out_w)
-    cols = ws.buf(key + "cols", (n, c * kh * kw, out_h * out_w), x.dtype)
-    np.copyto(cols.reshape(shape), patches)
-    return cols
+    return patches.reshape(n, c * kh * kw, out_h * out_w)
 
 
 class Conv2dFunction(Function):
@@ -166,7 +148,7 @@ class Conv2dFunction(Function):
     strided col2im scatter on the BPTT hot path.
     """
 
-    #: Cleared by the graph optimizer when the convolution's input slot
+    #: Cleared by the ``fn`` backward kernel when the convolution's input
     #: needs no gradient (e.g. the network input): backward then skips the
     #: entire input-gradient GEMM + column gather.
     input_needs_grad = True
@@ -199,15 +181,9 @@ class Conv2dFunction(Function):
             raise ValueError(f"input channels {c} do not match weight channels {in_c}")
         out_h, out_w = conv2d_output_shape((h, w), (kh, kw), self.stride, self.padding)
 
-        cols = _im2col_batched(x, (kh, kw), self.stride, self.padding,
-                               ctx=self, key="f")                       # (N, K, L)
+        cols = _im2col_batched(x, (kh, kw), self.stride, self.padding)  # (N, K, L)
         w_mat = weight.reshape(out_c, -1)                               # (O, K)
-        if self._ws is None:
-            out = np.matmul(w_mat, cols)
-        else:
-            out = ws_buf(self, "out", (n, out_c, out_h * out_w), x.dtype)
-            np.matmul(w_mat, cols, out=out)
-        out = out.reshape(n, out_c, out_h, out_w)
+        out = np.matmul(w_mat, cols).reshape(n, out_c, out_h, out_w)
         if bias is not None:
             out = out + bias.reshape(1, out_c, 1, 1)
 
@@ -238,28 +214,17 @@ class Conv2dFunction(Function):
         if sh == 1 and sw == 1 and kh - 1 >= ph and kw - 1 >= pw:
             # Stride-1 input gradient as a direct correlation: convolve the
             # grad with the flipped, channel-transposed kernel.
-            if self._ws is None:
-                w_flip = np.ascontiguousarray(
-                    weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                ).reshape(in_c, -1)                                     # (C, O*kh*kw)
-            else:
-                w_flip = ws_buf(self, "wflip", (in_c, out_c, kh, kw), weight.dtype)
-                np.copyto(w_flip, weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-                w_flip = w_flip.reshape(in_c, -1)
+            w_flip = np.ascontiguousarray(
+                weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            ).reshape(in_c, -1)                                         # (C, O*kh*kw)
             g_cols = _im2col_batched(
                 grad_output, (kh, kw), 1, (kh - 1 - ph, kw - 1 - pw),
-                ctx=self, key="g",
             )                                                           # (N, O*kh*kw, H*W)
             h, w = self._x_shape[2], self._x_shape[3]
-            if self._ws is None:
-                # GEMM into the image-shaped array, so the returned gradient
-                # owns its storage and the tape adopts it without a copy.
-                grad_x = np.empty((n, in_c, h, w), grad_output.dtype)
-                np.matmul(w_flip, g_cols, out=grad_x.reshape(n, in_c, h * w))
-            else:
-                grad_x = ws_buf(self, "gx", (n, in_c, h * w), grad_output.dtype)
-                np.matmul(w_flip, g_cols, out=grad_x)
-                grad_x = grad_x.reshape(n, in_c, h, w)
+            # GEMM into the image-shaped array, so the returned gradient
+            # owns its storage and the tape adopts it without a copy.
+            grad_x = np.empty((n, in_c, h, w), grad_output.dtype)
+            np.matmul(w_flip, g_cols, out=grad_x.reshape(n, in_c, h * w))
         else:
             w_mat = weight.reshape(out_c, -1)
             grad_cols = np.matmul(w_mat.T, grad_nol)                    # (N, K, L)
@@ -304,29 +269,18 @@ def _im2col_cl(
     kernel_hw: Tuple[int, int],
     stride: IntOrPair = 1,
     padding: IntOrPair = 0,
-    ctx=None,
-    key: str = "",
 ) -> np.ndarray:
-    """Lower channels-last ``x (M, H, W, C)`` into ``(M*out_h*out_w, kh*kw*C)`` columns.
-
-    With a workspace installed on ``ctx`` (compiled replays) the padded image
-    and the column gather land in persistent buffers — the pad border is
-    zeroed once at buffer creation and never touched again.
-    """
+    """Lower channels-last ``x (M, H, W, C)`` into ``(M*out_h*out_w, kh*kw*C)`` columns."""
     m, h, w, c = x.shape
     kh, kw = kernel_hw
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     out_h, out_w = conv2d_output_shape((h, w), (kh, kw), (sh, sw), (ph, pw))
-    ws = getattr(ctx, "_ws", None) if ctx is not None else None
 
     if ph or pw:
-        if ws is None:
-            # Direct zero-fill + slice assignment: same result as np.pad
-            # without its per-call Python overhead.
-            padded = np.zeros((m, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
-        else:
-            padded = ws.buf(key + "pad", (m, h + 2 * ph, w + 2 * pw, c), x.dtype, zero=True)
+        # Direct zero-fill + slice assignment: same result as np.pad
+        # without its per-call Python overhead.
+        padded = np.zeros((m, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
         padded[:, ph:ph + h, pw:pw + w, :] = x
         x = padded
 
@@ -334,11 +288,7 @@ def _im2col_cl(
     shape = (m, out_h, out_w, kh, kw, c)
     strides = (stride_m, stride_h * sh, stride_w * sw, stride_h, stride_w, stride_c)
     patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    if ws is None:
-        return patches.reshape(m * out_h * out_w, kh * kw * c)
-    cols = ws.buf(key + "cols", (m * out_h * out_w, kh * kw * c), x.dtype)
-    np.copyto(cols.reshape(shape), patches)
-    return cols
+    return patches.reshape(m * out_h * out_w, kh * kw * c)
 
 
 def _col2im_cl(
@@ -375,7 +325,7 @@ class ConvChannelsLastFunction(Function):
     tensor happens per call).  Output is ``(M, out_h, out_w, O)``.
     """
 
-    #: Cleared by the graph optimizer when the convolution's input slot
+    #: Cleared by the ``fn`` backward kernel when the convolution's input
     #: needs no gradient (e.g. the network input): backward then skips the
     #: entire input-gradient GEMM + column gather.
     input_needs_grad = True
@@ -405,8 +355,8 @@ class ConvChannelsLastFunction(Function):
         """Kernel matrix in column order ``(i, j, c) -> o``.
 
         Memory layout is load-bearing for bitwise equivalence: BLAS sums in
-        a different order for transposed operands, so the workspace/frozen
-        variants must reproduce the exact layout of the original expression
+        a different order for transposed operands, so the frozen variant
+        must reproduce the exact layout of the original expression
         ``weight.transpose(2, 3, 1, 0).reshape(kh*kw*in_c, out_c)`` — a
         strided *view* for 1x1 kernels, a C-contiguous copy otherwise.
         """
@@ -421,12 +371,7 @@ class ConvChannelsLastFunction(Function):
                 self._frozen_wmat = weight.reshape(out_c, in_c).copy().T
                 return self._frozen_wmat
             return w_mat
-        if self._ws is None:
-            w_mat = weight.transpose(2, 3, 1, 0).reshape(kh * kw * in_c, out_c)
-        else:
-            w_mat = ws_buf(self, "wmat", (kh, kw, in_c, out_c), weight.dtype)
-            np.copyto(w_mat, weight.transpose(2, 3, 1, 0))
-            w_mat = w_mat.reshape(kh * kw * in_c, out_c)
+        w_mat = weight.transpose(2, 3, 1, 0).reshape(kh * kw * in_c, out_c)
         if self.freeze_weights:
             self._frozen_wmat = np.ascontiguousarray(w_mat)
             return self._frozen_wmat
@@ -451,21 +396,11 @@ class ConvChannelsLastFunction(Function):
             view = x[:, ::sh, ::sw, :] if (sh, sw) != (1, 1) else x
             cols = view.reshape(-1, c)          # no-copy for stride 1, gathered otherwise
         else:
-            cols = _im2col_cl(x, (kh, kw), self.stride, self.padding,
-                              ctx=self, key="f")                        # (M*L, kh*kw*C)
+            cols = _im2col_cl(x, (kh, kw), self.stride, self.padding)  # (M*L, kh*kw*C)
         # Column order is (i, j, c): arrange the kernel matrix to match.
-        w_mat = self._w_mat(weight)
-        if self._ws is None:
-            out = cols @ w_mat
-        else:
-            out = ws_buf(self, "out", (m * out_h * out_w, out_c), x.dtype)
-            np.matmul(cols, w_mat, out=out)
-        out = out.reshape(m, out_h, out_w, out_c)
+        out = (cols @ self._w_mat(weight)).reshape(m, out_h, out_w, out_c)
         if bias is not None:
-            if self._ws is None:
-                out = out + bias
-            else:
-                out += bias
+            out = out + bias
 
         if save:
             self._x_shape = x.shape
@@ -480,17 +415,10 @@ class ConvChannelsLastFunction(Function):
         grad_flat = grad_output.reshape(-1, out_c)                      # (M*L, O)
 
         # (K, M*L) @ (M*L, O): the transposed operand stays a BLAS view.
-        if self._ws is None:
-            grad_w_mat = self._cols.T @ grad_flat                       # (kh*kw*C, O)
-            grad_weight = np.ascontiguousarray(
-                grad_w_mat.reshape(kh, kw, in_c, out_c).transpose(3, 2, 0, 1)
-            )
-        else:
-            grad_w_mat = ws_buf(self, "gwm", (kh * kw * in_c, out_c), grad_output.dtype)
-            np.matmul(self._cols.T, grad_flat, out=grad_w_mat)
-            grad_weight = ws_buf(self, "gw", weight.shape, grad_output.dtype)
-            np.copyto(grad_weight,
-                      grad_w_mat.reshape(kh, kw, in_c, out_c).transpose(3, 2, 0, 1))
+        grad_w_mat = self._cols.T @ grad_flat                           # (kh*kw*C, O)
+        grad_weight = np.ascontiguousarray(
+            grad_w_mat.reshape(kh, kw, in_c, out_c).transpose(3, 2, 0, 1)
+        )
 
         if not self.input_needs_grad:
             if self._has_bias:
@@ -500,37 +428,20 @@ class ConvChannelsLastFunction(Function):
         sh, sw = self.stride
         ph, pw = self.padding
         if self._is_1x1 and (sh, sw) == (1, 1):
-            if self._ws is None:
-                # GEMMs into the image-shaped array here and below: the
-                # returned gradient owns its storage, so the tape adopts it
-                # without a copy.
-                grad_x = np.empty(self._x_shape, grad_output.dtype)
-                np.matmul(grad_flat, weight.reshape(out_c, in_c),
-                          out=grad_x.reshape(m * h * w, in_c))
-            else:
-                grad_x = ws_buf(self, "gx", (m * h * w, in_c), grad_output.dtype)
-                np.matmul(grad_flat, weight.reshape(out_c, in_c), out=grad_x)
-                grad_x = grad_x.reshape(self._x_shape)
+            # GEMMs into the image-shaped array here and below: the returned
+            # gradient owns its storage, so the tape adopts it without a copy.
+            grad_x = np.empty(self._x_shape, grad_output.dtype)
+            np.matmul(grad_flat, weight.reshape(out_c, in_c),
+                      out=grad_x.reshape(m * h * w, in_c))
         elif (sh, sw) == (1, 1) and kh - 1 >= ph and kw - 1 >= pw:
             # Stride-1 input gradient as a direct correlation with the
             # flipped kernel — another single GEMM on a gathered view.
-            if self._ws is None:
-                w_flip = np.ascontiguousarray(
-                    weight.transpose(2, 3, 0, 1)[::-1, ::-1]
-                ).reshape(kh * kw * out_c, in_c)                        # rows in (i, j, o) order
-            else:
-                w_flip = ws_buf(self, "wflip", (kh, kw, out_c, in_c), weight.dtype)
-                np.copyto(w_flip, weight.transpose(2, 3, 0, 1)[::-1, ::-1])
-                w_flip = w_flip.reshape(kh * kw * out_c, in_c)
-            g_cols = _im2col_cl(grad_output, (kh, kw), 1, (kh - 1 - ph, kw - 1 - pw),
-                                ctx=self, key="g")
-            if self._ws is None:
-                grad_x = np.empty(self._x_shape, grad_output.dtype)
-                np.matmul(g_cols, w_flip, out=grad_x.reshape(m * h * w, in_c))
-            else:
-                grad_x = ws_buf(self, "gx", (m * h * w, in_c), grad_output.dtype)
-                np.matmul(g_cols, w_flip, out=grad_x)
-                grad_x = grad_x.reshape(self._x_shape)
+            w_flip = np.ascontiguousarray(
+                weight.transpose(2, 3, 0, 1)[::-1, ::-1]
+            ).reshape(kh * kw * out_c, in_c)                            # rows in (i, j, o) order
+            g_cols = _im2col_cl(grad_output, (kh, kw), 1, (kh - 1 - ph, kw - 1 - pw))
+            grad_x = np.empty(self._x_shape, grad_output.dtype)
+            np.matmul(g_cols, w_flip, out=grad_x.reshape(m * h * w, in_c))
         else:
             w_mat = weight.transpose(2, 3, 1, 0).reshape(kh * kw * in_c, out_c)
             grad_cols = grad_flat @ w_mat.T                             # (M*L, kh*kw*C)

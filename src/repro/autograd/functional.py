@@ -12,7 +12,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.autograd.tensor import Function, Tensor, apply_op, as_tensor, ws_buf
+from repro.autograd.tensor import Function, Tensor, apply_op, as_tensor
 from repro.autograd.conv import _pair, conv2d_output_shape, im2col
 
 __all__ = [
@@ -156,7 +156,7 @@ class _AvgPool2dFunction(Function):
         n, c, h, w = x.shape
         kh, kw = self.kernel
         out_h, out_w = conv2d_output_shape((h, w), (kh, kw), self.stride, self.padding)
-        cols = im2col(x, (kh, kw), self.stride, self.padding, ctx=self, key="f")
+        cols = im2col(x, (kh, kw), self.stride, self.padding)
         cols = cols.reshape(n, c, kh * kw, out_h * out_w)
         self._x_shape = x.shape
         return cols.mean(axis=2).reshape(n, c, out_h, out_w).astype(x.dtype)
@@ -174,14 +174,12 @@ class _AvgPool2dFunction(Function):
         return (grad_x,)
 
 
-def _window_max_first_wins(ctx, views, index: bool = True):
+def _window_max_first_wins(views, index: bool = True):
     """First-wins max (and, with ``index``, the window-index map) over kernel-position views.
 
     ``views`` lists the slices of each kernel position in ``argmax`` order.
     Shared by the training and inference paths of the NCHW and
-    channels-last pools, so their tie-breaking can never diverge.  The
-    result (``"out"``) and every scratch array come from ``ws_buf``, so a
-    context with a workspace allocates nothing after its first call.
+    channels-last pools, so their tie-breaking can never diverge.
 
     The select is plain ufuncs with ``out=``: a three-operand ``where``
     select, or a masked ``copyto``, costs many times a ufunc on these
@@ -195,18 +193,16 @@ def _window_max_first_wins(ctx, views, index: bool = True):
     ``+0.0``/``-0.0`` tie keeps the earlier sign as well.  A NaN in a window
     reaches the output, as in the im2col path.
     """
-    best = ws_buf(ctx, "out", views[0].shape, views[0].dtype)
-    np.copyto(best, views[0])
+    best = views[0].copy()
     if not index:
         for candidate in views[1:]:
             np.maximum(candidate, best, out=best)
         return best, None
     # int8 while the largest window index (len(views) - 1) fits in it.
     dtype = np.int8 if len(views) <= 128 else np.int32
-    arg = ws_buf(ctx, "arg", best.shape, dtype)
-    arg.fill(0)
-    better = ws_buf(ctx, "mask", best.shape, np.bool_)
-    step = ws_buf(ctx, "step", best.shape, dtype)
+    arg = np.zeros(best.shape, dtype)
+    better = np.empty(best.shape, np.bool_)
+    step = np.empty(best.shape, dtype)
     for k, candidate in enumerate(views[1:], start=1):
         np.greater(candidate, best, out=better)
         np.maximum(candidate, best, out=best)
@@ -215,16 +211,15 @@ def _window_max_first_wins(ctx, views, index: bool = True):
     return best, arg
 
 
-def _window_max_scatter_grad(ctx, grad_views, grad_output, argmax):
+def _window_max_scatter_grad(grad_views, grad_output, argmax):
     """Scatter ``grad_output`` into the winning window position of each view.
 
     Writes ``grad * (argmax == k)`` into each (non-overlapping, jointly
     covering) window view, so the gradient buffer needs no pre-zeroing; the
-    ``argmax == k`` masks share one ``ws_buf`` scratch (the forward's
-    mask).  A losing position holds ``grad * 0``, which is ``-0.0`` where
-    ``grad`` is negative.
+    ``argmax == k`` masks share one scratch.  A losing position holds
+    ``grad * 0``, which is ``-0.0`` where ``grad`` is negative.
     """
-    mask = ws_buf(ctx, "mask", argmax.shape, np.bool_)
+    mask = np.empty(argmax.shape, np.bool_)
     for k, view in enumerate(grad_views):
         np.equal(argmax, k, out=mask)
         np.multiply(grad_output, mask, out=view)
@@ -265,18 +260,18 @@ class _MaxPool2dFunction(Function):
         self._fast = self._is_fast(*x.shape[2:])
         if self._fast:
             self._x_shape = x.shape
-            best, self._argmax = _window_max_first_wins(self, list(self._window_views(x)))
+            best, self._argmax = _window_max_first_wins(list(self._window_views(x)))
             return best
         return self._forward_general(x)
 
     def forward_inference(self, x: np.ndarray) -> np.ndarray:
         """Max pooling without the argmax map (compiled no-grad replay path)."""
         if self._is_fast(*x.shape[2:]):
-            return _window_max_first_wins(self, list(self._window_views(x)), index=False)[0]
+            return _window_max_first_wins(list(self._window_views(x)), index=False)[0]
         n, c, h, w = x.shape
         kh, kw = self.kernel
         out_h, out_w = conv2d_output_shape((h, w), (kh, kw), self.stride, self.padding)
-        cols = im2col(x, (kh, kw), self.stride, self.padding, ctx=self, key="f")
+        cols = im2col(x, (kh, kw), self.stride, self.padding)
         cols = cols.reshape(n, c, kh * kw, out_h * out_w)
         return cols.max(axis=2).reshape(n, c, out_h, out_w).astype(x.dtype, copy=False)
 
@@ -284,7 +279,7 @@ class _MaxPool2dFunction(Function):
         n, c, h, w = x.shape
         kh, kw = self.kernel
         out_h, out_w = conv2d_output_shape((h, w), (kh, kw), self.stride, self.padding)
-        cols = im2col(x, (kh, kw), self.stride, self.padding, ctx=self, key="f")
+        cols = im2col(x, (kh, kw), self.stride, self.padding)
         cols = cols.reshape(n, c, kh * kw, out_h * out_w)
         self._x_shape = x.shape
         # One reduction pass: argmax, then gather the winners.
@@ -294,8 +289,8 @@ class _MaxPool2dFunction(Function):
 
     def backward(self, grad_output: np.ndarray):
         if self._fast:
-            grad_x = ws_buf(self, "gx", self._x_shape, grad_output.dtype)
-            _window_max_scatter_grad(self, self._window_views(grad_x), grad_output, self._argmax)
+            grad_x = np.empty(self._x_shape, grad_output.dtype)
+            _window_max_scatter_grad(self._window_views(grad_x), grad_output, self._argmax)
             return (grad_x,)
         from repro.autograd.conv import col2im
 
@@ -341,7 +336,6 @@ class _ChannelsLastPoolBase(Function):
 
     def _fallback_forward(self, x: np.ndarray, cls) -> np.ndarray:
         self._fallback = cls(self.kernel, self.stride, self.padding)
-        self._fallback.set_workspace(self._ws)
         out = self._fallback.forward(np.ascontiguousarray(x.transpose(0, 3, 1, 2)))
         return np.ascontiguousarray(out.transpose(0, 2, 3, 1))
 
@@ -359,24 +353,23 @@ class _MaxPool2dCLFunction(_ChannelsLastPoolBase):
         if not self._is_fast(*x.shape[1:3]):
             return self._fallback_forward(x, _MaxPool2dFunction)
         self._x_shape = x.shape
-        best, self._argmax = _window_max_first_wins(self, list(self._windows(x)))
+        best, self._argmax = _window_max_first_wins(list(self._windows(x)))
         return best
 
     def forward_inference(self, x: np.ndarray) -> np.ndarray:
         """Max pooling without the argmax map (compiled no-grad replay path)."""
         if not self._is_fast(*x.shape[1:3]):
             inner = _MaxPool2dFunction(self.kernel, self.stride, self.padding)
-            inner.set_workspace(self._ws)
             out = inner.forward_inference(np.ascontiguousarray(x.transpose(0, 3, 1, 2)))
             return np.ascontiguousarray(out.transpose(0, 2, 3, 1))
-        return _window_max_first_wins(self, list(self._windows(x)), index=False)[0]
+        return _window_max_first_wins(list(self._windows(x)), index=False)[0]
 
     def backward(self, grad_output: np.ndarray):
         if self._fallback is not None:
             return self._fallback_backward(grad_output)
         # The window views jointly cover grad_x, so no pre-zeroing.
-        grad_x = ws_buf(self, "gx", self._x_shape, grad_output.dtype)
-        _window_max_scatter_grad(self, self._windows(grad_x), grad_output, self._argmax)
+        grad_x = np.empty(self._x_shape, grad_output.dtype)
+        _window_max_scatter_grad(self._windows(grad_x), grad_output, self._argmax)
         return (grad_x,)
 
 
@@ -390,11 +383,7 @@ class _AvgPool2dCLFunction(_ChannelsLastPoolBase):
         kh, kw = self.kernel
         self._x_shape = x.shape
         windowed = x.reshape(m, h // kh, kh, w // kw, kw, c)
-        if self._ws is None:
-            return windowed.mean(axis=(2, 4)).astype(x.dtype, copy=False)
-        out = ws_buf(self, "out", (m, h // kh, w // kw, c), x.dtype)
-        np.mean(windowed, axis=(2, 4), out=out)
-        return out
+        return windowed.mean(axis=(2, 4)).astype(x.dtype, copy=False)
 
     def backward(self, grad_output: np.ndarray):
         if self._fallback is not None:
@@ -404,11 +393,7 @@ class _AvgPool2dCLFunction(_ChannelsLastPoolBase):
         grad = grad_output / (kh * kw)
         expanded = np.broadcast_to(grad[:, :, None, :, None, :],
                                    (m, h // kh, kh, w // kw, kw, c))
-        if self._ws is None:
-            return (expanded.reshape(m, h, w, c),)
-        grad_x = ws_buf(self, "gx", (m, h, w, c), grad_output.dtype)
-        np.copyto(grad_x.reshape(m, h // kh, kh, w // kw, kw, c), expanded)
-        return (grad_x,)
+        return (expanded.reshape(m, h, w, c),)
 
 
 def max_pool2d_cl(x: Tensor, kernel_size, stride=None, padding=0) -> Tensor:

@@ -46,8 +46,6 @@ from repro.autograd.ops import OPS, _index_backward, _index_repeats, _unbroadcas
 __all__ = [
     "Tensor",
     "Function",
-    "Workspace",
-    "ws_buf",
     "no_grad",
     "is_grad_enabled",
     "as_tensor",
@@ -314,10 +312,13 @@ class Tensor:
     def _accumulate_grad(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         if self.grad is None:
-            # Accumulate-on-first-write: adopt the incoming array when it owns
-            # its storage (ops hand over fresh temporaries); copy views so a
-            # later in-place accumulation cannot corrupt shared memory.
-            if grad.base is not None:
+            # Accumulate-on-first-write: adopt the incoming array by reference
+            # (not owned, so a later accumulation allocates instead of writing
+            # into storage a sibling may share).  Only non-contiguous views
+            # are copied: a C-contiguous one has its copy's exact layout, so
+            # downstream reductions see the same bits.  The compiled plans
+            # apply the same rule (ExecutionPlan._accumulate_grad).
+            if grad.base is not None and not grad.flags["C_CONTIGUOUS"]:
                 self.grad = grad.copy()
                 self._grad_owned = True
             else:
@@ -541,58 +542,6 @@ class Tensor:
 # ---------------------------------------------------------------------------
 
 
-class Workspace:
-    """Named pool of persistent scratch buffers for kernel contexts.
-
-    A :class:`Function` context that has a workspace installed (see
-    :meth:`Function.set_workspace`) writes its large temporaries — im2col
-    columns, padded inputs, membrane histories, normalised activations —
-    into buffers that live across calls instead of allocating fresh arrays
-    every time.  The compiled runtime's graph optimizer attaches one
-    workspace per specialized graph node, which removes the steady-state
-    allocation traffic from replayed kernels; the eager path never installs
-    one, so eager execution is unchanged.
-    """
-
-    __slots__ = ("_buffers",)
-
-    def __init__(self):
-        self._buffers = {}
-
-    def buf(self, key: str, shape: Tuple[int, ...], dtype, zero: bool = False) -> np.ndarray:
-        """Return the persistent buffer for ``key``, creating it on first use.
-
-        ``zero=True`` zero-fills only on creation (callers rely on regions
-        they never write — e.g. a padded image's border — staying zero).
-        Buffers are keyed by ``(key, shape, dtype)``, so a caller switching
-        shape or dtype (e.g. a float32 plan after a float64 capture of the
-        same module) gets a distinct buffer instead of silently recreating —
-        or worse, aliasing — the other precision's storage.
-        """
-        full_key = (key, tuple(shape), np.dtype(dtype).str)
-        buffer = self._buffers.get(full_key)
-        if buffer is not None:
-            return buffer
-        buffer = np.zeros(shape, dtype=dtype) if zero else np.empty(shape, dtype=dtype)
-        self._buffers[full_key] = buffer
-        return buffer
-
-    def nbytes(self) -> int:
-        return sum(buffer.nbytes for buffer in self._buffers.values())
-
-
-def ws_buf(ctx, key: str, shape: Tuple[int, ...], dtype, zero: bool = False) -> np.ndarray:
-    """Scratch buffer for a kernel context: workspace-backed when installed.
-
-    Without a workspace this is a plain allocation (``np.zeros`` /
-    ``np.empty``), i.e. exactly what the eager kernels always did.
-    """
-    ws = getattr(ctx, "_ws", None)
-    if ws is None:
-        return np.zeros(shape, dtype=dtype) if zero else np.empty(shape, dtype=dtype)
-    return ws.buf(key, shape, dtype, zero=zero)
-
-
 class Function:
     """Base class for custom differentiable operations.
 
@@ -611,14 +560,6 @@ class Function:
     constructor kwargs, so the compiled runtime can re-instantiate a fresh
     context and re-run forward/backward on replay.
     """
-
-    #: Installed by the graph optimizer on persistent (plan-owned) contexts;
-    #: ``None`` on every eagerly-created context.
-    _ws: Optional[Workspace] = None
-
-    def set_workspace(self, workspace: Optional[Workspace]) -> None:
-        """Install a persistent scratch-buffer pool (see :class:`Workspace`)."""
-        self._ws = workspace
 
     def forward(self, *arrays: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError

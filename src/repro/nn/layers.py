@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.autograd import functional as F
 from repro.autograd.conv import conv2d, conv2d_channels_last, _pair, conv2d_output_shape
-from repro.autograd.tensor import Function, Tensor, _channel_sums, apply_op, ws_buf
+from repro.autograd.tensor import Function, Tensor, _channel_sums, apply_op
 from repro.nn import init
 from repro.nn.module import (
     Module,
@@ -152,9 +152,7 @@ class BatchNormSequenceFunction(Function):
     ``sum(g * xhat)``: the weight and bias gradients follow from them, and
     because ``grad_xhat = g * scale`` is a per-channel rescale so do
     ``mean(grad_xhat)`` and ``mean(grad_xhat * xhat)``.  ``dx`` is then
-    ``g * a + xhat * b + c`` with per-(t, c) coefficients.  Scratch arrays
-    come from :func:`ws_buf`: persistent workspace buffers under the
-    compiled runtime, fresh allocations otherwise, with the same arithmetic.
+    ``g * a + xhat * b + c`` with per-(t, c) coefficients.
     """
 
     def __init__(self, eps: float, training: bool,
@@ -178,12 +176,12 @@ class BatchNormSequenceFunction(Function):
         x = arrays[0]
         steps, channels = x.shape[0], x.shape[-1]
         rows = x.reshape(steps, -1, channels)
-        xhat = ws_buf(self, "xhat", rows.shape, x.dtype)
+        xhat = np.empty(rows.shape, x.dtype)
         if self.training:
             count = rows.shape[1]
             mean = _channel_sums(rows) / count
             np.subtract(rows, mean[:, None, :], out=xhat)
-            squared = ws_buf(self, "sq", rows.shape, x.dtype)
+            squared = np.empty(rows.shape, x.dtype)
             np.multiply(xhat, xhat, out=squared)
             var = _channel_sums(squared) / count
             self.batch_mean = mean
@@ -201,7 +199,7 @@ class BatchNormSequenceFunction(Function):
         self._affine = True
         weight, bias = arrays[1], arrays[2]
         self._weight = weight
-        out = ws_buf(self, "out", rows.shape, x.dtype)
+        out = np.empty(rows.shape, x.dtype)
         np.multiply(xhat, self.gamma_scale * weight, out=out)
         out += bias
         return out.reshape(x.shape)
@@ -211,10 +209,8 @@ class BatchNormSequenceFunction(Function):
         """Apply the ``T`` sequential momentum updates to the running buffers.
 
         Exactly what ``T`` single-step batch-norm calls would do; called by
-        the ``bn_seq`` kernel and its workspace-cached variant, so the two
-        produce bitwise-equal statistics.  A sequence that stands for
-        ``repeats`` copies of itself in time (a direct-coded stem) updates
-        once per copy.
+        the ``bn_seq`` kernel.  A sequence that stands for ``repeats`` copies
+        of itself in time (a direct-coded stem) updates once per copy.
         """
         for _ in range(self.repeats):
             for t in range(self.batch_mean.shape[0]):
@@ -240,7 +236,7 @@ class BatchNormSequenceFunction(Function):
         else:
             scale = inv_std
             shift = -self.running_mean * inv_std
-        out = ws_buf(self, "out", x.shape, x.dtype)
+        out = np.empty(x.shape, x.dtype)
         np.multiply(x, scale, out=out)
         out += shift
         return out
@@ -256,12 +252,12 @@ class BatchNormSequenceFunction(Function):
             coeff = coeff[:, None, :]
         # Shaped as the input, so the returned gradient owns its storage and
         # the tape adopts it without a copy; the kernel works on a row view.
-        grad_in = ws_buf(self, "gx", grad_output.shape, grad.dtype)
+        grad_in = np.empty(grad_output.shape, grad.dtype)
         grad_x = grad_in.reshape(grad.shape)
         np.multiply(grad, coeff, out=grad_x)
         if self._affine or self.training:
             sum_grad = _channel_sums(grad)
-            product = ws_buf(self, "sq", grad.shape, grad.dtype)
+            product = np.empty(grad.shape, grad.dtype)
             np.multiply(grad, xhat, out=product)
             sum_proj = _channel_sums(product)
         if self.training:

@@ -208,7 +208,7 @@ class Module:
         ``self.__call__`` (e.g. ``model.run_timesteps`` for spiking models).
 
         ``optimize`` selects the plan-time graph-optimizer level
-        (:mod:`repro.runtime.optimizer`): ``"O1"`` specializes kernels
+        (:mod:`repro.runtime.optimizer`): ``"O1"`` elides identity pools
         while keeping parameter slots live (updates between replays stay
         visible), ``"O2"`` additionally constant-folds eval batch norms and
         freezes GEMM operands — O2 plans bake the current parameter

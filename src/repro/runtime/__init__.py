@@ -15,9 +15,9 @@ that steady-state overhead with a three-stage pipeline:
    inputs; parameters become live leaf slots; everything else is a baked
    constant.
 2. **Optimize** (:mod:`~repro.runtime.optimizer`): an ``optimize="O1"|"O2"``
-   pass pipeline rewrites the captured graph before planning — workspace
-   kernel specialization at O1 (value-exact, training-safe), plus eval-BN
-   constant folding and frozen GEMM operands on no-grad O2 plans.
+   pass pipeline rewrites the captured graph before planning — identity-pool
+   elision at O1 (value-exact, training-safe), plus eval-BN constant folding
+   and frozen GEMM operands on no-grad O2 plans.
 3. **Plan** (:mod:`~repro.runtime.planner`): the recorded forward order is
    the topological schedule; the backward schedule is its reverse restricted
    to the loss→leaf gradient paths.  Liveness analysis assigns intermediates
@@ -32,10 +32,10 @@ that steady-state overhead with a three-stage pipeline:
    (shape/dtype/train-mode/timesteps/step-mode) changes.
 
 One op table serves both engines: eager tensors run the same forward and
-backward kernels a replay runs, so there is one copy of each op's math.
-:mod:`~repro.runtime.ops` adds only the workspace-cached variants the
-optimizer rewrites nodes into.  Replay runs these NumPy kernels in float32;
-there is no other kernel backend.
+backward kernels a replay runs, allocations included, so there is one copy
+of each op's math.  :mod:`~repro.runtime.ops` adds only the frozen-operand
+convolution node (``fn_cached``) that ``O2`` rewrites no-grad plans into.
+Replay runs these NumPy kernels in float32; there is no other kernel backend.
 
 Entry points: ``BPTTTrainer(..., compile=True)``, ``Module.compile()`` and
 ``InferenceEngine(..., compile=True)``; see the README "Compiled runtime"

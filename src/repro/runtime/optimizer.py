@@ -8,24 +8,20 @@ Optimization levels:
 ``O0``
     No rewriting — the PR-3 behaviour, bit-for-bit.
 ``O1``
-    Value-exact passes, safe for training plans (gradients included):
-
-    * **kernel specialization** — every ``fn`` / ``bn_seq`` node gets ONE
-      persistent kernel context with a
-      :class:`~repro.autograd.tensor.Workspace`, so convolution columns,
-      padded images, membrane histories and normalised activations live in
-      reusable buffers instead of being reallocated every replay; view ops
-      memoise on the identity of their base array;
-    * **identity-pool elision** — 1x1/stride-1 average pools (the adaptive
-      pool on 1x1 maps) are dropped.
+    **Identity-pool elision** — 1x1/stride-1 average pools (the adaptive
+    pool on 1x1 maps) are dropped.  Value-exact, safe for training plans
+    (gradients included).  Every kernel runs exactly as the eager engine
+    runs it, allocations included.
 ``O2``
     Everything in O1, plus inference-only rewrites applied when the plan has
     no backward (training plans silently get O1 semantics):
 
     * **eval-BN constant folding** — an eval-mode ``bn_seq`` folds into the
       preceding convolution's weights/bias at plan time;
-    * **frozen kernel matrices** — convolutions whose weights are plan
-      constants pre-gather their ``(kh*kw*C, O)`` GEMM operand once.
+    * **frozen GEMM operands** — each channels-last convolution whose
+      weights are plan constants or parameters gets ONE persistent context
+      (a ``fn_cached`` node) that gathers its ``(kh*kw*C, O)`` GEMM operand
+      once.
 
 Every pass preserves eager-vs-replay equivalence to <= 1e-6 (O1 is
 value-exact; the BN fold refactors per-channel float math and stays inside
@@ -41,34 +37,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.autograd.conv import Conv2dFunction, ConvChannelsLastFunction, _pair
-from repro.autograd.functional import (
-    _AvgPool2dCLFunction,
-    _AvgPool2dFunction,
-    _MaxPool2dCLFunction,
-    _MaxPool2dFunction,
-)
-from repro.autograd.tensor import Workspace
-from repro.nn.layers import BatchNormSequenceFunction
-from repro.runtime.graph import CONST, LEAF, GraphCapture, OpNode, compute_needs_grad
-from repro.runtime.ops import get_op
-from repro.snn.neurons import _FusedLIFSequence
+from repro.autograd.functional import _AvgPool2dCLFunction, _AvgPool2dFunction
+from repro.runtime.graph import CONST, LEAF, GraphCapture, OpNode
 
 __all__ = ["OPT_LEVELS", "OptimizerReport", "optimize_capture"]
 
 OPT_LEVELS = ("O0", "O1", "O2")
 
 _CONV_CLASSES = (ConvChannelsLastFunction, Conv2dFunction)
-
-#: Function classes that get a persistent workspace-backed context.
-_SPECIALIZE_CLASSES = (
-    ConvChannelsLastFunction,
-    Conv2dFunction,
-    _FusedLIFSequence,
-    _MaxPool2dCLFunction,
-    _AvgPool2dCLFunction,
-    _MaxPool2dFunction,
-    _AvgPool2dFunction,
-)
 
 
 @dataclass
@@ -79,7 +55,7 @@ class OptimizerReport:
     nodes_before: int = 0
     nodes_after: int = 0
     folded_bn: int = 0
-    specialized: int = 0
+    frozen: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -294,72 +270,27 @@ def _fold_identity_pools(graph: _Graph) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pass: kernel specialization (O1)
+# pass: frozen GEMM operands (O2, no-grad)
 # ---------------------------------------------------------------------------
 
 
-_CACHED_VIEW_OPS = {"reshape", "transpose", "squeeze", "unsqueeze"}
+def _freeze_conv_operands(graph: _Graph, report: OptimizerReport) -> None:
+    """Give each channels-last conv with parameter weights a frozen context.
 
-
-def _specialize_kernels(graph: _Graph, report: OptimizerReport,
-                        freeze_constants: bool) -> None:
-    needs = compute_needs_grad(graph.slots, graph.nodes)
+    O2 no-grad plans bake parameter values (documented), so the GEMM operand
+    is gathered once instead of per replay.  The NCHW conv's GEMM operand is
+    already a free view, so there is nothing to freeze there.
+    """
     for node in graph.nodes:
-        if node is None:
+        if (node is None or node.op != "fn"
+                or node.attrs.get("cls") is not ConvChannelsLastFunction
+                or graph.slots[node.inputs[1]].kind not in (CONST, LEAF)):
             continue
-        if node.op == "fn" and node.attrs.get("cls") in _SPECIALIZE_CLASSES:
-            cls = node.attrs["cls"]
-            kwargs = node.attrs["kwargs"]
-            ctx = cls(**kwargs) if kwargs else cls()
-            ctx.set_workspace(Workspace())
-            if cls in _CONV_CLASSES:
-                if (freeze_constants and cls is ConvChannelsLastFunction
-                        and graph.slots[node.inputs[1]].kind in (CONST, LEAF)):
-                    # O2 no-grad plans bake parameter values (documented):
-                    # the GEMM operand is gathered once instead of per replay.
-                    # (The NCHW conv's GEMM operand is already a free view,
-                    # so there is nothing to freeze there.)
-                    ctx.freeze_weights = True
-                if not needs[node.inputs[0]]:
-                    # The input carries no gradient (e.g. the network input):
-                    # backward skips the input-grad GEMM + column gather.
-                    ctx.input_needs_grad = False
-            node.attrs = {
-                "cls": cls,
-                "kwargs": kwargs,
-                "ctx": ctx,
-                "infer": getattr(ctx, "forward_inference", ctx.forward),
-            }
-            node.op = "fn_cached"
-            report.specialized += 1
-        elif node.op == "bn_seq":
-            ctor = node.attrs["ctor"]
-            ctx = node.attrs["cls"](**ctor)
-            ctx.set_workspace(Workspace())
-            node.attrs = {
-                "cls": node.attrs["cls"],
-                "ctor": ctor,
-                "ctx": ctx,
-                "training": ctor["training"],
-                "running_mean": ctor["running_mean"],
-                "running_var": ctor["running_var"],
-                "momentum": node.attrs["momentum"],
-            }
-            node.op = "bn_seq_cached"
-            report.specialized += 1
-        elif node.op in _CACHED_VIEW_OPS:
-            # Memoise the view on the identity of its base array: specialized
-            # kernels write into identity-stable workspace buffers, so most
-            # replays reuse the previously-constructed view for free.
-            opdef = get_op(node.op)
-            node.attrs = {
-                "inner_fwd": opdef.forward,
-                "inner_bwd": opdef.backward,
-                "inner": node.attrs,
-                "cache": [None, None],
-            }
-            node.op = "view_cached"
-            report.specialized += 1
+        ctx = ConvChannelsLastFunction(**node.attrs["kwargs"])
+        ctx.freeze_weights = True
+        node.attrs = {"cls": ConvChannelsLastFunction, "ctx": ctx}
+        node.op = "fn_cached"
+        report.frozen += 1
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +301,7 @@ def _specialize_kernels(graph: _Graph, report: OptimizerReport,
 def optimize_capture(capture: GraphCapture, level: str = "O0") -> OptimizerReport:
     """Run the pass pipeline for ``level`` over ``capture`` (in place).
 
-    The eval-BN fold and frozen weights require a no-grad graph, so they
+    The eval-BN fold and frozen operands require a no-grad graph, so they
     only run when the capture has no marked loss — a training capture at
     ``O2`` gets exactly the ``O1`` pipeline.  Returns the per-pass
     :class:`OptimizerReport` (also stored on ``capture.optimizer_report``).
@@ -388,9 +319,8 @@ def optimize_capture(capture: GraphCapture, level: str = "O0") -> OptimizerRepor
 
     if level == "O2" and no_grad_plan:
         _fold_bn_eval(graph, report)
+        _freeze_conv_operands(graph, report)
     _fold_identity_pools(graph)
     graph.compact()
-    _specialize_kernels(graph, report,
-                        freeze_constants=(level == "O2" and no_grad_plan))
     report.nodes_after = len(capture.nodes)
     return report

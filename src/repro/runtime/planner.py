@@ -62,14 +62,6 @@ class ExecutionPlan:
         self.loss_slot = capture.loss_slot
         self.optimizer_report = getattr(capture, "optimizer_report", None)
         self._profile = bool(profile)
-        # Optimized plans adopt C-contiguous first-write gradient views by
-        # reference: the layout matches the contiguous copy bit-for-bit, so
-        # downstream pairwise reductions cannot drift — only O0 keeps the
-        # (PR-3 exact) unconditional copy.
-        self._adopt_contiguous_views = (
-            self.optimizer_report is not None
-            and getattr(self.optimizer_report, "level", "O0") != "O0"
-        )
         self.kernel_seconds: Dict[str, float] = {}
         self.kernel_calls: Dict[str, int] = {}
 
@@ -367,20 +359,14 @@ class ExecutionPlan:
         grad = _unbroadcast(np.asarray(grad, dtype=slot.dtype), slot.shape)
         current = self._gvals[index]
         if current is None:
-            if (grad.base is not None and self._adopt_contiguous_views
-                    and grad.flags["C_CONTIGUOUS"]):
-                # A contiguous view has the exact layout its copy would have;
-                # the base array stays unwritten until the next replay, so
-                # adopting it by reference is value- and bit-safe.
-                self._gvals[index] = grad
-                return
-            if grad.base is not None:
-                # Mirror the eager engine: first-write views are materialised
-                # to a contiguous copy (here into a step-persistent buffer).
-                # Keeping the view would be value-equal but layout-different,
-                # and NumPy's pairwise reductions over a different memory
-                # layout drift by an ulp — enough to flip a surrogate
-                # gradient a few optimizer steps later.
+            # The eager engine's first-write rule (Tensor._accumulate_grad):
+            # adopt by reference, since the base array stays unwritten until
+            # the next replay.  Only non-contiguous views are materialised
+            # (here into a step-persistent buffer): keeping one would be
+            # value-equal but layout-different, and NumPy's pairwise
+            # reductions over a different memory layout drift by an ulp —
+            # enough to flip a surrogate gradient a few optimizer steps later.
+            if grad.base is not None and not grad.flags["C_CONTIGUOUS"]:
                 buffer = self._grad_buffer(index, slot)
                 np.copyto(buffer, grad)
                 grad = buffer
@@ -669,7 +655,7 @@ def compile_plan(capture: GraphCapture, arena: Optional[BufferArena] = None,
     """Build an :class:`ExecutionPlan` from a finished capture.
 
     ``optimize`` selects the plan-time graph-optimizer level (``"O0"`` —
-    none, ``"O1"`` — training-safe kernel specialization, ``"O2"`` — adds
+    none, ``"O1"`` — training-safe identity-pool elision, ``"O2"`` — adds
     the inference-only eval-BN fold and frozen GEMM operands; see
     :mod:`repro.runtime.optimizer`).  ``profile=True`` records per-kernel
     replay timings (``ExecutionPlan.kernel_seconds`` / ``kernel_calls``,

@@ -23,8 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autograd.tensor import (Function, Tensor, as_tensor, is_grad_enabled,
-                                   record_op, ws_buf)
+from repro.autograd.tensor import Function, Tensor, as_tensor, is_grad_enabled, record_op
 from repro.nn.module import StatefulModule
 
 __all__ = [
@@ -178,12 +177,12 @@ class _FusedLIFSequence(Function):
         """The membrane recurrence; ``keep_history`` saves what backward needs."""
         frame = currents.shape[1:]
         if keep_history:
-            membranes = ws_buf(self, "membranes", currents.shape, currents.dtype)
+            membranes = np.empty(currents.shape, currents.dtype)
         else:
-            membrane = ws_buf(self, "membrane", frame, currents.dtype)
-        spikes = ws_buf(self, "spikes", currents.shape, currents.dtype)
-        post = ws_buf(self, "post", frame, currents.dtype)
-        scratch = ws_buf(self, "scratch", frame, currents.dtype)
+            membrane = np.empty(frame, currents.dtype)
+        spikes = np.empty(currents.shape, currents.dtype)
+        post = np.empty(frame, currents.dtype)
+        scratch = np.empty(frame, currents.dtype)
         np.copyto(post, 0.0 if self.initial_membrane is None else self.initial_membrane)
         for t in range(currents.shape[0]):
             if keep_history:
@@ -204,34 +203,13 @@ class _FusedLIFSequence(Function):
         self.final_membrane = post
         return spikes
 
-    def _surrogate_derivative(self, membrane: np.ndarray) -> np.ndarray:
-        """Surrogate derivative at ``membrane - v_th``; workspace fast path.
-
-        The rectangular window computes through persistent buffers with the
-        identical ufunc sequence (``/ 1.0`` is exact, so the default width
-        skips the division) — bitwise-equal to the surrogate's own method.
-        """
-        if self._ws is None or not isinstance(self.surrogate, SurrogateRectangular):
-            return self.surrogate.derivative(membrane - self.v_threshold)
-        pre = ws_buf(self, "spre", membrane.shape, membrane.dtype)
-        np.subtract(membrane, self.v_threshold, out=pre)
-        np.abs(pre, out=pre)
-        mask = ws_buf(self, "smask", membrane.shape, bool)
-        np.less(pre, self.surrogate.width / 2.0, out=mask)
-        derivative = ws_buf(self, "sder", membrane.shape, membrane.dtype)
-        np.copyto(derivative, mask, casting="unsafe")
-        if self.surrogate.width != 1.0:
-            derivative /= self.surrogate.width
-        return derivative
-
     def backward(self, grad_output: np.ndarray):
         membranes = self._membranes
         spikes = self._spikes
         timesteps = grad_output.shape[0]
-        grad_input = ws_buf(self, "gin", grad_output.shape, grad_output.dtype)
-        grad_post = ws_buf(self, "gpost", grad_output.shape[1:], grad_output.dtype)
-        grad_post.fill(0.0)                            # dL/dp_t flowing from t+1
-        scratch = ws_buf(self, "gscratch", grad_post.shape, grad_post.dtype)
+        grad_input = np.empty(grad_output.shape, grad_output.dtype)
+        grad_post = np.zeros(grad_output.shape[1:], grad_output.dtype)  # dL/dp_t from t+1
+        scratch = np.empty(grad_post.shape, grad_post.dtype)
         for t in range(timesteps - 1, -1, -1):
             membrane = membranes[t]
             grad_spike = grad_output[t]
@@ -240,7 +218,7 @@ class _FusedLIFSequence(Function):
                     grad_spike = grad_spike - grad_post * membrane
                 else:
                     grad_spike = grad_spike - grad_post * self.v_threshold
-            surrogate_grad = self._surrogate_derivative(membrane)
+            surrogate_grad = self.surrogate.derivative(membrane - self.v_threshold)
             grad_membrane = grad_input[t]
             np.multiply(grad_spike, surrogate_grad, out=grad_membrane)
             if self.hard_reset:

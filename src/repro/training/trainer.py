@@ -105,10 +105,9 @@ class BPTTTrainer:
     optimize:
         Plan-time graph-optimizer level for the compiled runtime
         (:mod:`repro.runtime.optimizer`): ``"O0"`` replays the captured op
-        stream node-for-node, ``"O1"`` (default) specializes kernels onto
-        persistent workspaces — specialization is value-exact, so
-        losses/gradients/parameters stay *bit-identical* to O0 (asserted in
-        ``tests/test_optimizer.py``) while replaying measurably faster;
+        stream node-for-node, ``"O1"`` (default) drops identity pools —
+        value-exact, so losses/gradients/parameters stay *bit-identical* to
+        O0 (asserted in ``tests/test_optimizer.py``);
         ``"O2"`` additionally enables the inference-only folds — which a
         training plan does not contain, so O2 training behaves like O1.
         Ignored without ``compile=True``.

@@ -96,6 +96,38 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray, atol: float = 1
     np.testing.assert_allclose(analytic, numeric, atol=atol, rtol=rtol)
 
 
+class OpTableContext:
+    """A kernel context driven through its shared op-table entry.
+
+    Compiled replays never call a :class:`~repro.autograd.tensor.Function`
+    directly: they run the entry's forward, inference forward and backward
+    kernels, which build a fresh context per call.  This adapter exposes that
+    route with the context's own ``forward`` / ``forward_inference`` /
+    ``backward`` methods, so one test body checks both routes;
+    ``context`` is the context the last ``forward`` built.
+    """
+
+    def __init__(self, op_name: str, attrs: dict):
+        from repro.autograd.ops import get_op
+
+        self._op = get_op(op_name)
+        self._attrs = attrs
+        self._ins = self._out = self.context = None
+
+    def forward(self, *ins: np.ndarray) -> np.ndarray:
+        self._ins = ins
+        self._out, self.context = self._op.forward(list(ins), self._attrs)
+        return self._out
+
+    def forward_inference(self, *ins: np.ndarray) -> np.ndarray:
+        return self._op.forward_inference(list(ins), self._attrs)
+
+    def backward(self, grad: np.ndarray) -> tuple:
+        needs = [True] * len(self._ins)
+        return tuple(self._op.backward(grad, self._ins, self._out, self.context,
+                                       self._attrs, needs))
+
+
 @pytest.fixture
 def small_image_batch(rng) -> np.ndarray:
     """A tiny (N, C, H, W) float batch."""

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
-from repro.autograd.tensor import Tensor, Workspace
+from repro.autograd.tensor import Tensor
 
-from conftest import assert_grad_close, numerical_gradient
+from conftest import OpTableContext, assert_grad_close, numerical_gradient
 
 
 class TestSoftmaxAndLosses:
@@ -126,22 +126,33 @@ def _pool_inputs(rng, shape):
 # 12 and 16 have more window positions than an int8 index map can hold.
 WINDOW_KERNELS = [2, 3, 12, 16]
 
+# "context": one kernel context called again and again, as a test or a
+# layer may; "op-table": the shared ``"fn"`` entry compiled replays run,
+# which builds a fresh context per call.
+ENTRIES = ["context", "op-table"]
+
+
+def _pool_fn(cls, kernel: int, entry: str):
+    return cls(kernel) if entry == "context" else OpTableContext(
+        "fn", {"cls": cls, "kwargs": {"kernel_size": kernel}})
+
+
+def _ran(ctx):
+    """The kernel context that ran the last ``forward``."""
+    return ctx.context if isinstance(ctx, OpTableContext) else ctx
+
 
 class TestMaxPoolWindowPath:
     """The strided-window max pool against the independent im2col/argmax path."""
 
     @pytest.mark.parametrize("kernel", WINDOW_KERNELS)
-    @pytest.mark.parametrize("workspace", [False, True])
-    def test_nchw_matches_im2col_reference(self, rng, kernel, workspace):
-        ctx = F._MaxPool2dFunction(kernel)
-        if workspace:
-            ctx.set_workspace(Workspace())
-        # Repeated calls on one context: a reused workspace buffer must not
-        # leak the previous input's values.
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_nchw_matches_im2col_reference(self, rng, kernel, entry):
+        ctx = _pool_fn(F._MaxPool2dFunction, kernel, entry)
         for x in _pool_inputs(rng, (2, 3, 2 * kernel * 3, kernel * 4)):
             grad = rng.standard_normal((2, 3, 6, 4)).astype(np.float32)
             out = ctx.forward(x)
-            assert ctx._fast
+            assert _ran(ctx)._fast
             want_out, want_grad = _im2col_max_pool(x, grad, kernel)
             np.testing.assert_array_equal(out, want_out)
             np.testing.assert_array_equal(ctx.forward_inference(x), want_out)
@@ -149,15 +160,13 @@ class TestMaxPoolWindowPath:
             np.testing.assert_array_equal(grad_x, want_grad)
 
     @pytest.mark.parametrize("kernel", WINDOW_KERNELS)
-    @pytest.mark.parametrize("workspace", [False, True])
-    def test_channels_last_matches_im2col_reference(self, rng, kernel, workspace):
-        ctx = F._MaxPool2dCLFunction(kernel)
-        if workspace:
-            ctx.set_workspace(Workspace())
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_channels_last_matches_im2col_reference(self, rng, kernel, entry):
+        ctx = _pool_fn(F._MaxPool2dCLFunction, kernel, entry)
         for x in _pool_inputs(rng, (3, kernel * 4, 2 * kernel * 3, 5)):
             grad = rng.standard_normal((3, 4, 6, 5)).astype(np.float32)
             out = ctx.forward(x)
-            assert ctx._fallback is None
+            assert _ran(ctx)._fallback is None
             want_out, want_grad = _im2col_max_pool(
                 np.ascontiguousarray(x.transpose(0, 3, 1, 2)),
                 np.ascontiguousarray(grad.transpose(0, 3, 1, 2)), kernel)
@@ -168,11 +177,9 @@ class TestMaxPoolWindowPath:
             np.testing.assert_array_equal(grad_x, want_grad.transpose(0, 2, 3, 1))
 
 
-def _pool_ctx(layout: str, kernel: int, workspace: bool):
-    ctx = (F._MaxPool2dFunction if layout == "nchw" else F._MaxPool2dCLFunction)(kernel)
-    if workspace:
-        ctx.set_workspace(Workspace())
-    return ctx
+def _pool_ctx(layout: str, kernel: int, entry: str):
+    cls = F._MaxPool2dFunction if layout == "nchw" else F._MaxPool2dCLFunction
+    return _pool_fn(cls, kernel, entry)
 
 
 def _to_layout(nchw: np.ndarray, layout: str) -> np.ndarray:
@@ -207,42 +214,47 @@ class TestMaxPoolSelectInvariants:
     """One first-wins select serves training and inference, on any input."""
 
     @pytest.mark.parametrize("layout", LAYOUTS)
-    @pytest.mark.parametrize("workspace", [False, True])
-    def test_nan_inside_a_window_reaches_the_training_output(self, layout, workspace):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_nan_inside_a_window_reaches_the_training_output(self, layout, entry):
         x = _to_layout(np.array([[[[1, np.nan, 2, 3], [0, 0, np.nan, 5]]]], dtype=np.float32),
                        layout)
-        ctx = _pool_ctx(layout, 2, workspace)
-        out = ctx.forward(x).copy()
+        ctx = _pool_ctx(layout, 2, entry)
+        out = ctx.forward(x)
         want = _reference_2x2(x, layout)
         assert np.isnan(want).all()
         np.testing.assert_array_equal(out, want)
         np.testing.assert_array_equal(ctx.forward_inference(x), want)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
-    @pytest.mark.parametrize("workspace", [False, True])
-    def test_training_and_inference_outputs_are_bitwise_equal(self, rng, layout, workspace):
-        ctx = _pool_ctx(layout, 2, workspace)
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_training_and_inference_outputs_are_bitwise_equal(self, rng, layout, entry):
+        ctx = _pool_ctx(layout, 2, entry)
         shape = (2, 3, 8, 6)
         for nchw in (_signed_zero_spikes(rng, shape), rng.standard_normal(shape).astype(np.float32),
                      _nan_windows(rng, shape)):
             x = _to_layout(nchw, layout)
-            out = ctx.forward(x).copy()
+            out = ctx.forward(x)
             inferred = ctx.forward_inference(x)
             np.testing.assert_array_equal(np.signbit(out), np.signbit(inferred))
             np.testing.assert_array_equal(out, inferred)
             np.testing.assert_array_equal(out, _reference_2x2(x, layout))
 
     @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_workspace_scratch_does_not_grow_per_call(self, rng, layout):
-        ctx = _pool_ctx(layout, 2, workspace=True)
-        sizes = []
-        for nchw in _pool_inputs(rng, (2, 3, 8, 6)):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_results_survive_the_next_call(self, rng, layout, entry):
+        """Outputs and gradients own their storage: a plan keeps them uncopied."""
+        ctx = _pool_ctx(layout, 2, entry)
+        shape = (2, 3, 8, 6)
+        kept = []
+        for nchw in _pool_inputs(rng, shape):
             x = _to_layout(nchw, layout)
             out = ctx.forward(x)
-            ctx.backward(np.ones_like(out))
-            ctx.forward_inference(x)
-            sizes.append(len(ctx._ws._buffers))
-        assert len(set(sizes)) == 1, sizes
+            (grad_x,) = ctx.backward(np.full(out.shape, 2.0, np.float32))
+            kept.append((out, out.copy(), grad_x, grad_x.copy(), ctx.forward_inference(x)))
+        for out, out_then, grad_x, grad_then, inferred in kept:
+            np.testing.assert_array_equal(out, out_then)
+            np.testing.assert_array_equal(grad_x, grad_then)
+            np.testing.assert_array_equal(inferred, out_then)
 
 
 class TestDropoutAndPad:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd.tensor import Tensor, Workspace
+from repro.autograd.tensor import Tensor
 from repro.nn.layers import (
     AdaptiveAvgPool2d,
     AvgPool2d,
@@ -18,6 +18,8 @@ from repro.nn.layers import (
     ReLU,
 )
 from repro.nn import init
+
+from conftest import OpTableContext
 
 
 class TestConv2dLayer:
@@ -142,9 +144,9 @@ class TestBatchNormSequenceFunction:
     @pytest.mark.parametrize("affine", [True, False], ids=["affine", "plain"])
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("gamma_scale", [1.0, 0.75])
-    @pytest.mark.parametrize("workspace", [False, True], ids=["fresh", "workspace"])
-    def test_matches_per_timestep_reference(self, shape, affine, training, gamma_scale,
-                                            workspace):
+    @pytest.mark.parametrize("entry", ["context", "op-table"])
+    def test_matches_per_timestep_reference(self, shape, affine, training, gamma_scale, entry):
+        """Directly on a context, and through the ``bn_seq`` entry compiled replays run."""
         rng = np.random.default_rng(11)
         channels = shape[-1]
         x = (rng.standard_normal(shape) * 2 + 1).astype(np.float32)
@@ -153,32 +155,35 @@ class TestBatchNormSequenceFunction:
         bias = rng.standard_normal(channels).astype(np.float32) if affine else None
         running_mean = rng.standard_normal(channels).astype(np.float32)
         running_var = (0.5 + rng.random(channels)).astype(np.float32)
+        before = (running_mean.copy(), running_var.copy())
         eps, momentum = 1e-5, 0.2
         want_out, want_grads, want_mean, want_var = _reference_bn_sequence(
             x, weight, bias, grad, training, gamma_scale, eps,
             running_mean, running_var, momentum)
 
-        ctx = BatchNormSequenceFunction(eps, training, running_mean=running_mean,
-                                        running_var=running_var, gamma_scale=gamma_scale)
-        if workspace:
-            ctx.set_workspace(Workspace())
+        ctor = dict(eps=eps, training=training, running_mean=running_mean,
+                    running_var=running_var, gamma_scale=gamma_scale)
+        if entry == "context":
+            ctx = BatchNormSequenceFunction(**ctor)
+        else:
+            # The entry's forward also applies the running-stat updates.
+            ctx = OpTableContext("bn_seq", {"cls": BatchNormSequenceFunction,
+                                            "ctor": dict(ctor, repeats=1),
+                                            "momentum": momentum})
         inputs = (x, weight, bias) if affine else (x,)
-        # A second pass over the same workspace must not see stale buffers.
-        for _ in range(2 if workspace else 1):
-            out = ctx.forward(*inputs)
-            assert out.shape == shape and out.dtype == np.float32
-            np.testing.assert_allclose(out, want_out, rtol=1e-5, atol=1e-5)
-            if not training:
-                np.testing.assert_allclose(ctx.forward_inference(*inputs), want_out,
-                                           rtol=1e-5, atol=1e-5)
-            grads = ctx.backward(grad)
-            assert len(grads) == len(want_grads)
-            for got, want in zip(grads, want_grads):
-                assert got.shape == want.shape
-                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+        out = ctx.forward(*inputs)
+        assert out.shape == shape and out.dtype == np.float32
+        np.testing.assert_allclose(out, want_out, rtol=1e-5, atol=1e-5)
+        if not training:
+            np.testing.assert_allclose(ctx.forward_inference(*inputs), want_out,
+                                       rtol=1e-5, atol=1e-5)
+        grads = ctx.backward(grad)
+        assert len(grads) == len(want_grads)
+        for got, want in zip(grads, want_grads):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
-        before = (running_mean.copy(), running_var.copy())
-        if training:
+        if training and entry == "context":
             ctx.update_running_stats(running_mean, running_var, momentum)
         np.testing.assert_allclose(running_mean, want_mean, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(running_var, want_var, rtol=1e-5, atol=1e-5)
@@ -203,13 +208,6 @@ class TestBatchNormSequenceFunction:
                                   running_var=np.ones(5, np.float32))
         (out * Tensor(grad)).sum().backward()
         assert x.grad.base is None and not x._grad_owned
-
-        # The workspace kernel (compiled replays) computes the same bits.
-        ctx = BatchNormSequenceFunction(1e-5, True)
-        ctx.set_workspace(Workspace())
-        ctx.forward(x_val, weight.data, bias.data)
-        np.testing.assert_array_equal(x.grad.view(np.uint32),
-                                      ctx.backward(grad)[0].view(np.uint32))
 
     def test_repeats_count_running_stat_updates(self):
         """A step declared as T copies updates the buffers as T copies would."""

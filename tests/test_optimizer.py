@@ -4,7 +4,8 @@ Guarantees under test:
 
 * **O1 is training-safe**: compiled O1 train steps match eager/O0 training
   bit-for-bit over several optimizer steps (losses, logits, gradients,
-  parameters) — kernel specialization is value-exact by construction.
+  parameters) — identity-pool elision is value-exact by construction, and
+  every other kernel is the eager one.
 * **O2 is inference-exact to tolerance**: the eval-BN fold stays within
   1e-6 of the O0 replay and removes every eval ``bn_seq`` node it folds;
   unmerged TT models serve at O2 exactly like their O0 replay.
@@ -19,6 +20,8 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
+from repro.autograd.conv import Conv2dFunction, ConvChannelsLastFunction
+from repro.autograd.ops import get_op
 from repro.autograd.tensor import Tensor, no_grad
 from repro.models.builder import convert_to_tt
 from repro.models.resnet import spiking_resnet18
@@ -94,7 +97,9 @@ def _report(compiled) -> dict:
 @pytest.mark.parametrize("arch", ["vgg9", "resnet18"])
 @pytest.mark.parametrize("variant", ["ptt", "htt"])
 def test_o1_train_step_matches_o0_with_grads(arch, variant):
-    """O1-compiled training tracks O0 to <= 1e-6 over K steps incl. SGD."""
+    """O1-compiled training equals O0 bit-for-bit over K steps incl. SGD: its
+    one rewrite (identity-pool elision) is exact and its plans hold only the
+    kernels O0 and eager run."""
     base, optimized = _make_pair(arch, variant)
     config = TrainingConfig(timesteps=TIMESTEPS, batch_size=2, learning_rate=0.05)
     trainer_o0 = BPTTTrainer(base, config, compile=True, optimize="O0")
@@ -102,13 +107,15 @@ def test_o1_train_step_matches_o0_with_grads(arch, variant):
     for step, (data, labels) in enumerate(_batches(steps=4)):
         s0 = trainer_o0.train_step(data, labels)
         s1 = trainer_o1.train_step(data, labels)
-        assert abs(s0["loss"] - s1["loss"]) <= ATOL, f"step {step}"
+        assert s0["loss"] == s1["loss"], f"step {step}"
     for (name, p0), (_, p1) in zip(base.named_parameters(), optimized.named_parameters()):
-        np.testing.assert_allclose(p0.grad, p1.grad, atol=ATOL, err_msg=f"grad {name}")
-        np.testing.assert_allclose(p0.data, p1.data, atol=ATOL, err_msg=f"param {name}")
+        np.testing.assert_array_equal(p0.grad, p1.grad, err_msg=f"grad {name}")
+        np.testing.assert_array_equal(p0.data, p1.data, err_msg=f"param {name}")
     report = _report(trainer_o1._compiled)
     assert report["level"] == "O1"
-    assert report["specialized"] > 0
+    assert report["frozen"] == 0 and report["folded_bn"] == 0
+    assert report["nodes_after"] == report["nodes_before"] - 1      # the adaptive pool
+    assert not any(node.op == "fn_cached" for node in _plan_nodes(trainer_o1._compiled))
 
 
 def test_o1_train_matches_pure_eager(mode="fused"):
@@ -384,10 +391,24 @@ def test_non_identity_avg_pool_is_kept(layout):
 
 
 @pytest.mark.parametrize("arch", ["vgg9", "resnet18"])
-def test_train_plan_elides_identity_pool_and_skips_input_grad(arch):
+def test_train_plan_elides_identity_pool_and_skips_input_grad(arch, monkeypatch):
     """On 8x8 inputs both models end on a 1x1 map: the O1 training plan drops
-    the adaptive pool, the convolution reading the network input skips its
-    input-grad GEMM, and gradients still equal the O0 replay's."""
+    the adaptive pool, the replayed backward of the convolution reading the
+    network input returns no input gradient (at O0 and O1 alike), and
+    gradients still equal the O0 replay's."""
+    opdef = get_op("fn")
+    kernel = opdef.backward
+    conv_grads = []                 # (input needs a gradient, one was returned)
+
+    def spy(grad, ins, out, saved, attrs, needs):
+        grads = kernel(grad, ins, out, saved, attrs, needs)
+        if attrs["cls"] in (ConvChannelsLastFunction, Conv2dFunction):
+            conv_grads.append((needs[0], grads[0] is not None))
+        return grads
+
+    # Plans bind the op's backward kernel when they are built; every backward
+    # below is a plan's (a capture step runs its backward through the plan).
+    monkeypatch.setattr(opdef, "backward", spy)
     base, optimized = _make_pair(arch, "ptt")
     config = TrainingConfig(timesteps=TIMESTEPS, batch_size=2, learning_rate=0.05)
     trainer_o0 = BPTTTrainer(base, config, compile=True, optimize="O0")
@@ -400,17 +421,16 @@ def test_train_plan_elides_identity_pool_and_skips_input_grad(arch):
         np.testing.assert_allclose(p0.grad, p1.grad, atol=ATOL, err_msg=f"grad {name}")
     assert _avg_pool_count(trainer_o0._compiled) == 1
     assert _avg_pool_count(trainer_o1._compiled) == 0
-    conv_ctxs = [node.attrs["ctx"] for node in _plan_nodes(trainer_o1._compiled)
-                 if node.op == "fn_cached" and "Conv" in node.attrs["cls"].__name__]
-    skipped = [ctx for ctx in conv_ctxs if not ctx.input_needs_grad]
-    assert len(skipped) == 1 and conv_ctxs[0] is skipped[0]
-    assert not any(getattr(ctx, "freeze_weights", False) for ctx in conv_ctxs)
+    # One stem convolution per step and trainer reads the network input.
+    assert conv_grads.count((False, False)) == 2 * 2
+    assert set(conv_grads) == {(False, False), (True, True)}
 
 
 @pytest.mark.parametrize("optimize", ["O1", "O2"])
 def test_frozen_gemm_operands_only_in_o2_serve_plans(optimize):
-    """O2 no-grad plans gather each channels-last conv's GEMM operand once;
-    O1 plans keep reading it per replay.  Both serve the eager logits."""
+    """O2 no-grad plans give each channels-last conv one persistent context
+    that gathers its GEMM operand once; O1 plans hold no such node.  Both
+    serve the eager logits."""
     model = _make_model("vgg9", "ptt")
     _warm_stats(model)
     eager_engine = InferenceEngine(model)
@@ -420,11 +440,17 @@ def test_frozen_gemm_operands_only_in_o2_serve_plans(optimize):
         x = rng.random((2, 3, 8, 8)).astype(np.float32)
         np.testing.assert_allclose(engine.infer(x), eager_engine.infer(x),
                                    atol=MERGE_ATOL, err_msg=f"call {call}")
-    conv_ctxs = [node.attrs["ctx"] for node in _plan_nodes(engine._compiled)
-                 if node.op == "fn_cached"
-                 and node.attrs["cls"].__name__ == "ConvChannelsLastFunction"]
-    assert conv_ctxs
-    assert all(ctx.freeze_weights == (optimize == "O2") for ctx in conv_ctxs)
+    nodes = _plan_nodes(engine._compiled)
+    frozen = [node.attrs["ctx"] for node in nodes if node.op == "fn_cached"]
+    report = _report(engine._compiled)
+    assert report["frozen"] == len(frozen)
+    if optimize == "O1":
+        assert not frozen
+        return
+    assert frozen and all(ctx.freeze_weights for ctx in frozen)
+    assert all(isinstance(ctx, ConvChannelsLastFunction) for ctx in frozen)
+    assert not any(node.op == "fn" and node.attrs["cls"] is ConvChannelsLastFunction
+                   for node in nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +543,10 @@ def test_adopted_engine_defaults_to_live_parameter_plans():
 
 
 def test_cached_views_track_in_place_input_mutation():
-    """Regression: a reshape that copies (non-viewable layout) must never be
-    cached by identity — the serving engine reuses one pad buffer per shape
-    and rewrites it in place between replays, which would silently freeze
-    the copy's first-replay contents."""
+    """A reshape that copies (non-viewable layout) must be recomputed every
+    replay — the serving engine reuses one pad buffer per shape and rewrites
+    it in place between replays, so a memoised copy would silently freeze the
+    copy's first-replay contents."""
     def fn(t):
         return (t.transpose(1, 0, 2).reshape(6, 4) * 2.0).tanh()
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
-from repro.autograd.tensor import Tensor, Workspace
+from repro.autograd.tensor import Tensor
 from repro.data.datasets import ArrayDataset, DataLoader, EventDataset
 from repro.metrics.profiler import summarize_runtime
 from repro.models.builder import convert_to_tt
@@ -363,17 +363,6 @@ def test_removed_replay_options_are_rejected():
         model.compile(parallel_workers=2)
 
 
-def test_workspace_buffers_keyed_by_dtype():
-    ws = Workspace()
-    f32 = ws.buf("k", (4,), "float32")
-    f64 = ws.buf("k", (4,), "float64")
-    assert f32.dtype == np.float32 and f64.dtype == np.float64
-    assert f32 is not f64
-    assert ws.buf("k", (4,), "float32") is f32
-    assert ws.buf("k", (4,), "float64") is f64
-    assert ws.buf("k", (2, 2), "float32") is not f32   # shape is part of the key
-
-
 # ---------------------------------------------------------------------------
 # float32 reference kernels
 # ---------------------------------------------------------------------------
@@ -521,6 +510,55 @@ def test_grad_accumulation_is_correct_and_inplace_after_ownership():
     (a * 1.0).sum().backward()
     np.testing.assert_allclose(a.grad, np.full(3, 2.0))
     np.testing.assert_allclose(b.grad, np.ones(3))
+
+
+def _count_first_write_copies(monkeypatch) -> list:
+    """Shapes of the tensors whose first gradient write copied the array."""
+    accumulate = Tensor._accumulate_grad
+    copies = []
+
+    def spy(self, grad):
+        first = self.grad is None
+        accumulate(self, grad)
+        if first and not np.shares_memory(self.grad, grad):
+            copies.append(self.shape)
+
+    monkeypatch.setattr(Tensor, "_accumulate_grad", spy)
+    return copies
+
+
+def test_first_write_adopts_contiguous_gradient_views(monkeypatch):
+    """reshape and concatenate hand back C-contiguous views of the upstream
+    gradient: the first write adopts them without a copy, and a later
+    accumulation into one adopted view leaves its sibling's gradient intact."""
+    copies = _count_first_write_copies(monkeypatch)
+    rng = np.random.default_rng(22)
+    a = Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32), requires_grad=True)
+    weights = rng.standard_normal((4, 12)).astype(np.float32)
+    joined = Tensor.concatenate([a.reshape(2, 12), b.reshape(2, 12)], axis=0)
+    joined.backward(weights)
+    assert copies == []
+    assert a.grad.base is weights and b.grad.base is weights
+    np.testing.assert_array_equal(a.grad, weights[:2].reshape(2, 3, 4))
+    np.testing.assert_array_equal(b.grad, weights[2:].reshape(2, 3, 4))
+
+    for _ in range(2):                             # allocate, then accumulate in place
+        (a * 2.0).sum().backward()
+    np.testing.assert_array_equal(a.grad, weights[:2].reshape(2, 3, 4) + 2.0 + 2.0)
+    np.testing.assert_array_equal(b.grad, weights[2:].reshape(2, 3, 4))
+
+
+def test_first_write_copies_non_contiguous_gradient_views(monkeypatch):
+    """A transposed gradient view would change the layout downstream
+    reductions see, so the first write still materialises it."""
+    copies = _count_first_write_copies(monkeypatch)
+    x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
+    weights = np.arange(6, dtype=np.float32).reshape(3, 2).copy()
+    x.transpose(1, 0).backward(weights)
+    assert copies == [(2, 3)]
+    assert x.grad.flags["C_CONTIGUOUS"]
+    np.testing.assert_array_equal(x.grad, weights.T)
 
 
 # ---------------------------------------------------------------------------

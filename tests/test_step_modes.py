@@ -11,7 +11,7 @@ rounding (asserted at ``1e-5``).
 import numpy as np
 import pytest
 
-from repro.autograd.tensor import Tensor, Workspace
+from repro.autograd.tensor import Tensor
 from repro.models.builder import convert_to_tt
 from repro.models.resnet import spiking_resnet18
 from repro.models.vgg import spiking_vgg9
@@ -238,21 +238,18 @@ class TestFusedPrimitives:
 
 
 class TestFusedLIFKernel:
-    """The fused LIF recurrence is the reference kernel compiled plans replay
-    (``fn_cached`` nodes with a persistent workspace); its three code paths —
-    :meth:`forward`, the rolling-membrane :meth:`forward_inference` and the
-    workspace-backed surrogate derivative — must agree with plain oracles."""
+    """The fused LIF recurrence is the kernel eager steps and compiled plans
+    both run; its two forward paths — :meth:`forward` and the
+    rolling-membrane :meth:`forward_inference` — and its backward must agree
+    with plain oracles."""
 
     TAU, THRESHOLD = 0.25, 0.5
 
     def _kernel(self, surrogate=None, hard_reset=True, detach_reset=True,
-                initial_membrane=None, workspace=False):
-        ctx = _FusedLIFSequence(self.TAU, self.THRESHOLD,
-                                surrogate or SurrogateRectangular(),
-                                hard_reset, detach_reset, initial_membrane)
-        if workspace:
-            ctx.set_workspace(Workspace())
-        return ctx
+                initial_membrane=None):
+        return _FusedLIFSequence(self.TAU, self.THRESHOLD,
+                                 surrogate or SurrogateRectangular(),
+                                 hard_reset, detach_reset, initial_membrane)
 
     @pytest.mark.parametrize("with_initial", [False, True])
     @pytest.mark.parametrize("hard_reset", [True, False])
@@ -296,16 +293,10 @@ class TestFusedLIFKernel:
         out = Tensor.stack([neuron(x[t]) for t in range(4)], axis=0)
         (out * Tensor(weights)).sum().backward()
 
-        grads = []
-        for workspace in (False, True):
-            ctx = self._kernel(surrogate, hard_reset, detach_reset,
-                               workspace=workspace)
-            np.testing.assert_array_equal(ctx.forward(currents), out.data)
-            (grad,) = ctx.backward(weights)
-            np.testing.assert_allclose(grad, x.grad, **TOL)
-            grads.append(grad.copy())
-        # The workspace fast path is bitwise the surrogate's own derivative.
-        np.testing.assert_array_equal(grads[0], grads[1])
+        ctx = self._kernel(surrogate, hard_reset, detach_reset)
+        np.testing.assert_array_equal(ctx.forward(currents), out.data)
+        (grad,) = ctx.backward(weights)
+        np.testing.assert_allclose(grad, x.grad, **TOL)
 
 
 class TestTrainerIntegration:
