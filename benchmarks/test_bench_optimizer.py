@@ -15,12 +15,15 @@ Acceptance thresholds:
 
 Timing methodology: interleaved A/B trials (both sides sampled alternately
 inside every trial so machine drift hits them equally), median-of-trials
-compared, plus a bounded retry — noise can only mask a real speedup, never
-fake one.
+compared.  The serving gate reads the median speedup of a fixed number of
+such comparisons, all of them run: no attempt is picked after the fact and
+none ends the series early, so noise moves the reading either way and a
+lucky attempt cannot carry it over the bound.
 """
 
 from __future__ import annotations
 
+import statistics
 
 import numpy as np
 
@@ -52,16 +55,19 @@ def _make_batch(n: int):
     return data.images, data.labels
 
 
-def _best_speedup(fn_a, fn_b, calls: int, threshold: float, attempts: int = 4):
-    """Max observed median speedup of B over A across bounded retries."""
-    best = 0.0
-    a_s = b_s = 0.0
+def _median_speedup(fn_a, fn_b, calls: int, attempts: int = 5):
+    """Median speedup of B over A over ``attempts`` interleaved comparisons.
+
+    Returns the median ratio and the median seconds per call of each side.
+    """
+    ratios, a_times, b_times = [], [], []
     for _ in range(attempts):
         a_s, b_s = ab_median(fn_a, fn_b, calls=calls)
-        best = max(best, a_s / b_s)
-        if best >= threshold:
-            break
-    return best, a_s, b_s
+        ratios.append(a_s / b_s)
+        a_times.append(a_s)
+        b_times.append(b_s)
+    return (statistics.median(ratios), statistics.median(a_times),
+            statistics.median(b_times))
 
 
 def test_o1_train_step_equivalence_and_zero_allocs():
@@ -118,10 +124,10 @@ def test_o2_serve_forward_speedup_and_equivalence():
 
     arena = engine_o2._compiled.arena
     allocated_before = arena.allocated
-    speedup, o0_s, o2_s = _best_speedup(
+    speedup, o0_s, o2_s = _median_speedup(
         lambda: engine_o0.infer(sample),
         lambda: engine_o2.infer(sample),
-        calls=25, threshold=1.5,
+        calls=25,
     )
     steady_state_allocs = arena.allocated - allocated_before
     report = engine_o2._compiled.runtime_stats()["optimizer"]

@@ -583,6 +583,9 @@ def _bn_seq_infer(ins, attrs, out=None):
 
 
 register_op("bn_seq", _bn_seq_fwd, _fn_bwd, forward_inference=_bn_seq_infer)
+# A 1x1 projection and its batch norm as one node, normalised in rank space
+# (``BatchNormProjectionFunction``): the same context protocol as ``bn_seq``.
+register_op("bn_proj_seq", _bn_seq_fwd, _fn_bwd, forward_inference=_bn_seq_infer)
 
 
 def _bn_stats_fwd(ins, attrs, out=None):

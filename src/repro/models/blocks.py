@@ -19,7 +19,8 @@ from repro.nn.module import Module, repeat_time, sequence_forward
 from repro.snn.neurons import LIFNeuron
 from repro.snn.norm import TDBatchNorm2d, TEBatchNorm2d
 
-__all__ = ["make_norm", "direct_coded_stem", "SpikingConvBlock", "MSBasicBlock"]
+__all__ = ["make_norm", "conv_norm_sequence", "direct_coded_stem", "SpikingConvBlock",
+           "MSBasicBlock"]
 
 
 def make_norm(kind: str, num_features: int, timesteps: int = 4,
@@ -42,6 +43,24 @@ def make_norm(kind: str, num_features: int, timesteps: int = 4,
     if kind == "none":
         return Identity()
     raise ValueError(f"unknown norm kind '{kind}'; options: bn, tdbn, tebn, none")
+
+
+def conv_norm_sequence(conv: Module, norm: Module, x_seq: Tensor) -> Tensor:
+    """Fused ``conv -> norm`` over a channels-last ``(T, N, H, W, C)`` sequence.
+
+    A TT convolution followed by a batch norm (plain, tdBN or TEBN) hands
+    the norm to its own ``forward_sequence``, which normalises the last 1x1
+    core's projection in rank space
+    (:meth:`~repro.nn.layers.BatchNorm2d.forward_projected`) instead of
+    running a full-width norm over the convolution's output.  Dense
+    convolutions and ``norm="none"`` run the two layers one after the
+    other, as does a convolution whose ``forward_sequence`` is replaced on
+    the instance (a recording or timing wrapper then sees both calls).
+    """
+    if (getattr(conv, "fuses_norm", False) and hasattr(norm, "forward_projected")
+            and "forward_sequence" not in vars(conv)):
+        return conv.forward_sequence(x_seq, norm=norm)
+    return sequence_forward(norm, sequence_forward(conv, x_seq))
 
 
 def direct_coded_stem(conv: Module, norm: Module, neuron: Module, images: Tensor,
@@ -98,9 +117,7 @@ class SpikingConvBlock(Module):
 
     def forward_sequence(self, x_seq: Tensor) -> Tensor:
         """Fused step-mode path: each stage consumes the whole ``(T, N, ...)`` sequence."""
-        out = sequence_forward(self.conv, x_seq)
-        out = sequence_forward(self.norm, out)
-        return sequence_forward(self.neuron, out)
+        return sequence_forward(self.neuron, conv_norm_sequence(self.conv, self.norm, x_seq))
 
 
 class MSBasicBlock(Module):
@@ -158,8 +175,7 @@ class MSBasicBlock(Module):
 
     def forward_sequence(self, x_seq: Tensor) -> Tensor:
         """Fused step-mode path mirroring :meth:`forward` layer by layer."""
-        out = sequence_forward(self.conv1, x_seq)
-        out = sequence_forward(self.neuron1, sequence_forward(self.bn1, out))
-        out = sequence_forward(self.bn2, sequence_forward(self.conv2, out))
+        out = sequence_forward(self.neuron1, conv_norm_sequence(self.conv1, self.bn1, x_seq))
+        out = conv_norm_sequence(self.conv2, self.bn2, out)
         out = out + sequence_forward(self.shortcut, x_seq)
         return sequence_forward(self.neuron2, out)

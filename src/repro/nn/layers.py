@@ -31,6 +31,7 @@ __all__ = [
     "Linear",
     "BatchNorm2d",
     "BatchNormSequenceFunction",
+    "BatchNormProjectionFunction",
     "batch_norm_sequence",
     "AvgPool2d",
     "MaxPool2d",
@@ -212,10 +213,15 @@ class BatchNormSequenceFunction(Function):
         the ``bn_seq`` kernel.  A sequence that stands for ``repeats`` copies
         of itself in time (a direct-coded stem) updates once per copy.
         """
+        # (1 - m) * running + m * batch[t], in place: the same three roundings.
+        scaled_mean = momentum * self.batch_mean
+        scaled_var = momentum * self.batch_var
         for _ in range(self.repeats):
-            for t in range(self.batch_mean.shape[0]):
-                running_mean[...] = (1 - momentum) * running_mean + momentum * self.batch_mean[t]
-                running_var[...] = (1 - momentum) * running_var + momentum * self.batch_var[t]
+            for t in range(scaled_mean.shape[0]):
+                running_mean *= 1 - momentum
+                running_mean += scaled_mean[t]
+                running_var *= 1 - momentum
+                running_var += scaled_var[t]
 
     def forward_inference(self, *arrays: np.ndarray) -> np.ndarray:
         """Eval-mode fast path: fold mean/var/affine into one scale-and-shift.
@@ -270,6 +276,119 @@ class BatchNormSequenceFunction(Function):
         if self._affine:
             return grad_in, self.gamma_scale * sum_proj.sum(axis=0), sum_grad.sum(axis=0)
         return (grad_in,)
+
+
+class BatchNormProjectionFunction(BatchNormSequenceFunction):
+    """Per-timestep batch norm of a 1x1 projection, computed in rank space.
+
+    Inputs are ``h (T, N, H, W, r)``, the ``(O, r, 1, 1)`` weight of the 1x1
+    convolution that projects ``h`` to ``O`` channels and, when affine, the
+    norm's ``gamma`` and ``beta``.  The output equals
+    :class:`BatchNormSequenceFunction` applied to ``y = h @ W`` (``W`` the
+    ``(r, O)`` kernel matrix), but ``y`` never exists unnormalised: the
+    batch statistics of ``y`` follow from those of ``h``,
+    ``mean_y = mean_h @ W`` and ``var_y = diag(W^T cov_h W)`` with the
+    per-timestep ``r x r`` covariance ``cov_h`` (float64; it is tiny), and
+    the normalised output is one GEMM, ``(h - mean_h) @ (W diag(a)) + beta``
+    with ``a = gamma * inv_std``.
+
+    The kernel keeps ``h - mean_h`` as the first ``r`` columns of a
+    ``(T, M, r + 1)`` array whose last column is ones, so ``beta`` rides in
+    the forward GEMM as one more kernel row and ``sum(g)`` in the backward's
+    ``[h - mean_h, 1]^T g`` GEMM, whose other rows ``P`` also give the
+    weight gradient.  ``dh`` is one ``g @ (diag(a) W^T)`` GEMM plus an
+    ``(r + 1) x r`` correction; every other term is ``r``- or ``O``-sized.
+    Neither pass allocates a ``(T, M, O)`` temporary, and the op saves the
+    ``(T, M, r + 1)`` array where the composed pair saved ``xhat``.  In eval
+    mode the op is the folded affine ``h @ (W diag(a)) + beta - mean * a``
+    over the running statistics, with ``h`` in place of ``h - mean_h``.
+    """
+
+    def forward(self, *arrays: np.ndarray) -> np.ndarray:
+        h, weight = arrays[0], arrays[1]
+        self._affine = len(arrays) == 4
+        steps, rank = h.shape[0], h.shape[-1]
+        out_c = weight.shape[0]
+        rows = h.reshape(steps, -1, rank)
+        count = rows.shape[1]
+        # C-ordered float64 (r, O) kernel matrix: the small algebra runs in
+        # float64 and the GEMM operands are cast back to the input's dtype.
+        w = np.array(weight.reshape(out_c, rank).T, dtype=np.float64, order="C")
+        gain = self.gamma_scale * (arrays[2].astype(np.float64) if self._affine else 1.0)
+        ones = np.empty((steps, count, rank + 1), h.dtype)
+        ones[..., rank] = 1.0
+        centred = ones[..., :rank]
+        kernel = np.empty((steps, rank + 1, out_c))
+        if self.training:
+            mean_h = _channel_sums(rows) / count                        # (T, r)
+            np.subtract(rows, mean_h[:, None, :], out=centred)
+            wide = centred.astype(np.float64)
+            cov = np.matmul(wide.transpose(0, 2, 1), wide) / count      # (T, r, r)
+            var = np.einsum("tjo,jo->to", cov @ w, w)                   # (T, O)
+            self.batch_mean = (mean_h.astype(np.float64) @ w).astype(h.dtype)
+            self.batch_var = var.astype(h.dtype)
+            inv_std = 1.0 / np.sqrt(var + self.eps)
+            self._cov = cov
+            np.multiply(w, (gain * inv_std)[:, None, :], out=kernel[:, :rank])
+            kernel[:, rank] = arrays[3] if self._affine else 0.0
+        else:
+            np.copyto(centred, rows)
+            inv_std = 1.0 / np.sqrt(self.running_var.astype(np.float64) + self.eps)
+            scale = gain * inv_std
+            kernel[:, :rank] = w * scale
+            kernel[:, rank] = -self.running_mean * scale
+            if self._affine:
+                kernel[:, rank] += arrays[3]
+        self._w = w
+        self._gain = gain
+        self._inv_std = inv_std
+        self._ones = ones
+        out = np.matmul(ones, kernel.astype(h.dtype))
+        return out.reshape(h.shape[:-1] + (out_c,))
+
+    def forward_inference(self, *arrays: np.ndarray) -> np.ndarray:
+        """No-grad entry: the eval :meth:`forward` already is the folded affine."""
+        return self.forward(*arrays)
+
+    def backward(self, grad_output: np.ndarray):
+        w, inv_std, ones = self._w, self._inv_std, self._ones
+        rank, out_c = w.shape
+        steps, count = ones.shape[0], ones.shape[1]
+        dtype = grad_output.dtype
+        coeff = self._gain * inv_std                                    # (T, O) or (O,)
+        grad = grad_output.reshape(steps, count, out_c)
+        if self.training:
+            # [h - mean_h, 1]^T g: P (T, r, O) over sum(g) (T, O).
+            reduced = np.matmul(ones.transpose(0, 2, 1), grad).astype(np.float64)
+            proj, sum_grad = reduced[:, :rank], reduced[:, rank]
+            # sum(g * xhat) per (t, o) from P: xhat = (h - mean_h) @ W * inv_std.
+            sum_proj = inv_std * np.einsum("tjo,jo->to", proj, w)
+            shrink = coeff * inv_std * sum_proj / count                 # (T, O)
+            # dy = coeff * (g - mean(g) - xhat * mean(g * xhat)) pulled back
+            # through W: g @ (diag(coeff) W^T) less [h - mean_h, 1] @ correction.
+            correction = np.empty((steps, rank + 1, rank))
+            np.matmul(w * shrink[:, None, :], w.T, out=correction[:, :rank])
+            np.matmul(coeff * sum_grad / count, w.T, out=correction[:, rank])
+            grad_w = (proj * coeff[:, None, :]).sum(axis=0) \
+                - count * (self._cov @ (w * shrink[:, None, :])).sum(axis=0)
+            sum_grad = sum_grad.sum(axis=0)
+            sum_proj = sum_proj.sum(axis=0)
+        else:
+            # One affine map for all timesteps: reduce over every row at once.
+            reduced = (ones.reshape(-1, rank + 1).T @ grad.reshape(-1, out_c)).astype(np.float64)
+            proj, sum_grad = reduced[:rank], reduced[rank]
+            sum_proj = inv_std * (np.einsum("jo,jo->o", proj, w) - self.running_mean * sum_grad)
+            grad_w = proj * coeff
+        back = (w * coeff[..., None, :]).swapaxes(-1, -2)              # (T, O, r) or (O, r)
+        grad_h = np.matmul(grad, back.astype(dtype))
+        if self.training:
+            grad_h -= np.matmul(ones, correction.astype(dtype))
+        grad_in = grad_h.reshape(grad_output.shape[:-1] + (rank,))
+        grad_weight = grad_w.T.astype(dtype).reshape(out_c, rank, 1, 1)
+        if self._affine:
+            return (grad_in, grad_weight, (self.gamma_scale * sum_proj).astype(dtype),
+                    sum_grad.astype(dtype))
+        return grad_in, grad_weight
 
 
 class BatchNorm2d(Module):
@@ -363,6 +482,35 @@ class BatchNorm2d(Module):
         the convolution right before it).
         """
         return repeat_time(self.forward_sequence(x_step, repeats=timesteps), timesteps)
+
+    def forward_projected(self, h_seq: Tensor, weight: Tensor,
+                          stride: IntOrPair = 1) -> Tensor:
+        """Normalise the 1x1 convolution of ``h_seq`` by ``weight``, in rank space.
+
+        Equal to :meth:`forward_sequence` on ``conv2d(h_seq, weight, stride)``
+        for a channels-last ``(T, N, H, W, r)`` sequence and an ``(O, r, 1, 1)``
+        weight, running buffers included, but computed by one
+        :class:`BatchNormProjectionFunction` node that never materialises the
+        unnormalised projection.  A strided 1x1 convolution reads every
+        ``stride``-th pixel, so ``h_seq`` is subsampled first.
+        """
+        sh, sw = _pair(stride)
+        if (sh, sw) != (1, 1):
+            h_seq = h_seq[:, :, ::sh, ::sw]
+        if weight.shape[0] != self.num_features:
+            raise ValueError(
+                f"projection weight {weight.shape} has {weight.shape[0]} output channels, "
+                f"but the norm layer has {self.num_features}"
+            )
+        inputs = (h_seq, weight) + ((self.weight, self.bias) if self.affine else ())
+        return apply_op("bn_proj_seq", inputs, {
+            "cls": BatchNormProjectionFunction,
+            "ctor": dict(eps=self.eps, training=self.training,
+                         running_mean=self.running_mean.data,
+                         running_var=self.running_var.data,
+                         gamma_scale=self.gamma_scale),
+            "momentum": self.momentum,
+        })
 
     def extra_repr(self) -> str:
         return f"{self.num_features}, eps={self.eps}, momentum={self.momentum}"

@@ -17,7 +17,8 @@ that steady-state overhead with a three-stage pipeline:
 2. **Optimize** (:mod:`~repro.runtime.optimizer`): an ``optimize="O1"|"O2"``
    pass pipeline rewrites the captured graph before planning — identity-pool
    elision at O1 (value-exact, training-safe), plus eval-BN constant folding
-   and frozen GEMM operands on no-grad O2 plans.
+   (dense convolutions' norms; unmerged TT layers' ``bn_proj_seq`` is
+   folded by construction) and frozen GEMM operands on no-grad O2 plans.
 3. **Plan** (:mod:`~repro.runtime.planner`): the recorded forward order is
    the topological schedule; the backward schedule is its reverse restricted
    to the loss→leaf gradient paths.  Liveness analysis assigns intermediates

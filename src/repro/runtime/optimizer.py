@@ -17,7 +17,11 @@ Optimization levels:
     no backward (training plans silently get O1 semantics):
 
     * **eval-BN constant folding** — an eval-mode ``bn_seq`` folds into the
-      preceding convolution's weights/bias at plan time;
+      preceding convolution's weights/bias at plan time.  Those are the
+      dense convolutions' norms (the stems, Eq. 6-merged engines): an
+      unmerged TT layer normalises through ``bn_proj_seq``, whose eval
+      forward already is the folded one-GEMM affine, so on unmerged TT
+      plans the pass folds only the stem norm;
     * **frozen GEMM operands** — each channels-last convolution whose
       weights are plan constants or parameters gets ONE persistent context
       (a ``fn_cached`` node) that gathers its ``(kh*kw*C, O)`` GEMM operand

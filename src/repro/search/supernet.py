@@ -50,6 +50,7 @@ from repro.tt.layers import (
     STTConv2d,
     htt_sequence_wiring,
     htt_step_wiring,
+    normalised_projection,
     parse_htt_schedule,
     ptt_wiring,
     stt_wiring,
@@ -111,6 +112,10 @@ class EntangledTTConv2d(TimedModule):
         Initialise the cores from the dense weight (Algorithm 1 line 4);
         otherwise keep their fresh Kaiming initialisation.
     """
+
+    #: ``forward_sequence(x_seq, norm)`` takes the layer's norm, as the
+    #: standalone TT layers do (see :func:`repro.models.blocks.conv_norm_sequence`).
+    fuses_norm = True
 
     def __init__(
         self,
@@ -220,17 +225,28 @@ class EntangledTTConv2d(TimedModule):
             return ptt_wiring(c1, c2, c3, c4, x)
         return htt_step_wiring(c1, c2, c3, c4, x, self.half_timestep(t))
 
-    def forward_sequence(self, x_seq: Tensor) -> Tensor:
-        """Fused path over a channels-last ``(T, N, H, W, C)`` sequence."""
-        steps = self.advance_time(x_seq.shape[0])
+    def forward_sequence(self, x_seq: Tensor, norm: Optional[Module] = None) -> Tensor:
+        """Fused path over a channels-last ``(T, N, H, W, C)`` sequence.
+
+        With a batch-norm ``norm``, returns its normalisation of the output:
+        the TT choices run ``conv4`` and the norm as one rank-space node over
+        the sliced core, as the standalone TT layers do; the dense choice
+        runs the convolution and then the norm.
+        """
+        timesteps = x_seq.shape[0]
+        steps = self.advance_time(timesteps)
         choice = self._choice
         if choice.format == "dense":
-            return self.dense.forward_sequence(x_seq)
-        cl = tuple(c.forward_channels_last for c in self._sliced_convs(choice.rank))
+            out = self.dense.forward_sequence(x_seq)
+            return out if norm is None else norm.forward_sequence(out)
+        sliced = self._sliced_convs(choice.rank)
+        cl = [c.forward_channels_last for c in sliced]
+        if norm is not None:
+            cl[3] = normalised_projection(norm, sliced[3].weight, sliced[3].stride, timesteps)
         if choice.format == "htt":
             return htt_sequence_wiring(*cl, x_seq, [self.half_timestep(t) for t in steps])
         wiring = stt_wiring if choice.format == "stt" else ptt_wiring
-        return unfold_time(wiring(*cl, fold_time(x_seq)), x_seq.shape[0])
+        return unfold_time(wiring(*cl, fold_time(x_seq)), timesteps)
 
     # -- materialisation -----------------------------------------------------
 

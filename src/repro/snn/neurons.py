@@ -77,7 +77,11 @@ class SurrogateRectangular(SurrogateBase):
         self.width = width
 
     def derivative(self, pre_activation: np.ndarray) -> np.ndarray:
-        return (np.abs(pre_activation) < (self.width / 2.0)).astype(pre_activation.dtype) / self.width
+        window = np.abs(pre_activation)
+        np.less(window, self.width / 2.0, out=window)
+        if self.width != 1.0:
+            window /= self.width
+        return window
 
 
 class SurrogateArctan(SurrogateBase):
@@ -207,20 +211,40 @@ class _FusedLIFSequence(Function):
         membranes = self._membranes
         spikes = self._spikes
         timesteps = grad_output.shape[0]
+        # The surrogate derivative of the whole membrane history in one call.
+        surrogate_grad = self.surrogate.derivative(membranes - self.v_threshold)
+        scratch = np.empty(grad_output.shape[1:], grad_output.dtype)
+        if self.detach_reset:
+            # dL/dm_t = dL/ds_t * g_t + tau * keep_t * dL/dm_{t+1}, where
+            # keep_t = 1 - s_t (hard reset) or 1 (soft reset).  tau * keep_t
+            # is exactly tau or 0, so each step is two ufuncs with the
+            # rounding of the per-step form.
+            grad_input = np.multiply(grad_output, surrogate_grad)
+            # The per-step form adds a zero carry to the last step, which
+            # turns -0.0 into +0.0; keep its bits.
+            grad_input[-1] += 0.0
+            if self.hard_reset:
+                decay = surrogate_grad
+                np.subtract(1.0, spikes, out=decay)
+                decay *= self.tau_m
+            for t in range(timesteps - 2, -1, -1):
+                if self.hard_reset:
+                    np.multiply(decay[t], grad_input[t + 1], out=scratch)
+                else:
+                    np.multiply(grad_input[t + 1], self.tau_m, out=scratch)
+                grad_input[t] += scratch
+            return (grad_input,)
         grad_input = np.empty(grad_output.shape, grad_output.dtype)
         grad_post = np.zeros(grad_output.shape[1:], grad_output.dtype)  # dL/dp_t from t+1
-        scratch = np.empty(grad_post.shape, grad_post.dtype)
         for t in range(timesteps - 1, -1, -1):
             membrane = membranes[t]
             grad_spike = grad_output[t]
-            if not self.detach_reset:
-                if self.hard_reset:
-                    grad_spike = grad_spike - grad_post * membrane
-                else:
-                    grad_spike = grad_spike - grad_post * self.v_threshold
-            surrogate_grad = self.surrogate.derivative(membrane - self.v_threshold)
+            if self.hard_reset:
+                grad_spike = grad_spike - grad_post * membrane
+            else:
+                grad_spike = grad_spike - grad_post * self.v_threshold
             grad_membrane = grad_input[t]
-            np.multiply(grad_spike, surrogate_grad, out=grad_membrane)
+            np.multiply(grad_spike, surrogate_grad[t], out=grad_membrane)
             if self.hard_reset:
                 np.subtract(1.0, spikes[t], out=scratch)
                 scratch *= grad_post

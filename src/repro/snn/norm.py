@@ -103,6 +103,16 @@ class TEBatchNorm2d(TimedModule):
         gains = self._gains(x_seq.shape[0])
         return self.bn.forward_sequence(x_seq) * gains
 
+    def forward_projected(self, h_seq: Tensor, weight: Tensor, stride=1) -> Tensor:
+        """TEBN of a 1x1 projection of ``h_seq``, normalised in rank space.
+
+        The shared batch norm runs through
+        :meth:`~repro.nn.layers.BatchNorm2d.forward_projected`; the
+        per-timestep gains then apply as in :meth:`forward_sequence`.
+        """
+        gains = self._gains(h_seq.shape[0])
+        return self.bn.forward_projected(h_seq, weight, stride) * gains
+
     def forward_repeated(self, x_step: Tensor, timesteps: int) -> Tensor:
         """TEBN over ``timesteps`` copies of one ``(1, N, H, W, C)`` step.
 

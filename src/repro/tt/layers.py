@@ -54,6 +54,7 @@ __all__ = [
     "ptt_wiring",
     "htt_step_wiring",
     "htt_sequence_wiring",
+    "normalised_projection",
 ]
 
 
@@ -123,6 +124,22 @@ def htt_sequence_wiring(conv1, conv2, conv3, conv4, x_seq: Tensor,
     return unfold_time(conv4(fold_time(mixed)), timesteps)
 
 
+def normalised_projection(norm: Module, weight: Tensor, stride, timesteps: int):
+    """A ``conv4`` callable whose output is already normalised by ``norm``.
+
+    The callable takes and returns folded channels-last ``(T*N, H, W, C)``
+    batches like the other sub-convolution callables, so the wiring
+    functions run it unchanged.  It unfolds its ``(T*N, H, W, r)`` input to
+    the ``(T, N, H, W, r)`` sequence that ``norm.forward_projected`` needs
+    for per-timestep statistics, which normalises the 1x1 projection by
+    ``weight`` (stride ``stride``) in rank space, and folds the result back.
+    """
+    def conv4(h: Tensor) -> Tensor:
+        return fold_time(norm.forward_projected(unfold_time(h, timesteps), weight, stride))
+
+    return conv4
+
+
 def parse_htt_schedule(schedule: Union[str, Sequence[bool], None],
                        timesteps: Optional[int] = None) -> List[bool]:
     """Parse an HTT schedule into a list of per-timestep "use half path" flags.
@@ -179,6 +196,9 @@ class TTConv2dBase(Module):
     """
 
     variant = "base"
+    #: ``forward_sequence(x_seq, norm)`` normalises ``conv4``'s projection
+    #: in rank space (read by :func:`repro.models.blocks.conv_norm_sequence`).
+    fuses_norm = True
 
     def __init__(
         self,
@@ -303,34 +323,43 @@ class TTConv2dBase(Module):
             f"rank={self.ranks}, stride={self.stride}, variant={self.variant}"
         )
 
-    def forward(self, x: Tensor) -> Tensor:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def forward(self, x: Tensor) -> Tensor:
+        return self.wiring(*self.sub_convolutions(), x)
 
-    def forward_channels_last(self, x: Tensor) -> Tensor:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def forward_channels_last(self, x: Tensor) -> Tensor:
+        return self.wiring(*(c.forward_channels_last for c in self.sub_convolutions()), x)
 
-    def forward_sequence(self, x_seq: Tensor) -> Tensor:
+    def forward_sequence(self, x_seq: Tensor, norm: Optional[Module] = None) -> Tensor:
         """Fused step-mode path over a channels-last ``(T, N, H, W, C)`` sequence.
 
         STT and PTT apply the same sub-convolution wiring at every timestep,
         so the whole sequence runs as one time-folded batch; HTT overrides
         this with a schedule-aware implementation.  In channels-last layout
         the 1x1 sub-convolutions are pure GEMMs with no im2col gather.
+
+        With a batch-norm ``norm`` (one with ``forward_projected``), the
+        output is ``norm``'s normalisation of the layer's output, with
+        ``conv4`` and the norm run as one rank-space node
+        (:func:`normalised_projection`).
         """
         timesteps = x_seq.shape[0]
-        return unfold_time(self.forward_channels_last(fold_time(x_seq)), timesteps)
+        convs = self._sequence_convs(norm, timesteps)
+        return unfold_time(self.wiring(*convs, fold_time(x_seq)), timesteps)
+
+    def _sequence_convs(self, norm: Optional[Module], timesteps: int) -> list:
+        """The four channels-last callables, ``conv4`` normalised when ``norm`` is set."""
+        convs = [c.forward_channels_last for c in self.sub_convolutions()]
+        if norm is not None:
+            convs[3] = normalised_projection(norm, self.conv4.weight, self.conv4.stride,
+                                             timesteps)
+        return convs
 
 
 class STTConv2d(TTConv2dBase):
     """Sequential TT convolution (Fig. 1b): ``conv1 -> conv2 -> conv3 -> conv4``."""
 
     variant = "stt"
-
-    def forward(self, x: Tensor) -> Tensor:
-        return stt_wiring(self.conv1, self.conv2, self.conv3, self.conv4, x)
-
-    def forward_channels_last(self, x: Tensor) -> Tensor:
-        return stt_wiring(*(c.forward_channels_last for c in self.sub_convolutions()), x)
+    wiring = staticmethod(stt_wiring)
 
 
 class PTTConv2d(TTConv2dBase):
@@ -343,12 +372,7 @@ class PTTConv2d(TTConv2dBase):
     """
 
     variant = "ptt"
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ptt_wiring(self.conv1, self.conv2, self.conv3, self.conv4, x)
-
-    def forward_channels_last(self, x: Tensor) -> Tensor:
-        return ptt_wiring(*(c.forward_channels_last for c in self.sub_convolutions()), x)
+    wiring = staticmethod(ptt_wiring)
 
 
 class HTTConv2d(TTConv2dBase, TimedModule):
@@ -403,15 +427,16 @@ class HTTConv2d(TTConv2dBase, TimedModule):
         # HTT handles time explicitly in forward_sequence.
         raise RuntimeError("HTTConv2d is schedule-dependent; use forward_sequence")
 
-    def forward_sequence(self, x_seq: Tensor) -> Tensor:
+    def forward_sequence(self, x_seq: Tensor, norm: Optional[Module] = None) -> Tensor:
         """Schedule-aware fused path over a channels-last ``(T, N, H, W, C)`` sequence.
 
         See :func:`htt_sequence_wiring`: ``conv2``/``conv3`` run only on the
-        timesteps the schedule marks full.
+        timesteps the schedule marks full.  ``norm`` is handled as in
+        :meth:`TTConv2dBase.forward_sequence`.
         """
-        flags = [self.half_timestep(t) for t in self.advance_time(x_seq.shape[0])]
-        return htt_sequence_wiring(*(c.forward_channels_last for c in self.sub_convolutions()),
-                                   x_seq, flags)
+        timesteps = x_seq.shape[0]
+        flags = [self.half_timestep(t) for t in self.advance_time(timesteps)]
+        return htt_sequence_wiring(*self._sequence_convs(norm, timesteps), x_seq, flags)
 
     def extra_repr(self) -> str:
         schedule = "".join("H" if h else "F" for h in self.schedule)

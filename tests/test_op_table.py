@@ -48,6 +48,18 @@ def _bn_seq(dtype):
     return build, [], [running_mean, running_var]
 
 
+def _bn_proj_seq(dtype):
+    norm = TDBatchNorm2d(3)
+    norm.train()
+    for tensor in list(norm.parameters()) + [b for _, b in norm.named_buffers()]:
+        tensor.data = tensor.data.astype(dtype)
+
+    def build(h, weight):
+        return norm.forward_projected(h, weight)
+
+    return build, list(norm.parameters()), [norm.running_mean.data, norm.running_var.data]
+
+
 def _module(cls):
     def factory(dtype):
         module = cls(3)
@@ -102,6 +114,7 @@ CASES = {
                   _stateless(lambda x, w: conv2d(x, w, None, stride=1, padding=1))),
     "dropout": ([(4, 6)], None, _dropout),
     "bn_seq": ([(2, 4, 2, 2, 3), (3,), (3,)], None, _bn_seq),
+    "bn_proj_seq": ([(2, 4, 2, 2, 5), (3, 5, 1, 1)], None, _bn_proj_seq),
     "batch_norm2d_train": ([(4, 3, 2, 2)], None, _module(BatchNorm2d)),
     "td_batch_norm2d_train": ([(4, 3, 2, 2)], None, _module(TDBatchNorm2d)),
 }

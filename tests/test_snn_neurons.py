@@ -117,3 +117,45 @@ class TestLIFDynamics:
         for _ in range(3):
             spikes = lif(Tensor(rng.standard_normal((2, 8)).astype(np.float32)))
             assert set(np.unique(spikes.data)).issubset({0.0, 1.0})
+
+
+def _per_step_lif_backward(membranes, spikes, grad_output, surrogate, tau_m, v_threshold,
+                           hard_reset, detach_reset):
+    """The BPTT recurrence one timestep at a time, surrogate taken per step."""
+    grad_input = np.empty_like(grad_output)
+    grad_post = np.zeros_like(grad_output[0])
+    for t in range(grad_output.shape[0] - 1, -1, -1):
+        grad_spike = grad_output[t]
+        if not detach_reset:
+            reset_term = membranes[t] if hard_reset else v_threshold
+            grad_spike = grad_spike - grad_post * reset_term
+        grad = grad_spike * surrogate.derivative(membranes[t] - v_threshold)
+        grad = grad + ((1.0 - spikes[t]) * grad_post if hard_reset else grad_post)
+        grad_input[t] = grad
+        grad_post = grad * tau_m
+    return grad_input
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("detach_reset", [True, False], ids=["detach", "attached"])
+@pytest.mark.parametrize("hard_reset", [True, False], ids=["hard", "soft"])
+@pytest.mark.parametrize("surrogate", [SurrogateRectangular(1.0), SurrogateRectangular(0.5),
+                                       SurrogateArctan(), SurrogateSigmoid()],
+                         ids=["rect1", "rect0.5", "arctan", "sigmoid"])
+def test_fused_lif_backward_matches_per_step_recurrence_bitwise(surrogate, hard_reset,
+                                                                 detach_reset, dtype):
+    """The whole-history backward keeps the per-step recurrence's bits, signed zeros too."""
+    from repro.snn.neurons import _FusedLIFSequence
+
+    rng = np.random.default_rng(5)
+    currents = (rng.standard_normal((5, 3, 4, 6)) * 0.6).astype(dtype)
+    grad_output = rng.standard_normal(currents.shape).astype(dtype)
+    grad_output[rng.random(currents.shape) < 0.1] = -0.0
+    fused = _FusedLIFSequence(0.25, 0.5, surrogate, hard_reset, detach_reset)
+    spikes = fused.forward(currents)
+    (got,) = fused.backward(grad_output)
+    want = _per_step_lif_backward(fused._membranes, spikes, grad_output, surrogate,
+                                  0.25, 0.5, hard_reset, detach_reset)
+    assert got.dtype == want.dtype == dtype
+    bits = {4: np.uint32, 8: np.uint64}[got.dtype.itemsize]
+    np.testing.assert_array_equal(got.view(bits), want.view(bits))
