@@ -107,37 +107,23 @@ class DataLoader:
     ``prefetch_retries`` times with linear backoff; permanent errors still
     propagate to the consumer with the ``data.prefetch_error`` span.
 
-    **Sharding** (data-parallel workers): with ``num_shards=S,
-    shard_index=k`` the loader walks the *same* epoch permutation as the
-    unsharded loader, but yields only the ``k``-th ``np.array_split``
-    piece of every global batch.  All shards therefore agree on batch
-    boundaries and stay in lockstep — ``len()`` is unchanged, the union of
-    one batch across shards is exactly the unsharded batch (in order), and
-    a shard's piece of a short final batch may be empty (shape ``(0,
-    ...)``).  Epoch permutations derive from ``(seed, epoch)`` — each
-    ``__iter__`` advances an internal epoch counter, and
-    :meth:`set_epoch` pins it, so independently constructed shard loaders
-    (e.g. in separate worker processes) reproduce the same order without
-    sharing RNG state, and a resumed run can rewind to any epoch.
+    Epoch permutations derive from ``(seed, epoch)``: each ``__iter__``
+    advances an internal epoch counter and :meth:`set_epoch` pins it, so
+    loaders built with the same seed reproduce the same order and a resumed
+    run can rewind to any epoch.
     """
 
     def __init__(self, dataset: Dataset, batch_size: int = 32, shuffle: bool = True,
                  drop_last: bool = False, seed: Optional[int] = None,
                  prefetch: bool = False, prefetch_depth: int = 2,
                  prefetch_retries: int = 2,
-                 prefetch_retry_backoff_s: float = 0.05,
-                 num_shards: int = 1, shard_index: int = 0):
+                 prefetch_retry_backoff_s: float = 0.05):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if prefetch_depth < 1:
             raise ValueError(f"prefetch_depth must be >= 1, got {prefetch_depth}")
         if prefetch_retries < 0:
             raise ValueError(f"prefetch_retries must be >= 0, got {prefetch_retries}")
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if not 0 <= shard_index < num_shards:
-            raise ValueError(f"shard_index must be in [0, {num_shards}), "
-                             f"got {shard_index}")
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
@@ -146,10 +132,8 @@ class DataLoader:
         self.prefetch_depth = prefetch_depth
         self.prefetch_retries = int(prefetch_retries)
         self.prefetch_retry_backoff_s = float(prefetch_retry_backoff_s)
-        self.num_shards = num_shards
-        self.shard_index = shard_index
-        # Materialise an entropy base even for seed=None so that sharded
-        # loaders *could* agree if handed the same loader object's seed.
+        # Materialise an entropy base even for seed=None: every epoch's
+        # permutation is then a pure function of ``(self.seed, epoch)``.
         self.seed = seed if seed is not None else int(
             np.random.SeedSequence().entropy % (2 ** 32))
         self._epoch = 0
@@ -157,9 +141,9 @@ class DataLoader:
     def set_epoch(self, epoch: int) -> None:
         """Pin the permutation epoch for the next ``__iter__``.
 
-        Shard loaders constructed independently (e.g. in forked workers)
-        call this with the coordinator's epoch number so every shard draws
-        the identical ``(seed, epoch)`` permutation.
+        A trainer that builds a fresh loader per epoch (or resumes from a
+        checkpoint) calls this with the epoch number to draw that epoch's
+        ``(seed, epoch)`` permutation.
         """
         self._epoch = int(epoch)
 
@@ -170,17 +154,9 @@ class DataLoader:
         return (n + self.batch_size - 1) // self.batch_size
 
     def _assemble(self, batch_idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if len(batch_idx) == 0:
-            # An empty shard of a short final batch: keep the sample shape
-            # (probing item 0 so transforms that reshape are respected).
-            probe = np.asarray(self.dataset[0][0]) if len(self.dataset) else \
-                np.empty((0,), dtype=np.float32)
-            data = np.empty((0,) + probe.shape, dtype=np.float32)
-            labels = np.empty((0,), dtype=np.int64)
-        else:
-            samples = [self.dataset[int(i)] for i in batch_idx]
-            data = np.stack([s[0] for s in samples], axis=0)
-            labels = np.array([s[1] for s in samples], dtype=np.int64)
+        samples = [self.dataset[int(i)] for i in batch_idx]
+        data = np.stack([s[0] for s in samples], axis=0)
+        labels = np.array([s[1] for s in samples], dtype=np.int64)
         if data.ndim == 5:
             # (N, T, C, H, W) -> (T, N, C, H, W) for the timestep loop.
             data = np.transpose(data, (1, 0, 2, 3, 4))
@@ -202,8 +178,6 @@ class DataLoader:
             batch_idx = indices[start:start + self.batch_size]
             if self.drop_last and len(batch_idx) < self.batch_size:
                 break
-            if self.num_shards > 1:
-                batch_idx = np.array_split(batch_idx, self.num_shards)[self.shard_index]
             batches.append(batch_idx)
         return batches
 

@@ -10,12 +10,10 @@ elastic worker counts trivial).
 
 Command set (coordinator → worker):
 
-* ``step`` — run forward+backward on explicitly shipped micro-shards,
-  write the scaled float64 gradient into this worker's shared row.
-* ``epoch_start`` / ``epoch_step`` / ``epoch_end`` — same compute, but the
-  worker assembles its micro-shards from its own shard-aware
-  :class:`~repro.data.datasets.DataLoader` (``num_shards``/``shard_index``),
-  so epoch data never crosses the pipe.
+* ``step`` — run forward+backward on the micro-shards shipped with the
+  command, write the scaled float64 gradient into this worker's shared row.
+  The coordinator loads every batch (explicit or epoch), so workers hold
+  no data.
 * ``stats`` / ``ping`` / ``shutdown`` — bookkeeping.
 
 Failure model: a worker that raises mid-command reports the traceback and
@@ -102,7 +100,6 @@ def _worker_main(rank: int, conn, spec: Dict[str, object]) -> None:
     params = [p for p in model.parameters() if p.requires_grad]
     engine = _WorkerEngine(model, spec)
     row = grads.array[rank]
-    loaders: Optional[List] = None
 
     def sync_weights() -> None:
         block.read_params(weights.array, params)
@@ -132,21 +129,6 @@ def _worker_main(rank: int, conn, spec: Dict[str, object]) -> None:
                 "replayed": replayed and n_local > 0,
                 "t_start": t_start, "t_end": t_end}
 
-    def make_loaders():
-        from repro.data.datasets import DataLoader
-
-        accum = int(spec["accum_steps"])
-        num_shards = int(spec["num_workers"]) * accum
-        return [
-            DataLoader(spec["train_dataset"], batch_size=int(spec["batch_size"]),
-                       shuffle=bool(spec["shuffle"]), drop_last=bool(spec["drop_last"]),
-                       seed=spec["seed"], num_shards=num_shards,
-                       shard_index=rank * accum + i,
-                       prefetch=bool(spec["prefetch"]))
-            for i in range(accum)
-        ]
-
-    iterators: List = []
     while True:
         try:
             msg = conn.recv()
@@ -156,40 +138,20 @@ def _worker_main(rank: int, conn, spec: Dict[str, object]) -> None:
         if cmd == "shutdown":
             conn.send({"status": "ok"})
             break
-        if injector is not None and cmd in ("step", "epoch_step"):
+        if injector is not None and cmd == "step":
             # Injected crash: die without a word, exactly like a segfault or
             # an OOM kill — the coordinator's liveness poll must catch it.
             action = injector.maybe("worker.crash", rank=rank)
             if action is not None:
                 os._exit(int(action.get("exitcode", 17)))
             # Injected hang: stop answering while staying alive — only the
-            # reply-deadline watchdog can catch this one.  The sleep sits
-            # *before* the batch iterator advances, so a killed-and-retried
-            # step never half-consumes this worker's data stream.
+            # reply-deadline watchdog can catch this one.
             action = injector.maybe("worker.hang", rank=rank)
             if action is not None:
                 time.sleep(float(action.get("seconds", 3600.0)))
         try:
             if cmd == "step":
                 payload = run_shards(msg["shards"], int(msg["total_n"]))
-            elif cmd == "epoch_start":
-                if spec.get("train_dataset") is None:
-                    raise RuntimeError("pool was created without a train dataset")
-                if loaders is None:
-                    loaders = make_loaders()
-                for loader in loaders:
-                    loader.set_epoch(int(msg["epoch"]))
-                iterators = [iter(loader) for loader in loaders]
-                for _ in range(int(msg.get("skip", 0))):
-                    for it in iterators:
-                        next(it)
-                payload = {"batches": len(loaders[0])}
-            elif cmd == "epoch_step":
-                payload = run_shards([next(it) for it in iterators],
-                                     int(msg["total_n"]))
-            elif cmd == "epoch_end":
-                iterators = []
-                payload = {}
             elif cmd == "stats":
                 payload = {"runtime": engine.runtime_stats()}
             elif cmd == "ping":
@@ -265,8 +227,8 @@ class WorkerPool:
 
     Parameters mirror :class:`~repro.training.trainer.BPTTTrainer` where
     they overlap; :class:`~repro.parallel.trainer.DataParallelTrainer`
-    drives it.  Workers are forked (``start_method="fork"``), so the model
-    and datasets are inherited copy-on-write and never pickled.
+    drives it.  Workers are forked, so the model is inherited copy-on-write
+    and never pickled; batch data arrives with each ``step`` command.
     """
 
     def __init__(
@@ -280,29 +242,15 @@ class WorkerPool:
         augment=None,
         compile: bool = False,
         optimize: str = "O1",
-        effective_batch: int = 1,
-        accum_steps: int = 1,
-        train_dataset=None,
-        batch_size: Optional[int] = None,
-        shuffle: bool = True,
-        drop_last: bool = False,
-        prefetch: bool = False,
-        seed: Optional[int] = 0,
-        start_method: str = "fork",
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        if accum_steps < 1:
-            raise ValueError(f"accum_steps must be >= 1, got {accum_steps}")
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"start method {start_method!r} unavailable on this platform "
-                f"(have: {multiprocessing.get_all_start_methods()})")
+        # Raises ValueError up front where the platform cannot fork.
+        self._ctx = multiprocessing.get_context("fork")
         from repro.snn.loss import mean_output_cross_entropy
 
         self.model = model
         self.num_workers = num_workers
-        self.accum_steps = accum_steps
         self._params = [p for p in model.parameters() if p.requires_grad]
         self.block = ParamBlock(
             (n, p) for n, p in model.named_parameters() if p.requires_grad)
@@ -318,7 +266,6 @@ class WorkerPool:
             "block": self.block,
             "total": self.block.total,
             "num_workers": num_workers,
-            "accum_steps": accum_steps,
             "weights_name": self.weights.name,
             "grads_name": self.grads.name,
             "loss_fn": loss_fn or mean_output_cross_entropy,
@@ -328,13 +275,6 @@ class WorkerPool:
             "augment": augment,
             "compile": compile,
             "optimize": optimize,
-            "effective_batch": effective_batch,
-            "train_dataset": train_dataset,
-            "batch_size": batch_size or effective_batch,
-            "shuffle": shuffle,
-            "drop_last": drop_last,
-            "prefetch": prefetch,
-            "seed": seed,
             # Workers rebuild a fresh injector from the plan (see
             # ``_worker_main``); ``None`` keeps the zero-cost no-op path.
             "fault_plan": faults.active_plan(),
@@ -343,7 +283,6 @@ class WorkerPool:
 
         # Kept for the watchdog: ``restart_worker`` respawns a single rank
         # from the same spec without rebuilding the pool.
-        self._ctx = multiprocessing.get_context(start_method)
         self._spec = spec
         self._conns = []
         self._procs = []

@@ -5,10 +5,12 @@
 across ``num_workers`` forked replicas (each replaying its own compiled O1
 plan) × ``accum_steps`` sequential micro-shards per worker:
 
-1. every effective batch of ``config.batch_size`` samples is partitioned
-   into ``num_workers * accum_steps`` contiguous micro-shards (the same
-   deterministic ``np.array_split`` partition the shard-aware
-   :class:`~repro.data.datasets.DataLoader` uses);
+1. the coordinator loads every effective batch of ``config.batch_size``
+   samples — given to :meth:`~DataParallelTrainer.train_step`, or drawn from
+   its own seeded :class:`~repro.data.datasets.DataLoader` by
+   :meth:`~DataParallelTrainer.fit` — and partitions it into
+   ``num_workers * accum_steps`` contiguous micro-shards
+   (:func:`split_batch`), which travel to the workers with the step command;
 2. worker ``w`` runs its micro-shards sequentially, accumulating
    ``(n_k / N) * grad_k`` in float64 into its shared-memory row;
 3. the coordinator tree-reduces the rows (fixed association → deterministic
@@ -18,8 +20,9 @@ plan) × ``accum_steps`` sequential micro-shards per worker:
 
 Because micro-shard losses/gradients are combined with exact ``n_k / N``
 weights, the aggregate equals single-process full-batch training up to
-floating-point association — ``<= 1e-6`` under the float64 policy, asserted
-in ``benchmarks/test_bench_parallel.py`` — for models whose per-sample
+floating-point association (each shard's float32 forward and backward sum
+over fewer samples) — losses and gradients within ``1e-6``, asserted in
+``benchmarks/test_bench_parallel.py`` — for models whose per-sample
 computation is batch-independent.  Batch-norm layers in *training* mode
 compute their statistics per micro-shard (exactly like per-device BN in
 standard distributed data parallel); with BN, data-parallel training is
@@ -41,20 +44,20 @@ the reduction order is deterministic.
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.data.datasets import Dataset
+from repro.data.datasets import DataLoader, Dataset
 from repro.obs.metrics import counter, gauge, histogram
 from repro.obs.trace import Span, get_tracer
-from repro.optim import SGD, Adam, CosineAnnealingLR
 from repro.parallel.pool import DEFAULT_TIMEOUT_S, WorkerPool
 from repro.resilience.errors import WorkerHungError
 from repro.training.checkpoint import load_training_state, save_training_state
 from repro.training.config import TrainingConfig
-from repro.training.trainer import EpochResult, evaluate_accuracy
+from repro.training.trainer import EpochResult, build_optimizer, evaluate_accuracy
 
 __all__ = ["DataParallelTrainer", "split_batch"]
 
@@ -65,8 +68,7 @@ def split_batch(data: np.ndarray, labels: np.ndarray,
 
     Static batches ``(N, C, H, W)`` split along axis 0; event batches
     ``(T, N, C, H, W)`` along axis 1 (the loader yields them time-major).
-    Uses ``np.array_split`` — the same partition the shard-aware
-    ``DataLoader`` applies — so explicit-batch and epoch training shard
+    Explicit-batch and epoch training both go through here, so they shard
     identically.  Trailing shards may be empty when ``N < num_shards``.
     """
     data = np.asarray(data)
@@ -90,14 +92,12 @@ class DataParallelTrainer:
         runs the exact micro-shard decomposition of a 4-worker step on one
         process.
     train_dataset:
-        Optional; lets :meth:`fit` shard epochs inside the workers (the
-        dataset is forked into them, batches never cross a pipe).  Explicit
+        Optional; :meth:`fit` and :meth:`train_epoch` iterate it on the
+        coordinator (shuffled by ``config.seed`` and the epoch number) and
+        step each batch like :meth:`train_step`.  Explicit
         :meth:`train_step` calls work without it.
-    prefetch:
-        Forwarded to the workers' shard loaders (background assembly).
-    start_method:
-        ``multiprocessing`` start method; the default ``"fork"`` shares the
-        model and datasets copy-on-write.
+    drop_last:
+        Skip each epoch's short final batch.
     """
 
     def __init__(
@@ -112,8 +112,6 @@ class DataParallelTrainer:
         optimize: str = "O1",
         train_dataset: Optional[Dataset] = None,
         drop_last: bool = False,
-        prefetch: bool = False,
-        start_method: str = "fork",
         step_timeout_s: float = DEFAULT_TIMEOUT_S,
         max_step_retries: int = 2,
     ):
@@ -137,8 +135,6 @@ class DataParallelTrainer:
         self.optimize = optimize
         self.train_dataset = train_dataset
         self.drop_last = bool(drop_last)
-        self.prefetch = bool(prefetch)
-        self.start_method = start_method
         #: Watchdog: per-step reply deadline and how many hung-worker
         #: recoveries (kill + respawn + retry from synced weights) to attempt
         #: before giving up with the original :class:`WorkerHungError`.
@@ -146,16 +142,7 @@ class DataParallelTrainer:
         self.max_step_retries = int(max_step_retries)
         self.step_retries = 0
 
-        if config.optimizer.lower() == "adam":
-            self.optimizer = Adam(model.parameters(), lr=config.learning_rate,
-                                  weight_decay=config.weight_decay)
-            self.scheduler = None
-        else:
-            self.optimizer = SGD(model.parameters(), lr=config.learning_rate,
-                                 momentum=config.momentum,
-                                 weight_decay=config.weight_decay)
-            self.scheduler = CosineAnnealingLR(self.optimizer,
-                                               t_max=config.schedule_horizon)
+        self.optimizer, self.scheduler = build_optimizer(model, config)
         self.history: List[EpochResult] = []
         #: per-step mean losses in execution order (this process only — not
         #: checkpointed); lets tests compare resumed loss curves exactly.
@@ -189,15 +176,6 @@ class DataParallelTrainer:
             augment=self.augment,
             compile=self.compile,
             optimize=self.optimize,
-            effective_batch=self.config.batch_size,
-            accum_steps=self.accum_steps,
-            train_dataset=self.train_dataset,
-            batch_size=self.config.batch_size,
-            shuffle=True,
-            drop_last=self.drop_last,
-            prefetch=self.prefetch,
-            seed=self.config.seed,
-            start_method=self.start_method,
         )
         return self._pool
 
@@ -221,30 +199,25 @@ class DataParallelTrainer:
         total_n = int(labels.shape[0])
         shards = split_batch(data, labels, self.num_workers * self.accum_steps)
         pool = self._ensure_pool()
-        per_worker = [shards[w * self.accum_steps:(w + 1) * self.accum_steps]
-                      for w in range(self.num_workers)]
-        return self._drive_step(
-            pool, total_n,
-            lambda rank: {"cmd": "step", "shards": per_worker[rank],
-                          "total_n": total_n})
+        messages = [{"cmd": "step", "total_n": total_n,
+                     "shards": shards[w * self.accum_steps:(w + 1) * self.accum_steps]}
+                    for w in range(self.num_workers)]
+        return self._drive_step(pool, total_n, messages)
 
     def _drive_step(self, pool: WorkerPool, total_n: int,
-                    make_msg: Callable[[int], Dict[str, object]],
-                    on_retry: Optional[Callable[[], None]] = None,
-                    ) -> Dict[str, float]:
+                    messages: List[Dict[str, object]]) -> Dict[str, float]:
         """One step with watchdog recovery: retry after hung-worker respawns.
 
         The optimizer has not stepped when a hang surfaces (gradients are
-        still in the workers' rows), so a retry re-runs the *same* update
-        from the same synced weights — recovered runs reproduce the
-        fault-free loss curve exactly.  ``on_retry`` restores any per-step
-        worker state the retry needs (epoch mode rewinds the shard
-        iterators, since surviving workers already consumed their batch).
+        still in the workers' rows), and the coordinator still holds the
+        step's shards, so a retry re-sends the *same* messages from the same
+        synced weights — recovered runs reproduce the fault-free loss curve
+        exactly.
         """
         attempts = 0
         while True:
             try:
-                return self._drive_step_once(pool, total_n, make_msg)
+                return self._drive_step_once(pool, total_n, messages)
             except WorkerHungError as hung:
                 while True:
                     attempts += 1
@@ -257,8 +230,6 @@ class DataParallelTrainer:
                         pool.restart_worker(hung.rank)
                         try:
                             pool.resync(timeout=self.step_timeout_s)
-                            if on_retry is not None:
-                                on_retry()
                         except WorkerHungError as again:
                             hung = again  # another rank hung during recovery
                             continue
@@ -267,16 +238,15 @@ class DataParallelTrainer:
                     break
 
     def _drive_step_once(self, pool: WorkerPool, total_n: int,
-                         make_msg: Callable[[int], Dict[str, object]],
-                         ) -> Dict[str, float]:
+                         messages: List[Dict[str, object]]) -> Dict[str, float]:
         """Broadcast one step command, all-reduce, optimizer update, telemetry."""
         tracer = get_tracer()
         with tracer.span("train.step", compiled=self.compile, parallel=True,
                          workers=self.num_workers, accum_steps=self.accum_steps,
                          batch_size=total_n) as step_span:
             pool.sync_weights()
-            for rank in range(pool.num_workers):
-                pool.send(rank, make_msg(rank))
+            for rank, msg in enumerate(messages):
+                pool.send(rank, msg)
             replies = pool.gather(timeout=self.step_timeout_s)
             self._emit_worker_spans(tracer, step_span, replies)
 
@@ -320,51 +290,39 @@ class DataParallelTrainer:
 
     def train_epoch(self, epoch: int = 0, start_batch: int = 0,
                     max_batches: Optional[int] = None) -> EpochResult:
-        """Train one epoch with worker-side sharded loading.
+        """Train one epoch over the trainer's ``train_dataset``.
 
-        Requires ``train_dataset``; the workers assemble their own shard of
-        every batch from their forked dataset copies (optionally
-        prefetched), so batch data never crosses a pipe.  ``start_batch``
-        skips already-consumed batches when resuming mid-epoch;
-        ``max_batches`` stops early after that many batches (the cursor
-        then stays mid-epoch, the scheduler does not advance, and the
-        partial result is not appended to :attr:`history` — checkpoint and
-        resume from there).
+        The coordinator draws the epoch's batches from a
+        :class:`~repro.data.datasets.DataLoader` seeded with ``config.seed``
+        (``set_epoch(epoch)`` fixes the order) and steps each one exactly as
+        :meth:`train_step` does.  ``start_batch`` skips already-consumed
+        batches when resuming mid-epoch; ``max_batches`` stops early after
+        that many batches (the cursor then stays mid-epoch, the scheduler
+        does not advance, and the partial result is not appended to
+        :attr:`history` — checkpoint and resume from there).
         """
         if self.train_dataset is None:
             raise ValueError("train_epoch needs the trainer's train_dataset")
-        pool = self._ensure_pool()
-        self.model.train()
-        n = len(self.train_dataset)
-        batch_size = self.config.batch_size
-        if self.drop_last:
-            num_batches = n // batch_size
-        else:
-            num_batches = (n + batch_size - 1) // batch_size
+        loader = DataLoader(self.train_dataset, batch_size=self.config.batch_size,
+                            shuffle=True, drop_last=self.drop_last,
+                            seed=self.config.seed)
+        loader.set_epoch(epoch)
+        num_batches = len(loader)
         stop_at = num_batches if max_batches is None else min(
             num_batches, start_batch + max_batches)
+        self.model.train()
         tracer = get_tracer()
         losses: List[float] = []
         accuracies: List[float] = []
         start = time.perf_counter()
         with tracer.span("train.epoch", epoch=epoch, parallel=True) as epoch_span:
-            pool.broadcast({"cmd": "epoch_start", "epoch": epoch,
-                            "skip": start_batch})
-            pool.gather()
-            for step in range(start_batch, stop_at):
-                total_n = batch_size if self.drop_last else min(
-                    batch_size, n - step * batch_size)
-                stats = self._drive_step(
-                    pool, total_n,
-                    lambda rank: {"cmd": "epoch_step", "total_n": total_n},
-                    on_retry=lambda step=step: self._rewind_epoch(
-                        pool, epoch, step))
+            batches = itertools.islice(loader, start_batch, stop_at)
+            for step, (data, labels) in enumerate(batches, start=start_batch):
+                stats = self.train_step(data, labels)
                 losses.append(stats["loss"])
                 accuracies.append(stats["accuracy"])
                 self.step_loss_history.append(stats["loss"])
                 self._cursor = {"epoch": epoch, "batch": step + 1}
-            pool.broadcast({"cmd": "epoch_end"})
-            pool.gather()
             epoch_span.set_attr("batches", len(losses))
         duration = time.perf_counter() - start
         completed = stop_at == num_batches
@@ -382,18 +340,6 @@ class DataParallelTrainer:
             self.history.append(result)
         return result
 
-    def _rewind_epoch(self, pool: WorkerPool, epoch: int, step: int) -> None:
-        """Rewind every worker's shard iterators to ``step`` after a recovery.
-
-        The respawned worker holds no iterator at all, and the surviving
-        workers already consumed their shard of the aborted batch; an
-        ``epoch_start`` re-derives the epoch permutation (seed + epoch) and
-        fast-forwards ``step`` batches, so the retried step sees exactly the
-        data the aborted one did.
-        """
-        pool.broadcast({"cmd": "epoch_start", "epoch": epoch, "skip": step})
-        pool.gather(timeout=self.step_timeout_s)
-
     def fit(self, train_dataset: Optional[Dataset] = None,
             epochs: Optional[int] = None, verbose: bool = False) -> List[EpochResult]:
         """Train for ``epochs`` epochs, resuming from the cursor when set.
@@ -402,8 +348,6 @@ class DataParallelTrainer:
         the stored ``(epoch, batch)`` position.
         """
         if train_dataset is not None:
-            if self.train_dataset is not None and train_dataset is not self.train_dataset:
-                self.close()  # respawn workers over the new dataset
             self.train_dataset = train_dataset
         epochs = epochs if epochs is not None else self.config.epochs
         epoch = self._cursor["epoch"]

@@ -239,8 +239,7 @@ class MicroBatcher:
                 batch_span.status = "error"
                 batch_span.set_attr("error", repr(error))
                 tracer.finish_span(batch_span)
-            for _, future, _, spans in live:
-                future.set_exception(error)
+            for _, _, _, spans in live:
                 if spans is not None:
                     root = spans[0]
                     root.status = "error"
@@ -248,13 +247,16 @@ class MicroBatcher:
                     if batch_span is not None and root is not leader:
                         tracer.link(root, batch_span)
                     tracer.finish_span(root)
+            for _, future, _, _ in live:
+                future.set_exception(error)
             return
         done = time.monotonic()
         done_perf = time.perf_counter()
         if batch_span is not None:
             tracer.finish_span(batch_span, end_perf=done_perf)
-        for row, (_, future, enqueued, spans) in zip(results, live):
-            future.set_result(row)
+        # Record and finish spans *before* publishing: a caller woken by its
+        # future must already see its request in the stats and the trace.
+        for _, _, enqueued, spans in live:
             if spans is not None:
                 root = spans[0]
                 if root is not leader:
@@ -265,6 +267,8 @@ class MicroBatcher:
                 self.stats.record_request(done - enqueued)
         if self.stats is not None:
             self.stats.record_batch(len(live))
+        for row, (_, future, _, _) in zip(results, live):
+            future.set_result(row)
 
     def _worker_loop(self) -> None:
         while True:

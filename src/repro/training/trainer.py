@@ -22,11 +22,11 @@ from repro.obs.trace import event as _span_event
 from repro.obs.trace import get_tracer
 from repro.optim import SGD, Adam, CosineAnnealingLR
 from repro.resilience.errors import NumericFault
-from repro.snn.encoding import encode_batch, prepare_batch
+from repro.snn.encoding import prepare_batch
 from repro.snn.loss import mean_output_cross_entropy
 from repro.training.config import TrainingConfig
 
-__all__ = ["EpochResult", "BPTTTrainer", "evaluate_accuracy"]
+__all__ = ["EpochResult", "BPTTTrainer", "build_optimizer", "evaluate_accuracy"]
 
 
 @dataclass
@@ -40,9 +40,18 @@ class EpochResult:
     learning_rate: float
 
 
-# Batch shaping lives with the encoders now; keep the old private name as an
-# alias for downstream code that imported it from here.
-_encode_batch = encode_batch
+def build_optimizer(model: SpikingModel, config: TrainingConfig):
+    """The ``(optimizer, scheduler)`` pair that ``config`` asks for.
+
+    Adam runs at a constant learning rate (scheduler ``None``); SGD with
+    momentum follows a cosine schedule over ``config.schedule_horizon``.
+    """
+    if config.optimizer.lower() == "adam":
+        return Adam(model.parameters(), lr=config.learning_rate,
+                    weight_decay=config.weight_decay), None
+    optimizer = SGD(model.parameters(), lr=config.learning_rate,
+                    momentum=config.momentum, weight_decay=config.weight_decay)
+    return optimizer, CosineAnnealingLR(optimizer, t_max=config.schedule_horizon)
 
 
 def evaluate_accuracy(model: SpikingModel, dataset: Dataset, batch_size: int = 64,
@@ -159,14 +168,7 @@ class BPTTTrainer:
 
         check_backend(backend)
         self._compiled = None
-        if config.optimizer.lower() == "adam":
-            self.optimizer = Adam(model.parameters(), lr=config.learning_rate,
-                                  weight_decay=config.weight_decay)
-            self.scheduler = None
-        else:
-            self.optimizer = SGD(model.parameters(), lr=config.learning_rate,
-                                 momentum=config.momentum, weight_decay=config.weight_decay)
-            self.scheduler = CosineAnnealingLR(self.optimizer, t_max=config.schedule_horizon)
+        self.optimizer, self.scheduler = build_optimizer(model, config)
         self.history: List[EpochResult] = []
 
     # -- single steps -----------------------------------------------------------

@@ -82,33 +82,10 @@ class TestDataLoader:
             DataLoader(ds, batch_size=0)
 
 
-class TestShardedDataLoader:
+class TestDataLoaderEpochs:
     def _dataset(self, rng, n=22):
         return ArrayDataset(rng.random((n, 1, 4, 4)).astype(np.float32),
                             np.arange(n) % 3)
-
-    def test_shard_union_is_unsharded_epoch_exactly_once(self, rng):
-        """Per batch, concatenating the shards reproduces the unsharded batch."""
-        ds = self._dataset(rng)
-        full = DataLoader(ds, batch_size=8, shuffle=True, seed=5)
-        shards = [DataLoader(ds, batch_size=8, shuffle=True, seed=5,
-                             num_shards=3, shard_index=i) for i in range(3)]
-        full.set_epoch(2)
-        for loader in shards:
-            loader.set_epoch(2)
-        shard_batches = [list(loader) for loader in shards]
-        full_batches = list(full)
-        assert all(len(b) == len(full_batches) for b in shard_batches)
-        seen = []
-        for step, (data, labels) in enumerate(full_batches):
-            merged_data = np.concatenate(
-                [shard_batches[i][step][0] for i in range(3)])
-            merged_labels = np.concatenate(
-                [shard_batches[i][step][1] for i in range(3)])
-            np.testing.assert_array_equal(merged_data, data)
-            np.testing.assert_array_equal(merged_labels, labels)
-            seen.extend(merged_labels.tolist())
-        assert len(seen) == len(ds)  # every sample exactly once
 
     def test_set_epoch_reproduces_order_across_instances(self, rng):
         ds = self._dataset(rng)
@@ -125,33 +102,6 @@ class TestShardedDataLoader:
         first = next(iter(loader))[1]
         second = next(iter(loader))[1]
         assert not np.array_equal(first, second)
-
-    def test_sharding_composes_with_prefetch(self, rng):
-        ds = self._dataset(rng)
-        plain = DataLoader(ds, batch_size=8, shuffle=True, seed=4,
-                           num_shards=2, shard_index=1)
-        pre = DataLoader(ds, batch_size=8, shuffle=True, seed=4,
-                         num_shards=2, shard_index=1, prefetch=True)
-        for (da, la), (db, lb) in zip(plain, pre):
-            np.testing.assert_array_equal(da, db)
-            np.testing.assert_array_equal(la, lb)
-
-    def test_empty_shard_batches_keep_shapes(self, rng):
-        ds = self._dataset(rng, n=9)  # final batch of 1 over 2 shards
-        loader = DataLoader(ds, batch_size=4, shuffle=False,
-                            num_shards=2, shard_index=1)
-        batches = list(loader)
-        assert len(batches) == 3
-        tail_data, tail_labels = batches[-1]
-        assert tail_data.shape == (0, 1, 4, 4)
-        assert tail_labels.shape == (0,)
-
-    def test_shard_validation(self, rng):
-        ds = self._dataset(rng)
-        with pytest.raises(ValueError):
-            DataLoader(ds, num_shards=0)
-        with pytest.raises(ValueError):
-            DataLoader(ds, num_shards=2, shard_index=2)
 
 
 class TestSyntheticGenerators:

@@ -208,6 +208,88 @@ class TestDataParallelParity:
                                 num_workers=2, accum_steps=2)
 
 
+def _static_epoch_case():
+    # 17 samples in batches of 8: the final batch holds one sample, so one
+    # of its two micro-shards is empty.
+    ds = make_static_image_dataset(num_samples=17, num_classes=4, channels=3,
+                                   height=12, width=12, seed=7)
+    return tiny_model, ds, tiny_config()
+
+
+def _event_epoch_case():
+    from repro.models.vgg import spiking_vgg9
+
+    # 13 event samples in batches of 6 (final batch of one); norm="bn"
+    # exercises per-shard batch statistics.
+    ds = make_event_dataset(num_samples=13, num_classes=4, timesteps=3,
+                            channels=2, height=12, width=12, seed=7)
+
+    def build():
+        return spiking_vgg9(num_classes=4, in_channels=2, timesteps=3,
+                            width_scale=0.1, norm="bn",
+                            rng=np.random.default_rng(0))
+
+    return build, ds, tiny_config(timesteps=3, batch_size=6)
+
+
+WORKER_LAYOUTS = {"2-workers": dict(num_workers=2),
+                  "1-worker-x2-accum": dict(num_workers=1, accum_steps=2)}
+
+
+class TestEpochIsTrainStepOverSeededLoader:
+    """``fit``/``train_epoch`` step exactly the batches of the coordinator's
+    seeded loader: the oracle is a second trainer calling ``train_step`` over
+    ``DataLoader(ds, batch_size, shuffle=True, drop_last, seed=config.seed)``
+    after ``set_epoch(e)``, stepping the scheduler between epochs.  Losses
+    must agree bitwise."""
+
+    @staticmethod
+    def _train_step_losses(build, ds, config, epochs, drop_last=False, **layout):
+        loader = DataLoader(ds, batch_size=config.batch_size, shuffle=True,
+                            drop_last=drop_last, seed=config.seed)
+        losses = []
+        with DataParallelTrainer(build(), config, drop_last=drop_last,
+                                 **layout) as oracle:
+            for epoch in range(epochs):
+                loader.set_epoch(epoch)
+                losses.extend(oracle.train_step(data, labels)["loss"]
+                              for data, labels in loader)
+                oracle.scheduler.step()
+        return losses
+
+    @pytest.mark.parametrize("layout", list(WORKER_LAYOUTS))
+    @pytest.mark.parametrize("case", [_static_epoch_case, _event_epoch_case],
+                             ids=["static", "event"])
+    def test_two_epoch_fit_matches_train_step_loop(self, case, layout):
+        build, ds, config = case()
+        with DataParallelTrainer(build(), config, train_dataset=ds,
+                                 **WORKER_LAYOUTS[layout]) as dp:
+            dp.fit(epochs=2)
+        assert len(dp.step_loss_history) == 2 * 3
+        assert dp.step_loss_history == self._train_step_losses(
+            build, ds, config, epochs=2, **WORKER_LAYOUTS[layout])
+
+    def test_drop_last_skips_the_short_batch(self):
+        build, ds, config = _static_epoch_case()
+        with DataParallelTrainer(build(), config, num_workers=2,
+                                 train_dataset=ds, drop_last=True) as dp:
+            dp.fit(epochs=2)
+        assert len(dp.step_loss_history) == 2 * 2
+        assert dp.step_loss_history == self._train_step_losses(
+            build, ds, config, epochs=2, drop_last=True, num_workers=2)
+
+    def test_mid_epoch_stop_then_resume(self):
+        build, ds, config = _static_epoch_case()
+        with DataParallelTrainer(build(), config, num_workers=2,
+                                 train_dataset=ds) as dp:
+            dp.train_epoch(0, max_batches=1)
+            assert dp._cursor == {"epoch": 0, "batch": 1}
+            assert dp.history == []
+            dp.fit(epochs=2)
+        assert dp.step_loss_history == self._train_step_losses(
+            build, ds, config, epochs=2, num_workers=2)
+
+
 class TestCheckpointResume:
     def test_mid_epoch_kill_and_resume_reproduces_curve(self, static_ds, tmp_path):
         config = tiny_config()
@@ -310,9 +392,7 @@ class TestWorkerCrash:
             assert_no_segment(name)
 
     def test_dead_worker_process_detected(self, static_ds):
-        config = tiny_config()
-        pool = WorkerPool(tiny_model(), 2, timesteps=2,
-                          effective_batch=config.batch_size)
+        pool = WorkerPool(tiny_model(), 2, timesteps=2)
         segments = pool.segment_names
         pool._procs[1].terminate()
         pool._procs[1].join()
@@ -322,13 +402,13 @@ class TestWorkerCrash:
             assert_no_segment(name)
 
     def test_unknown_command_reports_remote_traceback(self):
-        pool = WorkerPool(tiny_model(), 1, timesteps=2, effective_batch=8)
+        pool = WorkerPool(tiny_model(), 1, timesteps=2)
         pool.send(0, {"cmd": "does-not-exist"})
         with pytest.raises(WorkerCrashError, match="does-not-exist"):
             pool.gather()
 
     def test_close_is_idempotent_and_reaps_children(self):
-        pool = WorkerPool(tiny_model(), 2, timesteps=2, effective_batch=8)
+        pool = WorkerPool(tiny_model(), 2, timesteps=2)
         procs = list(pool._procs)
         assert pool.ping() == [0, 1]
         pool.close()

@@ -174,6 +174,26 @@ class TestMicroBatcher:
                 future.result(timeout=5)
         batcher.close()
 
+    def test_stats_are_recorded_before_the_future_resolves(self):
+        """A done-callback (run inside ``set_result``) already sees the request
+        and its batch counted: the worker records before it publishes."""
+        stats = ServerStats()
+        attached = threading.Event()
+        seen: list = []
+
+        def gated(batch: np.ndarray) -> np.ndarray:
+            attached.wait(timeout=5)
+            return batch.mean(axis=(1, 2, 3))
+
+        with MicroBatcher(gated, max_batch_size=1, max_wait_ms=0,
+                          stats=stats) as batcher:
+            future = batcher.submit(_sample(1))
+            future.add_done_callback(
+                lambda _: seen.append((stats.requests, stats.batches)))
+            attached.set()
+            future.result(timeout=5)
+        assert seen == [(1, 1)]
+
     def test_row_count_mismatch_is_an_error_not_a_hang(self):
         batcher = MicroBatcher(lambda batch: batch.mean(axis=(1, 2, 3))[:1],
                                max_batch_size=4, max_wait_ms=20)
