@@ -99,3 +99,23 @@ def ab_median(fn_a, fn_b, calls: int = 3, trials: int = 9):
             fn_b()
         times_b.append((time.perf_counter() - start) / calls)
     return statistics.median(times_a), statistics.median(times_b)
+
+
+def median_speedup(fn_a, fn_b, calls: int = 3, trials: int = 9, attempts: int = 5):
+    """Median speedup of B over A over ``attempts`` interleaved comparisons.
+
+    Every attempt runs (no early stop on a lucky reading), each one an
+    :func:`ab_median`, and the median ratio is what a gate asserts, so noise
+    can neither fake a pass nor mask a real speedup.  Returns the median
+    ratio and the median seconds per call of each side.
+    """
+    import statistics
+
+    ratios, a_times, b_times = [], [], []
+    for _ in range(attempts):
+        a_s, b_s = ab_median(fn_a, fn_b, calls=calls, trials=trials)
+        ratios.append(a_s / b_s)
+        a_times.append(a_s)
+        b_times.append(b_s)
+    return (statistics.median(ratios), statistics.median(a_times),
+            statistics.median(b_times))

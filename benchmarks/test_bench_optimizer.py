@@ -23,8 +23,6 @@ lucky attempt cannot carry it over the bound.
 
 from __future__ import annotations
 
-import statistics
-
 import numpy as np
 
 from repro.data.synthetic import make_static_image_dataset
@@ -34,7 +32,7 @@ from repro.serve import InferenceEngine
 from repro.training.config import TrainingConfig
 from repro.training.trainer import BPTTTrainer
 
-from conftest import BENCH_SCALE, ab_median
+from conftest import BENCH_SCALE, ab_median, median_speedup
 
 TIMESTEPS = 4
 TRAIN_BATCH = 16
@@ -53,21 +51,6 @@ def _make_batch(n: int):
                                      height=BENCH_SCALE["image_size"],
                                      width=BENCH_SCALE["image_size"], seed=0)
     return data.images, data.labels
-
-
-def _median_speedup(fn_a, fn_b, calls: int, attempts: int = 5):
-    """Median speedup of B over A over ``attempts`` interleaved comparisons.
-
-    Returns the median ratio and the median seconds per call of each side.
-    """
-    ratios, a_times, b_times = [], [], []
-    for _ in range(attempts):
-        a_s, b_s = ab_median(fn_a, fn_b, calls=calls)
-        ratios.append(a_s / b_s)
-        a_times.append(a_s)
-        b_times.append(b_s)
-    return (statistics.median(ratios), statistics.median(a_times),
-            statistics.median(b_times))
 
 
 def test_o1_train_step_equivalence_and_zero_allocs():
@@ -124,7 +107,7 @@ def test_o2_serve_forward_speedup_and_equivalence():
 
     arena = engine_o2._compiled.arena
     allocated_before = arena.allocated
-    speedup, o0_s, o2_s = _median_speedup(
+    speedup, o0_s, o2_s = median_speedup(
         lambda: engine_o0.infer(sample),
         lambda: engine_o2.infer(sample),
         calls=25,

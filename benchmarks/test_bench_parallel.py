@@ -34,7 +34,7 @@ from repro.parallel import DataParallelTrainer
 from repro.training.config import TrainingConfig
 from repro.training.trainer import BPTTTrainer
 
-from conftest import BENCH_PARALLEL_JSON, BENCH_SCALE, ab_median, record_bench
+from conftest import BENCH_PARALLEL_JSON, BENCH_SCALE, median_speedup, record_bench
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 pytestmark = pytest.mark.skipif(not FORK_AVAILABLE,
@@ -75,17 +75,10 @@ def test_two_worker_throughput_vs_single_process():
     with DataParallelTrainer(_make_model(), config, num_workers=2) as dp:
         dp.train_step(data, labels)          # warm-up: fork + capture
         dp.train_step(data, labels)
-        # Machine noise can only mask the speedup, never fake it: re-measure
-        # a bounded number of times and keep the best observation.
-        speedup = 0.0
-        for _ in range(4):
-            single_s, dp_s = ab_median(
-                lambda: single.train_step(data, labels),
-                lambda: dp.train_step(data, labels),
-                calls=3, trials=7)
-            speedup = max(speedup, single_s / dp_s)
-            if speedup >= 1.5:
-                break
+        speedup, single_s, dp_s = median_speedup(
+            lambda: single.train_step(data, labels),
+            lambda: dp.train_step(data, labels),
+            calls=3, trials=7, attempts=4)
         utilization = dp.utilization()
     print(f"\nVGG-9 T={TIMESTEPS} N={TRAIN_BATCH} data-parallel train step: "
           f"single {single_s * 1e3:.1f} ms, 2 workers {dp_s * 1e3:.1f} ms, "

@@ -30,7 +30,7 @@ from repro.serve import InferenceEngine
 from repro.training.config import TrainingConfig
 from repro.training.trainer import BPTTTrainer
 
-from conftest import BENCH_SCALE, ab_median, record_bench
+from conftest import BENCH_SCALE, median_speedup, record_bench
 
 TIMESTEPS = 4
 TRAIN_BATCH = 16          # larger batch than BENCH_SCALE: allocator churn is
@@ -52,33 +52,13 @@ def _make_batch(n: int):
     return data.images, data.labels
 
 
-def _ab_compare(fn_a, fn_b, calls: int = 20, trials: int = 7):
-    """Interleaved A/B timing: per-call seconds for each side.
-
-    Each trial times a loop of ``calls`` invocations (amortising timer and
-    scheduler noise) and the two sides alternate within every trial, so slow
-    drift of the machine hits both equally; the minimum trial is reported.
-    """
-    times_a, times_b = [], []
-    for _ in range(trials):
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn_a()
-        times_a.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn_b()
-        times_b.append(time.perf_counter() - start)
-    return min(times_a) / calls, min(times_b) / calls
-
-
 def test_compiled_train_step_speedup_and_arena_reuse():
     """Compiled train step >= 1.3x eager on VGG-9 T=4, zero steady-state allocs.
 
     Timed with interleaved warm-started A/B trials compared by medians (see
-    :func:`_ab_median`): the previous back-to-back measurement was flaky
-    under full-suite load, where a throttled phase could land entirely on
-    one side of the comparison.
+    :func:`conftest.median_speedup`): the previous back-to-back measurement
+    was flaky under full-suite load, where a throttled phase could land
+    entirely on one side of the comparison.
     """
     data, labels = _make_batch(TRAIN_BATCH)
     trainers = {}
@@ -97,17 +77,11 @@ def test_compiled_train_step_speedup_and_arena_reuse():
     compiled_trainer.train_step(data, labels)
     steady_state_allocs = arena.allocated - allocated_before
 
-    speedup = 0.0
-    for _ in range(4):
-        # Bounded retries: machine noise can only mask the speedup, never
-        # fake it, so keeping the best observation is sound.
-        eager_s, compiled_s = ab_median(
-            lambda: trainers[False].train_step(data, labels),
-            lambda: compiled_trainer.train_step(data, labels),
-        )
-        speedup = max(speedup, eager_s / compiled_s)
-        if speedup >= 1.3:
-            break
+    speedup, eager_s, compiled_s = median_speedup(
+        lambda: trainers[False].train_step(data, labels),
+        lambda: compiled_trainer.train_step(data, labels),
+        attempts=4,
+    )
     stats = compiled_trainer.runtime_stats()
     print(f"\nVGG-9 T={TIMESTEPS} N={TRAIN_BATCH} train step: "
           f"eager {eager_s * 1e3:.1f} ms, compiled {compiled_s * 1e3:.1f} ms, "
@@ -140,15 +114,11 @@ def test_compiled_serve_forward_speedup():
     np.testing.assert_allclose(logits_eager, logits_compiled, atol=1e-5)
     compiled_engine.infer(sample)             # first replay
 
-    # Machine noise can only mask the speedup, never fake it: re-measure a
-    # couple of times and keep the best observation before asserting.
-    speedup = 0.0
-    for _ in range(3):
-        eager_s, compiled_s = _ab_compare(lambda: eager_engine.infer(sample),
-                                          lambda: compiled_engine.infer(sample))
-        speedup = max(speedup, eager_s / compiled_s)
-        if speedup >= 1.2:
-            break
+    speedup, eager_s, compiled_s = median_speedup(
+        lambda: eager_engine.infer(sample),
+        lambda: compiled_engine.infer(sample),
+        calls=20, trials=7, attempts=3,
+    )
     stats = compiled_engine.runtime_stats()
     print(f"\nVGG-9 T={TIMESTEPS} per-request serve forward: "
           f"eager {eager_s * 1e3:.2f} ms, compiled {compiled_s * 1e3:.2f} ms, "

@@ -7,8 +7,8 @@ The package splits into three layers:
 * :mod:`repro.parallel.pool` — the forked worker processes and their
   command protocol;
 * :mod:`repro.parallel.trainer` — :class:`DataParallelTrainer`, the
-  drop-in data-parallel counterpart of
-  :class:`~repro.training.trainer.BPTTTrainer`.
+  :class:`~repro.training.trainer.BPTTTrainer` whose gradients come from
+  the pool.
 """
 
 from repro.parallel.pool import WorkerCrashError, WorkerPool

@@ -2,11 +2,17 @@
 
 The pool owns ``num_workers`` forked processes, two shared-memory buffers
 (weights + per-worker gradient rows, :mod:`repro.parallel.shm`) and one
-duplex pipe per worker.  Workers are *stateless replicas*: they never step
-an optimizer — every command that touches the model starts by copying the
-coordinator's weights out of shared memory, so the coordinator's parameter
-state is always authoritative (which is what makes checkpoint/resume and
-elastic worker counts trivial).
+duplex pipe per worker.  Each worker runs a plain
+:class:`~repro.training.trainer.BPTTTrainer` built before the fork, and only
+ever calls its
+:meth:`~repro.training.trainer.BPTTTrainer.forward_backward`: workers never
+step an optimizer.  Every ``step`` starts by copying the coordinator's
+parameters and buffers (BN running statistics) out of shared memory, so the
+coordinator's state is authoritative (which is what makes checkpoint/resume
+and elastic worker counts trivial).  Rank 0 sends its post-step buffers back
+in its reply and the coordinator adopts them — DDP's ``broadcast_buffers``
+semantics.  They travel over the pipe rather than the weights segment,
+which the other ranks may still be reading.
 
 Command set (coordinator → worker):
 
@@ -14,7 +20,8 @@ Command set (coordinator → worker):
   command, write the scaled float64 gradient into this worker's shared row.
   The coordinator loads every batch (explicit or epoch), so workers hold
   no data.
-* ``stats`` / ``ping`` / ``shutdown`` — bookkeeping.
+* ``stats`` — the replica trainer's ``runtime_stats()``.
+* ``ping`` / ``shutdown`` — bookkeeping.
 
 Failure model: a worker that raises mid-command reports the traceback and
 keeps serving (the *coordinator* decides to shut the pool down — see
@@ -49,6 +56,8 @@ import numpy as np
 from repro.parallel.shm import ParamBlock, SharedArray, tree_reduce_rows
 from repro.resilience import faults
 from repro.resilience.errors import WorkerHungError
+from repro.training.config import TrainingConfig
+from repro.training.trainer import BPTTTrainer
 
 __all__ = ["WorkerPool", "WorkerCrashError", "WorkerHungError"]
 
@@ -92,22 +101,23 @@ def _worker_main(rank: int, conn, spec: Dict[str, object]) -> None:
     plan = spec.get("fault_plan")
     injector = faults.install(plan) if plan is not None else None
 
-    weights = SharedArray.attach(spec["weights_name"], (spec["total"],))
-    grads = SharedArray.attach(spec["grads_name"],
-                               (spec["num_workers"], spec["total"]))
-    model = spec["model"]
     block: ParamBlock = spec["block"]
-    params = [p for p in model.parameters() if p.requires_grad]
-    engine = _WorkerEngine(model, spec)
+    buffer_block: ParamBlock = spec["buffer_block"]
+    weights = SharedArray.attach(spec["weights_name"],
+                                 (block.total + buffer_block.total,))
+    grads = SharedArray.attach(spec["grads_name"],
+                               (spec["num_workers"], block.total))
+    param_flat, buffer_flat = np.split(weights.array, [block.total])
+    trainer: BPTTTrainer = spec["trainer"]
+    params = [p for p in trainer.model.parameters() if p.requires_grad]
+    buffers = [b for _, b in trainer.model.named_buffers()]
     row = grads.array[rank]
 
-    def sync_weights() -> None:
-        block.read_params(weights.array, params)
-
-    def run_shards(shards, total_n: int) -> Dict[str, float]:
+    def run_shards(shards, total_n: int) -> Dict[str, object]:
         """Forward+backward every micro-shard; write the scaled grad row."""
         t_start = time.perf_counter()
-        sync_weights()
+        block.read_params(param_flat, params)
+        buffer_block.read_params(buffer_flat, buffers)
         row[:] = 0.0
         loss_scaled = 0.0
         correct = 0
@@ -117,17 +127,21 @@ def _worker_main(rank: int, conn, spec: Dict[str, object]) -> None:
             n_k = int(np.asarray(labels).shape[0])
             if n_k == 0:
                 continue
-            loss, shard_correct, shard_replayed = engine.forward_backward(data, labels)
+            loss, shard_correct, shard_replayed = trainer.forward_backward(data, labels)
             scale = n_k / total_n
             block.accumulate_grads(row, params, scale)
             loss_scaled += loss * scale
             correct += shard_correct
             n_local += n_k
-            replayed = replayed and shard_replayed
+            replayed = replayed and bool(shard_replayed)
         t_end = time.perf_counter()
-        return {"loss_scaled": loss_scaled, "correct": correct, "n": n_local,
-                "replayed": replayed and n_local > 0,
-                "t_start": t_start, "t_end": t_end}
+        reply = {"loss_scaled": loss_scaled, "correct": correct, "n": n_local,
+                 "replayed": replayed and n_local > 0,
+                 "t_start": t_start, "t_end": t_end}
+        if rank == 0:  # authoritative buffers; see the module docstring
+            reply["buffers"] = np.empty(buffer_block.total)
+            buffer_block.write_params(reply["buffers"], buffers)
+        return reply
 
     while True:
         try:
@@ -153,7 +167,7 @@ def _worker_main(rank: int, conn, spec: Dict[str, object]) -> None:
             if cmd == "step":
                 payload = run_shards(msg["shards"], int(msg["total_n"]))
             elif cmd == "stats":
-                payload = {"runtime": engine.runtime_stats()}
+                payload = {"runtime": trainer.runtime_stats()}
             elif cmd == "ping":
                 payload = {"pong": rank}
             else:
@@ -173,62 +187,14 @@ def _worker_main(rank: int, conn, spec: Dict[str, object]) -> None:
     conn.close()
 
 
-class _WorkerEngine:
-    """Per-worker forward/backward engine mirroring ``BPTTTrainer.train_step``.
-
-    Owns (a forked replica of) the model plus an optional compiled
-    :class:`~repro.runtime.replay.CompiledTrainStep`; never steps an
-    optimizer — gradients are the product, parameter updates arrive through
-    the shared weights buffer.
-    """
-
-    def __init__(self, model, spec: Dict[str, object]):
-        self.model = model
-        self.loss_fn = spec["loss_fn"]
-        self.augment = spec.get("augment")
-        self.timesteps = int(spec["timesteps"])
-        self.step_mode = spec.get("step_mode")
-        self._params = [p for p in model.parameters() if p.requires_grad]
-        self._compiled = None
-        if spec.get("compile"):
-            from repro.runtime.replay import CompiledTrainStep
-
-            self._compiled = CompiledTrainStep(
-                model, self.loss_fn, step_mode=self.step_mode,
-                optimize=spec.get("optimize", "O1"))
-
-    def forward_backward(self, data, labels) -> Tuple[float, int, bool]:
-        """One micro-shard step; returns ``(mean loss, correct, replayed)``."""
-        from repro.snn.encoding import prepare_batch
-
-        batch = prepare_batch(data, self.timesteps, self.augment)
-        labels = np.asarray(labels)
-        for param in self._params:
-            param.zero_grad(set_to_none=True)
-        if self._compiled is not None:
-            loss, logits_per_step, replayed = self._compiled.run(batch, labels)
-            mean_logits = sum(logits_per_step) / len(logits_per_step)
-        else:
-            outputs = self.model.run_batch(batch, step_mode=self.step_mode)
-            loss_t = self.loss_fn(outputs, labels)
-            loss_t.backward()
-            loss = float(loss_t.data)
-            mean_logits = sum(o.data for o in outputs) / len(outputs)
-            replayed = False
-        correct = int((np.argmax(mean_logits, axis=1) == labels).sum())
-        return float(loss), correct, bool(replayed)
-
-    def runtime_stats(self) -> Optional[Dict[str, object]]:
-        return self._compiled.runtime_stats() if self._compiled is not None else None
-
-
 class WorkerPool:
     """Spawn and coordinate ``num_workers`` model-replica processes.
 
     Parameters mirror :class:`~repro.training.trainer.BPTTTrainer` where
-    they overlap; :class:`~repro.parallel.trainer.DataParallelTrainer`
-    drives it.  Workers are forked, so the model is inherited copy-on-write
-    and never pickled; batch data arrives with each ``step`` command.
+    they overlap, and an invalid one raises here, before any fork;
+    :class:`~repro.parallel.trainer.DataParallelTrainer` drives it.  Workers
+    are forked, so the model is inherited copy-on-write and never pickled;
+    batch data arrives with each ``step`` command.
     """
 
     def __init__(
@@ -247,14 +213,23 @@ class WorkerPool:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         # Raises ValueError up front where the platform cannot fork.
         self._ctx = multiprocessing.get_context("fork")
-        from repro.snn.loss import mean_output_cross_entropy
+        config = TrainingConfig(
+            timesteps=timesteps if timesteps is not None else getattr(model, "timesteps", 1),
+            step_mode=step_mode)
+        # Built before the fork, so a bad option raises here; every worker
+        # inherits its own copy and only ever calls ``forward_backward``.
+        trainer = BPTTTrainer(model, config, loss_fn=loss_fn, augment=augment,
+                              compile=compile, optimize=optimize)
 
         self.model = model
         self.num_workers = num_workers
         self._params = [p for p in model.parameters() if p.requires_grad]
+        self._buffers = [b for _, b in model.named_buffers()]
         self.block = ParamBlock(
             (n, p) for n, p in model.named_parameters() if p.requires_grad)
-        self.weights = SharedArray.create("dp-weights", (self.block.total,))
+        self.buffer_block = ParamBlock(model.named_buffers())
+        self.weights = SharedArray.create(
+            "dp-weights", (self.block.total + self.buffer_block.total,))
         self.grads = SharedArray.create("dp-grads",
                                         (num_workers, self.block.total))
         self._closed = False
@@ -262,19 +237,12 @@ class WorkerPool:
         self.started_at = time.perf_counter()
 
         spec: Dict[str, object] = {
-            "model": model,
+            "trainer": trainer,
             "block": self.block,
-            "total": self.block.total,
+            "buffer_block": self.buffer_block,
             "num_workers": num_workers,
             "weights_name": self.weights.name,
             "grads_name": self.grads.name,
-            "loss_fn": loss_fn or mean_output_cross_entropy,
-            "timesteps": timesteps if timesteps is not None
-                         else getattr(model, "timesteps", 1),
-            "step_mode": step_mode,
-            "augment": augment,
-            "compile": compile,
-            "optimize": optimize,
             # Workers rebuild a fresh injector from the plan (see
             # ``_worker_main``); ``None`` keeps the zero-cost no-op path.
             "fault_plan": faults.active_plan(),
@@ -359,8 +327,14 @@ class WorkerPool:
     # -- all-reduce ---------------------------------------------------------------
 
     def sync_weights(self) -> None:
-        """Serialise the coordinator's parameters into the shared weights buffer."""
-        self.block.write_params(self.weights.array, self._params)
+        """Serialise the coordinator's parameters and buffers into the weights segment."""
+        flat = self.weights.array
+        self.block.write_params(flat[:self.block.total], self._params)
+        self.buffer_block.write_params(flat[self.block.total:], self._buffers)
+
+    def adopt_buffers(self, replies: List[Dict[str, object]]) -> None:
+        """Load rank 0's post-step buffers (BN running statistics) into the model."""
+        self.buffer_block.read_params(replies[0]["buffers"], self._buffers)
 
     def reduce_gradients(self) -> np.ndarray:
         """Tree-reduce every worker's scaled gradient row; returns the flat sum."""

@@ -2,9 +2,10 @@
 
 Two flat buffers connect the coordinator and its worker processes:
 
-* a **weights buffer** — one float64 slot per trainable parameter scalar.
-  The coordinator (which owns the optimizer) serialises every parameter
-  into it after each update; workers copy it back into their model
+* a **weights buffer** — one float64 slot per trainable parameter scalar,
+  followed by one per buffer scalar (BN running statistics).  The
+  coordinator (which owns the optimizer) serialises every parameter and
+  buffer into it before each step; workers copy it back into their model
   replicas at the start of every step, so the broadcast half of the
   all-reduce is a single shared-memory memcpy per worker.
 * a **gradient matrix** — ``num_workers`` rows of the same flat layout,
@@ -65,13 +66,14 @@ def _unlink_leftover_segments() -> None:  # pragma: no cover - exit path
 
 
 class ParamBlock:
-    """Flat float64 layout of a model's trainable parameters.
+    """Flat float64 layout of named tensors: a model's trainable parameters,
+    or its buffers (BN running statistics; the block may then be empty).
 
-    The block is computed once from ``named_parameters()`` order (which is
-    deterministic, depth-first) and shared verbatim between coordinator and
-    workers — both sides fork from the same model object, so offsets always
-    agree.  All reads/writes cast through float64; float32 values survive
-    the round trip exactly.
+    The block is computed once from ``named_parameters()`` /
+    ``named_buffers()`` order (which is deterministic, depth-first) and
+    shared verbatim between coordinator and workers — both sides fork from
+    the same model object, so offsets always agree.  All reads/writes cast
+    through float64; float32 values survive the round trip exactly.
     """
 
     def __init__(self, named_params: Iterable[Tuple[str, object]]):
@@ -86,8 +88,6 @@ class ParamBlock:
             self.dtypes.append(np.dtype(param.data.dtype))
             self.offsets.append(total)
             total += int(param.data.size)
-        if total == 0:
-            raise ValueError("model has no trainable parameters to share")
         self.total = total
 
     def __len__(self) -> int:

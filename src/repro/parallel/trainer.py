@@ -1,9 +1,9 @@
 """Data-parallel BPTT training: N replicas, one optimizer, shared-memory all-reduce.
 
-:class:`DataParallelTrainer` keeps the exact training semantics of
-:class:`~repro.training.trainer.BPTTTrainer` while splitting every batch
-across ``num_workers`` forked replicas (each replaying its own compiled O1
-plan) × ``accum_steps`` sequential micro-shards per worker:
+:class:`DataParallelTrainer` is a :class:`~repro.training.trainer.BPTTTrainer`
+whose gradients come from ``num_workers`` forked replicas (each running
+``BPTTTrainer.forward_backward``, eager or compiled) × ``accum_steps``
+sequential micro-shards per worker:
 
 1. the coordinator loads every effective batch of ``config.batch_size``
    samples — given to :meth:`~DataParallelTrainer.train_step`, or drawn from
@@ -14,21 +14,24 @@ plan) × ``accum_steps`` sequential micro-shards per worker:
 2. worker ``w`` runs its micro-shards sequentially, accumulating
    ``(n_k / N) * grad_k`` in float64 into its shared-memory row;
 3. the coordinator tree-reduces the rows (fixed association → deterministic
-   bits for a given worker count), deposits the result on ``param.grad``
-   and steps the optimizer **once**; updated weights broadcast back through
-   the shared weights buffer before the next step.
+   bits for a given worker count) onto ``param.grad``, adopts rank 0's
+   buffers (BN running statistics), and the inherited ``train_step`` steps
+   the optimizer **once**; updated weights broadcast back through the
+   shared weights buffer before the next step.
 
 Because micro-shard losses/gradients are combined with exact ``n_k / N``
 weights, the aggregate equals single-process full-batch training up to
 floating-point association (each shard's float32 forward and backward sum
-over fewer samples) — losses and gradients within ``1e-6``, asserted in
-``benchmarks/test_bench_parallel.py`` — for models whose per-sample
-computation is batch-independent.  Batch-norm layers in *training* mode
-compute their statistics per micro-shard (exactly like per-device BN in
-standard distributed data parallel); with BN, data-parallel training is
-instead bit-for-bit governed by the micro-shard semantics, and parity holds
-against the gradient-accumulation fallback (``num_workers=1,
-accum_steps=N``) rather than against one monolithic batch.
+over fewer samples) — losses within ``1e-6``, asserted in
+``tests/test_parallel.py`` and ``tests/test_direct_coding.py`` — for models
+whose per-sample computation is batch-independent.  A 1-worker run is
+bitwise the single-process trainer, its full ``state_dict()`` included.
+Batch-norm layers in *training* mode compute their statistics per
+micro-shard (exactly like per-device BN in standard distributed data
+parallel); with BN, data-parallel training is instead bit-for-bit governed
+by the micro-shard semantics, and parity holds against the
+gradient-accumulation fallback (``num_workers=1, accum_steps=N``) rather
+than against one monolithic batch.
 
 ``accum_steps`` is the small-machine fallback: the same effective batch
 (and therefore the same micro-shard decomposition) runs on fewer
@@ -52,12 +55,12 @@ import numpy as np
 
 from repro.data.datasets import DataLoader, Dataset
 from repro.obs.metrics import counter, gauge, histogram
-from repro.obs.trace import Span, get_tracer
+from repro.obs.trace import Span, current_span, get_tracer
 from repro.parallel.pool import DEFAULT_TIMEOUT_S, WorkerPool
 from repro.resilience.errors import WorkerHungError
 from repro.training.checkpoint import load_training_state, save_training_state
 from repro.training.config import TrainingConfig
-from repro.training.trainer import EpochResult, build_optimizer, evaluate_accuracy
+from repro.training.trainer import BPTTTrainer, EpochResult
 
 __all__ = ["DataParallelTrainer", "split_batch"]
 
@@ -78,14 +81,20 @@ def split_batch(data: np.ndarray, labels: np.ndarray,
                     np.array_split(labels, num_shards)))
 
 
-class DataParallelTrainer:
-    """Drop-in data-parallel counterpart of ``BPTTTrainer``.
+class DataParallelTrainer(BPTTTrainer):
+    """:class:`~repro.training.trainer.BPTTTrainer` whose gradients come from a worker pool.
 
-    Parameters mirror :class:`~repro.training.trainer.BPTTTrainer`
-    (``loss_fn``, ``augment``, ``compile``/``optimize``), plus:
+    Only :meth:`forward_backward` differs: it splits the batch over the
+    workers and all-reduces their gradients onto ``param.grad``.
+    :meth:`~repro.training.trainer.BPTTTrainer.train_step` (the optimizer
+    update and the statistics), the optimizer/scheduler set-up and
+    :meth:`~repro.training.trainer.BPTTTrainer.evaluate` are inherited.
+    Parameters mirror ``BPTTTrainer`` (``loss_fn``, ``augment``,
+    ``compile``/``optimize``), plus:
 
     num_workers:
-        Worker processes; each replays the compiled plan on its shard.
+        Worker processes; each runs its micro-shards through its own
+        replica trainer.
     accum_steps:
         Sequential micro-shards per worker per step — the
         gradient-accumulation fallback.  ``num_workers=1, accum_steps=4``
@@ -123,16 +132,10 @@ class DataParallelTrainer:
             raise ValueError(
                 f"batch_size {config.batch_size} cannot feed "
                 f"{num_workers} workers x {accum_steps} accumulation steps")
-        from repro.snn.loss import mean_output_cross_entropy
-
-        self.model = model
-        self.config = config
+        super().__init__(model, config, loss_fn=loss_fn, augment=augment,
+                         compile=compile, optimize=optimize)
         self.num_workers = num_workers
         self.accum_steps = accum_steps
-        self.loss_fn = loss_fn or mean_output_cross_entropy
-        self.augment = augment
-        self.compile = bool(compile)
-        self.optimize = optimize
         self.train_dataset = train_dataset
         self.drop_last = bool(drop_last)
         #: Watchdog: per-step reply deadline and how many hung-worker
@@ -142,8 +145,6 @@ class DataParallelTrainer:
         self.max_step_retries = int(max_step_retries)
         self.step_retries = 0
 
-        self.optimizer, self.scheduler = build_optimizer(model, config)
-        self.history: List[EpochResult] = []
         #: per-step mean losses in execution order (this process only — not
         #: checkpointed); lets tests compare resumed loss curves exactly.
         self.step_loss_history: List[float] = []
@@ -193,20 +194,43 @@ class DataParallelTrainer:
 
     # -- steps -------------------------------------------------------------------
 
-    def train_step(self, data: np.ndarray, labels: np.ndarray) -> Dict[str, float]:
-        """One data-parallel step on an explicit batch (same contract as eager)."""
+    def forward_backward(self, data: np.ndarray,
+                         labels: np.ndarray) -> Tuple[float, int, bool]:
+        """The batch's gradients from the pool; returns ``(loss, correct, replayed)``.
+
+        The batch is split into ``num_workers * accum_steps`` micro-shards
+        (:func:`split_batch`); each worker runs its shards through its
+        replica's :meth:`~repro.training.trainer.BPTTTrainer.forward_backward`.
+        The gradient rows are tree-reduced onto ``param.grad``, and rank 0's
+        buffers (BN running statistics) replace the coordinator's.
+        ``replayed`` is ``True`` only if every worker replayed a plan.
+        """
         labels = np.asarray(labels)
-        total_n = int(labels.shape[0])
         shards = split_batch(data, labels, self.num_workers * self.accum_steps)
-        pool = self._ensure_pool()
-        messages = [{"cmd": "step", "total_n": total_n,
+        messages = [{"cmd": "step", "total_n": len(labels),
                      "shards": shards[w * self.accum_steps:(w + 1) * self.accum_steps]}
                     for w in range(self.num_workers)]
-        return self._drive_step(pool, total_n, messages)
+        pool = self._ensure_pool()
+        replies = self._run_step(pool, messages)
+        tracer = get_tracer()
+        self._emit_worker_spans(tracer, current_span(), replies)
+        with tracer.span("train.allreduce", workers=pool.num_workers):
+            start = time.perf_counter()
+            pool.assign_reduced_gradients()
+            self._allreduce_hist.observe(time.perf_counter() - start)
+        pool.adopt_buffers(replies)
+        for rank, util in enumerate(pool.utilization()):
+            self._util_gauges[rank].set(util)
+        # Rank-ordered summation: deterministic bits for a fixed pool size.
+        loss = 0.0
+        for reply in replies:
+            loss += reply["loss_scaled"]
+        correct = sum(reply["correct"] for reply in replies)
+        return loss, correct, all(reply["replayed"] for reply in replies)
 
-    def _drive_step(self, pool: WorkerPool, total_n: int,
-                    messages: List[Dict[str, object]]) -> Dict[str, float]:
-        """One step with watchdog recovery: retry after hung-worker respawns.
+    def _run_step(self, pool: WorkerPool,
+                  messages: List[Dict[str, object]]) -> List[Dict[str, object]]:
+        """Send one step's shards and gather the replies, retrying hung workers.
 
         The optimizer has not stepped when a hang surfaces (gradients are
         still in the workers' rows), and the coordinator still holds the
@@ -217,7 +241,10 @@ class DataParallelTrainer:
         attempts = 0
         while True:
             try:
-                return self._drive_step_once(pool, total_n, messages)
+                pool.sync_weights()
+                for rank, msg in enumerate(messages):
+                    pool.send(rank, msg)
+                return pool.gather(timeout=self.step_timeout_s)
             except WorkerHungError as hung:
                 while True:
                     attempts += 1
@@ -237,40 +264,7 @@ class DataParallelTrainer:
                     self._retry_counter.inc()
                     break
 
-    def _drive_step_once(self, pool: WorkerPool, total_n: int,
-                         messages: List[Dict[str, object]]) -> Dict[str, float]:
-        """Broadcast one step command, all-reduce, optimizer update, telemetry."""
-        tracer = get_tracer()
-        with tracer.span("train.step", compiled=self.compile, parallel=True,
-                         workers=self.num_workers, accum_steps=self.accum_steps,
-                         batch_size=total_n) as step_span:
-            pool.sync_weights()
-            for rank, msg in enumerate(messages):
-                pool.send(rank, msg)
-            replies = pool.gather(timeout=self.step_timeout_s)
-            self._emit_worker_spans(tracer, step_span, replies)
-
-            with tracer.span("train.allreduce", workers=pool.num_workers):
-                start = time.perf_counter()
-                pool.assign_reduced_gradients()
-                self._allreduce_hist.observe(time.perf_counter() - start)
-            with tracer.span("train.optimizer"):
-                self.optimizer.step()
-
-            for rank, util in enumerate(pool.utilization()):
-                self._util_gauges[rank].set(util)
-            # Rank-ordered summation: deterministic bits for a fixed pool size.
-            loss = 0.0
-            for reply in replies:
-                loss += reply["loss_scaled"]
-            correct = sum(reply["correct"] for reply in replies)
-            replayed = all(reply["replayed"] for reply in replies)
-            return {"loss": float(loss),
-                    "accuracy": correct / max(total_n, 1),
-                    "replayed": float(replayed)}
-
-    @staticmethod
-    def _emit_worker_spans(tracer, step_span, replies) -> None:
+    def _emit_worker_spans(self, tracer, step_span, replies) -> None:
         """Lay the workers' reported busy windows into the coordinator's trace.
 
         Workers report ``perf_counter`` timestamps; on every supported
@@ -279,6 +273,8 @@ class DataParallelTrainer:
         """
         if not tracer.enabled or not isinstance(step_span, Span):
             return
+        step_span.set_attrs(parallel=True, workers=self.num_workers,
+                            accum_steps=self.accum_steps)
         for rank, reply in enumerate(replies):
             child = Span("train.worker", parent=step_span,
                          attrs={"rank": rank, "n": reply["n"],
@@ -360,13 +356,6 @@ class DataParallelTrainer:
                 print(f"epoch {epoch}/{epochs}: loss={result.loss:.4f} "
                       f"train_acc={result.accuracy:.3f} ({result.duration_s:.1f}s)")
         return self.history
-
-    def evaluate(self, dataset: Dataset, batch_size: Optional[int] = None) -> float:
-        """Top-1 accuracy on ``dataset`` (coordinator-side, single process)."""
-        return evaluate_accuracy(self.model, dataset,
-                                 batch_size=batch_size or self.config.batch_size,
-                                 timesteps=self.config.timesteps,
-                                 step_mode=self.config.step_mode)
 
     # -- checkpoint / resume -----------------------------------------------------
 

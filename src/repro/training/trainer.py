@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,7 +119,8 @@ class BPTTTrainer:
         O0 (asserted in ``tests/test_optimizer.py``);
         ``"O2"`` additionally enables the inference-only folds — which a
         training plan does not contain, so O2 training behaves like O1.
-        Ignored without ``compile=True``.
+        Ignored without ``compile=True``, but any other value raises
+        :class:`ValueError` here.
     profile:
         Record per-kernel replay timings, surfaced as a top-k hot-op table by
         :func:`repro.metrics.profiler.summarize_runtime`.
@@ -164,9 +165,12 @@ class BPTTTrainer:
         self.max_skip_steps = int(max_skip_steps)
         self.skipped_steps = 0
         self._consecutive_skips = 0
+        from repro.runtime.optimizer import OPT_LEVELS
         from repro.runtime.replay import check_backend
 
         check_backend(backend)
+        if optimize not in OPT_LEVELS:
+            raise ValueError(f"optimize must be one of {OPT_LEVELS}, got {optimize!r}")
         self._compiled = None
         self.optimizer, self.scheduler = build_optimizer(model, config)
         self.history: List[EpochResult] = []
@@ -174,28 +178,72 @@ class BPTTTrainer:
     # -- single steps -----------------------------------------------------------
 
     def train_step(self, data: np.ndarray, labels: np.ndarray) -> Dict[str, float]:
-        """One forward+backward+update on a single batch; returns loss/accuracy."""
+        """One forward+backward+update on a single batch; returns loss/accuracy.
+
+        The dict carries ``replayed`` whenever a compiled plan made the
+        gradients, and ``skipped`` when the numeric guard withheld the update.
+        """
+        labels = np.asarray(labels)
         tracer = get_tracer()
-        with tracer.span("train.step", compiled=self.compile,
-                         batch_size=int(np.asarray(data).shape[0])):
-            batch = prepare_batch(data, self.config.timesteps, self.augment)
-            labels = np.asarray(labels)
-            if self.compile:
-                return self._compiled_step(batch, labels)
-            self.optimizer.zero_grad()
+        with tracer.span("train.step", compiled=self.compile, batch_size=len(labels)):
+            loss, correct, replayed = self.forward_backward(data, labels)
+            skipped = self._guard_skip(loss)
+            if not skipped:
+                with tracer.span("train.optimizer"):
+                    self.optimizer.step()
+            stats = {"loss": loss,
+                     "accuracy": 0.0 if skipped else correct / max(len(labels), 1)}
+            if replayed is not None:
+                stats["replayed"] = float(replayed)
+            if skipped:
+                stats["skipped"] = 1.0
+            return stats
+
+    def forward_backward(self, data: np.ndarray,
+                         labels: np.ndarray) -> Tuple[float, int, Optional[bool]]:
+        """Gradients of one batch on ``param.grad``; returns ``(loss, correct, replayed)``.
+
+        The library's one training forward + loss + backward: the batch is
+        prepared (:func:`~repro.snn.encoding.prepare_batch`), the gradients
+        are cleared, then the eager tape or the compiled plan runs.
+        ``correct`` counts top-1 hits of the time-averaged logits.
+        ``replayed`` is ``None`` on the eager path; with ``compile=True`` it
+        is ``False`` on a capture and ``True`` on a replay.  A guarded replay
+        that stops at a non-finite node returns a NaN loss, the same bad step
+        the eager path sees.  Nothing is updated: :meth:`train_step` steps
+        the optimizer, and data-parallel workers ship the gradients instead.
+        """
+        batch = prepare_batch(data, self.config.timesteps, self.augment)
+        labels = np.asarray(labels)
+        self.optimizer.zero_grad()
+        if self.compile:
+            if self._compiled is None:
+                from repro.runtime.replay import CompiledTrainStep
+
+                self._compiled = CompiledTrainStep(self.model, self.loss_fn,
+                                                   step_mode=self.config.step_mode,
+                                                   optimize=self.optimize,
+                                                   profile=self.profile,
+                                                   guard_numerics=self.guard_numerics)
+            # The forward+backward span (runtime.replay / capture) is opened
+            # inside CompiledTrainStep.run.
+            try:
+                loss, logits, replayed = self._compiled.run(batch, labels)
+            except NumericFault:
+                # A guarded replay stops at the first non-finite node, before
+                # backward.
+                return float("nan"), 0, True
+        else:
+            tracer = get_tracer()
             with tracer.span("train.forward"):
                 outputs = self.model.run_batch(batch, step_mode=self.config.step_mode)
-                loss = self.loss_fn(outputs, labels)
+                loss_t = self.loss_fn(outputs, labels)
             with tracer.span("train.backward"):
-                loss.backward()
-            if self._guard_skip(float(loss.data)):
-                return {"loss": float(loss.data), "accuracy": 0.0, "skipped": 1.0}
-            with tracer.span("train.optimizer"):
-                self.optimizer.step()
-
-            mean_logits = sum(o.data for o in outputs) / len(outputs)
-            accuracy = float((np.argmax(mean_logits, axis=1) == labels).mean())
-            return {"loss": float(loss.data), "accuracy": accuracy}
+                loss_t.backward()
+            loss, logits, replayed = loss_t.data, [o.data for o in outputs], None
+        mean_logits = sum(logits) / len(logits)
+        correct = int((np.argmax(mean_logits, axis=1) == labels).sum())
+        return float(loss), correct, replayed
 
     def _guard_skip(self, loss_value: float) -> bool:
         """``True`` → withhold this step's update (non-finite loss or grads).
@@ -229,36 +277,6 @@ class BPTTTrainer:
                 detail=f"{self._consecutive_skips} consecutive non-finite steps")
         self.optimizer.zero_grad()
         return True
-
-    def _compiled_step(self, batch: np.ndarray, labels: np.ndarray) -> Dict[str, float]:
-        """Capture/replay variant of :meth:`train_step` (same contract)."""
-        from repro.runtime.replay import CompiledTrainStep
-
-        if self._compiled is None:
-            self._compiled = CompiledTrainStep(self.model, self.loss_fn,
-                                               step_mode=self.config.step_mode,
-                                               optimize=self.optimize,
-                                               profile=self.profile,
-                                               guard_numerics=self.guard_numerics)
-        self.optimizer.zero_grad()
-        # The forward+backward span (runtime.replay / capture) is
-        # opened inside CompiledTrainStep.run, with per-kernel children when
-        # sampling is on; only the eager parameter update is timed here.
-        try:
-            loss, logits_per_step, replayed = self._compiled.run(batch, labels)
-        except NumericFault:
-            # A guarded replay stops at the first non-finite node, before
-            # backward: the same bad step the eager path sees as a NaN loss.
-            loss, replayed = float("nan"), True
-        if self._guard_skip(loss):
-            return {"loss": loss, "accuracy": 0.0, "replayed": float(replayed),
-                    "skipped": 1.0}
-        with get_tracer().span("train.optimizer"):
-            self.optimizer.step()
-
-        mean_logits = sum(logits_per_step) / len(logits_per_step)
-        accuracy = float((np.argmax(mean_logits, axis=1) == labels).mean())
-        return {"loss": loss, "accuracy": accuracy, "replayed": float(replayed)}
 
     def runtime_stats(self) -> Optional[Dict[str, object]]:
         """Capture-vs-replay accounting of the compiled runtime (``None`` if eager)."""

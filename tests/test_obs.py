@@ -567,6 +567,17 @@ class TestTrainTracing:
         assert len(steps) == 2
         assert all(s["trace_id"] == epoch["trace_id"] for s in steps)
 
+    def test_event_step_span_reports_samples_not_timesteps(self):
+        jsonl = JSONLExporter()
+        obs.configure(enabled=True, exporters=[jsonl], flight_capacity=None)
+        trainer = BPTTTrainer(_tiny_model(),
+                              TrainingConfig(timesteps=2, batch_size=5))
+        rng = np.random.default_rng(0)
+        frames = rng.random((2, 5, 3, 10, 10)).astype(np.float32)  # (T, N, ...)
+        trainer.train_step(frames, rng.integers(0, 4, 5))
+        step = next(r for r in jsonl.records if r["name"] == "train.step")
+        assert step["attrs"]["batch_size"] == 5
+
     def test_compiled_step_traces_capture_then_replay(self):
         jsonl = JSONLExporter()
         obs.configure(enabled=True, exporters=[jsonl], kernel_sample_rate=1.0,
@@ -676,12 +687,17 @@ class TestRuntimeMetrics:
     def test_prometheus_endpoint_serves_the_default_registry(self):
         import urllib.request
 
+        from repro.obs.metrics import counter
+
+        # The test's own instrument: what other tests left in the default
+        # registry depends on the order they ran in.
+        counter("repro_test_scrape_probe_total", "Endpoint test probe").inc()
         server = obs.serve_metrics(port=0)
         try:
             port = server.server_address[1]
             body = urllib.request.urlopen(
                 f"http://127.0.0.1:{port}/metrics", timeout=10).read().decode()
-            assert "# TYPE" in body
+            assert "# TYPE repro_test_scrape_probe_total counter" in body
             with pytest.raises(Exception):
                 urllib.request.urlopen(
                     f"http://127.0.0.1:{port}/nope", timeout=10)

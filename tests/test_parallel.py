@@ -208,6 +208,72 @@ class TestDataParallelParity:
                                 num_workers=2, accum_steps=2)
 
 
+def _bn_case(kind: str):
+    """A VGG-9 with BN and one batch of its data (static images or event frames)."""
+    from repro.models.vgg import spiking_vgg9
+
+    if kind == "static":
+        ds = make_static_image_dataset(num_samples=8, num_classes=4, channels=3,
+                                       height=12, width=12, seed=7)
+        channels, timesteps = 3, 2
+    else:
+        ds = make_event_dataset(num_samples=8, num_classes=4, timesteps=3,
+                                channels=2, height=12, width=12, seed=7)
+        channels, timesteps = 2, 3
+
+    def build():
+        return spiking_vgg9(num_classes=4, in_channels=channels, timesteps=timesteps,
+                            width_scale=0.1, norm="bn", rng=np.random.default_rng(0))
+
+    batch = next(iter(DataLoader(ds, batch_size=8, shuffle=False)))
+    return build, batch, tiny_config(timesteps=timesteps)
+
+
+class TestBuffersFollowRankZero:
+    """BN running statistics reach the coordinator: rank 0's buffers are
+    authoritative (``broadcast_buffers``), so the coordinator's model is the
+    one a single process would have trained."""
+
+    @pytest.mark.parametrize("compile", [False, True], ids=["eager", "compiled"])
+    @pytest.mark.parametrize("kind", ["static", "event"])
+    def test_one_worker_state_dict_is_the_single_process_one(self, kind, compile):
+        build, (data, labels), config = _bn_case(kind)
+        single = BPTTTrainer(build(), config, compile=compile)
+        with DataParallelTrainer(build(), config, num_workers=1,
+                                 compile=compile) as dp:
+            for _ in range(3):
+                assert dp.train_step(data, labels)["loss"] == \
+                    single.train_step(data, labels)["loss"]
+        expected = single.model.state_dict()
+        actual = dp.model.state_dict()
+        assert actual.keys() == expected.keys()
+        assert any("running_mean" in name for name in expected)
+        for name, value in expected.items():
+            assert np.array_equal(actual[name], value), name
+
+    @pytest.mark.parametrize("kind", ["static", "event"])
+    def test_two_worker_buffers_are_rank_zeros(self, kind):
+        build, (data, labels), config = _bn_case(kind)
+        rank0_data, rank0_labels = split_batch(data, labels, 2)[0]
+        single = BPTTTrainer(build(), config)
+        single.train_step(rank0_data, rank0_labels)
+        with DataParallelTrainer(build(), config, num_workers=2) as dp:
+            dp.train_step(data, labels)
+        expected = dict(single.model.named_buffers())
+        for name, buffer in dp.model.named_buffers():
+            assert np.array_equal(buffer.data, expected[name].data), name
+
+
+def test_bad_optimize_level_raises_before_any_fork():
+    with pytest.raises(ValueError, match="O7"):
+        BPTTTrainer(tiny_model(), tiny_config(), compile=True, optimize="O7")
+    with pytest.raises(ValueError, match="O7"):
+        DataParallelTrainer(tiny_model(), tiny_config(), optimize="O7")
+    with pytest.raises(ValueError, match="O7"):
+        WorkerPool(tiny_model(), 1, timesteps=2, compile=True, optimize="O7")
+    assert not multiprocessing.active_children()
+
+
 def _static_epoch_case():
     # 17 samples in batches of 8: the final batch holds one sample, so one
     # of its two micro-shards is empty.
