@@ -66,12 +66,12 @@ def test_two_replica_qps_speedup():
     requests = _make_requests()
     with FleetServer(replicas=1, max_batch_size=8, max_wait_ms=2.0) as one, \
             FleetServer(replicas=2, max_batch_size=8, max_wait_ms=2.0) as two:
-        one.register("vgg", model, warmup_sample=requests[0])
-        two.register("vgg", model, warmup_sample=requests[0])
+        one.register("vgg", model, warmup_sample=requests[0], merge=True)
+        two.register("vgg", model, warmup_sample=requests[0], merge=True)
         _burst(one, "vgg", requests[:16])          # warm both request paths
         reference = _burst(two, "vgg", requests)
         np.testing.assert_allclose(
-            reference, InferenceEngine(model).infer(requests), atol=1e-5)
+            reference, InferenceEngine(model, merge=True).infer(requests), atol=1e-5)
         speedup, one_s, two_s = median_speedup(
             lambda: _burst(one, "vgg", requests),
             lambda: _burst(two, "vgg", requests),
@@ -100,7 +100,7 @@ def test_overload_burst_sheds_typed_with_bounded_p99():
     with FleetServer(replicas=1, max_batch_size=4, max_wait_ms=1.0,
                      queue_capacity=capacity,
                      max_inflight_per_replica=inflight) as fleet:
-        fleet.register("vgg", model, warmup_sample=requests[0])
+        fleet.register("vgg", model, warmup_sample=requests[0], merge=True)
         # Calibrate the per-request service time through the real path,
         # serially so calibration itself cannot overflow the queue.  Serial
         # batch-1 forwards overstate the batched service time, which only
@@ -152,9 +152,9 @@ def test_streaming_session_matches_one_shot_forward():
     timesteps = 8
     model = _make_model(timesteps=timesteps)
     frames = _make_requests(timesteps, seed=2)
-    one_shot = InferenceEngine(model).infer(frames[:, None])[0]
+    one_shot = InferenceEngine(model, merge=True).infer(frames[:, None])[0]
     with FleetServer(replicas=2, max_batch_size=8, max_wait_ms=1.0) as fleet:
-        fleet.register("stream", model)
+        fleet.register("stream", model, merge=True)
         with fleet.open_session("stream") as session:
             for chunk in (frames[:3], frames[3:5], frames[5:]):
                 final = session.send_chunk(chunk)

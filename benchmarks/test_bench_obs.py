@@ -62,7 +62,7 @@ def _make_server() -> InferenceServer:
     # sides of the A/B measure the identical replay-only code path.
     server = InferenceServer(max_batch_size=1, max_wait_ms=0.0,
                              cache_capacity=0)
-    server.register("bench", model, compile=True,
+    server.register("bench", model, merge=True, compile=True,
                     warmup_sample=np.zeros(SAMPLE_SHAPE, np.float32))
     return server
 

@@ -96,8 +96,8 @@ def test_o2_serve_forward_speedup_and_equivalence():
     for _ in range(2):
         warm.train_step(data, labels)
 
-    engine_o0 = InferenceEngine(model, compile=True, optimize="O0")
-    engine_o2 = InferenceEngine(model, compile=True, optimize="O2")
+    engine_o0 = InferenceEngine(model, merge=True, compile=True, optimize="O0")
+    engine_o2 = InferenceEngine(model, merge=True, compile=True, optimize="O2")
     sample = data[0]
     for call in range(3):                  # capture + replays
         logits_o0 = engine_o0.infer(sample)

@@ -95,7 +95,7 @@ def test_resilience_disabled_overhead():
                                width_scale=BENCH_SCALE["width_scale"],
                                rng=np.random.default_rng(3))
     convert_to_tt(serve_model, variant="ptt", rank=8, timesteps=TIMESTEPS)
-    server.register("bench", serve_model, compile=True,
+    server.register("bench", serve_model, merge=True, compile=True,
                     warmup_sample=np.zeros(SAMPLE_SHAPE, np.float32))
     sample = np.random.default_rng(4).random(SAMPLE_SHAPE).astype(np.float32)
 

@@ -104,8 +104,8 @@ def test_compiled_train_step_speedup_and_arena_reuse():
 def test_compiled_serve_forward_speedup():
     """Compiled per-request serve forward >= 1.2x the eager PR-2 engine."""
     model = _make_model()
-    eager_engine = InferenceEngine(model)
-    compiled_engine = InferenceEngine(model, compile=True)
+    eager_engine = InferenceEngine(model, merge=True)
+    compiled_engine = InferenceEngine(model, merge=True, compile=True)
     images, _ = _make_batch(8)
     sample = images[0]
 
@@ -138,7 +138,7 @@ def test_compiled_serve_forward_speedup():
 def test_compiled_burst_throughput(benchmark=None):
     """BENCH trajectory: compiled engine on mixed-size bursts (padded plans)."""
     model = _make_model()
-    engine = InferenceEngine(model, compile=True)
+    engine = InferenceEngine(model, merge=True, compile=True)
     rng = np.random.default_rng(1)
     bursts = [rng.random((n, 3, BENCH_SCALE["image_size"], BENCH_SCALE["image_size"]))
               .astype(np.float32) for n in (1, 3, 4, 7, 8, 2)]

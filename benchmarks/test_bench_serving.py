@@ -34,7 +34,7 @@ def _make_engine() -> InferenceEngine:
                          timesteps=TIMESTEPS, width_scale=BENCH_SCALE["width_scale"],
                          rng=np.random.default_rng(0))
     convert_to_tt(model, variant="ptt", rank=8, timesteps=TIMESTEPS)
-    return InferenceEngine(model)
+    return InferenceEngine(model, merge=True)
 
 
 def _make_requests() -> np.ndarray:

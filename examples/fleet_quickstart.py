@@ -4,8 +4,8 @@ This picks up where ``examples/serve_quickstart.py`` stops.  A single
 :class:`InferenceServer` scales by batching; :mod:`repro.fleet` scales by
 *replication* and adds the deployment-side machinery around it:
 
-1. stand up a :class:`FleetServer` with two in-process replicas of a merged
-   TT-SNN snapshot and fire a concurrent burst through the load-aware
+1. stand up a :class:`FleetServer` with two in-process replicas of one
+   TT-SNN snapshot (serving its TT cores) and fire a concurrent burst through the load-aware
    router (bounded admission queue, priorities, per-request deadlines),
 2. kill a replica mid-traffic and watch the fleet reroute and auto-restart,
 3. roll out a "new version" as a **canary** (10% of traffic, auto-promote
@@ -55,7 +55,7 @@ def main() -> None:
     fleet = FleetServer(replicas=2, max_batch_size=8, max_wait_ms=2.0,
                         queue_capacity=32, restart_backoff_s=0.2)
 
-    # 1. Two replicas of one merged snapshot behind the load-aware router.
+    # 1. Two replicas of one TT-core snapshot behind the load-aware router.
     fleet.register("vgg", make_model(0), warmup_sample=samples[0])
     futures = [submit_with_retry(fleet, "vgg", sample, priority=i % 2,
                                  deadline_s=30.0)

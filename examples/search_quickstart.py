@@ -14,7 +14,7 @@ decisions with a hardware-aware search:
    *simulated training energy* on the modelled accelerator,
 4. extract the accuracy-vs-energy Pareto front, pick the knee, materialise it
    into a standalone model, fine-tune briefly, and
-5. serve the winner through ``repro.serve`` (TT cores merged per Eq. 6).
+5. serve the winner's TT cores through ``repro.serve``.
 
 Run:  python examples/search_quickstart.py
 Takes well under a minute on a laptop CPU.
@@ -69,7 +69,7 @@ def main() -> None:
         print(f"  acc={point.accuracy:.3f}  energy={point.cost.energy_uj:.1f} uJ  "
               f"flops={point.cost.flops_G:.3f} G  [{config}]{marker}")
 
-    # 5. Serve the materialised winner (merged per Eq. 6) behind the server.
+    # 5. Serve the materialised winner's TT cores behind the server.
     registry = ModelRegistry()
     server = InferenceServer(registry, max_batch_size=16, max_wait_ms=2.0)
     try:

@@ -1,10 +1,11 @@
-"""Serve a trained TT-SNN: train -> merge -> register -> burst of requests.
+"""Serve a trained TT-SNN: train -> register -> burst of requests.
 
-This picks up where ``examples/quickstart.py`` stops.  The Algorithm-1
-pipeline ends with the TT cores merged back into dense kernels (Eq. 6);
-``repro.serve`` turns that merged model into an endpoint:
+This picks up where ``examples/quickstart.py`` stops.  ``repro.serve`` turns
+the trained model into an endpoint that runs its TT cores:
 
-1. train a tiny HTT-decomposed spiking VGG-9 with :class:`TTSNNPipeline`,
+1. train a tiny HTT-decomposed spiking VGG-9 with :class:`TTSNNPipeline`
+   (unmerged: HTT skips two sub-convolutions on its half timesteps, which
+   the dense Eq. 6 merge cannot express),
 2. take the ready-to-serve :class:`InferenceEngine` off the pipeline result,
 3. register it (with warm-up) in an :class:`InferenceServer`, which wires a
    micro-batcher, an LRU response cache and latency/throughput accounting,
@@ -21,6 +22,7 @@ import threading
 import numpy as np
 
 from repro.data.synthetic import make_static_image_dataset
+from repro.models.builder import count_tt_layers
 from repro.models.vgg import spiking_vgg9
 from repro.serve import InferenceServer
 from repro.training.config import TrainingConfig
@@ -48,13 +50,14 @@ def main() -> None:
                              width_scale=0.125, rng=np.random.default_rng(0)),
         config,
     )
-    result = pipeline.run(dataset, epochs=config.epochs, verbose=True)
+    result = pipeline.run(dataset, epochs=config.epochs, merge_after_training=False,
+                          verbose=True)
 
-    # 2. The pipeline result carries a merged, eval-mode serving snapshot.
+    # 2. The pipeline result carries an eval-mode serving snapshot.
     engine = result.serving_engine
     print(f"\ntrained {result.method}: {result.tt_layers} TT layers, "
-          f"engine merged {engine.merged_layers + result.merged_layers} of them "
-          f"back to dense kernels for spike-driven inference")
+          f"engine serves {count_tt_layers(engine.model)} of them as TT cores "
+          f"({engine.merged_layers} merged to dense)")
 
     # 3. Register it (warm-up runs before the model becomes visible).
     server = InferenceServer(max_batch_size=16, max_wait_ms=5.0, cache_capacity=256)

@@ -22,7 +22,7 @@ Subpackages
 ``repro.hardware``   accelerator energy models (existing SATA-like vs the
                      proposed multi-cluster design)
 ``repro.training``   BPTT trainer and the Algorithm-1 pipeline
-``repro.serve``      inference serving: merged-TT engines, dynamic
+``repro.serve``      inference serving: TT-core engines, dynamic
                      micro-batching, model registry, response cache, stats
 ``repro.obs``        observability: tracing spans, metrics registry,
                      Chrome-trace / JSONL exporters, flight recorder

@@ -1,12 +1,12 @@
-"""``repro.fleet`` — multi-replica serving fleet for merged SNN snapshots.
+"""``repro.fleet`` — multi-replica serving fleet for SNN engine snapshots.
 
 Design note
 -----------
 The single-process serving stack (:mod:`repro.serve`) scales a model by
 batching: one engine, one lock, throughput bounded by one fused forward at
 a time.  This package scales it by *replication* — the same production
-pattern the paper's deployment story implies once a merged (Eq. 6) snapshot
-serves real traffic:
+pattern the paper's deployment story implies once a trained snapshot serves
+real traffic:
 
 * :mod:`~repro.fleet.replica` — N identical in-process engine snapshots
   (NumPy releases the GIL in its GEMMs), each behind its own micro-batcher

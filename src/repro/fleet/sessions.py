@@ -11,7 +11,7 @@ Affinity and fail-over: a session pins to one replica — chunks of one
 stream are serialised against that replica's engine lock, and pinning keeps
 a stream's compute on one core's warm caches.  The temporal state itself is
 **replica-independent** (an explicit :class:`~repro.runtime.streaming.TemporalState`
-value, and all replicas are copies of one merged snapshot), so when the
+value, and all replicas are copies of one snapshot), so when the
 pinned replica dies the session transparently re-pins to a healthy sibling
 and continues mid-stream — the membrane travels with the session, not the
 replica.

@@ -29,8 +29,9 @@ Optimization levels:
 
 Every pass preserves eager-vs-replay equivalence to <= 1e-6 (O1 is
 value-exact; the BN fold refactors per-channel float math and stays inside
-float32 rounding).  TT layers are not pre-contracted here: serving merges
-them once at model level (Eq. 6, :func:`repro.tt.reconstruct.snapshot_merged`).
+float32 rounding).  TT layers are not pre-contracted here: an engine built
+with ``merge=True`` merges them once at model level (Eq. 6,
+:func:`repro.tt.reconstruct.snapshot_merged`).
 """
 
 from __future__ import annotations

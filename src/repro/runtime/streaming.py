@@ -15,7 +15,7 @@ caller holds the temporal state as an explicit, detached
 
 * the state is *data*, not hidden module state — sessions can be suspended,
   migrated to another replica holding an identical snapshot (all fleet
-  replicas are copies of one merged engine), or dropped, without touching
+  replicas are copies of one engine), or dropped, without touching
   the model;
 * the model is left reset after every chunk, so interleaving streaming
   chunks with ordinary fixed-``T`` batch requests on the same engine is

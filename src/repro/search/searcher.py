@@ -17,8 +17,8 @@ VBMF pass:
 4. **materialise** — turn the winning configuration into a standalone
    concrete model (bitwise-equal to the sampled subnet), optionally
    fine-tune it with a compiled trainer (fixed config: one capture, then
-   replays), and expose it to :mod:`repro.serve` — the merged (Eq. 6)
-   engine answers requests like any other trained model.
+   replays), and expose it to :mod:`repro.serve` — its engine answers
+   requests like any other trained model.
 """
 
 from __future__ import annotations
@@ -101,13 +101,13 @@ class SearchResult:
         return self.winner.config
 
     def engine(self, **engine_kwargs):
-        """Merged (Eq. 6) :class:`~repro.serve.engine.InferenceEngine` of the winner.
+        """:class:`~repro.serve.engine.InferenceEngine` of the winner.
 
-        The merge is exact for dense/STT/PTT layers (and for strided layers,
-        thanks to the supernet's ``stride_mode="last"`` default).  HTT layers
-        serve the reconstructed *full* path: the half path is a training-time
-        shortcut, so inference logits for HTT winners follow the merged
-        full-path network (the paper's Algorithm-1 deployment semantics).
+        By default the engine serves the winner's TT cores.  With
+        ``merge=True`` it merges them per Eq. 6, which is exact for
+        dense/STT/PTT layers (and for strided layers, thanks to the
+        supernet's ``stride_mode="last"`` default); an HTT layer with half
+        timesteps refuses the merge (:class:`ValueError`).
         """
         from repro.serve.engine import InferenceEngine
 

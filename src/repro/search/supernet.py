@@ -24,8 +24,8 @@ core slices (the entanglement invariant, asserted in
 
 :class:`TTSupernet` applies the conversion to a whole spiking backbone,
 exposes configuration sampling, and :meth:`TTSupernet.materialise` to turn
-a chosen configuration into a concrete standalone model that round-trips through
-:func:`repro.tt.reconstruct.snapshot_merged` into :mod:`repro.serve`.
+a chosen configuration into a concrete standalone model that :mod:`repro.serve`
+serves as is, or merged through :func:`repro.tt.reconstruct.snapshot_merged`.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class EntangledTTConv2d(TimedModule):
         Stride placement for the TT paths (see :mod:`repro.tt.layers`).
         Defaults to ``"last"`` — unlike :func:`repro.models.builder.convert_to_tt`
         (which defaults to the paper's FLOP-accounting convention) — because
-        the search pipeline ends in :func:`repro.tt.reconstruct.snapshot_merged`
+        the search pipeline may end in :func:`repro.tt.reconstruct.snapshot_merged`
         serving, and the Eq.-6 merge is only exact for strided layers when
         the stride sits on the final 1x1.  The two modes are identical for
         stride-1 layers.

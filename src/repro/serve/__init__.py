@@ -1,12 +1,11 @@
-"""Inference serving: merged-TT engines, dynamic batching, registry, cache, stats.
+"""Inference serving: TT-core engines, dynamic batching, registry, cache, stats.
 
-The paper trains TT-decomposed spiking networks and then merges the cores
-back into dense kernels for deployment (Algorithm 1, lines 19-22 / Eq. 6).
-This package is that deployment layer:
+The paper trains TT-decomposed spiking networks for deployment (Algorithm 1,
+lines 19-22).  This package is that deployment layer:
 
 * :class:`~repro.serve.engine.InferenceEngine` — a frozen serving snapshot:
-  TT cores merged to dense, ``eval()`` forced, fused ``no_grad`` forward as
-  the only code path.
+  TT cores kept (``merge=True`` merges them to dense per Eq. 6),
+  ``eval()`` forced, fused ``no_grad`` forward as the only code path.
 * :class:`~repro.serve.batcher.MicroBatcher` — coalesces concurrent
   single-sample requests into one fused batch under a ``max_batch_size`` /
   ``max_wait_ms`` policy, so serving throughput rides the time-fused engine
@@ -37,7 +36,8 @@ Quickstart (mirrors ``examples/serve_quickstart.py``)::
                                  rng=np.random.default_rng(0)),
         config,
     )
-    result = pipeline.run(dataset, epochs=1)
+    # HTT's half timesteps cannot be merged to dense; serve the TT cores.
+    result = pipeline.run(dataset, epochs=1, merge_after_training=False)
 
     server = InferenceServer(max_batch_size=16, max_wait_ms=2.0)
     server.register("ttsnn", result.serving_engine,

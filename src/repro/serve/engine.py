@@ -1,17 +1,22 @@
 """Serving snapshot of a trained spiking model (Algorithm 1, lines 19-22).
 
-The paper's deployment story ends with the trained TT cores merged back into
-dense kernels so that inference runs as an ordinary spike-driven CNN (Eq. 6).
-:class:`InferenceEngine` packages exactly that state transition:
+:class:`InferenceEngine` turns a trained model into a frozen endpoint:
 
 1. **snapshot** — deep-copy the model so serving never mutates (and is never
    mutated by) a live training loop;
-2. **merge** — replace every STT / PTT / HTT module in the copy by its dense
-   equivalent via :func:`repro.tt.reconstruct.snapshot_merged`;
-3. **freeze** — force ``eval()`` mode (batch norms use running statistics)
+2. **freeze** — force ``eval()`` mode (batch norms use running statistics)
    and drop leftover gradients;
-4. **serve** — every request runs the fused engine under ``no_grad`` as the
+3. **serve** — every request runs the fused engine under ``no_grad`` as the
    *only* code path.
+
+By default the snapshot keeps its TT cores: each TT layer serves its four
+sub-convolutions, and its batch norm runs in rank space (``bn_proj_seq``),
+which is where the paper's FLOP saving lies.  ``merge=True`` is the paper's
+Eq. 6 deployment option instead: it replaces every TT layer by its
+dense kernel (:func:`repro.tt.reconstruct.snapshot_merged`), so inference
+runs as an ordinary spike-driven CNN at the dense layer's cost.  An HTT
+layer with half timesteps cannot be merged (the dense kernel is its full
+path) and is refused with :class:`ValueError`.
 
 The engine accepts raw ``(N, C, H, W)`` images, pre-encoded
 ``(T, N, C, H, W)`` sequences, or a single ``(C, H, W)`` sample, and returns
@@ -41,19 +46,23 @@ __all__ = ["InferenceEngine"]
 
 
 class InferenceEngine:
-    """An immutable, merged, eval-mode snapshot of a model, ready to serve.
+    """An immutable, eval-mode snapshot of a model, ready to serve.
 
     Parameters
     ----------
     model:
         A (possibly TT-decomposed) :class:`~repro.models.base.SpikingModel`.
     merge:
-        Merge TT modules into dense kernels (Eq. 6).  Default ``True``; the
-        merge is a no-op on models that are already dense.
+        Merge TT modules into dense kernels (Eq. 6).  Default ``False``: the
+        engine serves the TT cores, which do a fraction of the dense MACs.
+        A merged engine pays the dense convolution's cost instead (on the
+        VGG-9 w0.25 PTT model, ``O2`` at batch 8-32 runs 2.1-2.6x slower
+        than unmerged), and it refuses HTT layers with half timesteps
+        (:class:`ValueError`).  The merge is a no-op on dense models.
     copy_model:
-        Deep-copy ``model`` before merging so the caller's instance keeps
-        training untouched.  Pass ``False`` to adopt the instance (it will be
-        switched to ``eval()`` and merged in place).
+        Deep-copy ``model`` so the caller's instance keeps training
+        untouched.  Pass ``False`` to adopt the instance (it will be
+        switched to ``eval()``, and merged in place if ``merge=True``).
     timesteps:
         Override the simulation length for serving (anytime inference: fewer
         timesteps trade accuracy for latency); defaults to the model's own
@@ -96,7 +105,7 @@ class InferenceEngine:
     def __init__(
         self,
         model: SpikingModel,
-        merge: bool = True,
+        merge: bool = False,
         copy_model: bool = True,
         timesteps: Optional[int] = None,
         compile: bool = False,

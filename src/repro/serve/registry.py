@@ -75,7 +75,7 @@ class ModelRegistry:
         """Publish a model (or prebuilt engine) under ``name``/``version``.
 
         A plain :class:`~repro.models.base.SpikingModel` is snapshotted into
-        an :class:`InferenceEngine` (TT cores merged, ``eval()`` forced);
+        an :class:`InferenceEngine` (TT cores kept, ``eval()`` forced);
         ``engine_kwargs`` forward to the engine constructor.  When
         ``warmup_sample`` is given the engine runs one throw-away inference
         *before* becoming visible, so the first real request never pays

@@ -14,8 +14,11 @@ End to end:
 metrics (parameters, FLOPs, training-step time) alongside accuracy so that
 one call produces a full Table II row.  The result also carries a
 ready-to-serve :class:`~repro.serve.engine.InferenceEngine` snapshot, so
-``pipeline.run(...)`` hands deployment (:mod:`repro.serve`) a merged,
-eval-mode model without any extra plumbing.
+``pipeline.run(...)`` hands deployment (:mod:`repro.serve`) an eval-mode
+model without any extra plumbing: merged if stage 5 ran, TT cores otherwise.
+Stage 5 refuses an HTT model whose schedule has half timesteps
+(:func:`repro.tt.reconstruct.merge_tt_layer`); run it with
+``merge_after_training=False``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ __all__ = ["PipelineResult", "TTSNNPipeline"]
 class PipelineResult:
     """Everything one pipeline run produces (one row of Table II).
 
-    ``serving_engine`` is a merged, eval-mode
+    ``serving_engine`` is an eval-mode
     :class:`~repro.serve.engine.InferenceEngine` snapshot of the trained
     model — register it with a :class:`~repro.serve.server.InferenceServer`
     (or :class:`~repro.serve.registry.ModelRegistry`) to start serving.
@@ -144,13 +147,14 @@ class TTSNNPipeline:
     def serve(self) -> InferenceEngine:
         """Snapshot the current model into a ready-to-serve inference engine.
 
-        The engine deep-copies the model, merges any remaining TT layers
-        (Eq. 6) and freezes it in ``eval()`` mode, so serving never disturbs
-        further training on the pipeline's own instance.
+        The engine deep-copies the model and freezes it in ``eval()`` mode,
+        so serving never disturbs further training on the pipeline's own
+        instance.  TT layers that :meth:`merge` did not merge serve as TT
+        cores (the engine's default).
         """
         if self.model is None:
             raise RuntimeError("build() must run before serve()")
-        return InferenceEngine(self.model, merge=True, copy_model=True)
+        return InferenceEngine(self.model)
 
     # -- one-shot run -------------------------------------------------------------
 

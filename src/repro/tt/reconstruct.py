@@ -17,7 +17,9 @@ sequential variant the reconstruction is the full TT contraction.
 Because every TT module places its stride on the final 1x1 sub-convolution,
 the merged dense convolution (same stride, "same" padding) is an *exact*
 functional replacement — verified by the equivalence tests in
-``tests/test_tt_reconstruct.py``.
+``tests/test_tt_reconstruct.py``.  HTT is the exception: its half timesteps
+skip ``conv2``/``conv3``, which no single dense kernel can do, so an HTT
+layer merges only when its schedule is all full.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ def reconstruct_dense_weight(layer: TTConv2dBase) -> np.ndarray:
 
     * STT layers contract all four cores (exact inverse of the TT-SVD).
     * PTT and HTT layers use the parallel reconstruction of Eq. (6); HTT
-      merges its *full-path* weights (the half path is a runtime shortcut,
-      not a different parameterisation).
+      reconstructs its *full-path* weights, which equal the layer only on
+      its full timesteps (:func:`merge_tt_layer` refuses a schedule with
+      half steps).
     """
     if not isinstance(layer, TTConv2dBase):
         raise TypeError(f"cannot reconstruct weights for layer of type {type(layer).__name__}")
@@ -71,7 +74,20 @@ def reconstruct_dense_weight(layer: TTConv2dBase) -> np.ndarray:
 
 
 def merge_tt_layer(layer: TTConv2dBase) -> Conv2d:
-    """Build a dense :class:`~repro.nn.Conv2d` that replaces ``layer`` at inference."""
+    """Build a dense :class:`~repro.nn.Conv2d` that replaces ``layer`` at inference.
+
+    An HTT layer whose schedule has a half (``H``) timestep is refused with
+    :class:`ValueError`: the merged kernel is the full path, so it would run
+    ``conv2``/``conv3`` on the timesteps the trained model skips them and
+    serve a different model.  Serve such a model unmerged instead.
+    """
+    if isinstance(layer, HTTConv2d) and any(layer.schedule):
+        schedule = "".join("H" if h else "F" for h in layer.schedule)
+        raise ValueError(
+            f"cannot merge an HTT layer with schedule {schedule!r}: the merged "
+            "kernel would serve the full path on its half timesteps; serve the "
+            "model unmerged (InferenceEngine(model, merge=False))"
+        )
     dense_weight = reconstruct_dense_weight(layer)
     merged = Conv2d(
         layer.in_channels,
@@ -90,15 +106,18 @@ def merge_model(model: Module) -> int:
 
     Returns the number of layers merged.  This implements Algorithm 1 lines
     20-22: after training, the whole network becomes a plain spike-driven
-    CNN again.
+    CNN again.  Every replacement is built before any is swapped in, so a
+    layer :func:`merge_tt_layer` refuses leaves ``model`` unchanged.
     """
-    merged_count = 0
-    for module in list(model.modules()):
-        for child_name, child in list(module.named_children()):
-            if isinstance(child, TTConv2dBase):
-                setattr(module, child_name, merge_tt_layer(child))
-                merged_count += 1
-    return merged_count
+    replacements = [
+        (module, child_name, merge_tt_layer(child))
+        for module in list(model.modules())
+        for child_name, child in list(module.named_children())
+        if isinstance(child, TTConv2dBase)
+    ]
+    for module, child_name, merged in replacements:
+        setattr(module, child_name, merged)
+    return len(replacements)
 
 
 def snapshot_merged(model: Module) -> Tuple[Module, int]:

@@ -96,6 +96,65 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray, atol: float = 1
     np.testing.assert_allclose(analytic, numeric, atol=atol, rtol=rtol)
 
 
+#: Eval-mode firing-rate band every LIF layer must reach before a parity
+#: check on it means anything: a layer that never spikes hides the layers
+#: behind it.
+FIRING_BAND = (0.02, 0.6)
+
+
+def calibrate_norms(model, images: np.ndarray, batches: int = 6, batch: int = 16) -> None:
+    """Fill batch-norm running statistics with a few no-grad train-mode forwards.
+
+    A freshly initialised network in eval mode normalises with the initial
+    (0, 1) statistics and barely spikes past its first layer; the calibrated
+    model stands in for a trained one.  Leaves the model reset, in eval mode.
+    """
+    from repro.autograd.tensor import no_grad
+    from repro.snn.encoding import encode_batch
+    from repro.snn.functional import reset_model_state
+
+    model.train()
+    with no_grad():
+        for index in range(batches):
+            chunk = images[index * batch:(index + 1) * batch]
+            model.run_timesteps(encode_batch(chunk, model.timesteps))
+    reset_model_state(model)
+    model.eval()
+
+
+def assert_spiking(model, images: np.ndarray) -> None:
+    """Assert every LIF layer fires inside :data:`FIRING_BAND` in eval mode.
+
+    The rates come from one no-grad direct-coded forward of ``images``, the
+    path serving engines run.
+    """
+    from repro.autograd.tensor import no_grad
+    from repro.snn.functional import reset_model_state
+    from repro.snn.neurons import LIFNeuron
+
+    rates = {}
+    lifs = [(name, m) for name, m in model.named_modules() if isinstance(m, LIFNeuron)]
+    for name, module in lifs:
+        def recorder(currents, _name=name, _forward=module.forward_sequence):
+            spikes = _forward(currents)
+            rates[_name] = np.count_nonzero(spikes.data) / spikes.data.size
+            return spikes
+
+        module.forward_sequence = recorder
+    model.eval()
+    try:
+        with no_grad():
+            model.run_images(images)
+    finally:
+        for _, module in lifs:
+            del module.forward_sequence
+        reset_model_state(model)
+    low, high = FIRING_BAND
+    assert lifs and len(rates) == len(lifs), f"not every LIF layer ran: {sorted(rates)}"
+    assert all(low <= rate <= high for rate in rates.values()), (
+        f"LIF firing rates outside {FIRING_BAND}: {rates}")
+
+
 class OpTableContext:
     """A kernel context driven through its shared op-table entry.
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.data.synthetic import make_static_image_dataset
 from repro.hardware.accelerator import ExistingAcceleratorModel
+from repro.models.builder import count_tt_layers
 from repro.models.specs import vgg_layer_specs
 from repro.models.vgg import VGG9_CONFIG, spiking_vgg9
 from repro.search import (
@@ -71,7 +72,7 @@ class TestSearcherEndToEnd:
         assert accs == sorted(accs)  # non-dominated => accuracy rises with cost
         assert result.winner in front
 
-        # The winner materialised, fine-tuned, merges (Eq. 6) and serves.
+        # The winner materialised, fine-tuned and serves its TT cores.
         assert len(result.finetune_history) == 1
         tt_layers = sum(1 for c in result.winner.config if c.format != "dense")
         registry = ModelRegistry()
@@ -79,7 +80,9 @@ class TestSearcherEndToEnd:
         try:
             result.publish(server, "searched",
                            warmup_sample=np.zeros((3, 14, 14), np.float32))
-            assert registry.get("searched").merged_layers == tt_layers
+            served = registry.get("searched")
+            assert served.merged_layers == 0
+            assert count_tt_layers(served.model) == tt_layers
             logits = server.infer("searched", np.zeros((3, 14, 14), np.float32),
                                   timeout=60)
             assert logits.shape == (4,) and np.isfinite(logits).all()

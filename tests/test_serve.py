@@ -90,7 +90,7 @@ class TestInferenceEngine:
         model = spiking_vgg9(num_classes=4, in_channels=3, timesteps=TIMESTEPS,
                              width_scale=0.08, rng=np.random.default_rng(0))
         convert_to_tt(model, variant="ptt", rank=3)
-        engine = InferenceEngine(model, copy_model=False)
+        engine = InferenceEngine(model, merge=True, copy_model=False)
         assert engine.model is model
         assert count_tt_layers(model) == 0
         assert not model.training
@@ -671,15 +671,21 @@ class TestInferenceServer:
                                  width_scale=0.08, rng=np.random.default_rng(0)),
             config,
         )
-        result = pipeline.run(tiny_static_dataset, epochs=1)
+        # HTT's half timesteps have no dense equivalent: the merge stage is
+        # refused, so the pipeline serves the TT cores.
+        with pytest.raises(ValueError, match="half timesteps"):
+            pipeline.run(tiny_static_dataset, epochs=0)
+        result = pipeline.run(tiny_static_dataset, epochs=1, merge_after_training=False)
         engine = result.serving_engine
         assert isinstance(engine, InferenceEngine)
         assert not engine.model.training
-        assert count_tt_layers(engine.model) == 0
+        assert engine.merged_layers == 0
+        assert count_tt_layers(engine.model) == result.tt_layers > 0
         sample = tiny_static_dataset.images[0]
         with InferenceServer(max_wait_ms=1) as server:
             server.register("htt", engine, warmup_sample=sample)
             assert 0 <= server.predict("htt", sample) < 4
         # Sweeps that never serve can skip the snapshot cost entirely.
-        result = pipeline.run(tiny_static_dataset, epochs=0, build_serving_engine=False)
+        result = pipeline.run(tiny_static_dataset, epochs=0, merge_after_training=False,
+                              build_serving_engine=False)
         assert result.serving_engine is None

@@ -100,7 +100,7 @@ class TestEntanglementInvariant:
         net.apply_config(net.space.uniform_config("ptt", rank_fraction=0.5))
         concrete = net.materialise()
         concrete.eval()
-        engine = InferenceEngine(concrete)   # deep-copies, merges (Eq. 6)
+        engine = InferenceEngine(concrete, merge=True)   # deep-copies, merges (Eq. 6)
         batch = np.random.default_rng(1).random((3, 3, 16, 16)).astype(np.float32)
         reset_model_state(concrete)
         from repro.autograd.tensor import no_grad
@@ -116,7 +116,7 @@ class TestEntanglementInvariant:
         net = _supernet()
         net.apply_config(net.space.uniform_config("ptt"))
         concrete = net.materialise()
-        engine = InferenceEngine(concrete)
+        engine = InferenceEngine(concrete, merge=True)
         assert engine.merged_layers == len(net.layer_names)
         logits = engine.infer(np.zeros((3, 12, 12), np.float32))
         assert logits.shape == (4,) and np.isfinite(logits).all()

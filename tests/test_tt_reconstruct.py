@@ -71,12 +71,16 @@ class TestMergeEquivalence:
         assert merged.kernel_size == (3, 3)
 
     def test_htt_merge_matches_full_path(self, rng):
-        """HTT merges its full (PTT) path; on a full timestep the outputs agree."""
-        layer = HTTConv2d(5, 7, 3, rank=4, timesteps=2, schedule="FH")
+        """HTT merges its full (PTT) path; a schedule with half steps is refused."""
+        layer = HTTConv2d(5, 7, 3, rank=4, timesteps=2, schedule="FF")
         merged = merge_tt_layer(layer)
         x = Tensor(rng.standard_normal((1, 5, 9, 9)).astype(np.float32))
         layer.reset_time()
-        np.testing.assert_allclose(layer(x).data, merged(x).data, atol=1e-4)
+        for _ in range(2):
+            np.testing.assert_allclose(layer(x).data, merged(x).data, atol=1e-4)
+
+        with pytest.raises(ValueError, match="'FH'"):
+            merge_tt_layer(HTTConv2d(5, 7, 3, rank=4, timesteps=2, schedule="FH"))
 
 
 class TestMergeModel:
