@@ -12,11 +12,12 @@ multiplication each, which keeps NumPy training throughput usable.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+import functools
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.autograd.tensor import Function, Tensor, as_tensor
+from repro.autograd.tensor import Function, Tensor, apply_op, as_tensor
 
 __all__ = [
     "conv2d",
@@ -26,6 +27,8 @@ __all__ = [
     "col2im",
     "Conv2dFunction",
     "ConvChannelsLastFunction",
+    "cross_conv",
+    "CrossConvFunction",
 ]
 
 IntOrPair = Union[int, Tuple[int, int]]
@@ -467,3 +470,242 @@ def conv2d_channels_last(
         return ConvChannelsLastFunction.apply(x, weight, as_tensor(bias),
                                               stride=stride, padding=padding)
     return ConvChannelsLastFunction.apply(x, weight, stride=stride, padding=padding)
+
+
+# ---------------------------------------------------------------------------
+# Cross convolution — the PTT/HTT middle (Eq. 5) as one kernel
+# ---------------------------------------------------------------------------
+#
+# PTT sums a vertical ``(K, 1)`` and a horizontal ``(1, K)`` convolution of
+# the same input, both "same"-padded and stride 1: together one ``K x K``
+# cross whose centre tap belongs to both.  Gathering the ``2K - 1`` distinct
+# taps once and running one GEMM replaces two pads, two im2col gathers, two
+# GEMMs and the add.
+
+
+def _cross_taps(kh: int, kw: int) -> Tuple[Tuple[int, int], ...]:
+    """``(dy, dx)`` offsets of the cross taps in column order.
+
+    The ``kh`` vertical taps come first (the centre among them, at index
+    ``kh // 2``), then the ``kw - 1`` horizontal taps off the centre.
+    """
+    ph, pw = kh // 2, kw // 2
+    return (tuple((i - ph, 0) for i in range(kh))
+            + tuple((0, j - pw) for j in range(kw) if j != pw))
+
+
+@functools.lru_cache(maxsize=64)
+def _cross_index(h: int, w: int, taps: Tuple[Tuple[int, int], ...]) -> np.ndarray:
+    """Source pixel of every ``(pixel, tap)`` pair of an ``(H, W)`` map, flattened.
+
+    Pixels are numbered row-major; a tap that falls outside the map reads
+    pixel ``H*W``, the zero pixel :func:`_gather_runs` appends.
+    """
+    ys, xs = np.divmod(np.arange(h * w), w)
+    index = np.empty((h * w, len(taps)), np.intp)
+    for k, (dy, dx) in enumerate(taps):
+        sy, sx = ys + dy, xs + dx
+        inside = (sy >= 0) & (sy < h) & (sx >= 0) & (sx < w)
+        index[:, k] = np.where(inside, sy * w + sx, h * w)
+    index = index.ravel()
+    index.setflags(write=False)
+    return index
+
+
+def _full_row_runs(half: Optional[Tuple[bool, ...]], rows: int):
+    """Row ranges ``(full_runs, half_runs)`` of a time-folded batch.
+
+    ``half[t]`` marks timestep ``t`` as a half step; the batch holds the
+    ``T = len(half)`` timesteps as ``rows // T`` consecutive rows each.
+    Without a schedule every row is full.
+    """
+    if half is None:
+        return [(0, rows)], []
+    timesteps = len(half)
+    if rows % timesteps:
+        raise ValueError(f"{rows} folded rows do not split into {timesteps} timesteps")
+    per_step = rows // timesteps
+    runs = ([], [])
+    start = 0
+    for stop in range(1, timesteps + 1):
+        if stop == timesteps or half[stop] != half[start]:
+            runs[int(half[start])].append((start * per_step, stop * per_step))
+            start = stop
+    return runs
+
+
+def _gather_runs(x: np.ndarray, taps, runs) -> np.ndarray:
+    """The cross columns ``(rows*H*W, taps*C)`` of the batch rows in ``runs``.
+
+    The rows are copied into ``(rows, H*W + 1, C)`` with a zero last pixel,
+    then one :func:`numpy.take` gathers every tap of every pixel: a single
+    C loop of ``C``-sized block copies, where per-tap slice copies into the
+    interleaved columns run one short strided loop per pixel.
+    """
+    _, h, w, c = x.shape
+    rows = sum(stop - start for start, stop in runs)
+    pixels = np.empty((rows, h * w + 1, c), x.dtype)
+    offset = 0
+    for start, stop in runs:
+        pixels[offset:offset + stop - start, :-1] = x[start:stop].reshape(stop - start, h * w, c)
+        offset += stop - start
+    pixels[:, -1] = 0
+    cols = np.take(pixels, _cross_index(h, w, tuple(taps)), axis=1)
+    return cols.reshape(rows * h * w, len(taps) * c)
+
+
+def _gemm_into_runs(cols: np.ndarray, w_mat: np.ndarray, out: np.ndarray, runs) -> None:
+    """``out[runs] = cols @ w_mat``: in place when the rows form one run."""
+    if len(runs) == 1:
+        start, stop = runs[0]
+        np.matmul(cols, w_mat, out=out[start:stop].reshape(-1, w_mat.shape[1]))
+        return
+    result = cols @ w_mat
+    offset = 0
+    for start, stop in runs:
+        block = out[start:stop]
+        rows = block.size // w_mat.shape[1]
+        block[...] = result[offset:offset + rows].reshape(block.shape)
+        offset += rows
+
+
+class CrossConvFunction(Function):
+    """``conv2(x) + conv3(x)`` over a channels-last batch, as one GEMM per pass.
+
+    Inputs: ``x (M, H, W, C)``, the vertical weight ``w2 (O, C, kH, 1)`` and
+    the horizontal weight ``w3 (O, C, 1, kW)``, both odd-sized, applied
+    stride 1 with "same" padding.  Output is ``(M, H, W, O)``.
+
+    The forward gathers the ``kH + kW - 1`` cross taps into
+    ``(M*H*W, taps*C)`` columns, the shared centre tap once with weight
+    ``w2[:, :, kH//2, 0] + w3[:, :, 0, kW//2]``, and runs one GEMM.  The
+    backward runs one weight-gradient GEMM, whose centre-tap rows go to both
+    weights, and one input-gradient GEMM over the flipped cross gathered
+    from the output gradient.
+
+    ``half`` is a per-timestep schedule over the time-folded batch (see
+    :func:`cross_conv`): the rows of half steps pass through unchanged, and
+    so does their gradient.
+    """
+
+    #: Cleared by the ``fn`` backward kernel when the input needs no
+    #: gradient: backward then skips the input-gradient gather and GEMM.
+    input_needs_grad = True
+
+    def __init__(self, half: Optional[Tuple[bool, ...]] = None):
+        self.half = half
+        self._x_shape: Optional[Tuple[int, ...]] = None
+        self._cols: Optional[np.ndarray] = None
+        self._w_taps: Optional[np.ndarray] = None
+        self._kernel: Tuple[int, int] = (0, 0)
+        self._runs = ([], [])
+        # Set by the graph optimizer on no-grad plans whose weights are baked
+        # constants: the per-tap kernels are then built once and reused.
+        self.freeze_weights = False
+        self._frozen_taps: Optional[np.ndarray] = None
+
+    def forward(self, *arrays: np.ndarray) -> np.ndarray:
+        return self._compute(arrays, save=True)
+
+    def forward_inference(self, *arrays: np.ndarray) -> np.ndarray:
+        """Forward without retaining the gathered columns (no-grad replay path)."""
+        return self._compute(arrays, save=False)
+
+    def _compute(self, arrays, save: bool) -> np.ndarray:
+        x, w2, w3 = arrays
+        out_c, in_c, kh, one_h = w2.shape
+        one_w, kw = w3.shape[2:]
+        if (one_h, one_w) != (1, 1) or w3.shape[:2] != (out_c, in_c):
+            raise ValueError("cross weights must be (O, C, kH, 1) and (O, C, 1, kW), "
+                             f"got {w2.shape} and {w3.shape}")
+        if kh % 2 == 0 or kw % 2 == 0:
+            raise ValueError(f"cross kernel sizes must be odd, got ({kh}, {kw})")
+        m, h, w, c = x.shape
+        if c != in_c:
+            raise ValueError(f"input channels {c} do not match weight channels {in_c}")
+        full_runs, half_runs = _full_row_runs(self.half, m)
+        if half_runs and out_c != in_c:
+            raise ValueError("half steps pass their input through, so the cross must "
+                             f"keep the channel count; got {in_c} -> {out_c}")
+
+        w_taps = self._frozen_taps
+        if w_taps is None:
+            # Per-tap (C, O) kernels in _cross_taps order, the centre summed once.
+            ph, pw = kh // 2, kw // 2
+            w_taps = np.empty((kh + kw - 1, in_c, out_c), w2.dtype)
+            w_taps[:kh] = w2[:, :, :, 0].transpose(2, 1, 0)
+            w_taps[ph] += w3[:, :, 0, pw].T
+            w_taps[kh:kh + pw] = w3[:, :, 0, :pw].transpose(2, 1, 0)
+            w_taps[kh + pw:] = w3[:, :, 0, pw + 1:].transpose(2, 1, 0)
+            if self.freeze_weights:
+                self._frozen_taps = w_taps
+
+        cols = _gather_runs(x, _cross_taps(kh, kw), full_runs)
+        out = np.empty((m, h, w, out_c), x.dtype)
+        for start, stop in half_runs:
+            out[start:stop] = x[start:stop]
+        _gemm_into_runs(cols, w_taps.reshape(-1, out_c), out, full_runs)
+
+        if save:
+            self._x_shape = x.shape
+            self._cols = cols
+            self._w_taps = w_taps
+            self._kernel = (kh, kw)
+            self._runs = (full_runs, half_runs)
+        return out
+
+    def backward(self, grad_output: np.ndarray):
+        full_runs, half_runs = self._runs
+        w_taps = self._w_taps
+        n_taps, in_c, out_c = w_taps.shape
+        kh, kw = self._kernel
+        ph, pw = kh // 2, kw // 2
+
+        parts = [grad_output[start:stop] for start, stop in full_runs]
+        grad_full = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        # (taps*C, rows) @ (rows, O): the transposed operand stays a BLAS view.
+        grad_taps = (self._cols.T @ grad_full.reshape(-1, out_c)).reshape(n_taps, in_c, out_c)
+        grad_w2 = np.ascontiguousarray(grad_taps[:kh].transpose(2, 1, 0)[..., None])
+        grad_w3 = np.empty((out_c, in_c, 1, kw), grad_taps.dtype)
+        grad_w3[:, :, 0, pw] = grad_taps[ph].T                # the centre feeds both
+        grad_w3[:, :, 0, :pw] = grad_taps[kh:kh + pw].transpose(2, 1, 0)
+        grad_w3[:, :, 0, pw + 1:] = grad_taps[kh + pw:].transpose(2, 1, 0)
+
+        if not self.input_needs_grad:
+            return None, grad_w2, grad_w3
+
+        # The flipped cross gathered from the output gradient, against the
+        # per-tap kernels transposed to (O, C).
+        flipped = tuple((-dy, -dx) for dy, dx in _cross_taps(kh, kw))
+        g_cols = _gather_runs(grad_output, flipped, full_runs)
+        w_flip = np.ascontiguousarray(w_taps.transpose(0, 2, 1)).reshape(-1, in_c)
+        # Written in place: the returned gradient owns its storage, so the
+        # tape adopts it without a copy.
+        grad_x = np.empty(self._x_shape, grad_output.dtype)
+        for start, stop in half_runs:
+            grad_x[start:stop] = grad_output[start:stop]
+        _gemm_into_runs(g_cols, w_flip, grad_x, full_runs)
+        return grad_x, grad_w2, grad_w3
+
+
+def cross_conv(x: Tensor, w2: Tensor, w3: Tensor,
+               half: Optional[Sequence[bool]] = None) -> Tensor:
+    """The TT middle ``conv2(x) + conv3(x)`` over a channels-last batch, as one op.
+
+    ``x`` is a channels-last ``(M, H, W, C)`` batch, ``w2`` the ``(O, C, kH, 1)``
+    vertical and ``w3`` the ``(O, C, 1, kW)`` horizontal kernel of Eq. 5, both
+    "same"-padded.  ``half`` is an optional per-timestep schedule (``True``
+    for a half step) over a time-folded ``(T*N, H, W, C)`` batch: half rows
+    pass through unchanged.  With no full step there is no cross to run, so
+    ``x`` itself is returned and nothing is recorded.
+    """
+    x = as_tensor(x)
+    flags = None
+    if half is not None:
+        flags = tuple(bool(flag) for flag in half)
+        if all(flags):
+            return x
+        if not any(flags):
+            flags = None
+    return apply_op("cross_conv", (x, as_tensor(w2), as_tensor(w3)),
+                    {"cls": CrossConvFunction, "kwargs": {"half": flags}})

@@ -562,6 +562,10 @@ def _fn_bwd(g, ins, out, saved, attrs, needs):
 
 
 register_op("fn", _fn_fwd, _fn_bwd, forward_inference=_fn_infer)
+# The PTT/HTT middle ``conv2 + conv3`` as one gather and one GEMM
+# (``CrossConvFunction``): the ``fn`` context protocol under its own name,
+# so profiles and plans show the cross as one node.
+register_op("cross_conv", _fn_fwd, _fn_bwd, forward_inference=_fn_infer)
 
 
 def _bn_seq_fwd(ins, attrs, out=None):

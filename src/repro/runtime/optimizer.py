@@ -22,10 +22,10 @@ Optimization levels:
       unmerged TT layer normalises through ``bn_proj_seq``, whose eval
       forward already is the folded one-GEMM affine, so on unmerged TT
       plans the pass folds only the stem norm;
-    * **frozen GEMM operands** — each channels-last convolution whose
-      weights are plan constants or parameters gets ONE persistent context
-      (a ``fn_cached`` node) that gathers its ``(kh*kw*C, O)`` GEMM operand
-      once.
+    * **frozen GEMM operands** — each channels-last convolution (and each
+      TT ``cross_conv``) whose weights are plan constants or parameters gets
+      ONE persistent context (a ``fn_cached`` node) that gathers its GEMM
+      operand once.
 
 Every pass preserves eager-vs-replay equivalence to <= 1e-6 (O1 is
 value-exact; the BN fold refactors per-channel float math and stays inside
@@ -283,17 +283,26 @@ def _freeze_conv_operands(graph: _Graph, report: OptimizerReport) -> None:
     """Give each channels-last conv with parameter weights a frozen context.
 
     O2 no-grad plans bake parameter values (documented), so the GEMM operand
-    is gathered once instead of per replay.  The NCHW conv's GEMM operand is
-    already a free view, so there is nothing to freeze there.
+    is gathered once instead of per replay.  That covers the TT layers'
+    ``cross_conv`` nodes, whose per-tap kernels are built once.  The NCHW
+    conv's GEMM operand is already a free view, so there is nothing to
+    freeze there.
     """
     for node in graph.nodes:
-        if (node is None or node.op != "fn"
-                or node.attrs.get("cls") is not ConvChannelsLastFunction
-                or graph.slots[node.inputs[1]].kind not in (CONST, LEAF)):
+        if node is None:
             continue
-        ctx = ConvChannelsLastFunction(**node.attrs["kwargs"])
+        if node.op == "fn" and node.attrs.get("cls") is ConvChannelsLastFunction:
+            weights = node.inputs[1:2]
+        elif node.op == "cross_conv":
+            weights = node.inputs[1:3]
+        else:
+            continue
+        if any(graph.slots[slot].kind not in (CONST, LEAF) for slot in weights):
+            continue
+        cls = node.attrs["cls"]
+        ctx = cls(**node.attrs["kwargs"])
         ctx.freeze_weights = True
-        node.attrs = {"cls": ConvChannelsLastFunction, "ctx": ctx}
+        node.attrs = {"cls": cls, "ctx": ctx}
         node.op = "fn_cached"
         report.frozen += 1
 

@@ -48,12 +48,14 @@ from repro.tt.layers import (
     HTTConv2d,
     PTTConv2d,
     STTConv2d,
+    cross_callable,
     htt_sequence_wiring,
     htt_step_wiring,
     normalised_projection,
     parse_htt_schedule,
     ptt_wiring,
     stt_wiring,
+    summed_cross,
 )
 
 __all__ = ["EntangledTTConv2d", "TTSupernet"]
@@ -222,8 +224,8 @@ class EntangledTTConv2d(TimedModule):
         if choice.format == "stt":
             return stt_wiring(c1, c2, c3, c4, x)
         if choice.format == "ptt":
-            return ptt_wiring(c1, c2, c3, c4, x)
-        return htt_step_wiring(c1, c2, c3, c4, x, self.half_timestep(t))
+            return ptt_wiring(c1, summed_cross(c2, c3), c4, x)
+        return htt_step_wiring(c1, summed_cross(c2, c3), c4, x, self.half_timestep(t))
 
     def forward_sequence(self, x_seq: Tensor, norm: Optional[Module] = None) -> Tensor:
         """Fused path over a channels-last ``(T, N, H, W, C)`` sequence.
@@ -243,10 +245,13 @@ class EntangledTTConv2d(TimedModule):
         cl = [c.forward_channels_last for c in sliced]
         if norm is not None:
             cl[3] = normalised_projection(norm, sliced[3].weight, sliced[3].stride, timesteps)
+        if choice.format == "stt":
+            return unfold_time(stt_wiring(*cl, fold_time(x_seq)), timesteps)
+        cross = cross_callable(sliced[1].weight, sliced[2].weight)
         if choice.format == "htt":
-            return htt_sequence_wiring(*cl, x_seq, [self.half_timestep(t) for t in steps])
-        wiring = stt_wiring if choice.format == "stt" else ptt_wiring
-        return unfold_time(wiring(*cl, fold_time(x_seq)), timesteps)
+            return htt_sequence_wiring(cl[0], cross, cl[3], x_seq,
+                                       [self.half_timestep(t) for t in steps])
+        return unfold_time(ptt_wiring(cl[0], cross, cl[3], fold_time(x_seq)), timesteps)
 
     # -- materialisation -----------------------------------------------------
 

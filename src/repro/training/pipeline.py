@@ -18,7 +18,8 @@ ready-to-serve :class:`~repro.serve.engine.InferenceEngine` snapshot, so
 model without any extra plumbing: merged if stage 5 ran, TT cores otherwise.
 Stage 5 refuses an HTT model whose schedule has half timesteps
 (:func:`repro.tt.reconstruct.merge_tt_layer`); run it with
-``merge_after_training=False``.
+``merge_after_training=False``.  :meth:`TTSNNPipeline.run` checks that
+right after the build, so such a run fails before it trains.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.snn.loss import mean_output_cross_entropy
 from repro.serve.engine import InferenceEngine
 from repro.training.config import TrainingConfig
 from repro.training.trainer import BPTTTrainer, evaluate_accuracy
-from repro.tt.reconstruct import merge_model
+from repro.tt.reconstruct import check_mergeable, merge_model
 
 __all__ = ["PipelineResult", "TTSNNPipeline"]
 
@@ -181,6 +182,10 @@ class TTSNNPipeline:
         snapshots on demand later.
         """
         model = self.build()
+        merge = merge_after_training and self.config.tt_variant is not None
+        if merge:
+            # A merge that stage 5 would refuse fails here, before any epoch.
+            check_mergeable(model)
         tt_layers = count_tt_layers(model)
         history = self.train(train_dataset, epochs=epochs, eval_dataset=eval_dataset,
                              verbose=verbose)
@@ -196,9 +201,7 @@ class TTSNNPipeline:
         accuracy = evaluate_accuracy(model, eval_set, batch_size=self.config.batch_size,
                                      timesteps=self.config.timesteps)
 
-        merged = 0
-        if merge_after_training and self.config.tt_variant is not None:
-            merged = self.merge()
+        merged = self.merge() if merge else 0
 
         method = self.config.tt_variant or "baseline"
         return PipelineResult(

@@ -13,13 +13,21 @@ and differ only in how the sub-convolutions are wired:
 * **STT** (Gabor & Zdunek baseline): ``conv1 -> conv2 -> conv3 -> conv4``.
 * **PTT** (proposed): ``conv2`` and ``conv3`` both consume the output of
   ``conv1`` and their results are summed before ``conv4`` (Eq. 5) — the
-  effective receptive field is a 3x3 cross (no corners).
+  effective receptive field is a 3x3 cross (no corners).  The channels-last
+  engine runs that cross as one op,
+  :func:`~repro.autograd.conv.cross_conv`: one gather of the five taps
+  (the shared centre once) and one GEMM.
 * **HTT** (proposed): PTT wiring on "full" timesteps, and the short path
   ``conv1 -> conv4`` on "half" timesteps (Fig. 2), exploiting timestep
   redundancy.  Both paths end in the same ``conv4``, so the fused sequence
-  path runs ``conv1`` and ``conv4`` once over all ``T`` timesteps and
-  ``conv2``/``conv3`` once per contiguous run of full timesteps, on slices
-  of ``conv1``'s output (:func:`htt_sequence_wiring`).
+  path runs ``conv1 -> cross -> conv4`` once over all ``T`` timesteps, the
+  cross op taking the schedule as a per-timestep mask: it convolves the
+  full timesteps' rows and passes the half timesteps' rows through
+  (:func:`htt_sequence_wiring`).
+
+The NCHW single-step paths (``forward``) keep the composed
+``conv2(x) + conv3(x)`` (:func:`summed_cross`), so ``step_mode="single"``
+checks the cross op independently.
 
 A note on stride: the dense convolution's stride can be placed either on the
 *first* 1x1 sub-convolution (``stride_mode="first"``, the default) or on the
@@ -39,6 +47,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.autograd.conv import cross_conv
 from repro.autograd.tensor import Tensor
 from repro.nn.layers import Conv2d, _pair
 from repro.nn.module import Module, TimedModule, fold_time, unfold_time
@@ -54,6 +63,8 @@ __all__ = [
     "ptt_wiring",
     "htt_step_wiring",
     "htt_sequence_wiring",
+    "summed_cross",
+    "cross_callable",
     "normalised_projection",
 ]
 
@@ -64,12 +75,13 @@ __all__ = [
 #
 # The three decomposition formats share the same four sub-convolutions and
 # differ only in how they are wired together.  The wiring lives in these
-# module-level functions, parameterised by four convolution *callables*, so
-# that other parameterisations of the same cores — in particular the
-# entangled supernet of :mod:`repro.search.supernet`, which applies the
-# convolutions through sliced views of shared max-rank weights — execute the
-# exact same operation sequence and stay bitwise-identical to the standalone
-# layers below.
+# module-level functions, parameterised by convolution *callables* (STT takes
+# all four; PTT and HTT take ``conv1``, the ``conv2 + conv3`` cross and
+# ``conv4``), so that other parameterisations of the same cores — in
+# particular the entangled supernet of :mod:`repro.search.supernet`, which
+# applies the convolutions through sliced views of shared max-rank weights —
+# execute the exact same operation sequence and stay bitwise-identical to the
+# standalone layers below.
 
 
 def stt_wiring(conv1, conv2, conv3, conv4, x: Tensor) -> Tensor:
@@ -80,48 +92,55 @@ def stt_wiring(conv1, conv2, conv3, conv4, x: Tensor) -> Tensor:
     return conv4(out)
 
 
-def ptt_wiring(conv1, conv2, conv3, conv4, x: Tensor) -> Tensor:
-    """Parallel wiring of Eq. 5 (Fig. 1c): branches share conv1, sum into conv4."""
-    shared = conv1(x)
-    vertical = conv2(shared)
-    horizontal = conv3(shared)
-    return conv4(vertical + horizontal)
+def ptt_wiring(conv1, cross, conv4, x: Tensor) -> Tensor:
+    """Parallel wiring of Eq. 5 (Fig. 1c): ``conv4(cross(conv1(x)))``.
+
+    ``cross`` is the 3x3 cross ``conv2 + conv3`` over ``conv1``'s output:
+    :func:`summed_cross` composes it from the two convolutions,
+    :func:`cross_callable` runs it as one ``cross_conv`` op.
+    """
+    return conv4(cross(conv1(x)))
 
 
-def htt_step_wiring(conv1, conv2, conv3, conv4, x: Tensor, use_half: bool) -> Tensor:
+def htt_step_wiring(conv1, cross, conv4, x: Tensor, use_half: bool) -> Tensor:
     """One HTT timestep (Fig. 2): PTT wiring, or the short path on half steps."""
     if use_half:
         return conv4(conv1(x))
-    return ptt_wiring(conv1, conv2, conv3, conv4, x)
+    return ptt_wiring(conv1, cross, conv4, x)
 
 
-def htt_sequence_wiring(conv1, conv2, conv3, conv4, x_seq: Tensor,
+def htt_sequence_wiring(conv1, cross, conv4, x_seq: Tensor,
                         flags: Sequence[bool]) -> Tensor:
     """Schedule-aware fused HTT over a channels-last ``(T, N, H, W, C)`` sequence.
 
-    The convolution callables operate on folded channels-last ``(M, H, W, C)``
-    batches; ``flags[t]`` is ``True`` when timestep ``t`` takes the half path.
-    ``conv1`` runs once on the whole folded batch.  The schedule is walked
-    as contiguous runs of full or half timesteps: a full run adds the
-    ``conv2 + conv3`` cross to its slice of ``conv1``'s output, a half run
-    passes its slice through.  The runs are joined in time order and
-    ``conv4`` runs once over all ``T`` timesteps.
+    The callables operate on folded channels-last ``(T*N, H, W, C)``
+    batches; ``flags[t]`` is ``True`` when timestep ``t`` takes the half
+    path.  ``conv1`` and ``conv4`` run once over all ``T`` timesteps, and
+    ``cross(h, half=flags)`` (:func:`cross_callable`) runs the cross on the
+    full timesteps' rows and passes the half timesteps' rows through.
     """
     timesteps = x_seq.shape[0]
-    shared = unfold_time(conv1(fold_time(x_seq)), timesteps)
-    runs = []
-    start = 0
-    for stop in range(1, timesteps + 1):
-        if stop < timesteps and flags[stop] == flags[start]:
-            continue
-        run = shared if stop - start == timesteps else shared[start:stop]
-        if not flags[start]:
-            folded = fold_time(run)
-            run = unfold_time(conv2(folded) + conv3(folded), stop - start)
-        runs.append(run)
-        start = stop
-    mixed = runs[0] if len(runs) == 1 else Tensor.concatenate(runs, axis=0)
-    return unfold_time(conv4(fold_time(mixed)), timesteps)
+    mixed = cross(conv1(fold_time(x_seq)), half=flags)
+    return unfold_time(conv4(mixed), timesteps)
+
+
+def summed_cross(conv2, conv3):
+    """The cross as ``conv2(h) + conv3(h)``: the composed form of Eq. 5.
+
+    The NCHW single-step paths use it, so ``step_mode="single"`` stays an
+    independent oracle for the fused engine's :func:`cross_callable`.
+    """
+    return lambda h: conv2(h) + conv3(h)
+
+
+def cross_callable(weight2: Tensor, weight3: Tensor):
+    """The cross over folded channels-last batches as one ``cross_conv`` op.
+
+    ``weight2`` and ``weight3`` are the ``(r, r, K, 1)`` and ``(r, r, 1, K)``
+    cores; the returned ``cross(h, half=None)`` takes the optional
+    per-timestep half schedule of :func:`~repro.autograd.conv.cross_conv`.
+    """
+    return lambda h, half=None: cross_conv(h, weight2, weight3, half)
 
 
 def normalised_projection(norm: Module, weight: Tensor, stride, timesteps: int):
@@ -324,10 +343,11 @@ class TTConv2dBase(Module):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.wiring(*self.sub_convolutions(), x)
+        return self._wire(self.sub_convolutions(), summed_cross(self.conv2, self.conv3), x)
 
     def forward_channels_last(self, x: Tensor) -> Tensor:
-        return self.wiring(*(c.forward_channels_last for c in self.sub_convolutions()), x)
+        convs = [c.forward_channels_last for c in self.sub_convolutions()]
+        return self._wire(convs, self._cross(), x)
 
     def forward_sequence(self, x_seq: Tensor, norm: Optional[Module] = None) -> Tensor:
         """Fused step-mode path over a channels-last ``(T, N, H, W, C)`` sequence.
@@ -344,7 +364,15 @@ class TTConv2dBase(Module):
         """
         timesteps = x_seq.shape[0]
         convs = self._sequence_convs(norm, timesteps)
-        return unfold_time(self.wiring(*convs, fold_time(x_seq)), timesteps)
+        return unfold_time(self._wire(convs, self._cross(), fold_time(x_seq)), timesteps)
+
+    def _wire(self, convs: Sequence, cross, x: Tensor) -> Tensor:
+        """Apply the variant's wiring to the four sub-convolutions or the cross."""
+        raise NotImplementedError
+
+    def _cross(self):
+        """The channels-last ``conv2 + conv3`` cross as one op (:func:`cross_callable`)."""
+        return cross_callable(self.conv2.weight, self.conv3.weight)
 
     def _sequence_convs(self, norm: Optional[Module], timesteps: int) -> list:
         """The four channels-last callables, ``conv4`` normalised when ``norm`` is set."""
@@ -359,7 +387,9 @@ class STTConv2d(TTConv2dBase):
     """Sequential TT convolution (Fig. 1b): ``conv1 -> conv2 -> conv3 -> conv4``."""
 
     variant = "stt"
-    wiring = staticmethod(stt_wiring)
+
+    def _wire(self, convs: Sequence, cross, x: Tensor) -> Tensor:
+        return stt_wiring(*convs, x)
 
 
 class PTTConv2d(TTConv2dBase):
@@ -368,11 +398,15 @@ class PTTConv2d(TTConv2dBase):
     ``conv2`` (vertical) and ``conv3`` (horizontal) both consume the output
     of ``conv1``; their sum feeds ``conv4``.  The effective kernel is a 3x3
     cross that sees vertical and horizontal context simultaneously, which is
-    what recovers the accuracy STT loses.
+    what recovers the accuracy STT loses.  The channels-last paths run that
+    cross as one ``cross_conv`` op; the NCHW single-step path sums the two
+    convolutions.
     """
 
     variant = "ptt"
-    wiring = staticmethod(ptt_wiring)
+
+    def _wire(self, convs: Sequence, cross, x: Tensor) -> Tensor:
+        return ptt_wiring(convs[0], cross, convs[3], x)
 
 
 class HTTConv2d(TTConv2dBase, TimedModule):
@@ -420,7 +454,8 @@ class HTTConv2d(TTConv2dBase, TimedModule):
 
     def forward(self, x: Tensor) -> Tensor:
         (t,) = self.advance_time()
-        return htt_step_wiring(*self.sub_convolutions(), x, self.half_timestep(t))
+        return htt_step_wiring(self.conv1, summed_cross(self.conv2, self.conv3), self.conv4,
+                               x, self.half_timestep(t))
 
     def forward_channels_last(self, x: Tensor) -> Tensor:
         # Folded batches mix timesteps, so the schedule cannot be applied;
@@ -430,13 +465,14 @@ class HTTConv2d(TTConv2dBase, TimedModule):
     def forward_sequence(self, x_seq: Tensor, norm: Optional[Module] = None) -> Tensor:
         """Schedule-aware fused path over a channels-last ``(T, N, H, W, C)`` sequence.
 
-        See :func:`htt_sequence_wiring`: ``conv2``/``conv3`` run only on the
-        timesteps the schedule marks full.  ``norm`` is handled as in
+        See :func:`htt_sequence_wiring`: the cross runs only on the timesteps
+        the schedule marks full.  ``norm`` is handled as in
         :meth:`TTConv2dBase.forward_sequence`.
         """
         timesteps = x_seq.shape[0]
         flags = [self.half_timestep(t) for t in self.advance_time(timesteps)]
-        return htt_sequence_wiring(*self._sequence_convs(norm, timesteps), x_seq, flags)
+        conv1, _, _, conv4 = self._sequence_convs(norm, timesteps)
+        return htt_sequence_wiring(conv1, self._cross(), conv4, x_seq, flags)
 
     def extra_repr(self) -> str:
         schedule = "".join("H" if h else "F" for h in self.schedule)

@@ -34,7 +34,8 @@ from repro.nn.module import Module
 from repro.tt.decomposition import TTCores, cached_einsum, tt_cores_to_dense
 from repro.tt.layers import HTTConv2d, PTTConv2d, STTConv2d, TTConv2dBase
 
-__all__ = ["reconstruct_dense_weight", "merge_tt_layer", "merge_model", "snapshot_merged"]
+__all__ = ["reconstruct_dense_weight", "check_mergeable", "merge_tt_layer", "merge_model",
+           "snapshot_merged"]
 
 
 def _parallel_cores_to_dense(cores: TTCores) -> np.ndarray:
@@ -73,21 +74,32 @@ def reconstruct_dense_weight(layer: TTConv2dBase) -> np.ndarray:
     return _parallel_cores_to_dense(cores)
 
 
+def check_mergeable(module: Module) -> None:
+    """Raise the :class:`ValueError` :func:`merge_tt_layer` would raise inside ``module``.
+
+    An HTT layer whose schedule has a half (``H``) timestep cannot merge:
+    the merged kernel is the full path, so it would run ``conv2``/``conv3``
+    on the timesteps the trained model skips them and serve a different
+    model.  ``module`` may be one TT layer or a whole model.
+    """
+    for layer in module.modules():
+        if isinstance(layer, HTTConv2d) and any(layer.schedule):
+            schedule = "".join("H" if h else "F" for h in layer.schedule)
+            raise ValueError(
+                f"cannot merge an HTT layer with schedule {schedule!r}: the merged "
+                "kernel would serve the full path on its half timesteps; serve the "
+                "model unmerged (InferenceEngine(model, merge=False))"
+            )
+
+
 def merge_tt_layer(layer: TTConv2dBase) -> Conv2d:
     """Build a dense :class:`~repro.nn.Conv2d` that replaces ``layer`` at inference.
 
     An HTT layer whose schedule has a half (``H``) timestep is refused with
-    :class:`ValueError`: the merged kernel is the full path, so it would run
-    ``conv2``/``conv3`` on the timesteps the trained model skips them and
-    serve a different model.  Serve such a model unmerged instead.
+    :class:`ValueError` (:func:`check_mergeable`).  Serve such a model
+    unmerged instead.
     """
-    if isinstance(layer, HTTConv2d) and any(layer.schedule):
-        schedule = "".join("H" if h else "F" for h in layer.schedule)
-        raise ValueError(
-            f"cannot merge an HTT layer with schedule {schedule!r}: the merged "
-            "kernel would serve the full path on its half timesteps; serve the "
-            "model unmerged (InferenceEngine(model, merge=False))"
-        )
+    check_mergeable(layer)
     dense_weight = reconstruct_dense_weight(layer)
     merged = Conv2d(
         layer.in_channels,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
-from repro.autograd.conv import conv2d
+from repro.autograd.conv import conv2d, cross_conv
 from repro.autograd.ops import OPS
 from repro.autograd.tensor import Tensor
 from repro.nn.layers import BatchNorm2d, batch_norm_sequence
@@ -112,6 +112,14 @@ CASES = {
     "fn_max_pool2d": ([(2, 3, 4, 4)], None, _stateless(lambda a: F.max_pool2d(a, 2))),
     "fn_conv2d": ([(2, 3, 5, 5), (4, 3, 3, 3)], None,
                   _stateless(lambda x, w: conv2d(x, w, None, stride=1, padding=1))),
+    "cross_conv": ([(4, 5, 4, 3), (3, 3, 3, 1), (3, 3, 1, 3)], None,
+                   _stateless(lambda x, w2, w3: cross_conv(x, w2, w3))),
+    "cross_conv_half_run": ([(4, 5, 4, 3), (3, 3, 3, 1), (3, 3, 1, 3)], None,
+                            _stateless(lambda x, w2, w3: cross_conv(
+                                x, w2, w3, (False, False, True, True)))),
+    "cross_conv_half_interleaved": ([(4, 5, 4, 3), (3, 3, 3, 1), (3, 3, 1, 3)], None,
+                                    _stateless(lambda x, w2, w3: cross_conv(
+                                        x, w2, w3, (False, True, False, True)))),
     "dropout": ([(4, 6)], None, _dropout),
     "bn_seq": ([(2, 4, 2, 2, 3), (3,), (3,)], None, _bn_seq),
     "bn_proj_seq": ([(2, 4, 2, 2, 5), (3, 5, 1, 1)], None, _bn_proj_seq),

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
-from repro.autograd.conv import Conv2dFunction, ConvChannelsLastFunction
+from repro.autograd.conv import Conv2dFunction, ConvChannelsLastFunction, CrossConvFunction
 from repro.autograd.ops import get_op
 from repro.autograd.tensor import Tensor, no_grad
 from repro.models.builder import convert_to_tt
@@ -448,9 +448,12 @@ def test_frozen_gemm_operands_only_in_o2_serve_plans(optimize):
         assert not frozen
         return
     assert frozen and all(ctx.freeze_weights for ctx in frozen)
-    assert all(isinstance(ctx, ConvChannelsLastFunction) for ctx in frozen)
+    assert all(isinstance(ctx, (ConvChannelsLastFunction, CrossConvFunction))
+               for ctx in frozen)
+    assert any(isinstance(ctx, CrossConvFunction) for ctx in frozen)
     assert not any(node.op == "fn" and node.attrs["cls"] is ConvChannelsLastFunction
                    for node in nodes)
+    assert not any(node.op == "cross_conv" for node in nodes)
 
 
 # ---------------------------------------------------------------------------

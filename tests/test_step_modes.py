@@ -114,8 +114,8 @@ class TestTTModels:
     def test_htt_all_half_schedule(self):
         """Degenerate and interleaved HTT schedules keep mode equivalence.
 
-        The fused path walks the schedule's contiguous full/half runs, so the
-        cases cover a single run of either kind, several full runs and a
+        The fused path masks the half steps inside one ``cross_conv`` op, so
+        the cases cover a single run of either kind, several full runs and a
         leading half run, with the stride on the first or the last 1x1.
         """
         cases = [("HH", "first"), ("FF", "first")]

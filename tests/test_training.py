@@ -151,6 +151,29 @@ class TestPipeline:
         result = pipeline.run(tiny_static_dataset, epochs=1, merge_after_training=False)
         assert result.tt_layers == 16
 
+    def test_refused_htt_merge_fails_before_training(self, tiny_static_dataset, monkeypatch):
+        """The default merge of an HTT model with half steps raises right after the build."""
+        config = TrainingConfig(timesteps=2, epochs=1, batch_size=8, tt_variant="htt",
+                                tt_rank=3, htt_schedule="FH")
+        pipeline = TTSNNPipeline(tiny_factory(timesteps=2), config)
+        built = {}
+        build = pipeline.build
+
+        def recording_build():
+            model = build()
+            built.update({name: p.data.copy() for name, p in model.named_parameters()})
+            return model
+
+        monkeypatch.setattr(pipeline, "build", recording_build)
+        monkeypatch.setattr(pipeline, "train",
+                            lambda *args, **kwargs: pytest.fail("trained before the check"))
+        with pytest.raises(ValueError, match="cannot merge an HTT layer"):
+            pipeline.run(tiny_static_dataset, epochs=1)
+        params = dict(pipeline.model.named_parameters())
+        assert built and params.keys() == built.keys()
+        for name, value in built.items():
+            np.testing.assert_array_equal(params[name].data, value, err_msg=name)
+
     def test_pipeline_vbmf_rank_policy(self, tiny_static_dataset):
         config = TrainingConfig(timesteps=2, epochs=1, batch_size=8, tt_variant="ptt",
                                 tt_rank="vbmf")

@@ -165,22 +165,25 @@ class TestHTT:
             layer(x)
         assert layer.half_timestep(10) is True
 
-    @pytest.mark.parametrize("schedule, convs", [("FFHH", 4), ("FFFF", 4), ("HHHH", 2),
-                                                 ("FHFH", 6)])
-    def test_sequence_wiring_runs_conv4_once(self, rng, schedule, convs):
-        """conv1 and conv4 run once over all T; conv2/conv3 once per full run."""
-        layer = HTTConv2d(4, 6, 3, rank=3, timesteps=4, schedule=schedule)
-        x_seq = Tensor(rng.standard_normal((4, 2, 5, 5, 4)).astype(np.float32),
+    @pytest.mark.parametrize("schedule, crosses", [("FFHH", 1), ("FFFF", 1), ("HHHH", 0),
+                                                   ("FHFH", 1), ("FFFHHH", 1)])
+    def test_sequence_wiring_runs_each_op_once(self, rng, schedule, crosses):
+        """conv1, the cross and conv4 run once over all T, with no slice or join.
+
+        The half steps pass through inside the one ``cross_conv`` node; with no
+        full step there is no cross on the tape at all.
+        """
+        timesteps = len(schedule)
+        layer = HTTConv2d(4, 6, 3, rank=3, timesteps=timesteps, schedule=schedule)
+        x_seq = Tensor(rng.standard_normal((timesteps, 2, 5, 5, 4)).astype(np.float32),
                        requires_grad=True)
         with GraphCapture() as capture:
             layer.forward_sequence(x_seq)
+        ops = [node.op for node in capture.nodes]
+        assert ops.count("cross_conv") == crosses
+        assert "getitem" not in ops and "concatenate" not in ops
         fn_classes = [node.attrs["cls"].__name__ for node in capture.nodes if node.op == "fn"]
-        assert len(fn_classes) == convs
-        assert all("Conv" in name for name in fn_classes)
-        for node in capture.nodes:
-            if node.op == "getitem":
-                index = node.attrs["index"]
-                assert not isinstance(index, (list, np.ndarray)), index
+        assert fn_classes == ["ConvChannelsLastFunction"] * 2
 
     def test_invalid_timesteps(self):
         with pytest.raises(ValueError):
