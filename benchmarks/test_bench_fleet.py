@@ -1,17 +1,17 @@
 """Benchmark for the multi-replica serving fleet (:mod:`repro.fleet`).
 
 A :class:`~repro.fleet.server.FleetServer` scales the single-engine serving
-stack by replication: N engine snapshots, each behind its own micro-batcher,
-fed by a load-aware router behind a bounded admission queue.  This file
-asserts the subsystem's headline guarantees:
+stack by replication: N engine snapshots whose worker threads pull batches
+from one bounded admission queue.  This file asserts the subsystem's
+headline guarantees:
 
 * **throughput** — a 2-replica thread fleet answers a concurrent burst at
   least **1.5x** the QPS of a 1-replica fleet (interleaved A/B medians;
   skipped on single-core machines where there is no parallelism to win);
 * **backpressure** — an over-capacity burst sheds with typed
   :class:`~repro.fleet.errors.Overloaded` while the p99 of *admitted*
-  requests stays bounded by ``(queue_capacity + in-flight) x service time``
-  — the bounded queue, not luck, caps the tail;
+  requests stays bounded by ``(queue_capacity + replicas x max_batch_size)
+  x service time`` — the bounded queue, not luck, caps the tail;
 * **streaming parity** — chunked persistent-membrane streaming over a fleet
   session reproduces the one-shot fixed-``T`` forward to **1e-6**.
 
@@ -93,13 +93,12 @@ def test_two_replica_qps_speedup():
 
 def test_overload_burst_sheds_typed_with_bounded_p99():
     """Over capacity, extra requests shed typed and the admitted p99 stays
-    bounded by the (queue + in-flight) budget — not by the burst size."""
-    capacity, inflight, burst = 8, 8, 96
+    bounded by the (queue + held batches) budget — not by the burst size."""
+    capacity, replicas, batch_size, burst = 8, 1, 4, 96
     model = _make_model()
     requests = _make_requests(burst, seed=1)
-    with FleetServer(replicas=1, max_batch_size=4, max_wait_ms=1.0,
-                     queue_capacity=capacity,
-                     max_inflight_per_replica=inflight) as fleet:
+    with FleetServer(replicas=replicas, max_batch_size=batch_size,
+                     max_wait_ms=1.0, queue_capacity=capacity) as fleet:
         fleet.register("vgg", model, warmup_sample=requests[0], merge=True)
         # Calibrate the per-request service time through the real path,
         # serially so calibration itself cannot overflow the queue.  Serial
@@ -127,15 +126,16 @@ def test_overload_burst_sheds_typed_with_bounded_p99():
             # which makes the bound harder to meet — never easier.
             latencies.append(time.perf_counter() - submitted)
         p99_s = float(np.percentile(latencies, 99))
-        budget = capacity + inflight + 1
+        # Ahead of an admitted request: the queue, plus one batch per replica.
+        budget = capacity + replicas * batch_size + 1
         bound_s = budget * service_per_request_s * 6.0
     print(f"\nfleet overload burst {burst} vs capacity {capacity} "
-          f"(+{inflight} in-flight): shed {shed}, admitted {len(admitted)}, "
+          f"(+{replicas}x{batch_size} held): shed {shed}, admitted {len(admitted)}, "
           f"admitted p99 {p99_s * 1e3:.0f} ms, bound {bound_s * 1e3:.0f} ms, "
           f"service {service_per_request_s * 1e3:.1f} ms/req")
     record_bench("fleet_overload", {
         "burst": burst, "queue_capacity": capacity,
-        "max_inflight_per_replica": inflight, "shed": shed,
+        "replicas": replicas, "max_batch_size": batch_size, "shed": shed,
         "admitted": len(admitted), "p99_admitted_ms": p99_s * 1e3,
         "p99_bound_ms": bound_s * 1e3,
         "service_per_request_ms": service_per_request_s * 1e3,

@@ -5,8 +5,8 @@ This picks up where ``examples/serve_quickstart.py`` stops.  A single
 *replication* and adds the deployment-side machinery around it:
 
 1. stand up a :class:`FleetServer` with two in-process replicas of one
-   TT-SNN snapshot (serving its TT cores) and fire a concurrent burst through the load-aware
-   router (bounded admission queue, priorities, per-request deadlines),
+   TT-SNN snapshot (serving its TT cores) and fire a concurrent burst into
+   their shared bounded admission queue (priorities, per-request deadlines),
 2. kill a replica mid-traffic and watch the fleet reroute and auto-restart,
 3. roll out a "new version" as a **canary** (10% of traffic, auto-promote
    on the error-rate + p99 gate) and then validate another candidate in
@@ -55,7 +55,7 @@ def main() -> None:
     fleet = FleetServer(replicas=2, max_batch_size=8, max_wait_ms=2.0,
                         queue_capacity=32, restart_backoff_s=0.2)
 
-    # 1. Two replicas of one TT-core snapshot behind the load-aware router.
+    # 1. Two replicas of one TT-core snapshot pulling from one admission queue.
     fleet.register("vgg", make_model(0), warmup_sample=samples[0])
     futures = [submit_with_retry(fleet, "vgg", sample, priority=i % 2,
                                  deadline_s=30.0)
@@ -67,8 +67,8 @@ def main() -> None:
         print(f"  {row['name']}: alive={row['alive']} "
               f"utilization={row['utilization']:.2f}")
 
-    # 2. Kill a replica mid-traffic: in-flight requests reroute, the
-    #    supervisor restarts the slot with capped backoff.
+    # 2. Kill a replica mid-traffic: the batch it held is requeued for its
+    #    sibling, the supervisor restarts the slot with capped backoff.
     fleet._entry("vgg").group.slots[0].replica.kill()
     more = [fleet.submit("vgg", sample) for sample in samples[:16]]
     answered = sum(1 for f in more if np.isfinite(f.result(timeout=120)).all())

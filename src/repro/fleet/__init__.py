@@ -8,18 +8,17 @@ a time.  This package scales it by *replication* — the same production
 pattern the paper's deployment story implies once a trained snapshot serves
 real traffic:
 
-* :mod:`~repro.fleet.replica` — N identical in-process engine snapshots
-  (NumPy releases the GIL in its GEMMs), each behind its own micro-batcher
-  and circuit breaker, supervised with capped-backoff automatic restart;
-* :mod:`~repro.fleet.admission` — bounded priority queues in front of every
-  model: typed :class:`~repro.fleet.errors.Overloaded` backpressure with a
+* :mod:`~repro.fleet.admission` — one bounded priority queue per replica
+  group: typed :class:`~repro.fleet.errors.Overloaded` backpressure with a
   ``retry_after_s`` hint, and per-request deadlines enforced before a stale
   request can occupy a batch slot
   (:class:`~repro.fleet.errors.DeadlineExceeded`);
-* :class:`~repro.fleet.server.FleetServer` — the load-aware router:
-  least-outstanding-requests replica choice with queue-depth tiebreak, one
-  automatic reroute when a replica crashes mid-request, and atomic
-  pointer-swap deploys;
+* :mod:`~repro.fleet.replica` — N identical in-process engine snapshots
+  (NumPy releases the GIL in its GEMMs), each with its own circuit breaker
+  and worker thread, which pulls batches straight from its group's queue;
+* :class:`~repro.fleet.server.FleetServer` — the groups and their
+  supervisor: capped-backoff restarts, one requeue of a crashed batch, and
+  atomic pointer-swap deploys;
 * :mod:`~repro.fleet.rollout` — measured hot-swaps under live traffic:
   canary splits with an auto-promote / auto-rollback gate on error rate and
   p99, and shadow mirroring that compares candidate logits without ever
@@ -30,8 +29,8 @@ real traffic:
   forward to 1e-6, with replica affinity, crash re-pinning and idle
   eviction.
 
-Everything is instrumented through :mod:`repro.obs`: ``serve.request`` /
-``fleet.route`` / ``fleet.canary`` span trees, per-replica utilization and
+Everything is instrumented through :mod:`repro.obs`: ``serve.request`` →
+``fleet.route`` → ``replica.request`` span trees, per-replica utilization and
 outstanding-request gauges, queue-depth gauges and shed counters.  See the
 README "Serving fleet" section and ``examples/fleet_quickstart.py``.
 """

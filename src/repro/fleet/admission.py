@@ -10,9 +10,11 @@ capacity; everything beyond that budget is shed instead of queued.
 
 Ordering inside the bound is by ``priority`` (higher first; FIFO within a
 priority level via a monotonically increasing sequence number), so a burst
-of background work cannot starve interactive requests.  Deadlines are
-*checked*, not enforced, here — the dispatcher drops expired requests at
-dequeue so a stale request never occupies a batch slot.
+of background work cannot starve interactive requests.  Every replica of a
+group pulls its batches straight from the group's one queue
+(:meth:`AdmissionQueue.pop_batch`).  Deadlines are *checked*, not enforced,
+here — the replica fails expired requests when it pops them, so a stale
+request never reaches a fused forward.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ class FleetRequest:
         self.enqueued = time.monotonic()
         self.root_span = root_span
         self.route_span = route_span
-        #: Crash re-dispatch count (the router reroutes a request at most once).
+        #: Crash requeue count (a request is requeued at most once).
         self.retries = 0
-        #: Rollout arm this request was served by (``"baseline"``/``"canary"``).
+        #: Rollout arm: ``"baseline"``, ``"canary"``, or ``"shadow"`` for a
+        #: mirror copy whose answer only feeds the shadow comparison.
         self.arm = "baseline"
 
     def expired(self, now: Optional[float] = None) -> bool:
@@ -64,7 +67,7 @@ class AdmissionQueue:
     ``put`` never blocks: when the queue is at ``capacity`` it raises
     :class:`Overloaded` immediately.  ``retry_after_s`` is estimated as the
     time to drain the current depth at the recently observed service rate
-    (an EWMA over dequeue-to-completion times fed by the dispatcher via
+    (an EWMA of per-request service times fed by the replicas via
     :meth:`note_served`), floored so clients never busy-spin.
     """
 
@@ -78,7 +81,7 @@ class AdmissionQueue:
         self._lock = threading.RLock()
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
-        #: EWMA of per-request service seconds (dispatch -> resolution).
+        #: EWMA of per-request service seconds (a fused forward over its size).
         self._ewma_service_s = 0.01
 
     # -- producer side ------------------------------------------------------------
@@ -118,12 +121,39 @@ class AdmissionQueue:
 
     def get(self, timeout: float = 0.05) -> Optional[FleetRequest]:
         """Pop the highest-priority request, or ``None`` on timeout/close."""
+        batch = self.pop_batch(1, 0.0) if self.wait(timeout) else []
+        return batch[0] if batch else None
+
+    def wait(self, timeout: float) -> bool:
+        """Block until a request is queued or the queue closes; ``True`` if one is."""
         with self._not_empty:
-            if not self._heap:
+            if not self._heap and not self._closed:
                 self._not_empty.wait(timeout)
-            if not self._heap:
-                return None
-            return heapq.heappop(self._heap)[2]
+            return bool(self._heap)
+
+    def pop_batch(self, max_size: int, max_wait_s: float) -> list:
+        """Pop up to ``max_size`` requests, highest priority first.
+
+        Returns ``[]`` when the queue is empty.  Once it holds a first
+        request it waits at most ``max_wait_s`` for co-riders to fill the
+        batch (not at all once the queue is closed).
+        """
+        batch: list = []
+        with self._not_empty:
+            deadline = None
+            while len(batch) < max_size:
+                if self._heap:
+                    batch.append(heapq.heappop(self._heap)[2])
+                    continue
+                if not batch or self._closed:
+                    break
+                now = time.monotonic()
+                if deadline is None:
+                    deadline = now + max_wait_s
+                if now >= deadline:
+                    break
+                self._not_empty.wait(deadline - now)
+        return batch
 
     def drain(self) -> list:
         """Remove and return every queued request (shutdown path)."""
@@ -138,6 +168,10 @@ class AdmissionQueue:
             self._not_empty.notify_all()
 
     # -- signals ------------------------------------------------------------------
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
 
     @property
     def depth(self) -> int:

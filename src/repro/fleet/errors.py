@@ -28,7 +28,7 @@ class FleetError(RuntimeError):
 class Overloaded(FleetError):
     """Admission control rejected the request: the model's queue is full.
 
-    ``retry_after_s`` is the router's estimate of when capacity frees up
+    ``retry_after_s`` is the queue's estimate of when capacity frees up
     (queue depth over recent service rate) — the standard backpressure hint
     a client maps to ``Retry-After``.  Shedding at admission keeps the queue
     bounded, which is what keeps p99 for *admitted* requests bounded during
@@ -43,19 +43,19 @@ class Overloaded(FleetError):
 class DeadlineExceeded(FleetError):
     """The request's deadline passed before a replica could run it.
 
-    Raised at admission (deadline already in the past) or at dispatch time —
-    an expired request is dropped *before* it occupies a batch slot, so a
-    burst of stale work cannot starve fresh requests.
+    Raised at admission (deadline already in the past) or when a replica
+    pops the request — an expired request never reaches a fused forward, so
+    a burst of stale work cannot starve fresh requests.
     """
 
 
 class ReplicaCrashed(FleetError):
     """The replica serving this request died mid-flight.
 
-    The router marks the replica dead (its supervisor restarts it with a
-    capped exponential backoff) and re-routes the request once to a healthy
-    sibling; this error only reaches the caller when no sibling could take
-    the request in time.
+    The crashed batch is requeued once for a sibling (the supervisor
+    restarts the replica with a capped exponential backoff); this error only
+    reaches the caller on a second crash, or when the group has no alive
+    replica left.
     """
 
     def __init__(self, message: str, replica: Optional[str] = None):

@@ -10,11 +10,11 @@ careful, because it has replicas to spare:
   ``min_requests``, the gate compares its error rate and p99 against the
   baseline and decides **promote** (candidate becomes the only group) or
   **rollback** (candidate is retired, baseline keeps serving).  The caller
-  (the fleet dispatcher) applies the decision — this class only measures
+  (the fleet server) applies the decision — this class only measures
   and judges, so it is trivially unit-testable.
 * **Shadow** (:class:`ShadowRollout`) — the candidate receives a *mirror*
   of every request but its answers are never returned to clients; instead
-  the dispatcher hands both arms' logits to :meth:`ShadowRollout.record`,
+  the fleet hands both arms' logits to :meth:`ShadowRollout.record`,
   which tracks the worst absolute divergence.  Shadowing validates numerics
   (a merged TT model, a new backend, a quantised variant) at zero client
   risk before any cutover.
@@ -108,7 +108,7 @@ class CanaryRollout:
         """Deterministic credit split: every ``1/fraction``-th request canaries."""
         with self._lock:
             if self.decision is not None:
-                # The gate already ruled; the dispatcher is about to apply it.
+                # The gate already ruled; the fleet is about to apply it.
                 return "baseline" if self.decision == "rollback" else "canary"
             self._credit += self.fraction
             if self._credit >= 1.0:
@@ -123,7 +123,7 @@ class CanaryRollout:
 
         The first call that pushes the canary arm over the gate threshold
         gets the non-``None`` decision; later calls return ``None`` again so
-        the dispatcher applies promote/rollback exactly once.
+        the fleet applies promote/rollback exactly once.
         """
         with self._lock:
             self._arms[arm].record(latency_s, error)
@@ -171,9 +171,9 @@ class CanaryRollout:
 class ShadowRollout:
     """Mirror-traffic numerics validation: compare, never answer.
 
-    The dispatcher submits every request to both the primary group and the
-    shadow candidate, answers the client from the primary, and feeds both
-    logit rows here.  ``tolerance`` bounds the acceptable absolute
+    The fleet answers the client from the primary group, queues a copy of
+    every answered request on the shadow candidate, and feeds both logit
+    rows here.  ``tolerance`` bounds the acceptable absolute
     divergence (1e-5 by default — fused-engine float32 rounding).
     """
 

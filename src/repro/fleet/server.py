@@ -1,43 +1,40 @@
-"""The fleet router: replicas, admission, dispatch, rollout, sessions.
+"""The fleet server: replica groups, admission, rollout, sessions.
 
 :class:`FleetServer` is the multi-replica counterpart of
-:class:`repro.serve.server.InferenceServer`.  Where the single server owns
-one engine behind one batcher, the fleet owns, per registered model:
+:class:`repro.serve.server.InferenceServer`.  Per registered model it owns:
 
-* a **replica group** — N identical in-process engine snapshots
-  (:mod:`repro.fleet.replica`), each behind its own micro-batcher and
-  circuit breaker, supervised by a restart policy with capped exponential
-  backoff;
-* an **admission queue** — bounded and priority-ordered
-  (:mod:`repro.fleet.admission`); over-capacity bursts shed with typed
-  :class:`~repro.fleet.errors.Overloaded` instead of queueing unboundedly;
-* a **dispatcher thread** — pops admitted requests, drops expired ones
-  (:class:`~repro.fleet.errors.DeadlineExceeded`), picks the
-  least-outstanding alive replica (queue depth breaks ties) and hands the
-  sample to that replica's batcher.  A request whose replica crashes
-  mid-flight is re-routed once to a healthy sibling before any error
-  reaches the client;
-* optional **rollout state** — a canary split or a shadow mirror
-  (:mod:`repro.fleet.rollout`) evaluated continuously under live traffic,
-  with promote/rollback applied atomically by pointer swap (retired
-  replica groups are torn down by the dispatcher, never by a completion
-  callback running on the retired group's own worker thread).
+* a **replica group** — N identical engine snapshots
+  (:mod:`repro.fleet.replica`) in front of **one** bounded, priority-ordered
+  admission queue (:mod:`repro.fleet.admission`).  Each replica's worker
+  thread pops up to ``max_batch_size`` requests (waiting at most
+  ``max_wait_ms`` for co-riders), fails expired ones with
+  :class:`~repro.fleet.errors.DeadlineExceeded`, runs one fused forward and
+  resolves the client futures itself: one queue and one thread hop, as in
+  the single server, and no router — an idle replica takes the next batch.
+  A crashed batch is requeued once for a sibling;
+* a **supervisor thread**, off the request path — restarts dead replicas
+  with capped exponential backoff, fails the queue of a group with no alive
+  replica (:class:`~repro.fleet.errors.ReplicaCrashed`), closes retired
+  groups once their queues drain, and evicts idle sessions;
+* optional **rollout state** (:mod:`repro.fleet.rollout`) — a canary split
+  chosen at ``submit`` (the request joins the candidate group's queue) or a
+  shadow mirror queued once the primary batch answers, promoted or rolled
+  back atomically by pointer swap.
 
-Observability: every request runs under a ``serve.request`` root span with
-``fleet.route`` / ``fleet.canary`` children and the replica-level
-``replica.request`` span nested below, so the flight recorder's slow-trace
-ranking covers fleet requests exactly like single-server ones.  Queue
-depth, per-replica outstanding counts and utilization, shed counts by
-reason, restarts and canary decisions all export through the
+Every request runs under a ``serve.request`` → ``fleet.route`` →
+``replica.request`` span tree (the batch leader also holds the fused
+forward's ``serve.batch`` span); queue depth, per-replica outstanding and
+utilization, shed counts, restarts and canary decisions export through the
 :mod:`repro.obs.metrics` registry.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -58,8 +55,8 @@ __all__ = ["FleetServer"]
 #: Shed reasons exported as ``repro_fleet_shed_total{reason=...}``.
 _SHED_REASONS = ("overloaded", "deadline", "crashed")
 
-#: Dispatcher poll interval: the longest an idle dispatcher blocks on the
-#: admission queue before it runs restart supervision again.
+#: Supervisor period, and the longest an idle replica worker blocks on its
+#: queue before it checks again whether it was killed or closed.
 _TICK_S = 0.02
 
 
@@ -82,53 +79,65 @@ class _ReplicaSlot:
 
 
 class _ReplicaGroup:
-    """N identical replicas of one model version plus their build recipe."""
+    """N identical replicas of one model version pulling from one queue."""
 
-    def __init__(self, version, factory, count: int):
+    def __init__(self, version, factory, count: int, capacity: int):
         self.version = version
         self.factory = factory  # (slot_index, generation) -> Replica
+        self.queue = AdmissionQueue(capacity)
         self.slots = [_ReplicaSlot(i, factory(i, 0)) for i in range(count)]
+        #: Worker loop every replica of the group runs (set by ``start``).
+        self.loop: Optional[Callable[[Replica], None]] = None
+
+    def start(self, loop: Callable[[Replica], None]) -> None:
+        self.loop = loop
+        for slot in self.slots:
+            slot.replica.start(loop)
 
     def alive(self) -> List[Replica]:
         return [slot.replica for slot in self.slots if slot.replica.alive]
 
     def pick(self) -> Optional[Replica]:
-        """Least outstanding requests; queue depth breaks ties."""
+        """The first alive replica (sessions pin to it), or ``None``."""
         alive = self.alive()
-        if not alive:
-            return None
-        return min(alive, key=lambda r: (r.outstanding, r.queue_depth))
+        return alive[0] if alive else None
 
-    def ranked(self) -> List[Replica]:
-        return sorted(self.alive(),
-                      key=lambda r: (r.outstanding, r.queue_depth))
-
-    def close(self, timeout: float = 10.0) -> None:
+    def close(self, timeout: float = 10.0) -> list:
+        """Close the queue, join the workers once they drained it, and return
+        whatever they left queued (a dead group drains nothing)."""
+        self.queue.close()
         for slot in self.slots:
             slot.replica.close(timeout=timeout)
+        return self.queue.drain()
 
 
 class _ModelEntry:
     """Everything the fleet holds for one registered model name."""
 
-    def __init__(self, name: str, group: _ReplicaGroup, queue: AdmissionQueue,
-                 stats: ServerStats):
+    def __init__(self, name: str, group: _ReplicaGroup, stats: ServerStats):
         self.name = name
         self.group = group
-        self.queue = queue
         self.stats = stats
-        self.stopping = False
-        self.dispatcher: Optional[threading.Thread] = None
+        self.stopped = threading.Event()
+        self.supervisor: Optional[threading.Thread] = None
         #: Serialises group-pointer swaps (canary promote/rollback, deploys).
         self.swap_lock = threading.Lock()
         self.canary: Optional[dict] = None  # {"rollout": CanaryRollout, "group": _ReplicaGroup}
         self.shadow: Optional[dict] = None  # {"rollout": ShadowRollout, "group": _ReplicaGroup}
-        #: Groups replaced by a swap/rollback, closed by the dispatcher —
-        #: never by a completion callback running on the group's own worker.
+        #: Groups replaced by a swap/rollback, closed by the supervisor —
+        #: never by a replica worker, which would join itself.
         self.retired: List[_ReplicaGroup] = []
         self.sessions: Dict[str, StreamingSession] = {}
         self.session_lock = threading.Lock()
         self.metrics: dict = {}
+
+    def groups(self) -> List[_ReplicaGroup]:
+        """The serving group plus any canary or shadow candidate."""
+        groups = [self.group]
+        for rollout in (self.canary, self.shadow):
+            if rollout is not None:
+                groups.append(rollout["group"])
+        return groups
 
 
 class FleetServer:
@@ -141,19 +150,12 @@ class FleetServer:
         Replicas are in-process engines that overlap wherever NumPy
         releases the GIL.
     max_batch_size / max_wait_ms:
-        Per-replica micro-batching policy.
+        Batching policy of every replica worker.
     queue_capacity:
-        Admission bound per model; requests beyond it shed with
-        :class:`Overloaded`.
-    max_inflight_per_replica:
-        Dispatch throttle: the dispatcher stops forwarding admitted
-        requests while every alive replica already holds this many
-        in-flight (default ``2 * max_batch_size`` — one batch computing,
-        one ready behind it).  Without the throttle the replicas' unbounded
-        batcher queues would absorb any burst and the admission bound
-        could never engage; with it, over-capacity bursts shed at the
-        front door and the tail latency of *admitted* requests stays
-        bounded by ``(queue_capacity + inflight) x service time``.
+        Admission bound per replica group; requests beyond it shed with
+        :class:`Overloaded`.  An admitted request waits behind at most
+        ``queue_capacity + replicas * max_batch_size`` others, which bounds
+        the admitted tail latency however hard a burst overshoots.
     restart_backoff_s / restart_backoff_cap_s / max_restarts:
         Crash supervision: a dead replica is rebuilt after
         ``backoff * 2**restarts`` seconds (capped), at most ``max_restarts``
@@ -166,13 +168,10 @@ class FleetServer:
     breaker_window / breaker_min_requests / breaker_error_threshold /
     breaker_open_s:
         Per-replica circuit breaker
-        (:class:`~repro.resilience.breaker.CircuitBreaker`): each replica's
-        recent outcomes feed a sliding window; at ``breaker_error_threshold``
-        error fraction (with at least ``breaker_min_requests`` samples) the
-        breaker opens and the router skips the replica for ``breaker_open_s``
-        seconds, then half-opens with bounded probes.  When *every* breaker
-        is open the router falls back to any alive replica — availability
-        beats purity.
+        (:class:`~repro.resilience.breaker.CircuitBreaker`) fed with one
+        outcome per batch.  While open (``breaker_open_s``, then a half-open
+        probe batch) the replica leaves the queue to its routable siblings;
+        when *every* breaker is open the replicas pull anyway.
     session_idle_timeout_s:
         Streaming sessions idle longer than this are evicted (closed with
         reason ``"idle"``).
@@ -187,7 +186,6 @@ class FleetServer:
         max_batch_size: int = 8,
         max_wait_ms: float = 2.0,
         queue_capacity: int = 64,
-        max_inflight_per_replica: Optional[int] = None,
         restart_backoff_s: float = 0.2,
         restart_backoff_cap_s: float = 5.0,
         max_restarts: int = 5,
@@ -200,16 +198,13 @@ class FleetServer:
     ):
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
+        if max_batch_size < 1 or max_wait_ms < 0:
+            raise ValueError("need max_batch_size >= 1 and max_wait_ms >= 0, got "
+                             f"{max_batch_size} and {max_wait_ms}")
         self.default_replicas = int(replicas)
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_ms = float(max_wait_ms)
+        self.max_wait_s = float(max_wait_ms) / 1000.0
         self.queue_capacity = int(queue_capacity)
-        self.max_inflight = (int(max_inflight_per_replica)
-                             if max_inflight_per_replica is not None
-                             else 2 * self.max_batch_size)
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight_per_replica must be >= 1, "
-                             f"got {self.max_inflight}")
         self.restart_backoff_s = float(restart_backoff_s)
         self.restart_backoff_cap_s = float(restart_backoff_cap_s)
         self.max_restarts = int(max_restarts)
@@ -235,25 +230,24 @@ class FleetServer:
             return Replica(
                 f"{name}/v{version}/r{slot}.{generation}",
                 InferenceEngine(model, **engine_kwargs),
-                CircuitBreaker(**self._breaker_kwargs),
-                max_batch_size=self.max_batch_size,
-                max_wait_ms=self.max_wait_ms, model_name=name)
+                CircuitBreaker(**self._breaker_kwargs), model_name=name)
 
         return factory
 
     def _build_group(self, name: str, model, version, count: int,
                      warmup_sample, engine_kwargs: dict) -> _ReplicaGroup:
         factory = self._make_factory(name, model, version, engine_kwargs)
-        group = _ReplicaGroup(version, factory, count)
+        group = _ReplicaGroup(version, factory, count, self.queue_capacity)
         if warmup_sample is not None:
-            # Warm through the real submit path so first client requests
-            # never pay first-call costs on any replica.
-            futures = [slot.replica.submit(np.asarray(warmup_sample,
-                                                      dtype=np.float32))
-                       for slot in group.slots]
-            for future in futures:
-                future.result(timeout=120.0)
+            # Warm through the replicas' fused forward so first client
+            # requests never pay first-call costs on any replica.
+            batch = np.asarray(warmup_sample, dtype=np.float32)[None]
+            for slot in group.slots:
+                slot.replica.run_batch(batch)
         return group
+
+    def _start_group(self, entry: _ModelEntry, group: _ReplicaGroup) -> None:
+        group.start(lambda replica: self._serve(entry, group, replica))
 
     def register(
         self,
@@ -279,15 +273,14 @@ class FleetServer:
         try:
             with self._lock:
                 self._check_new_name(name)
-                entry = _ModelEntry(name, group,
-                                    AdmissionQueue(self.queue_capacity),
-                                    ServerStats(name=name))
+                entry = _ModelEntry(name, group, ServerStats(name=name))
                 self._register_metrics(entry, count)
-                entry.dispatcher = threading.Thread(
-                    target=self._dispatch_loop, args=(entry,),
-                    name=f"fleet-dispatch-{name}", daemon=True)
+                entry.supervisor = threading.Thread(
+                    target=self._supervise, args=(entry,),
+                    name=f"fleet-supervisor-{name}", daemon=True)
                 self._models[name] = entry
-                entry.dispatcher.start()
+                self._start_group(entry, group)
+                entry.supervisor.start()
         except BaseException:
             group.close()
             raise
@@ -306,7 +299,7 @@ class FleetServer:
         metrics = entry.metrics
         metrics["queue_depth"] = self.registry.gauge(
             "repro_fleet_queue_depth", "Admission-queue depth",
-            labels=labels, fn=lambda: entry.queue.depth)
+            labels=labels, fn=lambda: entry.group.queue.depth)
         for reason in _SHED_REASONS:
             metrics[f"shed_{reason}"] = self.registry.counter(
                 "repro_fleet_shed_total", "Requests shed, by reason",
@@ -344,7 +337,7 @@ class FleetServer:
             rlabels = {"model": name, "replica": str(index)}
             metrics[f"outstanding_{index}"] = self.registry.gauge(
                 "repro_fleet_replica_outstanding",
-                "Requests in flight per replica", labels=rlabels,
+                "Requests in the batch each replica holds", labels=rlabels,
                 fn=slot_reader(index, "outstanding"))
             metrics[f"utilization_{index}"] = self.registry.gauge(
                 "repro_fleet_replica_utilization",
@@ -362,10 +355,10 @@ class FleetServer:
                deadline_s: Optional[float] = None) -> Future:
         """Admit one ``(C, H, W)`` sample; returns a future of its logits row.
 
-        Raises :class:`Overloaded` synchronously when the model's admission
-        queue is full (``retry_after_s`` carries the backpressure hint).
-        ``deadline_s`` is a relative deadline; a request that cannot be
-        dispatched in time resolves with :class:`DeadlineExceeded`.
+        Raises :class:`Overloaded` synchronously when the admission queue is
+        full (``retry_after_s`` carries the backpressure hint).
+        ``deadline_s`` is a relative deadline; a request that no replica
+        pops in time resolves with :class:`DeadlineExceeded`.
         ``priority`` orders the admission queue (higher first).
         """
         entry = self._entry(name)
@@ -378,7 +371,8 @@ class FleetServer:
         if tracer.enabled:
             root = tracer.start_span("serve.request",
                                      attrs={"model": name, "fleet": True})
-            route = tracer.start_span("fleet.route", parent=root)
+            route = tracer.start_span("fleet.route", parent=root,
+                                      attrs={"arm": "baseline"})
         deadline = (time.monotonic() + float(deadline_s)
                     if deadline_s is not None else None)
         request = FleetRequest(sample, Future(), priority=priority,
@@ -390,13 +384,32 @@ class FleetServer:
                                reason="deadline")
             return request.future
         try:
-            entry.queue.put(request)
+            self._choose_group(entry, request).queue.put(request)
         except Overloaded:
             entry.metrics["shed_overloaded"].inc()
             entry.metrics["requests_error"].inc()
             self._finish_spans(request, status="error")
             raise
         return request.future
+
+    def _choose_group(self, entry: _ModelEntry,
+                      request: FleetRequest) -> _ReplicaGroup:
+        """The deterministic canary split: on its credit a request joins the
+        candidate's queue, unless no candidate replica is alive."""
+        canary = entry.canary
+        if canary is None or canary["rollout"].choose_arm() != "canary":
+            return entry.group
+        if not canary["group"].alive():
+            # A fully-dead candidate is an arm outcome, not a client error:
+            # record it (possibly tripping rollback) and fall back to the
+            # baseline.
+            self._record_arm(entry, "canary", None, error=True)
+            return entry.group
+        request.arm = "canary"
+        if request.route_span is not None:
+            request.route_span.set_attrs(
+                arm="canary", version=str(canary["rollout"].version))
+        return canary["group"]
 
     def infer(self, name: str, sample: np.ndarray, priority: int = 0,
               deadline_s: Optional[float] = None,
@@ -461,16 +474,17 @@ class FleetServer:
         group = self._build_group(name, model, version, count,
                                   warmup_sample, engine_kwargs)
         with entry.swap_lock:
-            if not entry.stopping:
-                if mode == "replace":
-                    retired = entry.group
-                    entry.group = group
-                    entry.retired.append(retired)
-                    return None
-                if entry.canary is not None or entry.shadow is not None:
+            if not entry.stopped.is_set():
+                if mode != "replace" and (entry.canary is not None
+                                          or entry.shadow is not None):
                     entry.retired.append(group)
                     raise RuntimeError(
                         f"model {name!r} already has an active rollout; finish it first")
+                self._start_group(entry, group)
+                if mode == "replace":
+                    entry.retired.append(entry.group)
+                    entry.group = group
+                    return None
                 if mode == "canary":
                     rollout = CanaryRollout(version, fraction=fraction,
                                             min_requests=min_requests,
@@ -502,9 +516,8 @@ class FleetServer:
                 raise RuntimeError(f"model {name!r} has no active shadow rollout")
             shadow = entry.shadow
             entry.shadow = None
-            retired = entry.group
+            entry.retired.append(entry.group)
             entry.group = shadow["group"]
-            entry.retired.append(retired)
             return shadow["rollout"].report()
 
     def stop_shadow(self, name: str) -> dict:
@@ -531,51 +544,54 @@ class FleetServer:
             else:
                 retired = canary["group"]
                 entry.metrics["rollbacks"].inc()
-            # Teardown is deferred to the dispatcher: this method runs on a
-            # completion callback, i.e. on some replica's batcher worker —
-            # closing a group from its own worker thread would self-join.
+            # Teardown is deferred to the supervisor: this method runs on a
+            # replica's worker thread, which must not join its own group.
             entry.retired.append(retired)
 
-    # -- dispatch -----------------------------------------------------------------
+    def _record_arm(self, entry: _ModelEntry, arm: str,
+                    latency: Optional[float], error: bool) -> None:
+        canary = entry.canary
+        if canary is None or arm == "shadow":
+            return
+        decision = canary["rollout"].record(arm, latency, error)
+        if decision is not None:
+            self._apply_canary(entry, decision)
 
-    def _has_capacity(self, entry: _ModelEntry) -> bool:
-        """Whether some alive replica can accept more in-flight work.
+    # -- replica workers ----------------------------------------------------------
 
-        With no alive replica the answer is ``True`` on purpose: the
-        dispatcher must keep popping so requests fail fast with a typed
-        :class:`ReplicaCrashed` instead of rotting in the queue.
-        """
-        alive = entry.group.alive()
-        if not alive:
-            return True
-        return any(replica.outstanding < self.max_inflight
-                   for replica in alive)
-
-    def _dispatch_loop(self, entry: _ModelEntry) -> None:
-        while not entry.stopping:
-            self._maintain(entry)
-            if not self._has_capacity(entry):
-                # Every replica is saturated: leave admitted requests in the
-                # bounded queue (so new arrivals shed at the front door)
-                # until a batch completes.
-                time.sleep(min(_TICK_S, 0.005))
+    def _serve(self, entry: _ModelEntry, group: _ReplicaGroup,
+               replica: Replica) -> None:
+        """One replica's worker: pop a batch from the group queue, run it,
+        answer it.  Exits when the replica is killed, or once the queue is
+        empty and closed (or the replica closed)."""
+        queue = group.queue
+        while not replica.killed:
+            if not queue.wait(_TICK_S):
+                if queue.closed or not replica.alive:
+                    return
                 continue
-            request = entry.queue.get(timeout=_TICK_S)
-            if request is not None:
-                self._dispatch(entry, request)
-        # Shutdown: resolve everything still queued with a typed error.
-        for request in entry.queue.drain():
-            self._fail_request(entry, request,
-                               BatcherClosed("fleet shut down before this "
-                                             "request was served"),
-                               reason=None)
+            if not self._may_pull(group, replica):
+                time.sleep(_TICK_S)
+                continue
+            batch = queue.pop_batch(self.max_batch_size, self.max_wait_s)
+            if batch:
+                self._run_batch(entry, queue, replica, batch)
+
+    @staticmethod
+    def _may_pull(group: _ReplicaGroup, replica: Replica) -> bool:
+        """An open breaker leaves the queue to any routable sibling; when
+        every breaker is open the replica pulls anyway."""
+        if replica.breaker.state != OPEN:
+            return True
+        return not any(other.breaker.state != OPEN
+                       for other in group.alive() if other is not replica)
 
     @staticmethod
     def _try_start(request: FleetRequest) -> bool:
         """Move the client future to running; ``False`` if the client cancelled.
 
-        A crash-rerouted request is already running (its first dispatch
-        started it), so the transition is attempted only once.
+        A crash-requeued request is already running (its first pop started
+        it), so the transition is attempted only once.
         """
         if request.retries:
             return True
@@ -584,176 +600,142 @@ class FleetServer:
         except RuntimeError:  # pragma: no cover - already running/resolved
             return True
 
-    def _dispatch(self, entry: _ModelEntry, request: FleetRequest) -> None:
-        if not self._try_start(request):
-            self._finish_spans(request, status="cancelled")
-            return
+    def _run_batch(self, entry: _ModelEntry, queue: AdmissionQueue,
+                   replica: Replica, batch: List[FleetRequest]) -> None:
         now = time.monotonic()
-        if request.expired(now):
-            self._fail_request(entry, request,
-                               DeadlineExceeded(
-                                   "deadline expired after "
-                                   f"{now - request.enqueued:.3f}s in queue"),
-                               reason="deadline", running=True)
+        live = []
+        for request in batch:
+            if not self._try_start(request):
+                self._finish_spans(request, status="cancelled")
+            elif request.expired(now):
+                self._fail_request(entry, request,
+                                   DeadlineExceeded(
+                                       "deadline expired after "
+                                       f"{now - request.enqueued:.3f}s in queue"),
+                                   reason="deadline", running=True)
+            else:
+                live.append(request)
+        if not live:
             return
         tracer = get_tracer()
-        # Arm choice: deterministic canary split while a rollout is measuring.
-        group = entry.group
-        request.arm = "baseline"
-        canary = entry.canary
-        if canary is not None and canary["rollout"].decision is None:
-            if canary["rollout"].choose_arm() == "canary":
-                if canary["group"].alive():
-                    group = canary["group"]
-                    request.arm = "canary"
-                else:
-                    # A fully-dead candidate is an arm outcome, not a client
-                    # error: record it (possibly tripping rollback) and fall
-                    # back to the baseline.
-                    decision = canary["rollout"].record("canary", None, True)
-                    if decision is not None:
-                        self._apply_canary(entry, decision)
-        dispatch_span = None
-        if request.arm == "canary" and request.root_span is not None:
-            dispatch_span = tracer.start_span(
-                "fleet.canary", parent=request.route_span,
-                attrs={"version": str(canary["rollout"].version)})
-        replica_future = None
-        replica = None
-        # Two passes over the load-ranked candidates: breaker-allowed
-        # replicas first, then — availability beats purity — the replicas
-        # whose breakers are open, so an all-tripped group still serves.
-        # ``allow()`` is consulted lazily, right before a submit, because a
-        # half-open breaker counts each allow() as a probe in flight.
-        skipped: List[Replica] = []
-        ranked = group.ranked()
-        for candidates in (ranked, skipped):
-            for candidate in candidates:
-                if candidates is ranked and not candidate.breaker.allow():
-                    skipped.append(candidate)
-                    continue
-                try:
-                    active = dispatch_span or request.route_span
-                    with tracer.activate(active):
-                        replica_future = candidate.submit(request.sample)
-                    replica = candidate
-                    break
-                except ReplicaCrashed:
-                    candidate.breaker.record_failure()
-                    continue
-            if replica_future is not None:
-                break
-        if dispatch_span is not None:
-            tracer.finish_span(dispatch_span)
-        if replica_future is None:
-            if request.arm == "canary":
-                # Candidate group died between the alive() check and submit.
-                decision = canary["rollout"].record("canary", None, True)
-                if decision is not None:
-                    self._apply_canary(entry, decision)
-            self._fail_request(entry, request,
-                               ReplicaCrashed("no alive replica available"),
-                               reason="crashed", running=True)
-            return
-        if request.route_span is not None:
-            request.route_span.set_attrs(replica=replica.name, arm=request.arm)
-        dispatched = time.monotonic()
-        if entry.shadow is not None:
-            self._mirror(entry, request, replica_future)
-        replica_future.add_done_callback(
-            lambda rf: self._complete(entry, request, replica, rf, dispatched))
-
-    def _mirror(self, entry: _ModelEntry, request: FleetRequest,
-                primary_future: Future) -> None:
-        """Submit the shadow copy and compare logits once both arms answer."""
-        shadow = entry.shadow
-        replica = shadow["group"].pick()
-        rollout: ShadowRollout = shadow["rollout"]
-        if replica is None:
-            rollout.record(None, None, shadow_error=True)
-            return
+        spans = [tracer.start_span("replica.request", parent=request.route_span,
+                                   attrs={"replica": replica.name})
+                 if request.route_span is not None else None
+                 for request in live]
+        # One shared batch span under the first traced request (the batch
+        # leader), linked into every other rider's tree below.
+        leader = next((span for span in spans if span is not None), None)
+        batch_span = None
+        if leader is not None:
+            batch_span = tracer.start_span(
+                "serve.batch", parent=leader,
+                attrs={"batch_size": len(live), "model": entry.name})
+        replica.outstanding = len(live)
+        replica.breaker.allow()  # a half-open breaker counts the batch as its probe
+        start = time.perf_counter()
         try:
-            shadow_future = replica.submit(request.sample)
-        except ReplicaCrashed:
-            rollout.record(None, None, shadow_error=True)
-            return
-        remaining = [2]
-        lock = threading.Lock()
-
-        def arm_done(_f) -> None:
-            with lock:
-                remaining[0] -= 1
-                if remaining[0] > 0:
-                    return
-            primary_error = (primary_future.cancelled()
-                             or primary_future.exception() is not None)
-            shadow_error = (shadow_future.cancelled()
-                            or shadow_future.exception() is not None)
-            if primary_error:
-                return  # nothing trustworthy to compare against
-            if shadow_error:
-                rollout.record(primary_future.result(), None, shadow_error=True)
-            else:
-                rollout.record(primary_future.result(), shadow_future.result())
-
-        primary_future.add_done_callback(arm_done)
-        shadow_future.add_done_callback(arm_done)
-
-    def _complete(self, entry: _ModelEntry, request: FleetRequest,
-                  replica: Replica, replica_future: Future,
-                  dispatched: float) -> None:
-        """Completion hook: propagate, account, reroute crashes once."""
-        now = time.monotonic()
-        if replica_future.cancelled():
-            error: Optional[BaseException] = ReplicaCrashed(
-                "replica shut down mid-request", replica=replica.name)
-        else:
-            error = replica_future.exception()
-        if error is None:
-            replica.breaker.record_success()
-        else:
+            with tracer.activate(batch_span):
+                rows = replica.run_batch(
+                    np.stack([request.sample for request in live]))
+            if replica.killed:
+                raise ReplicaCrashed("killed while holding a batch",
+                                     replica=replica.name)
+        except Exception as error:  # noqa: BLE001 - forwarded to the futures
             replica.breaker.record_failure()
-        crash = isinstance(error, (ReplicaCrashed, BatcherClosed))
-        if crash and request.retries == 0:
-            request.retries = 1
-            if request.arm == "canary" and entry.canary is not None:
-                decision = entry.canary["rollout"].record("canary", None, True)
-                if decision is not None:
-                    self._apply_canary(entry, decision)
-            if entry.queue.requeue(request):
-                if request.root_span is not None:
-                    request.root_span.add_event("fleet.reroute",
-                                                from_replica=replica.name)
-                return
-            error = ReplicaCrashed("fleet shut down while rerouting",
-                                   replica=replica.name)
-        if error is not None:
-            self._record_arm(entry, request, None, error=True)
-            self._fail_request(entry, request, error,
+            self._finish_batch_spans(tracer, spans, leader, batch_span,
+                                     status="error")
+            self._fail_batch(entry, queue, replica, live, error)
+            return
+        finally:
+            replica.outstanding = 0
+        replica.breaker.record_success()
+        done = time.monotonic()
+        queue.note_served((time.perf_counter() - start) / len(live))
+        # Record and finish spans *before* publishing: a caller woken by its
+        # future must already see its request in the stats and the trace.
+        self._finish_batch_spans(tracer, spans, leader, batch_span, status="ok")
+        answered = [request for request in live if request.arm != "shadow"]
+        for request in answered:
+            latency = done - request.enqueued
+            entry.stats.record_request(latency)
+            entry.metrics["requests_ok"].inc()
+            self._record_arm(entry, request.arm, latency, error=False)
+            if request.root_span is not None:
+                request.root_span.set_attrs(latency_s=latency, arm=request.arm)
+            self._finish_spans(request, status="ok")
+        if answered:
+            entry.stats.record_batch(len(answered))
+        for request, row in zip(live, rows):
+            try:
+                request.future.set_result(row)
+            except InvalidStateError:  # pragma: no cover - client raced a cancel
+                pass
+        if entry.shadow is not None:
+            self._mirror(entry, live, rows)
+
+    @staticmethod
+    def _finish_batch_spans(tracer, spans: list, leader, batch_span,
+                            status: str) -> None:
+        if batch_span is None:
+            return
+        batch_span.status = status
+        tracer.finish_span(batch_span)
+        for span in spans:
+            if span is not None:
+                if span is not leader:
+                    tracer.link(span, batch_span)
+                span.status = status
+                tracer.finish_span(span)
+
+    def _fail_batch(self, entry: _ModelEntry, queue: AdmissionQueue,
+                    replica: Replica, live: List[FleetRequest],
+                    error: BaseException) -> None:
+        """A crashed batch is requeued once for a sibling; other errors, and
+        a second crash, fail the requests."""
+        crash = isinstance(error, ReplicaCrashed)
+        for request in live:
+            self._record_arm(entry, request.arm, None, error=True)
+            failure = error
+            if crash and request.retries == 0:
+                request.retries = 1
+                if queue.requeue(request):
+                    if request.root_span is not None:
+                        request.root_span.add_event("fleet.reroute",
+                                                    from_replica=replica.name)
+                    continue
+                failure = ReplicaCrashed("fleet shut down while rerouting",
+                                         replica=replica.name)
+            self._fail_request(entry, request, failure,
                                reason="crashed" if crash else None,
                                running=True)
-            return
-        latency = now - request.enqueued
-        entry.stats.record_request(latency)
-        entry.queue.note_served(now - dispatched)
-        entry.metrics["requests_ok"].inc()
-        self._record_arm(entry, request, latency, error=False)
-        try:
-            request.future.set_result(replica_future.result())
-        except InvalidStateError:  # pragma: no cover - client raced a cancel
-            pass
-        if request.root_span is not None:
-            request.root_span.set_attrs(latency_s=latency, arm=request.arm)
-        self._finish_spans(request, status="ok")
 
-    def _record_arm(self, entry: _ModelEntry, request: FleetRequest,
-                    latency: Optional[float], error: bool) -> None:
-        canary = entry.canary
-        if canary is None:
+    def _mirror(self, entry: _ModelEntry, live: List[FleetRequest],
+                rows: np.ndarray) -> None:
+        """Queue a copy of each answered request on the shadow candidate and
+        compare its logits with the primary row once it answers."""
+        shadow = entry.shadow
+        if shadow is None:
             return
-        decision = canary["rollout"].record(request.arm, latency, error)
-        if decision is not None:
-            self._apply_canary(entry, decision)
+        rollout: ShadowRollout = shadow["rollout"]
+        for request, row in zip(live, rows):
+            if request.arm == "shadow":
+                continue
+            copy = FleetRequest(request.sample, Future())
+            copy.arm = "shadow"
+            copy.future.add_done_callback(
+                functools.partial(self._compare_shadow, rollout, row))
+            try:
+                shadow["group"].queue.put(copy)
+            except Overloaded:
+                rollout.record(row, None, shadow_error=True)
+
+    @staticmethod
+    def _compare_shadow(rollout: ShadowRollout, primary_row: np.ndarray,
+                        future: Future) -> None:
+        if future.cancelled() or future.exception() is not None:
+            rollout.record(primary_row, None, shadow_error=True)
+        else:
+            rollout.record(primary_row, future.result())
 
     def _fail_request(self, entry: _ModelEntry, request: FleetRequest,
                       error: BaseException, reason: Optional[str],
@@ -761,9 +743,10 @@ class FleetServer:
         if not running and not self._try_start(request):
             self._finish_spans(request, status="cancelled")
             return
-        if reason in _SHED_REASONS:
-            entry.metrics[f"shed_{reason}"].inc()
-        entry.metrics["requests_error"].inc()
+        if request.arm != "shadow":
+            if reason in _SHED_REASONS:
+                entry.metrics[f"shed_{reason}"].inc()
+            entry.metrics["requests_error"].inc()
         try:
             request.future.set_exception(error)
         except InvalidStateError:  # pragma: no cover - already resolved
@@ -771,6 +754,20 @@ class FleetServer:
         if request.root_span is not None:
             request.root_span.set_attr("error", repr(error))
         self._finish_spans(request, status="error")
+
+    def _fail_queued(self, entry: _ModelEntry, requests: List[FleetRequest],
+                     crashed: bool) -> None:
+        """Fail requests no replica will pop: the group died, or the fleet
+        is shutting down."""
+        for request in requests:
+            if crashed:
+                self._record_arm(entry, request.arm, None, error=True)
+                error: BaseException = ReplicaCrashed("no alive replica available")
+            else:
+                error = BatcherClosed("fleet shut down before this request "
+                                      "was served")
+            self._fail_request(entry, request, error,
+                               reason="crashed" if crashed else None)
 
     def _finish_spans(self, request: FleetRequest, status: str) -> None:
         tracer = get_tracer()
@@ -780,24 +777,25 @@ class FleetServer:
             request.root_span.status = status
             tracer.finish_span(request.root_span)
 
-    # -- maintenance --------------------------------------------------------------
+    # -- supervision --------------------------------------------------------------
+
+    def _supervise(self, entry: _ModelEntry) -> None:
+        while not entry.stopped.wait(_TICK_S):
+            self._maintain(entry)
 
     def _maintain(self, entry: _ModelEntry) -> None:
         now = time.monotonic()
-        groups = [entry.group]
-        if entry.canary is not None:
-            groups.append(entry.canary["group"])
-        if entry.shadow is not None:
-            groups.append(entry.shadow["group"])
-        for group in groups:
+        for group in entry.groups():
             for slot in group.slots:
                 self._maintain_slot(entry, group, slot, now)
+            if not group.alive():
+                self._fail_queued(entry, group.queue.drain(), crashed=True)
         while True:
             with entry.swap_lock:
                 if not entry.retired:
                     break
                 group = entry.retired.pop()
-            group.close(timeout=5.0)
+            self._fail_queued(entry, group.close(timeout=5.0), crashed=True)
         if entry.sessions:
             self._evict_idle_sessions(entry, now)
 
@@ -833,15 +831,13 @@ class FleetServer:
                           self.restart_backoff_cap_s)
             slot.restart_at = now + backoff
             return
+        replacement.start(group.loop)
         slot.replica = replacement
         slot.generation += 1
         slot.restarts += 1
         slot.restart_at = None
         entry.metrics["restarts"].inc()
-        try:
-            old.close(timeout=0.5)
-        except Exception:  # noqa: BLE001 - the old replica is already dead
-            pass
+        old.close(timeout=0.5)
 
     def _evict_idle_sessions(self, entry: _ModelEntry, now: float) -> None:
         with entry.session_lock:
@@ -876,7 +872,6 @@ class FleetServer:
                 "name": slot.replica.name,
                 "alive": slot.replica.alive,
                 "outstanding": slot.replica.outstanding,
-                "queue_depth": slot.replica.queue_depth,
                 "utilization": slot.replica.utilization(),
                 "restarts": slot.restarts,
                 "breaker": slot.replica.breaker.state,
@@ -910,17 +905,17 @@ class FleetServer:
         return {
             "model": name,
             "ready": ready,
-            "queue_depth": entry.queue.depth,
+            "queue_depth": entry.group.queue.depth,
             "replicas": replicas,
         }
 
     def queue_depth(self, name: str) -> int:
-        return self._entry(name).queue.depth
+        return self._entry(name).group.queue.depth
 
     # -- lifecycle ----------------------------------------------------------------
 
     def unregister(self, name: str, timeout: float = 10.0) -> None:
-        """Tear one model down: dispatcher, sessions, every replica group."""
+        """Tear one model down: supervisor, sessions, every replica group."""
         with self._lock:
             entry = self._models.pop(name, None)
         if entry is None:
@@ -928,31 +923,24 @@ class FleetServer:
         self._teardown(entry, timeout)
 
     def _teardown(self, entry: _ModelEntry, timeout: float) -> None:
-        entry.stopping = True
-        entry.queue.close()
-        if entry.dispatcher is not None:
-            entry.dispatcher.join(timeout=timeout)
+        entry.stopped.set()
+        if entry.supervisor is not None:
+            entry.supervisor.join(timeout=timeout)
         with entry.session_lock:
             sessions = list(entry.sessions.values())
         for session in sessions:
             session.close(reason="server shutdown")
         with entry.swap_lock:
-            groups = [entry.group]
-            if entry.canary is not None:
-                groups.append(entry.canary["group"])
-                entry.canary = None
-            if entry.shadow is not None:
-                groups.append(entry.shadow["group"])
-                entry.shadow = None
-            groups.extend(entry.retired)
+            groups = entry.groups() + entry.retired
+            entry.canary = entry.shadow = None
             entry.retired = []
+        # Queued requests fail typed at once; the workers finish the batches
+        # they hold and exit on the closed, empty queues.
         for group in groups:
-            group.close(timeout=timeout)
-        for request in entry.queue.drain():
-            self._fail_request(entry, request,
-                               BatcherClosed("fleet shut down before this "
-                                             "request was served"),
-                               reason=None)
+            group.queue.close()
+            self._fail_queued(entry, group.queue.drain(), crashed=False)
+        for group in groups:
+            self._fail_queued(entry, group.close(timeout=timeout), crashed=False)
         entry.stats.deregister_metrics()
         for instrument in entry.metrics.values():
             if self.registry.get(instrument.name, instrument.labels) is instrument:

@@ -9,7 +9,7 @@ Three pieces:
   micro-batcher;
 * :mod:`repro.resilience.breaker` — the per-replica
   :class:`CircuitBreaker` (closed / open / half-open on error rate) that
-  feeds the fleet router and its ``health_report()`` readiness probe;
+  gates which fleet replicas pull work and feeds ``health_report()``;
 * :mod:`repro.resilience.errors` — the typed failure taxonomy
   (:class:`NumericFault`, :class:`CheckpointCorruptError`,
   :class:`WorkerHungError`) the hardened paths raise.
@@ -18,7 +18,7 @@ The hardening itself lives where the failures live: the hung-worker
 watchdog in :mod:`repro.parallel`, durable checksummed checkpoints in
 :mod:`repro.training.checkpoint`, per-node numeric guards in
 :mod:`repro.runtime` feeding the trainer's skip-step policy, and
-breaker-aware routing in :mod:`repro.fleet`.
+breaker-aware replica workers in :mod:`repro.fleet`.
 """
 
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker

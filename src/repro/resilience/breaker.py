@@ -1,12 +1,12 @@
 """Per-replica circuit breaker: closed / open / half-open on error rate.
 
-The fleet router already reroutes around a *dead* replica; the breaker
+The fleet already requeues work around a *dead* replica; the breaker
 covers the worse failure mode — a replica that is alive but failing
 (intermittent crashes under restart churn, a poisoned model version).
-Tripping the breaker takes the replica out of the routing set *before* its
-failures burn through client retries, and the half-open state re-admits a
-bounded number of probe requests so a recovered replica earns its traffic
-back instead of being slammed with the full backlog at once.
+Tripping the breaker stops the replica pulling work *before* its failures
+burn through client retries, and the half-open state re-admits a bounded
+number of probes so a recovered replica earns its traffic back instead of
+being slammed with the full backlog at once.
 
 States
 ------
@@ -15,8 +15,8 @@ States
     kept; when it holds at least ``min_requests`` samples and the error
     fraction reaches ``error_threshold``, the breaker opens.
 ``open``
-    The replica is skipped by the router (the fleet falls back to any
-    alive replica if *every* breaker is open — availability beats purity).
+    The replica leaves the queue to its siblings (the fleet falls back to
+    any alive replica if *every* breaker is open — availability beats purity).
     After ``open_duration_s`` the next :meth:`allow` transitions to
     half-open.
 ``half-open``
@@ -64,10 +64,10 @@ class CircuitBreaker:
         self._probe_successes = 0
         self._transitions = 0
 
-    # -- router side --------------------------------------------------------------
+    # -- caller side --------------------------------------------------------------
 
     def allow(self) -> bool:
-        """May the router dispatch to this replica right now?
+        """May this replica take work right now?
 
         In the open state this is also where the cool-down expiry is
         noticed (the breaker has no timer thread); in half-open it admits

@@ -22,6 +22,7 @@ rather than statistical.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -47,6 +48,7 @@ from repro.models.resnet import spiking_resnet18
 from repro.models.vgg import spiking_vgg9
 from repro.obs.metrics import default_registry
 from repro.obs.trace import get_tracer
+from repro.resilience import FaultPlan, FaultSpec, faults
 from repro.search import LayerChoice, TTSupernet
 from repro.serve.batcher import BatcherClosed
 from repro.serve.engine import InferenceEngine
@@ -214,16 +216,14 @@ class TestFleetServing:
                 future.result(timeout=10)
             assert fleet._entry("vgg").metrics["shed_deadline"].value == 1
 
-    def test_overload_sheds_typed_and_admitted_requests_complete(self, monkeypatch):
-        original = FleetServer._dispatch
-
-        def slow_dispatch(self, entry, request):
-            time.sleep(0.03)
-            original(self, entry, request)
-
-        monkeypatch.setattr(FleetServer, "_dispatch", slow_dispatch)
+    def test_overload_sheds_typed_and_admitted_requests_complete(self):
+        # Every fused forward sleeps 30 ms, so the instant burst outruns
+        # the replica and the admission bound must engage.
+        slow = FaultPlan(faults=[FaultSpec("replica.slow", probability=1.0,
+                                           max_fires=None, seconds=0.03)])
         samples = _samples(30)
-        with FleetServer(replicas=1, max_wait_ms=1.0, queue_capacity=3) as fleet:
+        with faults.inject(slow), FleetServer(replicas=1, max_wait_ms=1.0,
+                                              queue_capacity=3) as fleet:
             fleet.register("vgg", _tag_model(1.0),
                            warmup_sample=samples[0])
             admitted, shed = [], 0
@@ -239,12 +239,12 @@ class TestFleetServing:
                                            np.ones(NUM_CLASSES), atol=1e-6)
             assert fleet._entry("vgg").metrics["shed_overloaded"].value == shed
 
-    def test_inflight_throttle_makes_real_bursts_shed(self):
-        """No patching: the in-flight throttle keeps the bounded admission
-        queue engaged, so a faster-than-service burst sheds at the door."""
+    def test_real_bursts_shed_at_the_admission_bound(self):
+        """No patching and no fault: a faster-than-service burst sheds at
+        the door, because replicas pull from the bounded queue itself."""
         samples = _samples(60)
         with FleetServer(replicas=1, max_batch_size=2, max_wait_ms=1.0,
-                         queue_capacity=2, max_inflight_per_replica=2) as fleet:
+                         queue_capacity=2) as fleet:
             fleet.register("vgg", _tag_model(2.0), warmup_sample=samples[0])
             admitted, shed = [], 0
             for sample in samples:
@@ -253,10 +253,35 @@ class TestFleetServing:
                 except Overloaded:
                     shed += 1
             assert shed > 0, ("a 60-request instant burst against capacity 2 "
-                              "+ 2 in-flight must shed")
+                              "+ one batch of 2 must shed")
             for future in admitted:
                 np.testing.assert_allclose(future.result(timeout=60),
                                            np.full(NUM_CLASSES, 2.0), atol=1e-6)
+
+    def test_stats_count_every_fused_forward(self):
+        # More replica workers than cores pull from one queue, with a short
+        # switch interval: each request must be popped, answered and
+        # counted in exactly one batch.
+        samples = _samples(40)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with FleetServer(replicas=4, max_batch_size=4,
+                             max_wait_ms=1.0) as fleet:
+                fleet.register("vgg", _tag_model(1.0),
+                               warmup_sample=samples[0])
+                futures = [fleet.submit("vgg", sample) for sample in samples]
+                for future in futures:
+                    np.testing.assert_allclose(future.result(timeout=60),
+                                               np.ones(NUM_CLASSES), atol=1e-6)
+                stats = fleet.stats("vgg")
+                fills = stats.batch_fill_histogram()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats.requests == len(samples)
+        assert stats.batches >= 1
+        assert 1 <= stats.mean_batch_fill() <= 4
+        assert sum(size * count for size, count in fills.items()) == len(samples)
 
     def test_replica_crash_reroutes_and_restarts(self):
         samples = _samples(12)
@@ -307,10 +332,10 @@ class TestFleetServing:
 
 
 def _serving_threads(before) -> list:
-    """Dispatcher and batcher threads started since ``before`` and still alive."""
+    """Replica-worker and supervisor threads started since ``before`` and still alive."""
     return [thread for thread in threading.enumerate()
             if thread not in before and thread.is_alive()
-            and thread.name.startswith(("fleet-dispatch-", "micro-batcher"))]
+            and thread.name.startswith(("fleet-replica-", "fleet-supervisor-"))]
 
 
 class TestRegisterRaces:
@@ -657,11 +682,11 @@ class TestObservability:
                 fleet.submit("gone", _samples(1)[0])
 
     def test_close_resolves_queued_requests_typed(self, monkeypatch):
-        # Blind the dispatcher's dequeue so submissions stay queued, then
+        # Blind the replica workers' pop so submissions stay queued, then
         # close the fleet: every queued future must resolve with a typed
         # error, not hang.
-        monkeypatch.setattr(AdmissionQueue, "get",
-                            lambda self, timeout=0.05: time.sleep(0.005))
+        monkeypatch.setattr(AdmissionQueue, "pop_batch",
+                            lambda self, max_size, max_wait_s: time.sleep(0.005) or [])
         fleet = FleetServer(replicas=1, max_wait_ms=1.0, queue_capacity=16)
         fleet.register("vgg", _tag_model(1.0))
         futures = [fleet.submit("vgg", sample) for sample in _samples(8)]

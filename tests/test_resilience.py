@@ -743,11 +743,15 @@ class TestFleetChaos:
             assert rows[1]["routable"]
             assert report["ready"] is True  # slot 1 carries the model
             sample = np.zeros((3, 10, 10), dtype=np.float32)
-            before = slot0.replica.outstanding
-            for _ in range(6):
-                server.infer("m", sample, timeout=30.0)
-            # All traffic routed around the open breaker.
-            assert slot0.replica.outstanding == before
+            # The slow site runs in every fused forward of slot 0: it must
+            # never fire while slot 0's breaker is open.
+            with faults.inject(FaultPlan(faults=[
+                    FaultSpec("replica.slow", replica="/r0.", at=0,
+                              seconds=0.0)])) as injector:
+                for _ in range(6):
+                    server.infer("m", sample, timeout=30.0)
+            # All traffic served around the open breaker.
+            assert injector.fire_counts() == {}
             status = server.replica_status("m")
             assert status[0]["breaker"] == OPEN
             assert status[1]["breaker"] == CLOSED
