@@ -119,11 +119,6 @@ class AdmissionQueue:
 
     # -- consumer side ------------------------------------------------------------
 
-    def get(self, timeout: float = 0.05) -> Optional[FleetRequest]:
-        """Pop the highest-priority request, or ``None`` on timeout/close."""
-        batch = self.pop_batch(1, 0.0) if self.wait(timeout) else []
-        return batch[0] if batch else None
-
     def wait(self, timeout: float) -> bool:
         """Block until a request is queued or the queue closes; ``True`` if one is."""
         with self._not_empty:

@@ -11,7 +11,8 @@
   :class:`~repro.fleet.errors.DeadlineExceeded`, runs one fused forward and
   resolves the client futures itself: one queue and one thread hop, as in
   the single server, and no router — an idle replica takes the next batch.
-  A crashed batch is requeued once for a sibling;
+  A crashed batch is requeued once for a sibling (a canary request on the
+  baseline's queue);
 * a **supervisor thread**, off the request path — restarts dead replicas
   with capped exponential backoff, fails the queue of a group with no alive
   replica (:class:`~repro.fleet.errors.ReplicaCrashed`), closes retired
@@ -45,7 +46,7 @@ from repro.fleet.rollout import CanaryRollout, ShadowRollout
 from repro.fleet.sessions import StreamingSession
 from repro.obs.metrics import default_registry
 from repro.obs.trace import get_tracer
-from repro.resilience.breaker import OPEN, CircuitBreaker
+from repro.resilience.breaker import HALF_OPEN, OPEN, CircuitBreaker
 from repro.serve.batcher import BatcherClosed
 from repro.serve.engine import InferenceEngine
 from repro.serve.stats import ServerStats
@@ -98,9 +99,9 @@ class _ReplicaGroup:
         return [slot.replica for slot in self.slots if slot.replica.alive]
 
     def pick(self) -> Optional[Replica]:
-        """The first alive replica (sessions pin to it), or ``None``."""
+        """The alive replica holding the fewest requests (sessions pin to it)."""
         alive = self.alive()
-        return alive[0] if alive else None
+        return min(alive, key=lambda r: r.outstanding) if alive else None
 
     def close(self, timeout: float = 10.0) -> list:
         """Close the queue, join the workers once they drained it, and return
@@ -169,9 +170,10 @@ class FleetServer:
     breaker_open_s:
         Per-replica circuit breaker
         (:class:`~repro.resilience.breaker.CircuitBreaker`) fed with one
-        outcome per batch.  While open (``breaker_open_s``, then a half-open
-        probe batch) the replica leaves the queue to its routable siblings;
-        when *every* breaker is open the replicas pull anyway.
+        outcome per batch.  While open (``breaker_open_s``) the replica
+        leaves the queue to its routable siblings, and when *every* breaker
+        is open the replicas pull anyway; a half-open replica probes with
+        batches of one request until its breaker closes.
     session_idle_timeout_s:
         Streaming sessions idle longer than this are evicted (closed with
         reason ``"idle"``).
@@ -318,36 +320,27 @@ class FleetServer:
                 "repro_fleet_requests_total", "Fleet requests, by outcome",
                 labels={"model": name, "outcome": outcome})
 
-        def slot_reader(index: int, attribute: str):
-            def read() -> float:
-                # The pull closure follows pointer swaps: it always reads the
-                # entry's *current* primary group.
+        def slot_reader(index: int, read: Callable[[Replica], float]):
+            # The pull closure follows pointer swaps: it always reads the
+            # entry's *current* primary group.
+            def gauge() -> float:
                 slots = entry.group.slots
-                if index >= len(slots):
-                    return 0.0
-                replica = slots[index].replica
-                if attribute == "outstanding":
-                    return float(replica.outstanding)
-                if attribute == "breaker":
-                    return replica.breaker.state_code()
-                return replica.utilization()
-            return read
+                return float(read(slots[index].replica)) if index < len(slots) else 0.0
+            return gauge
 
+        per_replica = (
+            ("outstanding", "repro_fleet_replica_outstanding",
+             "Requests in the batch each replica holds", lambda r: r.outstanding),
+            ("utilization", "repro_fleet_replica_utilization",
+             "Busy fraction per replica", Replica.utilization),
+            ("breaker", "repro_fleet_breaker_state",
+             "Circuit-breaker state per replica (0=closed, 1=open, 2=half-open)",
+             lambda r: r.breaker.state_code()))
         for index in range(count):
-            rlabels = {"model": name, "replica": str(index)}
-            metrics[f"outstanding_{index}"] = self.registry.gauge(
-                "repro_fleet_replica_outstanding",
-                "Requests in the batch each replica holds", labels=rlabels,
-                fn=slot_reader(index, "outstanding"))
-            metrics[f"utilization_{index}"] = self.registry.gauge(
-                "repro_fleet_replica_utilization",
-                "Busy fraction per replica", labels=rlabels,
-                fn=slot_reader(index, "utilization"))
-            metrics[f"breaker_{index}"] = self.registry.gauge(
-                "repro_fleet_breaker_state",
-                "Circuit-breaker state per replica "
-                "(0=closed, 1=open, 2=half-open)", labels=rlabels,
-                fn=slot_reader(index, "breaker"))
+            for key, metric, doc, read in per_replica:
+                metrics[f"{key}_{index}"] = self.registry.gauge(
+                    metric, doc, labels={"model": name, "replica": str(index)},
+                    fn=slot_reader(index, read))
 
     # -- client surface -----------------------------------------------------------
 
@@ -384,7 +377,7 @@ class FleetServer:
                                reason="deadline")
             return request.future
         try:
-            self._choose_group(entry, request).queue.put(request)
+            self._admit(entry, request)
         except Overloaded:
             entry.metrics["shed_overloaded"].inc()
             entry.metrics["requests_error"].inc()
@@ -392,24 +385,38 @@ class FleetServer:
             raise
         return request.future
 
-    def _choose_group(self, entry: _ModelEntry,
-                      request: FleetRequest) -> _ReplicaGroup:
-        """The deterministic canary split: on its credit a request joins the
-        candidate's queue, unless no candidate replica is alive."""
+    def _admit(self, entry: _ModelEntry, request: FleetRequest) -> None:
+        """Queue ``request`` on its arm's group.  The deterministic canary
+        split sends a request on its credit to the candidate's queue, unless
+        no candidate replica is alive: that counts as a canary error, and
+        the baseline serves it."""
+        group = entry.group
         canary = entry.canary
-        if canary is None or canary["rollout"].choose_arm() != "canary":
-            return entry.group
-        if not canary["group"].alive():
-            # A fully-dead candidate is an arm outcome, not a client error:
-            # record it (possibly tripping rollback) and fall back to the
-            # baseline.
-            self._record_arm(entry, "canary", None, error=True)
-            return entry.group
-        request.arm = "canary"
+        if canary is not None and canary["rollout"].choose_arm() == "canary":
+            if canary["group"].alive():
+                group = canary["group"]
+                request.arm = "canary"
+                if request.route_span is not None:
+                    request.route_span.set_attrs(
+                        arm="canary", version=str(canary["rollout"].version))
+            else:
+                self._record_arm(entry, "canary", None, error=True)
+        try:
+            group.queue.put(request)
+        except Overloaded:
+            if not group.queue.closed:
+                raise
+            # A swap retired ``group`` and the supervisor closed its queue
+            # between the read and the put: join the group serving now.
+            self._as_baseline(entry, request).queue.put(request)
+
+    @staticmethod
+    def _as_baseline(entry: _ModelEntry, request: FleetRequest) -> _ReplicaGroup:
+        """Move ``request`` to the baseline arm; returns the serving group."""
+        request.arm = "baseline"
         if request.route_span is not None:
-            request.route_span.set_attrs(
-                arm="canary", version=str(canary["rollout"].version))
-        return canary["group"]
+            request.route_span.set_attrs(arm="baseline")
+        return entry.group
 
     def infer(self, name: str, sample: np.ndarray, priority: int = 0,
               deadline_s: Optional[float] = None,
@@ -570,29 +577,31 @@ class FleetServer:
                 if queue.closed or not replica.alive:
                     return
                 continue
-            if not self._may_pull(group, replica):
+            size = self._pull_size(group, replica)
+            if not size:
                 time.sleep(_TICK_S)
                 continue
-            batch = queue.pop_batch(self.max_batch_size, self.max_wait_s)
+            batch = queue.pop_batch(size, self.max_wait_s)
             if batch:
                 self._run_batch(entry, queue, replica, batch)
 
-    @staticmethod
-    def _may_pull(group: _ReplicaGroup, replica: Replica) -> bool:
-        """An open breaker leaves the queue to any routable sibling; when
-        every breaker is open the replica pulls anyway."""
-        if replica.breaker.state != OPEN:
-            return True
-        return not any(other.breaker.state != OPEN
-                       for other in group.alive() if other is not replica)
+    def _pull_size(self, group: _ReplicaGroup, replica: Replica) -> int:
+        """How many requests ``replica`` may pop: none while its breaker is
+        open and a sibling's is not (every breaker open: a full batch
+        anyway), one per half-open probe, else a full batch."""
+        state = replica.breaker.state
+        if state == HALF_OPEN:
+            return 1
+        if state == OPEN and any(other.breaker.state != OPEN
+                                 for other in group.alive()
+                                 if other is not replica):
+            return 0
+        return self.max_batch_size
 
     @staticmethod
     def _try_start(request: FleetRequest) -> bool:
-        """Move the client future to running; ``False`` if the client cancelled.
-
-        A crash-requeued request is already running (its first pop started
-        it), so the transition is attempted only once.
-        """
+        """Move the client future to running; ``False`` if the client
+        cancelled.  A requeued request already runs since its first pop."""
         if request.retries:
             return True
         try:
@@ -631,7 +640,7 @@ class FleetServer:
                 "serve.batch", parent=leader,
                 attrs={"batch_size": len(live), "model": entry.name})
         replica.outstanding = len(live)
-        replica.breaker.allow()  # a half-open breaker counts the batch as its probe
+        replica.breaker.allow()  # half-open: this batch of one is a probe
         start = time.perf_counter()
         try:
             with tracer.activate(batch_span):
@@ -690,15 +699,18 @@ class FleetServer:
     def _fail_batch(self, entry: _ModelEntry, queue: AdmissionQueue,
                     replica: Replica, live: List[FleetRequest],
                     error: BaseException) -> None:
-        """A crashed batch is requeued once for a sibling; other errors, and
-        a second crash, fail the requests."""
+        """A crashed batch is requeued once for a sibling, a canary request
+        on the baseline's queue; other errors, and a second crash, fail the
+        requests."""
         crash = isinstance(error, ReplicaCrashed)
         for request in live:
             self._record_arm(entry, request.arm, None, error=True)
             failure = error
             if crash and request.retries == 0:
                 request.retries = 1
-                if queue.requeue(request):
+                target = (self._as_baseline(entry, request).queue
+                          if request.arm == "canary" else queue)
+                if target.requeue(request):
                     if request.root_span is not None:
                         request.root_span.add_event("fleet.reroute",
                                                     from_replica=replica.name)
@@ -758,10 +770,14 @@ class FleetServer:
     def _fail_queued(self, entry: _ModelEntry, requests: List[FleetRequest],
                      crashed: bool) -> None:
         """Fail requests no replica will pop: the group died, or the fleet
-        is shutting down."""
+        is shutting down.  A dead canary's requests fall back to the
+        baseline instead."""
         for request in requests:
             if crashed:
                 self._record_arm(entry, request.arm, None, error=True)
+                if (request.arm == "canary" and self._as_baseline(
+                        entry, request).queue.requeue(request)):
+                    continue
                 error: BaseException = ReplicaCrashed("no alive replica available")
             else:
                 error = BatcherClosed("fleet shut down before this request "
@@ -825,11 +841,9 @@ class FleetServer:
         old = slot.replica
         try:
             replacement = group.factory(slot.index, slot.generation + 1)
-        except Exception:  # noqa: BLE001 - rebuild failed; back off further
-            slot.restarts += 1
-            backoff = min(self.restart_backoff_s * (2 ** slot.restarts),
-                          self.restart_backoff_cap_s)
-            slot.restart_at = now + backoff
+        except Exception:  # noqa: BLE001 - rebuild failed; the next tick
+            slot.restarts += 1  # schedules a longer backoff
+            slot.restart_at = None
             return
         replacement.start(group.loop)
         slot.replica = replacement

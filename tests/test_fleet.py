@@ -48,7 +48,7 @@ from repro.models.resnet import spiking_resnet18
 from repro.models.vgg import spiking_vgg9
 from repro.obs.metrics import default_registry
 from repro.obs.trace import get_tracer
-from repro.resilience import FaultPlan, FaultSpec, faults
+from repro.resilience import CLOSED, HALF_OPEN, FaultPlan, FaultSpec, faults
 from repro.search import LayerChoice, TTSupernet
 from repro.serve.batcher import BatcherClosed
 from repro.serve.engine import InferenceEngine
@@ -102,10 +102,10 @@ class TestAdmissionQueue:
         queue.put(low1)
         queue.put(low2)
         queue.put(high)
-        assert queue.get() is high
-        assert queue.get() is low1
-        assert queue.get() is low2
-        assert queue.get(timeout=0.01) is None
+        assert queue.pop_batch(1, 0.0) == [high]
+        assert queue.pop_batch(1, 0.0) == [low1]
+        assert queue.pop_batch(1, 0.0) == [low2]
+        assert queue.pop_batch(1, 0.0) == []
 
     def test_overload_is_typed_and_carries_retry_hint(self):
         queue = AdmissionQueue(capacity=2)
@@ -322,6 +322,36 @@ class TestFleetServing:
             with pytest.raises(ReplicaCrashed):
                 future.result(timeout=10)
 
+    def test_half_open_replica_probes_one_request_at_a_time(self, monkeypatch):
+        # A recovering replica earns its traffic back one request per probe:
+        # the burst queued behind its half-open breaker is not one batch.
+        samples = _samples(8)
+        with FleetServer(replicas=1, max_batch_size=8, max_wait_ms=50.0,
+                         breaker_open_s=0.05) as fleet:
+            fleet.register("vgg", _tag_model(1.0), warmup_sample=samples[0])
+            replica = fleet._entry("vgg").group.slots[0].replica
+            sizes = []
+            run_batch = replica.run_batch
+
+            def counted(batch):
+                sizes.append(len(batch))
+                return run_batch(batch)
+
+            monkeypatch.setattr(replica, "run_batch", counted)
+            for _ in range(5):
+                replica.breaker.record_failure()
+            deadline = time.monotonic() + 10
+            while (replica.breaker.state != HALF_OPEN
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            futures = [fleet.submit("vgg", sample) for sample in samples]
+            for future in futures:
+                np.testing.assert_allclose(future.result(timeout=60),
+                                           np.ones(NUM_CLASSES), atol=1e-6)
+            assert replica.breaker.state == CLOSED
+        assert sizes[:2] == [1, 1]
+        assert sum(sizes) == len(samples)
+
     def test_unknown_model_and_bad_shapes(self):
         with FleetServer(replicas=1) as fleet:
             fleet.register("vgg", _tag_model(1.0))
@@ -447,6 +477,34 @@ class TestRegisterRaces:
         assert _serving_threads(before) == []
 
 
+class TestSwapRaces:
+    def test_submit_racing_a_replace_joins_the_new_group(self, monkeypatch):
+        # A replace deploy retires the group ``submit`` just chose, and the
+        # supervisor closes its queue, before the put: the request joins
+        # the group serving now instead of shedding.
+        sample = _samples(1)[0]
+        put = AdmissionQueue.put
+        swapped = []
+
+        def swap_then_put(queue, request):
+            if not swapped:
+                swapped.append(queue)
+                fleet.deploy("tag", _tag_model(2.0), version=2)
+                deadline = time.monotonic() + 10
+                while not queue.closed and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            return put(queue, request)
+
+        with FleetServer(replicas=1, max_wait_ms=1.0) as fleet:
+            fleet.register("tag", _tag_model(1.0), warmup_sample=sample)
+            monkeypatch.setattr(AdmissionQueue, "put", swap_then_put)
+            future = fleet.submit("tag", sample)
+            np.testing.assert_allclose(future.result(timeout=60),
+                                       np.full(NUM_CLASSES, 2.0), atol=1e-6)
+            assert swapped[0].closed
+            assert fleet._entry("tag").metrics["shed_overloaded"].value == 0
+
+
 class TestRolloutEndToEnd:
     def test_canary_auto_promotes_healthy_version(self):
         samples = _samples(40)
@@ -494,6 +552,39 @@ class TestRolloutEndToEnd:
             assert entry.metrics["rollbacks"].value == 1
             assert entry.group.version == 1
             assert entry.canary is None
+
+    def test_canary_crash_mid_traffic_falls_back_to_baseline(self, monkeypatch):
+        # The only candidate replica crashes on its first batch while more
+        # canary requests wait in its queue: the crashed batch and the
+        # stranded queue both rejoin the baseline, so no client sees the
+        # dying candidate.
+        samples = _samples(40)
+        with FleetServer(replicas=1, max_batch_size=4, max_wait_ms=1.0,
+                         max_restarts=0) as fleet:
+            fleet.register("tag", _tag_model(1.0), warmup_sample=samples[0])
+            rollout = fleet.deploy("tag", _tag_model(2.0), version=2,
+                                   mode="canary", fraction=0.5,
+                                   min_requests=100)
+            candidate = fleet._entry("tag").canary["group"].slots[0].replica
+            release = threading.Event()
+            run_batch = candidate.run_batch
+
+            def held(batch):
+                release.wait(10)
+                return run_batch(batch)
+
+            monkeypatch.setattr(candidate, "run_batch", held)
+            crash = FaultPlan(faults=[FaultSpec("replica.crash",
+                                                replica="/v2/r0.", at=0)])
+            with faults.inject(crash) as injector:
+                futures = [fleet.submit("tag", sample) for sample in samples]
+                release.set()
+                rows = [future.result(timeout=60) for future in futures]
+                assert injector.fire_counts() == {"replica.crash": 1}
+            for row in rows:
+                np.testing.assert_allclose(row, np.ones(NUM_CLASSES), atol=1e-6)
+            canary = rollout.report()["arms"]["canary"]
+            assert canary["errors"] == canary["requests"] >= 5
 
     def test_shadow_compares_but_never_answers(self):
         samples = _samples(10)
