@@ -42,8 +42,8 @@ SAMPLE_SHAPE = (3, BENCH_SCALE["image_size"], BENCH_SCALE["image_size"])
 #: trainer guard flag checks); the real path touches fewer.
 SITES_PER_STEP = 16
 
-#: Over-estimate for one served request (batcher stall site + replica
-#: crash/slow sites + engine guard flag + runtime guard flag).
+#: Over-estimate for one served request (replica crash/slow sites + engine
+#: guard flag + runtime guard flag).
 SITES_PER_REQUEST = 16
 
 #: Disabled resilience must stay within this fraction of either headline.

@@ -1,7 +1,7 @@
 """Benchmark for the serving subsystem: sequential vs micro-batched throughput.
 
 Serving one request at a time pays the full per-layer Python / im2col / GEMM
-overhead per sample; the :class:`~repro.serve.batcher.MicroBatcher` coalesces
+overhead per sample; the :class:`~repro.serve.server.InferenceServer` coalesces
 concurrent requests into one fused ``(N, C, H, W)`` forward and amortises it.
 This file records both serving modes in the BENCH JSON trajectory (same
 recorder shape as the other ``test_bench_*`` files) and asserts the headline
@@ -13,6 +13,7 @@ to per-request inference.
 from __future__ import annotations
 
 import time
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import pytest
 from repro.data.synthetic import make_static_image_dataset
 from repro.models.builder import convert_to_tt
 from repro.models.vgg import spiking_vgg9
-from repro.serve import InferenceEngine, MicroBatcher, ServerStats
+from repro.serve import InferenceEngine, InferenceServer, ServerStats
 
 from conftest import BENCH_SCALE
 
@@ -49,13 +50,15 @@ def _serve_sequential(engine: InferenceEngine, requests: np.ndarray) -> np.ndarr
     return np.stack([engine.infer(sample) for sample in requests])
 
 
-def _serve_micro_batched(engine: InferenceEngine, requests: np.ndarray,
-                         stats: ServerStats = None) -> np.ndarray:
-    """All requests through a MicroBatcher at ``max_batch_size = 16``."""
-    with MicroBatcher(engine, max_batch_size=MAX_BATCH, max_wait_ms=20,
-                      stats=stats) as batcher:
-        futures = [batcher.submit(sample) for sample in requests]
-        return np.stack([future.result(timeout=120) for future in futures])
+def _serve_micro_batched(engine: InferenceEngine,
+                         requests: np.ndarray) -> Tuple[np.ndarray, ServerStats]:
+    """All requests through an uncached ``InferenceServer`` at ``max_batch_size = 16``."""
+    with InferenceServer(max_batch_size=MAX_BATCH, max_wait_ms=20,
+                         cache_capacity=0) as server:
+        server.register("bench", engine)
+        futures = [server.submit("bench", sample) for sample in requests]
+        logits = np.stack([future.result(timeout=120) for future in futures])
+        return logits, server.stats("bench")
 
 
 @pytest.mark.parametrize("mode", ["sequential", "micro_batched"])
@@ -63,7 +66,11 @@ def test_serving_throughput(benchmark, mode):
     """Wall-clock of answering a 64-request burst per serving mode (BENCH JSON)."""
     engine = _make_engine()
     requests = _make_requests()
-    serve = _serve_sequential if mode == "sequential" else _serve_micro_batched
+    if mode == "sequential":
+        serve = _serve_sequential
+    else:
+        def serve(engine, requests):
+            return _serve_micro_batched(engine, requests)[0]
     serve(engine, requests)                        # warm-up
     logits = benchmark(serve, engine, requests)
     assert logits.shape == (NUM_REQUESTS, BENCH_SCALE["num_classes"])
@@ -81,9 +88,8 @@ def test_micro_batching_qps_speedup():
     sequential_logits = _serve_sequential(engine, requests)
     sequential_qps = NUM_REQUESTS / (time.perf_counter() - start)
 
-    stats = ServerStats()
     start = time.perf_counter()
-    batched_logits = _serve_micro_batched(engine, requests, stats=stats)
+    batched_logits, stats = _serve_micro_batched(engine, requests)
     batched_qps = NUM_REQUESTS / (time.perf_counter() - start)
 
     # The serving snapshot answers identically either way...

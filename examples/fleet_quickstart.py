@@ -1,8 +1,9 @@
 """Serve one model from a supervised multi-replica fleet.
 
-This picks up where ``examples/serve_quickstart.py`` stops.  A single
-:class:`InferenceServer` scales by batching; :mod:`repro.fleet` scales by
-*replication* and adds the deployment-side machinery around it:
+This picks up where ``examples/serve_quickstart.py`` stops.  An
+:class:`InferenceServer` is the fleet with one replica and scales by
+batching; more replicas scale by *replication*, and the fleet adds the
+deployment-side machinery around them:
 
 1. stand up a :class:`FleetServer` with two in-process replicas of one
    TT-SNN snapshot (serving its TT cores) and fire a concurrent burst into

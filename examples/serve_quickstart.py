@@ -7,8 +7,9 @@ the trained model into an endpoint that runs its TT cores:
    (unmerged: HTT skips two sub-convolutions on its half timesteps, which
    the dense Eq. 6 merge cannot express),
 2. take the ready-to-serve :class:`InferenceEngine` off the pipeline result,
-3. register it (with warm-up) in an :class:`InferenceServer`, which wires a
-   micro-batcher, an LRU response cache and latency/throughput accounting,
+3. register it (with warm-up) in an :class:`InferenceServer` (the fleet's
+   single-replica configuration), which wires a batching replica worker,
+   an LRU response cache and latency/throughput accounting,
 4. fire a concurrent burst of requests and print the stats table.
 
 Run:  python examples/serve_quickstart.py

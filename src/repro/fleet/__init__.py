@@ -1,12 +1,12 @@
-"""``repro.fleet`` — multi-replica serving fleet for SNN engine snapshots.
+"""``repro.fleet`` — the serving front-end for SNN engine snapshots.
 
 Design note
 -----------
-The single-process serving stack (:mod:`repro.serve`) scales a model by
-batching: one engine, one lock, throughput bounded by one fused forward at
-a time.  This package scales it by *replication* — the same production
-pattern the paper's deployment story implies once a trained snapshot serves
-real traffic:
+One engine scales a model by batching: one lock, throughput bounded by one
+fused forward at a time.  This package serves it through replica groups —
+with one replica it is :class:`repro.serve.server.InferenceServer`, and with
+N it scales by *replication*, the production pattern the paper's deployment
+story implies once a trained snapshot serves real traffic:
 
 * :mod:`~repro.fleet.admission` — one bounded priority queue per replica
   group: typed :class:`~repro.fleet.errors.Overloaded` backpressure with a
@@ -17,8 +17,9 @@ real traffic:
   (NumPy releases the GIL in its GEMMs), each with its own circuit breaker
   and worker thread, which pulls batches straight from its group's queue;
 * :class:`~repro.fleet.server.FleetServer` — the groups and their
-  supervisor: capped-backoff restarts, one requeue of a crashed batch, and
-  atomic pointer-swap deploys;
+  supervisor: capped-backoff restarts, one requeue of a crashed batch,
+  atomic pointer-swap deploys, and the response cache
+  ``InferenceServer`` turns on;
 * :mod:`~repro.fleet.rollout` — measured hot-swaps under live traffic:
   canary splits with an auto-promote / auto-rollback gate on error rate and
   p99, and shadow mirroring that compares candidate logits without ever
@@ -30,14 +31,15 @@ real traffic:
   eviction.
 
 Everything is instrumented through :mod:`repro.obs`: ``serve.request`` →
-``fleet.route`` → ``replica.request`` span trees, per-replica utilization and
-outstanding-request gauges, queue-depth gauges and shed counters.  See the
+``serve.queue_wait`` → ``serve.batch`` → ``engine.infer`` span trees,
+per-replica utilization and outstanding-request gauges, queue-depth gauges
+and shed counters.  See the
 README "Serving fleet" section and ``examples/fleet_quickstart.py``.
 """
 
 from repro.fleet.admission import AdmissionQueue, FleetRequest
-from repro.fleet.errors import (DeadlineExceeded, FleetError, Overloaded,
-                                ReplicaCrashed, SessionClosed)
+from repro.fleet.errors import (BatcherClosed, DeadlineExceeded, FleetError,
+                                Overloaded, ReplicaCrashed, SessionClosed)
 from repro.fleet.replica import Replica
 from repro.fleet.rollout import CanaryRollout, ShadowRollout
 from repro.fleet.server import FleetServer
@@ -51,6 +53,7 @@ __all__ = [
     "DeadlineExceeded",
     "ReplicaCrashed",
     "SessionClosed",
+    "BatcherClosed",
     "Replica",
     "CanaryRollout",
     "ShadowRollout",

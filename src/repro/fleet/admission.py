@@ -36,11 +36,11 @@ class FleetRequest:
     """One admitted request travelling from the front door to a replica."""
 
     __slots__ = ("sample", "future", "priority", "deadline", "enqueued",
-                 "root_span", "route_span", "retries", "arm")
+                 "root_span", "queue_span", "digest", "retries", "arm")
 
     def __init__(self, sample: np.ndarray, future: Future, priority: int = 0,
                  deadline: Optional[float] = None, root_span=None,
-                 route_span=None):
+                 queue_span=None, digest: Optional[str] = None):
         self.sample = sample
         self.future = future
         self.priority = int(priority)
@@ -48,7 +48,9 @@ class FleetRequest:
         self.deadline = deadline
         self.enqueued = time.monotonic()
         self.root_span = root_span
-        self.route_span = route_span
+        self.queue_span = queue_span
+        #: Payload digest when the response cache stores the answer.
+        self.digest = digest
         #: Crash requeue count (a request is requeued at most once).
         self.retries = 0
         #: Rollout arm: ``"baseline"``, ``"canary"``, or ``"shadow"`` for a

@@ -4,8 +4,9 @@ Everything a fleet can do to a request that is *not* answering it is
 expressed as one of these types, so clients can branch on ``except`` clauses
 instead of parsing message strings: back off and retry
 (:class:`Overloaded`), give up on a stale request (:class:`DeadlineExceeded`),
-resubmit elsewhere (:class:`ReplicaCrashed`), or reopen a stream
-(:class:`SessionClosed`).
+resubmit elsewhere (:class:`ReplicaCrashed`), reopen a stream
+(:class:`SessionClosed`), or stop submitting to a server that shut down
+(:class:`BatcherClosed`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "DeadlineExceeded",
     "ReplicaCrashed",
     "SessionClosed",
+    "BatcherClosed",
 ]
 
 
@@ -66,3 +68,12 @@ class ReplicaCrashed(FleetError):
 
 class SessionClosed(FleetError):
     """The streaming session was closed (explicitly or by idle eviction)."""
+
+
+class BatcherClosed(FleetError):
+    """The server stopped serving the model before this request was served.
+
+    ``close()`` and ``unregister()`` fail every still-queued request with
+    this error (batches already running finish and answer), so no caller
+    blocks forever across a shutdown.
+    """

@@ -1,10 +1,11 @@
 """One serving replica: an engine snapshot and the worker thread that feeds it.
 
-A fleet scales throughput by running *N identical engines* in one process;
-the NumPy engine releases the GIL inside its GEMMs, so replicas overlap on
-multicore hosts.  There is no router: every replica of a group runs the
-fleet's worker loop on its own thread and pulls its next batch from the
-group's one admission queue, so whichever replica is idle takes the work.
+A fleet scales throughput by running *N identical engines* in one process
+(``InferenceServer`` runs one); the NumPy engine releases the GIL inside
+its GEMMs, so replicas overlap on multicore hosts.  There is no router:
+every replica of a group runs the fleet's worker loop on its own thread and
+pulls its next batch from the group's one admission queue, so whichever
+replica is idle takes the work.
 A replica presents this surface to the fleet:
 
 * :meth:`Replica.start` — run the worker loop on the replica's own thread;

@@ -1,7 +1,9 @@
 """The fleet server: replica groups, admission, rollout, sessions.
 
-:class:`FleetServer` is the multi-replica counterpart of
-:class:`repro.serve.server.InferenceServer`.  Per registered model it owns:
+:class:`FleetServer` is the one serving front-end of the library:
+:class:`repro.serve.server.InferenceServer` is its single-replica
+configuration (one replica, no admission bound, a response cache, the model
+registry as its version catalogue).  Per registered model it owns:
 
 * a **replica group** — N identical engine snapshots
   (:mod:`repro.fleet.replica`) in front of **one** bounded, priority-ordered
@@ -9,8 +11,8 @@
   thread pops up to ``max_batch_size`` requests (waiting at most
   ``max_wait_ms`` for co-riders), fails expired ones with
   :class:`~repro.fleet.errors.DeadlineExceeded`, runs one fused forward and
-  resolves the client futures itself: one queue and one thread hop, as in
-  the single server, and no router — an idle replica takes the next batch.
+  resolves the client futures itself: one queue and one thread hop, and
+  no router — an idle replica takes the next batch.
   A crashed batch is requeued once for a sibling (a canary request on the
   baseline's queue);
 * a **supervisor thread**, off the request path — restarts dead replicas
@@ -20,12 +22,17 @@
 * optional **rollout state** (:mod:`repro.fleet.rollout`) — a canary split
   chosen at ``submit`` (the request joins the candidate group's queue) or a
   shadow mirror queued once the primary batch answers, promoted or rolled
-  back atomically by pointer swap.
+  back atomically by pointer swap;
+* an optional **response cache** (:mod:`repro.serve.cache`) checked at
+  ``submit`` and filled by the worker, keyed by the version of the group
+  that computed the answer.
 
-Every request runs under a ``serve.request`` → ``fleet.route`` →
-``replica.request`` span tree (the batch leader also holds the fused
-forward's ``serve.batch`` span); queue depth, per-replica outstanding and
-utilization, shed counts, restarts and canary decisions export through the
+Every request runs under a ``serve.request`` root with a ``serve.queue_wait``
+child, then the fused forward's shared ``serve.batch`` span (parented on the
+batch leader, linked into every rider's tree) around ``engine.infer``.  The
+root carries the request's ``arm`` and ``version``, the batch span its
+``replica``.  Queue depth, per-replica outstanding and utilization, shed
+counts, restarts and canary decisions export through the
 :mod:`repro.obs.metrics` registry.
 """
 
@@ -40,14 +47,15 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.fleet.admission import AdmissionQueue, FleetRequest
-from repro.fleet.errors import DeadlineExceeded, Overloaded, ReplicaCrashed
+from repro.fleet.errors import (BatcherClosed, DeadlineExceeded, FleetError,
+                                Overloaded, ReplicaCrashed)
 from repro.fleet.replica import Replica
 from repro.fleet.rollout import CanaryRollout, ShadowRollout
 from repro.fleet.sessions import StreamingSession
 from repro.obs.metrics import default_registry
 from repro.obs.trace import get_tracer
 from repro.resilience.breaker import HALF_OPEN, OPEN, CircuitBreaker
-from repro.serve.batcher import BatcherClosed
+from repro.serve.cache import ResponseCache, input_digest
 from repro.serve.engine import InferenceEngine
 from repro.serve.stats import ServerStats
 
@@ -115,10 +123,12 @@ class _ReplicaGroup:
 class _ModelEntry:
     """Everything the fleet holds for one registered model name."""
 
-    def __init__(self, name: str, group: _ReplicaGroup, stats: ServerStats):
+    def __init__(self, name: str, group: _ReplicaGroup, stats: ServerStats,
+                 cache: Optional[ResponseCache]):
         self.name = name
         self.group = group
         self.stats = stats
+        self.cache = cache
         self.stopped = threading.Event()
         self.supervisor: Optional[threading.Thread] = None
         #: Serialises group-pointer swaps (canary promote/rollback, deploys).
@@ -142,7 +152,7 @@ class _ModelEntry:
 
 
 class FleetServer:
-    """Serve registered models from supervised multi-replica groups.
+    """Serve registered models from supervised replica groups.
 
     Parameters
     ----------
@@ -217,7 +227,10 @@ class FleetServer:
             error_threshold=float(breaker_error_threshold),
             open_duration_s=float(breaker_open_s))
         self.session_idle_timeout_s = float(session_idle_timeout_s)
-        self.registry = default_registry()
+        #: Per-model response-cache entries (``0``: no cache).  Only
+        #: :class:`~repro.serve.server.InferenceServer` turns the cache on.
+        self.cache_capacity = 0
+        self._metrics = default_registry()
         self._models: Dict[str, _ModelEntry] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -225,14 +238,21 @@ class FleetServer:
     # -- registration -------------------------------------------------------------
 
     def _make_factory(self, name: str, model, version, engine_kwargs: dict):
-        """Build-recipe closure: (slot, generation) -> fresh replica."""
+        """Build-recipe closure: (slot, generation) -> fresh replica.
+
+        A prebuilt :class:`InferenceEngine` is served as is by slot 0's
+        first incarnation; every other slot and every restart serves its
+        :meth:`~InferenceEngine.clone`.
+        """
         def factory(slot: int, generation: int) -> Replica:
+            if not isinstance(model, InferenceEngine):
+                engine = InferenceEngine(model, **engine_kwargs)
+            else:
+                engine = model if slot == generation == 0 else model.clone()
             # A fresh incarnation starts with a clean breaker: its
             # predecessor's error history belongs to the dead replica.
-            return Replica(
-                f"{name}/v{version}/r{slot}.{generation}",
-                InferenceEngine(model, **engine_kwargs),
-                CircuitBreaker(**self._breaker_kwargs), model_name=name)
+            return Replica(f"{name}/v{version}/r{slot}.{generation}", engine,
+                           CircuitBreaker(**self._breaker_kwargs), model_name=name)
 
         return factory
 
@@ -259,8 +279,13 @@ class FleetServer:
         replicas: Optional[int] = None,
         warmup_sample: Optional[np.ndarray] = None,
         **engine_kwargs,
-    ) -> None:
+    ) -> InferenceEngine:
         """Stand up a replica group for ``model`` and start serving it.
+
+        ``model`` is a :class:`~repro.models.base.SpikingModel` (each
+        replica snapshots it with ``engine_kwargs``) or a prebuilt
+        :class:`InferenceEngine`, which slot 0 then serves.  Returns slot
+        0's engine.
 
         Raises ``ValueError`` when ``name`` is already registered and
         ``RuntimeError`` when the fleet is closed, both checked again once
@@ -275,7 +300,9 @@ class FleetServer:
         try:
             with self._lock:
                 self._check_new_name(name)
-                entry = _ModelEntry(name, group, ServerStats(name=name))
+                cache = (ResponseCache(self.cache_capacity, name=name)
+                         if self.cache_capacity > 0 else None)
+                entry = _ModelEntry(name, group, ServerStats(name=name), cache)
                 self._register_metrics(entry, count)
                 entry.supervisor = threading.Thread(
                     target=self._supervise, args=(entry,),
@@ -286,11 +313,12 @@ class FleetServer:
         except BaseException:
             group.close()
             raise
+        return group.slots[0].replica.engine
 
     def _check_new_name(self, name: str) -> None:
         """Raise unless ``name`` can be registered now (caller holds the lock)."""
         if self._closed:
-            raise RuntimeError("FleetServer is closed")
+            raise RuntimeError(f"{type(self).__name__} is closed")
         if name in self._models:
             raise ValueError(f"model {name!r} already registered; "
                              "use deploy() to roll out a new version")
@@ -299,24 +327,24 @@ class FleetServer:
         name = entry.name
         labels = {"model": name}
         metrics = entry.metrics
-        metrics["queue_depth"] = self.registry.gauge(
+        metrics["queue_depth"] = self._metrics.gauge(
             "repro_fleet_queue_depth", "Admission-queue depth",
             labels=labels, fn=lambda: entry.group.queue.depth)
         for reason in _SHED_REASONS:
-            metrics[f"shed_{reason}"] = self.registry.counter(
+            metrics[f"shed_{reason}"] = self._metrics.counter(
                 "repro_fleet_shed_total", "Requests shed, by reason",
                 labels={"model": name, "reason": reason})
-        metrics["restarts"] = self.registry.counter(
+        metrics["restarts"] = self._metrics.counter(
             "repro_fleet_replica_restarts_total", "Replica restarts",
             labels=labels)
-        metrics["promotions"] = self.registry.counter(
+        metrics["promotions"] = self._metrics.counter(
             "repro_fleet_canary_promotions_total", "Canary promotions",
             labels=labels)
-        metrics["rollbacks"] = self.registry.counter(
+        metrics["rollbacks"] = self._metrics.counter(
             "repro_fleet_canary_rollbacks_total", "Canary rollbacks",
             labels=labels)
         for outcome in ("ok", "error"):
-            metrics[f"requests_{outcome}"] = self.registry.counter(
+            metrics[f"requests_{outcome}"] = self._metrics.counter(
                 "repro_fleet_requests_total", "Fleet requests, by outcome",
                 labels={"model": name, "outcome": outcome})
 
@@ -338,7 +366,7 @@ class FleetServer:
              lambda r: r.breaker.state_code()))
         for index in range(count):
             for key, metric, doc, read in per_replica:
-                metrics[f"{key}_{index}"] = self.registry.gauge(
+                metrics[f"{key}_{index}"] = self._metrics.gauge(
                     metric, doc, labels={"model": name, "replica": str(index)},
                     fn=slot_reader(index, read))
 
@@ -349,28 +377,43 @@ class FleetServer:
         """Admit one ``(C, H, W)`` sample; returns a future of its logits row.
 
         Raises :class:`Overloaded` synchronously when the admission queue is
-        full (``retry_after_s`` carries the backpressure hint).
+        full (``retry_after_s`` carries the backpressure hint), and
+        ``RuntimeError`` once the server is closed.
         ``deadline_s`` is a relative deadline; a request that no replica
         pops in time resolves with :class:`DeadlineExceeded`.
         ``priority`` orders the admission queue (higher first).
         """
+        return self._submit(name, sample, priority, deadline_s, use_cache=True)
+
+    def _submit(self, name: str, sample: np.ndarray, priority: int,
+                deadline_s: Optional[float], use_cache: bool) -> Future:
+        """The one request path of both configurations: the response cache
+        (when the server has one), then admission into the group's queue."""
+        if self._closed:
+            raise RuntimeError(f"cannot submit to a closed {type(self).__name__}")
         entry = self._entry(name)
         sample = np.asarray(sample, dtype=np.float32)
         if sample.ndim != 3:
             raise ValueError(f"submit expects a single (C, H, W) sample, "
                              f"got {sample.shape}")
+        digest = None
+        if use_cache and entry.cache is not None:
+            digest = input_digest(sample)
+            version = entry.group.version
+            cached = entry.cache.get(f"{version}:{digest}")
+            entry.stats.record_cache(hit=cached is not None)
+            if cached is not None:
+                return self._cache_hit(entry, version, cached)
         tracer = get_tracer()
-        root = route = None
+        root = queue_span = None
         if tracer.enabled:
-            root = tracer.start_span("serve.request",
-                                     attrs={"model": name, "fleet": True})
-            route = tracer.start_span("fleet.route", parent=root,
-                                      attrs={"arm": "baseline"})
+            root = tracer.start_span("serve.request", attrs={"model": name})
+            queue_span = tracer.start_span("serve.queue_wait", parent=root)
         deadline = (time.monotonic() + float(deadline_s)
                     if deadline_s is not None else None)
         request = FleetRequest(sample, Future(), priority=priority,
                                deadline=deadline, root_span=root,
-                               route_span=route)
+                               queue_span=queue_span, digest=digest)
         if request.expired():
             self._fail_request(entry, request,
                                DeadlineExceeded("deadline expired at admission"),
@@ -378,44 +421,59 @@ class FleetServer:
             return request.future
         try:
             self._admit(entry, request)
-        except Overloaded:
-            entry.metrics["shed_overloaded"].inc()
+        except FleetError as error:
+            if isinstance(error, Overloaded):
+                entry.metrics["shed_overloaded"].inc()
             entry.metrics["requests_error"].inc()
             self._finish_spans(request, status="error")
             raise
         return request.future
 
+    def _cache_hit(self, entry: _ModelEntry, version, row: np.ndarray) -> Future:
+        """Answer from the response cache: counted and traced, never queued."""
+        entry.stats.record_request(0.0)
+        entry.metrics["requests_ok"].inc()
+        tracer = get_tracer()
+        if tracer.enabled:
+            root = tracer.start_span("serve.request",
+                                     attrs={"model": entry.name, "cache": "hit"})
+            root.add_event("cache_hit", version=str(version))
+            tracer.finish_span(root)
+        future: Future = Future()
+        future.set_result(row)
+        return future
+
     def _admit(self, entry: _ModelEntry, request: FleetRequest) -> None:
         """Queue ``request`` on its arm's group.  The deterministic canary
         split sends a request on its credit to the candidate's queue, unless
         no candidate replica is alive: that counts as a canary error, and
-        the baseline serves it."""
+        the baseline serves it.  A request whose group a swap retired (its
+        queue closed) joins the group serving now; once the model stopped
+        serving it fails with :class:`BatcherClosed`."""
         group = entry.group
         canary = entry.canary
         if canary is not None and canary["rollout"].choose_arm() == "canary":
             if canary["group"].alive():
                 group = canary["group"]
                 request.arm = "canary"
-                if request.route_span is not None:
-                    request.route_span.set_attrs(
-                        arm="canary", version=str(canary["rollout"].version))
             else:
                 self._record_arm(entry, "canary", None, error=True)
-        try:
-            group.queue.put(request)
-        except Overloaded:
-            if not group.queue.closed:
-                raise
-            # A swap retired ``group`` and the supervisor closed its queue
-            # between the read and the put: join the group serving now.
-            self._as_baseline(entry, request).queue.put(request)
+        while True:
+            try:
+                group.queue.put(request)
+                return
+            except Overloaded:
+                if not group.queue.closed:
+                    raise
+            # Teardown sets ``stopped`` before it closes any queue.
+            if entry.stopped.is_set():
+                raise BatcherClosed(f"model {entry.name!r} stopped serving")
+            group = self._as_baseline(entry, request)
 
     @staticmethod
     def _as_baseline(entry: _ModelEntry, request: FleetRequest) -> _ReplicaGroup:
         """Move ``request`` to the baseline arm; returns the serving group."""
         request.arm = "baseline"
-        if request.route_span is not None:
-            request.route_span.set_attrs(arm="baseline")
         return entry.group
 
     def infer(self, name: str, sample: np.ndarray, priority: int = 0,
@@ -463,9 +521,10 @@ class FleetServer:
     ):
         """Roll out a new version of an already-registered model.
 
-        ``mode="replace"`` swaps the group atomically (the single-server
-        hot-swap, now fleet-wide: the new group is fully built and warmed
-        before the pointer moves).  ``mode="canary"`` routes ``fraction`` of
+        ``mode="replace"`` swaps the group atomically (the new group is
+        fully built and warmed before the pointer moves; it is also how
+        :meth:`InferenceServer.swap <repro.serve.server.InferenceServer.swap>`
+        reaches the served group).  ``mode="canary"`` routes ``fraction`` of
         traffic to the candidate and auto-promotes / auto-rolls-back on the
         error-rate + p99 gate.  ``mode="shadow"`` mirrors all traffic to the
         candidate, compares logits, and never answers from it; inspect
@@ -583,7 +642,7 @@ class FleetServer:
                 continue
             batch = queue.pop_batch(size, self.max_wait_s)
             if batch:
-                self._run_batch(entry, queue, replica, batch)
+                self._run_batch(entry, group, replica, batch)
 
     def _pull_size(self, group: _ReplicaGroup, replica: Replica) -> int:
         """How many requests ``replica`` may pop: none while its breaker is
@@ -609,8 +668,10 @@ class FleetServer:
         except RuntimeError:  # pragma: no cover - already running/resolved
             return True
 
-    def _run_batch(self, entry: _ModelEntry, queue: AdmissionQueue,
+    def _run_batch(self, entry: _ModelEntry, group: _ReplicaGroup,
                    replica: Replica, batch: List[FleetRequest]) -> None:
+        """Stack the batch, run one fused forward and resolve every future:
+        the only place a request is answered from the engine."""
         now = time.monotonic()
         live = []
         for request in batch:
@@ -627,18 +688,19 @@ class FleetServer:
         if not live:
             return
         tracer = get_tracer()
-        spans = [tracer.start_span("replica.request", parent=request.route_span,
-                                   attrs={"replica": replica.name})
-                 if request.route_span is not None else None
-                 for request in live]
         # One shared batch span under the first traced request (the batch
-        # leader), linked into every other rider's tree below.
-        leader = next((span for span in spans if span is not None), None)
+        # leader), linked into every other rider's tree once it finishes.
+        leader = next((request.root_span for request in live
+                       if request.root_span is not None), None)
         batch_span = None
         if leader is not None:
+            start_perf = time.perf_counter()
+            for request in live:
+                tracer.finish_span(request.queue_span, end_perf=start_perf)
             batch_span = tracer.start_span(
                 "serve.batch", parent=leader,
-                attrs={"batch_size": len(live), "model": entry.name})
+                attrs={"batch_size": len(live), "model": entry.name,
+                       "replica": replica.name})
         replica.outstanding = len(live)
         replica.breaker.allow()  # half-open: this batch of one is a probe
         start = time.perf_counter()
@@ -649,31 +711,39 @@ class FleetServer:
             if replica.killed:
                 raise ReplicaCrashed("killed while holding a batch",
                                      replica=replica.name)
+            if len(rows) != len(live):
+                raise RuntimeError(f"engine returned {len(rows)} rows for "
+                                   f"{len(live)} requests")
         except Exception as error:  # noqa: BLE001 - forwarded to the futures
             replica.breaker.record_failure()
-            self._finish_batch_spans(tracer, spans, leader, batch_span,
-                                     status="error")
-            self._fail_batch(entry, queue, replica, live, error)
+            self._finish_batch_span(tracer, batch_span, live, leader, "error")
+            self._fail_batch(entry, group.queue, replica, live, error)
             return
         finally:
             replica.outstanding = 0
         replica.breaker.record_success()
         done = time.monotonic()
-        queue.note_served((time.perf_counter() - start) / len(live))
+        group.queue.note_served((time.perf_counter() - start) / len(live))
         # Record and finish spans *before* publishing: a caller woken by its
         # future must already see its request in the stats and the trace.
-        self._finish_batch_spans(tracer, spans, leader, batch_span, status="ok")
-        answered = [request for request in live if request.arm != "shadow"]
-        for request in answered:
+        self._finish_batch_span(tracer, batch_span, live, leader, "ok")
+        answered = 0
+        for request, row in zip(live, rows):
+            if request.arm == "shadow":
+                continue
+            answered += 1
             latency = done - request.enqueued
             entry.stats.record_request(latency)
             entry.metrics["requests_ok"].inc()
             self._record_arm(entry, request.arm, latency, error=False)
+            if request.digest is not None:
+                entry.cache.put(f"{group.version}:{request.digest}", row)
             if request.root_span is not None:
-                request.root_span.set_attrs(latency_s=latency, arm=request.arm)
+                request.root_span.set_attrs(latency_s=latency, arm=request.arm,
+                                            version=str(group.version))
             self._finish_spans(request, status="ok")
         if answered:
-            entry.stats.record_batch(len(answered))
+            entry.stats.record_batch(answered)
         for request, row in zip(live, rows):
             try:
                 request.future.set_result(row)
@@ -683,18 +753,16 @@ class FleetServer:
             self._mirror(entry, live, rows)
 
     @staticmethod
-    def _finish_batch_spans(tracer, spans: list, leader, batch_span,
-                            status: str) -> None:
+    def _finish_batch_span(tracer, batch_span, live: List[FleetRequest],
+                           leader, status: str) -> None:
+        """Close the shared batch span and link it into every rider's tree."""
         if batch_span is None:
             return
         batch_span.status = status
         tracer.finish_span(batch_span)
-        for span in spans:
-            if span is not None:
-                if span is not leader:
-                    tracer.link(span, batch_span)
-                span.status = status
-                tracer.finish_span(span)
+        for request in live:
+            if request.root_span is not None and request.root_span is not leader:
+                tracer.link(request.root_span, batch_span)
 
     def _fail_batch(self, entry: _ModelEntry, queue: AdmissionQueue,
                     replica: Replica, live: List[FleetRequest],
@@ -780,15 +848,14 @@ class FleetServer:
                     continue
                 error: BaseException = ReplicaCrashed("no alive replica available")
             else:
-                error = BatcherClosed("fleet shut down before this request "
-                                      "was served")
+                error = BatcherClosed(f"model {entry.name!r} stopped serving "
+                                      "before this request was served")
             self._fail_request(entry, request, error,
                                reason="crashed" if crashed else None)
 
     def _finish_spans(self, request: FleetRequest, status: str) -> None:
         tracer = get_tracer()
-        if request.route_span is not None and request.route_span.is_recording:
-            tracer.finish_span(request.route_span)
+        tracer.finish_span(request.queue_span)
         if request.root_span is not None:
             request.root_span.status = status
             tracer.finish_span(request.root_span)
@@ -866,7 +933,7 @@ class FleetServer:
         with self._lock:
             entry = self._models.get(name)
         if entry is None:
-            raise KeyError(f"unknown model {name!r} "
+            raise KeyError(f"model {name!r} is not being served "
                            f"(registered: {sorted(self._models)})")
         return entry
 
@@ -875,7 +942,18 @@ class FleetServer:
             return sorted(self._models)
 
     def stats(self, name: str) -> ServerStats:
+        """The :class:`ServerStats` collector of one served model."""
         return self._entry(name).stats
+
+    def cache(self, name: str) -> Optional[ResponseCache]:
+        """The response cache of one served model (``None`` when disabled)."""
+        return self._entry(name).cache
+
+    def stats_table(self) -> Dict[str, Dict[str, float]]:
+        """``{model_name: headline-stats}`` across every served model."""
+        with self._lock:
+            entries = list(self._models.values())
+        return {entry.name: entry.stats.as_table() for entry in entries}
 
     def replica_status(self, name: str) -> List[dict]:
         """Per-slot health rows (for dashboards and the smoke scripts)."""
@@ -956,9 +1034,11 @@ class FleetServer:
         for group in groups:
             self._fail_queued(entry, group.close(timeout=timeout), crashed=False)
         entry.stats.deregister_metrics()
+        if entry.cache is not None:
+            entry.cache.deregister_metrics()
         for instrument in entry.metrics.values():
-            if self.registry.get(instrument.name, instrument.labels) is instrument:
-                self.registry.unregister(instrument.name, instrument.labels)
+            if self._metrics.get(instrument.name, instrument.labels) is instrument:
+                self._metrics.unregister(instrument.name, instrument.labels)
 
     def close(self, timeout: float = 10.0) -> None:
         """Tear the whole fleet down (idempotent)."""

@@ -11,7 +11,7 @@ the cross-cutting layer they now all report into:
   snapshots.  ``ServerStats`` and the compiled runtime register their
   instruments here.
 * **tracing** (:mod:`repro.obs.trace`) — hierarchical spans with
-  context-var propagation, carried across the micro-batcher's queue hop so
+  context-var propagation, carried across the serving queue hop so
   a request's tree covers enqueue → batch assembly → compiled replay →
   per-kernel children (planner kernel labels), and through the trainer so a step
   splits into data-wait / forward / backward / optimizer.

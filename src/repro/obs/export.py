@@ -2,7 +2,7 @@
 
 Exporters receive every finished span exactly once (via
 :meth:`repro.obs.trace.Tracer._deliver`).  They must be thread-safe — spans
-finish on trainer threads, micro-batcher workers and prefetch threads
+finish on trainer threads, serving replica workers and prefetch threads
 concurrently — and must never raise into the traced code path.
 
 * :class:`ChromeTraceExporter` accumulates complete-events (``"ph": "X"``)

@@ -5,8 +5,9 @@ this specific request spend its time?*  Every instrumented site opens a
 :class:`Span` (``with obs.span("train.step"): ...``); spans nest through a
 :mod:`contextvars` variable, so a span opened inside another becomes its
 child — including across the explicit hand-offs the serving stack performs
-(the :class:`~repro.serve.batcher.MicroBatcher` carries the request span
-through its queue, the worker re-activates it on the other side).
+(a served request's span rides the admission queue of
+:class:`~repro.fleet.server.FleetServer`, and the replica worker activates
+the batch span on the other side).
 
 Design constraints, in priority order:
 

@@ -5,8 +5,7 @@ Three pieces:
 * :mod:`repro.resilience.faults` — a seeded :class:`FaultPlan` /
   :class:`FaultInjector` pair with zero-cost no-op sites when no plan is
   installed (the :mod:`repro.obs` tracing pattern), wired into the worker
-  pool, fleet replicas, compiled runtime, checkpoints, data loader and
-  micro-batcher;
+  pool, serving replicas, compiled runtime, checkpoints and data loader;
 * :mod:`repro.resilience.breaker` — the per-replica
   :class:`CircuitBreaker` (closed / open / half-open on error rate) that
   gates which fleet replicas pull work and feeds ``health_report()``;

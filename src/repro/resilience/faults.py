@@ -26,7 +26,6 @@ site                 where                                        action params
 ``runtime.nan``      ``runtime/planner.py`` guarded replay        ``value`` (nan/inf)
 ``checkpoint.corrupt``  ``training/checkpoint.py`` save path      ``mode`` (truncate/bitflip/partial)
 ``data.prefetch``    ``data/datasets.py`` prefetch worker         —
-``batcher.stall``    ``serve/batcher.py`` batch processing        ``seconds``
 ===================  ==========================================  =======================
 
 Every fire is observable: it increments the

@@ -6,10 +6,6 @@ lines 19-22).  This package is that deployment layer:
 * :class:`~repro.serve.engine.InferenceEngine` — a frozen serving snapshot:
   TT cores kept (``merge=True`` merges them to dense per Eq. 6),
   ``eval()`` forced, fused ``no_grad`` forward as the only code path.
-* :class:`~repro.serve.batcher.MicroBatcher` — coalesces concurrent
-  single-sample requests into one fused batch under a ``max_batch_size`` /
-  ``max_wait_ms`` policy, so serving throughput rides the time-fused engine
-  instead of paying per-request Python overhead.
 * :class:`~repro.serve.registry.ModelRegistry` — named + versioned engines
   with warm-up at load and atomic hot-swap.
 * :class:`~repro.serve.cache.ResponseCache` — LRU logits cache keyed by an
@@ -17,7 +13,12 @@ lines 19-22).  This package is that deployment layer:
 * :class:`~repro.serve.stats.ServerStats` — p50/p95/p99 latency, QPS and
   batch-fill accounting.
 * :class:`~repro.serve.server.InferenceServer` — the facade wiring all of
-  the above together per model name.
+  the above together per model name.  It is the single-replica
+  configuration of :class:`repro.fleet.server.FleetServer`: concurrent
+  single-sample requests queue per model, and a replica worker coalesces
+  them into one fused batch under a ``max_batch_size`` / ``max_wait_ms``
+  policy, so serving throughput rides the time-fused engine instead of
+  paying per-request Python overhead.
 
 Quickstart (mirrors ``examples/serve_quickstart.py``)::
 
@@ -48,20 +49,30 @@ Quickstart (mirrors ``examples/serve_quickstart.py``)::
     server.close()
 """
 
-from repro.serve.batcher import BatcherClosed, MicroBatcher
 from repro.serve.cache import ResponseCache, input_digest
 from repro.serve.engine import InferenceEngine
 from repro.serve.registry import ModelRegistry
-from repro.serve.server import InferenceServer
 from repro.serve.stats import ServerStats
 
 __all__ = [
     "InferenceEngine",
     "BatcherClosed",
-    "MicroBatcher",
     "ModelRegistry",
     "ResponseCache",
     "input_digest",
     "ServerStats",
     "InferenceServer",
 ]
+
+
+def __getattr__(name: str):
+    # InferenceServer is built on repro.fleet, which imports this package's
+    # engine: both names load on first use, so neither package imports the
+    # other while it is initialising.
+    if name == "InferenceServer":
+        from repro.serve.server import InferenceServer
+        return InferenceServer
+    if name == "BatcherClosed":
+        from repro.fleet.errors import BatcherClosed
+        return BatcherClosed
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

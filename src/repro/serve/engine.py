@@ -26,7 +26,8 @@ and its batch norm run once per image rather than once per timestep, and
 compiled plans for image batches are cached apart from those for sequences.  Because the spiking
 state (LIF membranes, HTT counters) lives inside the model, a lock serialises
 concurrent ``infer`` calls — throughput scaling comes from batching requests
-(:class:`repro.serve.batcher.MicroBatcher`), not from re-entrancy.
+(the replica workers of :class:`repro.fleet.server.FleetServer`, which also
+serve :class:`repro.serve.server.InferenceServer`), not from re-entrancy.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class InferenceEngine:
         request batches are zero-padded up to the next power-of-two batch
         size and executed by a compiled no-grad forward plan cached per
         padded shape (and rank: images and sequences get separate plans),
-        so :class:`~repro.serve.batcher.MicroBatcher` bursts of
+        so micro-batched bursts of
         any fill level hit a replayed plan instead of rebuilding the Python
         forward.  Padding is exact — eval-mode layers are per-sample
         independent, and the pad rows are sliced off before returning.
@@ -156,6 +157,8 @@ class InferenceEngine:
             # Baked-parameter folds are only safe on an engine-owned
             # snapshot; an adopted instance may keep training.
             optimize = "O2" if copy_model else "O1"
+        self.optimize = optimize
+        self.profile = bool(profile)
         if self.compile:
             from repro.runtime.replay import CompiledForward
 
@@ -294,6 +297,18 @@ class InferenceEngine:
         if self._compiled is None:
             return None
         return self._compiled.runtime_stats()
+
+    def clone(self) -> "InferenceEngine":
+        """A new engine over a copy of this snapshot, built as this one was.
+
+        A fleet replica restarted after a crash serves the clone of the
+        engine it was registered with.  The copy is taken under the engine
+        lock, so it never catches the snapshot mid-forward.
+        """
+        with self._lock:
+            return InferenceEngine(self.model, compile=self.compile,
+                                   optimize=self.optimize, profile=self.profile,
+                                   guard_numerics=self.guard_numerics)
 
     __call__ = infer
 

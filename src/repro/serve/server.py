@@ -1,51 +1,59 @@
-"""The serving facade: registry + micro-batcher + cache + stats per model.
+"""The serving facade: the fleet's single-replica configuration.
 
-:class:`InferenceServer` wires the subsystem together the way a deployment
-would: requests name a model, hit the LRU response cache first, and on a miss
-join that model's :class:`~repro.serve.batcher.MicroBatcher` queue, where a
-worker coalesces them into one fused forward on the registry's current
-engine.  Every answer (cached or computed) is accounted in the model's
+:class:`InferenceServer` is :class:`~repro.fleet.server.FleetServer` with one
+replica per model, no admission bound, an LRU response cache and its own
+batching defaults (16 requests, 2 ms).  Requests name a model, hit the
+response cache first, and on a miss join that model's admission queue,
+where the replica worker coalesces them into one fused forward.  Every
+answer (cached or computed) is accounted in the model's
 :class:`~repro.serve.stats.ServerStats`.
 
-Hot-swapping (:meth:`InferenceServer.swap`) re-points the registry's latest
-pointer atomically; queued requests pick up the new engine at their next
-batch, and cache keys embed the resolved version so a swapped model can
-never serve a predecessor's cached logits.  (Requests already in flight
-during a swap may be computed by the new engine but keyed to the old
-version — staleness is bounded to that single in-flight batch.)
+A :class:`~repro.serve.registry.ModelRegistry` is the version catalogue:
+``register``, :meth:`InferenceServer.swap` and ``unregister(name, version)``
+publish to it, then point the served group at its latest version through the
+fleet's group replace (``deploy(mode="replace")``).  The new group is built
+before the pointer moves, so every request submitted after ``swap`` returns
+is answered by the new engine, while requests already queued on the old
+group finish there.  Cache keys embed the version of the group that computed
+the answer, so a swapped model never serves a predecessor's cached logits.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import Future
 from typing import Dict, Optional, Union
 
 import numpy as np
 
+from repro.fleet.server import FleetServer
 from repro.models.base import SpikingModel
 from repro.obs.metrics import default_registry
 from repro.obs.trace import get_tracer
-from repro.serve.batcher import MicroBatcher
-from repro.serve.cache import ResponseCache, input_digest
 from repro.serve.engine import InferenceEngine
 from repro.serve.registry import ModelRegistry, Version
-from repro.serve.stats import ServerStats
 
 __all__ = ["InferenceServer"]
 
+#: Admission bound of every ``InferenceServer`` queue: none in practice, so
+#: ``submit`` never sheds with :class:`~repro.fleet.errors.Overloaded`.
+_NO_BOUND = sys.maxsize
 
-class InferenceServer:
+
+class InferenceServer(FleetServer):
     """Serve named models with dynamic batching, caching and stats.
 
     Parameters
     ----------
     registry:
         An existing :class:`~repro.serve.registry.ModelRegistry` to serve
-        from; a fresh one is created when omitted.
+        from; a fresh one is created when omitted.  Names published directly
+        on it are served from their first request.
     max_batch_size, max_wait_ms:
-        Micro-batching policy applied to every registered model (see
-        :class:`~repro.serve.batcher.MicroBatcher`).
+        Micro-batching policy applied to every registered model: at most
+        ``max_batch_size`` requests per fused forward, and the first request
+        of a batch waits at most ``max_wait_ms`` for co-riders.
     cache_capacity:
         Per-model LRU response-cache entries; ``0`` disables caching.
     """
@@ -57,44 +65,27 @@ class InferenceServer:
         max_wait_ms: float = 2.0,
         cache_capacity: int = 1024,
     ):
-        self.registry = registry if registry is not None else ModelRegistry()
-        self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
+        super().__init__(replicas=1, max_batch_size=max_batch_size,
+                         max_wait_ms=max_wait_ms, queue_capacity=_NO_BOUND)
         self.cache_capacity = cache_capacity
-        self._lock = threading.Lock()
-        self._batchers: Dict[str, MicroBatcher] = {}
-        self._caches: Dict[str, ResponseCache] = {}
-        self._stats: Dict[str, ServerStats] = {}
-        self._closed = False
+        self.registry = registry if registry is not None else ModelRegistry()
+        self.max_wait_ms = max_wait_ms
+        self._follow_lock = threading.Lock()
 
     # -- model management ---------------------------------------------------------
 
-    def _ensure_plumbing(self, name: str) -> None:
-        """Create the batcher / cache / stats trio for ``name`` exactly once.
-
-        Checked under the lock :meth:`close` takes, so a ``register`` or a
-        first ``submit`` that races ``close`` raises instead of starting a
-        batcher thread nothing will ever stop.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("InferenceServer is closed")
-            if name in self._batchers:
-                return
-            stats = ServerStats(name=name)
-            # Resolve the engine per batch (not per registration) so an
-            # atomic registry swap redirects queued traffic immediately.
-            batcher = MicroBatcher(
-                lambda batch, _name=name: self.registry.get(_name).infer(batch),
-                max_batch_size=self.max_batch_size,
-                max_wait_ms=self.max_wait_ms,
-                stats=stats,
-                name=name,
-            )
-            self._batchers[name] = batcher
-            self._stats[name] = stats
-            if self.cache_capacity > 0:
-                self._caches[name] = ResponseCache(self.cache_capacity, name=name)
+    def _follow(self, name: str) -> None:
+        """Serve the registry's latest version of ``name``: stand its group
+        up on first use, or replace the group when the pointer moved."""
+        with self._follow_lock:
+            version = self.registry.latest_version(name)
+            engine = self.registry.get(name, version)
+            with self._lock:
+                entry = self._models.get(name)
+            if entry is None:
+                super().register(name, engine, version=version)
+            elif entry.group.version != version:
+                self.deploy(name, engine, version)
 
     def register(
         self,
@@ -104,12 +95,12 @@ class InferenceServer:
         warmup_sample: Optional[np.ndarray] = None,
         **engine_kwargs,
     ) -> InferenceEngine:
-        """Snapshot + publish a model and set up its serving plumbing."""
+        """Snapshot + publish a model, and serve the registry's latest version."""
         if self._closed:
             raise RuntimeError("cannot register on a closed InferenceServer")
         engine = self.registry.register(name, model, version=version,
                                         warmup_sample=warmup_sample, **engine_kwargs)
-        self._ensure_plumbing(name)
+        self._follow(name)
         return engine
 
     def swap(
@@ -120,82 +111,39 @@ class InferenceServer:
         warmup_sample: Optional[np.ndarray] = None,
         **engine_kwargs,
     ) -> InferenceEngine:
-        """Hot-swap the served model: queued and future requests use the new engine."""
-        return self.registry.swap(name, model, version=version,
-                                  warmup_sample=warmup_sample, **engine_kwargs)
+        """Hot-swap the served model: requests submitted from now on use the new engine."""
+        engine = self.registry.swap(name, model, version=version,
+                                    warmup_sample=warmup_sample, **engine_kwargs)
+        self._follow(name)
+        return engine
 
     def unregister(self, name: str, version: Optional[Version] = None,
                    timeout: Optional[float] = 10.0) -> None:
-        """Stop serving ``name`` and tear down its server-side plumbing.
+        """Stop serving ``name`` (or one ``version`` of it).
 
-        Removes the model from the registry (one ``version``, or the whole
-        name when ``version=None``) — and, when the *last* version goes,
-        also closes the model's :class:`MicroBatcher` (resolving any queued
-        futures, see :meth:`MicroBatcher.close`), drops its response cache
-        and deregisters its stats/cache instruments from the metrics
-        registry.  ``ModelRegistry.unregister`` alone leaves that trio (and
-        the batcher's worker threads) alive, which is a leak for a server
-        that cycles many models.
+        Removes the model from the registry.  While other versions remain,
+        the served group follows the registry's latest pointer; when the
+        *last* version goes, the model's group is torn down like at
+        :meth:`close`: queued requests fail with
+        :class:`~repro.fleet.errors.BatcherClosed`, and its stats / cache
+        instruments leave the metrics registry.
         """
         self.registry.unregister(name, version)
-        if name in self.registry:
-            # Other versions remain published; keep the plumbing serving.
+        if name not in self._models:
             return
-        with self._lock:
-            batcher = self._batchers.pop(name, None)
-            cache = self._caches.pop(name, None)
-            stats = self._stats.pop(name, None)
-        if batcher is not None:
-            batcher.close(timeout=timeout)
-        if cache is not None:
-            cache.deregister_metrics()
-        if stats is not None:
-            stats.deregister_metrics()
+        if name in self.registry:
+            self._follow(name)
+        else:
+            super().unregister(name, timeout=timeout)
 
     # -- request path -------------------------------------------------------------
 
     def submit(self, name: str, sample: np.ndarray, use_cache: bool = True) -> Future:
         """Enqueue one ``(C, H, W)`` sample for ``name``; returns a logits future."""
-        if self._closed:
-            raise RuntimeError("cannot submit to a closed InferenceServer")
-        if name not in self._batchers:
-            # Models registered directly on a caller-supplied registry get
-            # their serving plumbing lazily on first request.
-            if name in self.registry:
-                self._ensure_plumbing(name)
-            else:
-                raise KeyError(f"model '{name}' is not being served "
-                               f"(registered: {self.registry.models()})")
-        sample = np.asarray(sample, dtype=np.float32)
-        stats = self._stats[name]
-        cache = self._caches.get(name) if use_cache else None
-        if cache is None:
-            return self._batchers[name].submit(sample)
-        version = self.registry.latest_version(name)
-        key = f"{version}:{input_digest(sample)}"
-        cached = cache.get(key)
-        stats.record_cache(hit=cached is not None)
-        if cached is not None:
-            stats.record_request(0.0)
-            tracer = get_tracer()
-            if tracer.enabled:
-                # Cache hits still produce a (near-zero) request trace so a
-                # span log reflects every answered request, not only misses.
-                root = tracer.start_span("serve.request",
-                                         attrs={"model": name, "cache": "hit"})
-                root.add_event("cache_hit", version=str(version))
-                tracer.finish_span(root)
-            future: Future = Future()
-            future.set_result(cached)
-            return future
-        future = self._batchers[name].submit(sample)
-
-        def _store(done: Future, _key=key, _cache=cache) -> None:
-            if not done.cancelled() and done.exception() is None:
-                _cache.put(_key, done.result())
-
-        future.add_done_callback(_store)
-        return future
+        if name not in self._models and name in self.registry:
+            self._follow(name)
+        return self._submit(name, sample, priority=0, deadline_s=None,
+                            use_cache=use_cache)
 
     def infer(self, name: str, sample: np.ndarray, timeout: Optional[float] = None,
               use_cache: bool = True) -> np.ndarray:
@@ -208,22 +156,6 @@ class InferenceServer:
         return int(np.argmax(self.infer(name, sample, timeout=timeout, use_cache=use_cache)))
 
     # -- introspection ------------------------------------------------------------
-
-    def stats(self, name: str) -> ServerStats:
-        """The :class:`ServerStats` collector of one served model."""
-        if name not in self._stats:
-            raise KeyError(f"model '{name}' is not being served")
-        return self._stats[name]
-
-    def cache(self, name: str) -> Optional[ResponseCache]:
-        """The response cache of one served model (``None`` when disabled)."""
-        if name not in self._batchers:
-            raise KeyError(f"model '{name}' is not being served")
-        return self._caches.get(name)
-
-    def stats_table(self) -> Dict[str, Dict[str, float]]:
-        """``{model_name: headline-stats}`` across every served model."""
-        return {name: stats.as_table() for name, stats in self._stats.items()}
 
     def debug_report(self, metrics: bool = True, flight: bool = True,
                      runtime: bool = True) -> Dict[str, object]:
@@ -263,31 +195,6 @@ class InferenceServer:
                     runtimes[name] = stats
             report["runtime"] = runtimes
         return report
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def close(self, timeout: Optional[float] = 10.0) -> None:
-        """Drain and stop every model's batcher; further submissions fail.
-
-        Every model's stats/cache instruments leave the metrics registry (the
-        collectors themselves stay readable through :meth:`stats`).
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            batchers = list(self._batchers.values())
-            collectors = list(self._stats.values()) + list(self._caches.values())
-        for batcher in batchers:
-            batcher.close(timeout=timeout)
-        for collector in collectors:
-            collector.deregister_metrics()
-
-    def __enter__(self) -> "InferenceServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"InferenceServer(models={self.registry.models()}, "

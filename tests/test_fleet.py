@@ -33,6 +33,7 @@ import pytest
 from repro.autograd.tensor import no_grad
 from repro.fleet import (
     AdmissionQueue,
+    BatcherClosed,
     CanaryRollout,
     DeadlineExceeded,
     FleetError,
@@ -50,7 +51,6 @@ from repro.obs.metrics import default_registry
 from repro.obs.trace import get_tracer
 from repro.resilience import CLOSED, HALF_OPEN, FaultPlan, FaultSpec, faults
 from repro.search import LayerChoice, TTSupernet
-from repro.serve.batcher import BatcherClosed
 from repro.serve.engine import InferenceEngine
 from repro.tt.layers import HTTConv2d
 
@@ -206,6 +206,31 @@ class TestFleetServing:
                 fleet._entry("vgg").group.slots[0].replica.kill()
             futures += [fleet.submit("vgg", sample) for sample in samples[8:]]
             rows = np.stack([future.result(timeout=60) for future in futures])
+        np.testing.assert_allclose(rows, direct, atol=1e-6)
+
+    def test_prebuilt_engine_is_served_and_restarts_as_a_clone(self):
+        # Slot 0 serves the registered engine object itself; its sibling and
+        # a restarted slot 0 serve clones built the same way.
+        samples = _samples(4)
+        engine = InferenceEngine(_tiny_model(), compile=True)
+        direct = engine.infer(samples)
+        with FleetServer(replicas=2, max_batch_size=4, max_wait_ms=1.0,
+                         restart_backoff_s=0.05) as fleet:
+            assert fleet.register("vgg", engine) is engine
+            slots = fleet._entry("vgg").group.slots
+            assert slots[0].replica.engine is engine
+            assert slots[1].replica.engine is not engine
+            slots[0].replica.kill()
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and not (
+                    slots[0].generation == 1 and slots[0].replica.alive):
+                time.sleep(0.02)
+            restarted = slots[0].replica.engine
+            assert slots[0].generation == 1 and restarted is not engine
+            assert restarted.compile and restarted.optimize == engine.optimize
+            np.testing.assert_allclose(restarted.infer(samples), direct, atol=1e-6)
+            rows = np.stack([fleet.submit("vgg", sample).result(timeout=60)
+                             for sample in samples])
         np.testing.assert_allclose(rows, direct, atol=1e-6)
 
     def test_expired_deadline_fails_typed(self):
@@ -752,10 +777,13 @@ class TestObservability:
         roots = [span for span in exporter.spans if span.name == "serve.request"]
         assert roots, "fleet requests must produce serve.request roots"
         root = roots[-1]
-        route = root.find("fleet.route")
-        assert route is not None and route.attrs.get("arm") == "baseline"
-        assert root.find("replica.request") is not None, \
-            "the replica-level span must nest inside the fleet request tree"
+        assert root.attrs.get("arm") == "baseline"
+        assert root.attrs.get("version") == "1"
+        assert root.find("serve.queue_wait") is not None
+        batch = root.find("serve.batch")
+        assert batch is not None and batch.attrs["replica"].startswith("traced/v1/r")
+        assert batch.find("engine.infer") is not None, \
+            "the fused forward must nest inside the fleet request tree"
 
     def test_unregister_removes_fleet_metrics(self):
         registry = default_registry()

@@ -34,7 +34,6 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
 from repro.obs.trace import NOOP_SPAN, Span, current_span, get_tracer
 from repro.serve import InferenceServer, ModelRegistry, ServerStats
 from repro.runtime.ops import OPS
-from repro.serve.batcher import MicroBatcher
 from repro.training.config import TrainingConfig
 from repro.training.trainer import BPTTTrainer
 
@@ -459,16 +458,16 @@ class TestServeTracing:
             release.wait(timeout=10)
             return batch.mean(axis=(1, 2, 3))
 
-        batcher = MicroBatcher(slow_infer, max_batch_size=4, max_wait_ms=50.0,
-                               name="shared")
+        server = InferenceServer(max_batch_size=4, max_wait_ms=50.0)
         try:
-            futures = [batcher.submit(np.full(SAMPLE_SHAPE, np.float32(i)))
+            server.register("shared", _tiny_model()).infer = slow_infer
+            futures = [server.submit("shared", np.full(SAMPLE_SHAPE, np.float32(i)))
                        for i in range(3)]
             release.set()
             for future in futures:
                 future.result(timeout=30)
         finally:
-            batcher.close()
+            server.close()
         traces = obs.flight_recorder().slowest()
         assert len(traces) == 3
         batch_spans = {id(t.find("serve.batch")) for t in traces}
@@ -481,13 +480,14 @@ class TestServeTracing:
         def exploding(batch):
             raise ValueError("engine down")
 
-        batcher = MicroBatcher(exploding, max_batch_size=4, max_wait_ms=1.0)
+        server = InferenceServer(max_batch_size=4, max_wait_ms=1.0)
         try:
-            future = batcher.submit(np.zeros(SAMPLE_SHAPE, np.float32))
+            server.register("down", _tiny_model()).infer = exploding
+            future = server.submit("down", np.zeros(SAMPLE_SHAPE, np.float32))
             with pytest.raises(ValueError, match="engine down"):
                 future.result(timeout=30)
         finally:
-            batcher.close()
+            server.close()
         (trace,) = obs.flight_recorder().slowest()
         assert trace.status == "error"
         assert trace.find("serve.batch").status == "error"

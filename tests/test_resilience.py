@@ -44,7 +44,7 @@ from repro.resilience import (
     faults,
 )
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN
-from repro.serve.batcher import MicroBatcher
+from repro.serve import InferenceServer
 from repro.serve.engine import InferenceEngine
 from repro.training.checkpoint import (
     CheckpointManager,
@@ -173,12 +173,12 @@ class TestFaultPlanDeterminism:
 
     def test_fired_log_and_counts(self):
         with faults.inject(FaultPlan(faults=[
-                FaultSpec("batcher.stall", at=(0, 1), seconds=0.0)])) as inj:
-            inj.maybe("batcher.stall", model="m")
-            inj.maybe("batcher.stall", model="m")
-            inj.maybe("batcher.stall", model="m")
-        assert inj.fire_counts() == {"batcher.stall": 2}
-        assert [e["visit"] for e in inj.fired("batcher.stall")] == [0, 1]
+                FaultSpec("replica.slow", at=(0, 1), seconds=0.0)])) as inj:
+            inj.maybe("replica.slow", replica="m/v1/r0.0")
+            inj.maybe("replica.slow", replica="m/v1/r0.0")
+            inj.maybe("replica.slow", replica="m/v1/r0.0")
+        assert inj.fire_counts() == {"replica.slow": 2}
+        assert [e["visit"] for e in inj.fired("replica.slow")] == [0, 1]
 
     def test_plan_pickles(self):
         import pickle
@@ -559,25 +559,26 @@ class TestLoaderRetry:
 
 
 # ---------------------------------------------------------------------------
-# batcher stall
+# slow replica behind the single-replica server
 
 
-class TestBatcherStall:
-    def test_stall_delays_but_answers(self):
-        batcher = MicroBatcher(lambda batch: batch.sum(axis=(1, 2, 3))[:, None],
-                               max_batch_size=4, max_wait_ms=1.0, name="m")
+class TestSlowReplica:
+    def test_slow_replica_delays_but_answers(self):
+        server = InferenceServer(max_batch_size=4, max_wait_ms=1.0)
         try:
+            engine = server.register("m", tiny_model())
+            engine.infer = lambda batch: batch.sum(axis=(1, 2, 3))[:, None]
             sample = np.ones((3, 4, 4), dtype=np.float32)
             with faults.inject(FaultPlan(faults=[
-                    FaultSpec("batcher.stall", at=0, seconds=0.2)])) as injector:
+                    FaultSpec("replica.slow", at=0, seconds=0.2)])) as injector:
                 start = time.perf_counter()
-                result = batcher.submit(sample).result(timeout=10.0)
+                result = server.submit("m", sample).result(timeout=10.0)
                 elapsed = time.perf_counter() - start
             assert elapsed >= 0.2
-            assert injector.fire_counts() == {"batcher.stall": 1}
+            assert injector.fire_counts() == {"replica.slow": 1}
             np.testing.assert_allclose(result, [48.0])
         finally:
-            batcher.close()
+            server.close()
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +695,7 @@ class TestFleetChaos:
                     assert np.isfinite(logits).all()
                     resolved += 1
                 except Exception as exc:  # noqa: BLE001 - typed check below
-                    from repro.fleet.errors import FleetError
-                    from repro.serve.batcher import BatcherClosed
+                    from repro.fleet.errors import BatcherClosed, FleetError
 
                     assert isinstance(exc, (FleetError, BatcherClosed)), (
                         f"untyped failure leaked to a client: {exc!r}")
@@ -815,12 +815,12 @@ class TestFleetChaos:
 class TestFaultObservability:
     def test_fires_count_in_metrics_registry(self):
         base = counter_value("repro_faults_injected_total",
-                             {"site": "batcher.stall"})
+                             {"site": "replica.slow"})
         with faults.inject(FaultPlan(faults=[
-                FaultSpec("batcher.stall", at=0, seconds=0.0)])) as injector:
-            injector.maybe("batcher.stall", model="m")
+                FaultSpec("replica.slow", at=0, seconds=0.0)])) as injector:
+            injector.maybe("replica.slow", replica="m/v1/r0.0")
         assert counter_value("repro_faults_injected_total",
-                             {"site": "batcher.stall"}) == base + 1
+                             {"site": "replica.slow"}) == base + 1
 
     def test_fires_emit_span_events(self):
         capture = _CaptureExporter()

@@ -3,12 +3,12 @@
 Covers the five serving components plus the facade:
 
 * :class:`InferenceEngine` — snapshot semantics and request shapes;
-* :class:`MicroBatcher` — batching policy and concurrency safety (32+
-  threads, exactly one response per request, exceptions forwarded);
 * :class:`ModelRegistry` — versioning, warm-up at load, atomic hot-swap;
 * :class:`ResponseCache` — LRU eviction, digest keys, isolation copies;
 * :class:`ServerStats` — percentiles, QPS, batch-fill histogram;
-* :class:`InferenceServer` — the wired-together request path.
+* :class:`InferenceServer` — the wired-together request path: batching
+  policy and concurrency safety (32+ threads, exactly one response per
+  request, exceptions forwarded), caching, hot-swap and teardown.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.fleet import AdmissionQueue, FleetServer
 from repro.models.builder import convert_to_tt, count_tt_layers
 from repro.models.vgg import spiking_vgg9
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -26,7 +27,6 @@ from repro.serve import (
     BatcherClosed,
     InferenceEngine,
     InferenceServer,
-    MicroBatcher,
     ModelRegistry,
     ResponseCache,
     ServerStats,
@@ -53,6 +53,23 @@ def _echo_batch(batch: np.ndarray) -> np.ndarray:
 
 def _sample(value: float) -> np.ndarray:
     return np.full(SAMPLE_SHAPE, np.float32(value))
+
+
+def _tiny_model(seed: int = 0):
+    return spiking_vgg9(num_classes=4, in_channels=3, timesteps=TIMESTEPS,
+                        width_scale=0.08, rng=np.random.default_rng(seed))
+
+
+def _stub_server(infer, **server_kwargs) -> InferenceServer:
+    """An ``InferenceServer`` whose model ``"stub"`` answers through ``infer``.
+
+    The served engine is the one ``register`` returns, so replacing its
+    ``infer`` swaps in any batch function (echo, gated, failing).
+    """
+    server = InferenceServer(**server_kwargs)
+    engine = server.register("stub", _tiny_model())
+    engine.infer = infer
+    return server
 
 
 class TestInferenceEngine:
@@ -116,15 +133,14 @@ class TestInferenceEngine:
         tiny_engine.warmup(input_shape=SAMPLE_SHAPE)
 
 
-class TestMicroBatcher:
+class TestServerBatching:
     def test_every_request_gets_its_own_answer_under_contention(self):
         """>= 32 threads submit simultaneously; each gets exactly its result."""
         num_threads, per_thread = 32, 4
-        stats = ServerStats()
         results: dict = {}
         errors: list = []
-        with MicroBatcher(_echo_batch, max_batch_size=8, max_wait_ms=5,
-                          stats=stats) as batcher:
+        with _stub_server(_echo_batch, max_batch_size=8, max_wait_ms=5,
+                          cache_capacity=0) as server:
             barrier = threading.Barrier(num_threads)
 
             def client(tid: int) -> None:
@@ -132,7 +148,7 @@ class TestMicroBatcher:
                     barrier.wait()
                     for j in range(per_thread):
                         value = tid * 100 + j
-                        results[(tid, j)] = float(batcher.infer(_sample(value)))
+                        results[(tid, j)] = float(server.infer("stub", _sample(value)))
                 except Exception as error:  # pragma: no cover - failure path
                     errors.append(error)
 
@@ -142,6 +158,7 @@ class TestMicroBatcher:
                 thread.start()
             for thread in threads:
                 thread.join()
+            stats = server.stats("stub")
 
         assert not errors
         assert len(results) == num_threads * per_thread
@@ -153,31 +170,27 @@ class TestMicroBatcher:
                    in stats.batch_fill_histogram().items()) == stats.requests
 
     def test_batches_fill_up_to_max_batch_size(self):
-        stats = ServerStats()
-        batcher = MicroBatcher(_echo_batch, max_batch_size=4, max_wait_ms=50, stats=stats)
-        futures = [batcher.submit(_sample(i)) for i in range(8)]
-        for future in futures:
-            future.result(timeout=5)
-        batcher.close()
-        histogram = stats.batch_fill_histogram()
-        assert max(histogram) <= 4
-        assert stats.batches >= 2
+        with _stub_server(_echo_batch, max_batch_size=4, max_wait_ms=50) as server:
+            futures = [server.submit("stub", _sample(i)) for i in range(8)]
+            for future in futures:
+                future.result(timeout=5)
+            histogram = server.stats("stub").batch_fill_histogram()
+            assert max(histogram) <= 4
+            assert server.stats("stub").batches >= 2
 
     def test_exceptions_propagate_to_every_request_in_the_batch(self):
         def explode(batch):
             raise RuntimeError("model fell over")
 
-        batcher = MicroBatcher(explode, max_batch_size=4, max_wait_ms=20)
-        futures = [batcher.submit(_sample(i)) for i in range(4)]
-        for future in futures:
-            with pytest.raises(RuntimeError, match="fell over"):
-                future.result(timeout=5)
-        batcher.close()
+        with _stub_server(explode, max_batch_size=4, max_wait_ms=20) as server:
+            futures = [server.submit("stub", _sample(i)) for i in range(4)]
+            for future in futures:
+                with pytest.raises(RuntimeError, match="fell over"):
+                    future.result(timeout=5)
 
     def test_stats_are_recorded_before_the_future_resolves(self):
         """A done-callback (run inside ``set_result``) already sees the request
         and its batch counted: the worker records before it publishes."""
-        stats = ServerStats()
         attached = threading.Event()
         seen: list = []
 
@@ -185,38 +198,40 @@ class TestMicroBatcher:
             attached.wait(timeout=5)
             return batch.mean(axis=(1, 2, 3))
 
-        with MicroBatcher(gated, max_batch_size=1, max_wait_ms=0,
-                          stats=stats) as batcher:
-            future = batcher.submit(_sample(1))
+        with _stub_server(gated, max_batch_size=1, max_wait_ms=0) as server:
+            stats = server.stats("stub")
+            future = server.submit("stub", _sample(1))
             future.add_done_callback(
                 lambda _: seen.append((stats.requests, stats.batches)))
             attached.set()
             future.result(timeout=5)
         assert seen == [(1, 1)]
 
-    def test_row_count_mismatch_is_an_error_not_a_hang(self):
-        batcher = MicroBatcher(lambda batch: batch.mean(axis=(1, 2, 3))[:1],
-                               max_batch_size=4, max_wait_ms=20)
-        futures = [batcher.submit(_sample(i)) for i in range(3)]
-        with pytest.raises(RuntimeError, match="rows"):
+    @pytest.mark.parametrize("server_kind", ["inference", "fleet"])
+    def test_short_engine_output_fails_every_request(self, server_kind):
+        """An engine answering fewer rows than requests fails the whole
+        batch: no future is stranded, none is counted as served."""
+        def short(batch: np.ndarray) -> np.ndarray:
+            return batch.mean(axis=(1, 2, 3))[:-1]   # one row short, any size
+
+        if server_kind == "inference":
+            server = _stub_server(short, max_batch_size=4, max_wait_ms=50)
+        else:
+            server = FleetServer(replicas=2, max_batch_size=4, max_wait_ms=50)
+            server.register("stub", _tiny_model())
+            for slot in server._entry("stub").group.slots:
+                slot.replica.engine.infer = short
+        with server:
+            futures = [server.submit("stub", _sample(i)) for i in range(3)]
             for future in futures:
-                future.result(timeout=5)
-        batcher.close()
+                with pytest.raises(RuntimeError, match="rows"):
+                    future.result(timeout=5)
+            assert server.stats("stub").requests == 0
 
-    def test_close_drains_pending_then_rejects(self):
-        batcher = MicroBatcher(_echo_batch, max_batch_size=2, max_wait_ms=1)
-        futures = [batcher.submit(_sample(i)) for i in range(6)]
-        batcher.close()
-        assert [float(f.result(timeout=5)) for f in futures] == pytest.approx(list(range(6)),
-                                                                              abs=1e-3)
-        with pytest.raises(RuntimeError):
-            batcher.submit(_sample(0))
-        batcher.close()          # idempotent
-
-    def test_close_without_drain_resolves_queued_futures(self):
-        """close(drain=False) must deterministically resolve every queued
-        future — even while a worker is wedged inside the engine — so no
-        caller blocked in ``future.result()`` hangs across shutdown."""
+    def test_close_fails_queued_requests_then_rejects(self):
+        """close() resolves every queued future, even while the worker is
+        wedged inside the engine, and returns despite the wedge; the
+        in-flight batch still answers once the engine returns."""
         started = threading.Event()
         release = threading.Event()
 
@@ -225,12 +240,11 @@ class TestMicroBatcher:
             release.wait(timeout=10)
             return batch.mean(axis=(1, 2, 3))
 
-        batcher = MicroBatcher(blocking, max_batch_size=1, max_wait_ms=1)
-        first = batcher.submit(_sample(0))
+        server = _stub_server(blocking, max_batch_size=1, max_wait_ms=1)
+        first = server.submit("stub", _sample(0))
         assert started.wait(timeout=5)            # worker is inside blocking()
-        queued = [batcher.submit(_sample(i)) for i in range(1, 5)]
-        closer = threading.Thread(
-            target=lambda: batcher.close(timeout=0.2, drain=False))
+        queued = [server.submit("stub", _sample(i)) for i in range(1, 5)]
+        closer = threading.Thread(target=lambda: server.close(timeout=0.2))
         closer.start()
         closer.join(timeout=5)
         assert not closer.is_alive()              # close returns despite the wedge
@@ -239,28 +253,52 @@ class TestMicroBatcher:
             assert future.cancelled() or isinstance(future.exception(),
                                                     BatcherClosed)
         with pytest.raises(RuntimeError):
-            batcher.submit(_sample(9))
+            server.submit("stub", _sample(9))
+        server.close()                            # idempotent
         # The in-flight request still resolves through the normal batch path.
         release.set()
         assert float(first.result(timeout=5)) == pytest.approx(0.0, abs=1e-3)
 
-    def test_submit_validates_shape(self):
-        with MicroBatcher(_echo_batch) as batcher:
-            with pytest.raises(ValueError):
-                batcher.submit(np.zeros((2,) + SAMPLE_SHAPE, dtype=np.float32))
+    def test_submit_racing_unregister_fails_typed(self, monkeypatch):
+        """A model torn down between picking its queue and the put fails the
+        request with ``BatcherClosed``: the unbounded server never sheds."""
+        put = AdmissionQueue.put
 
-    def test_serves_a_real_engine(self, tiny_engine, rng):
-        batch = rng.random((4,) + SAMPLE_SHAPE).astype(np.float32)
-        direct = tiny_engine.infer(batch)
-        with MicroBatcher(tiny_engine, max_batch_size=4, max_wait_ms=20) as batcher:
-            futures = [batcher.submit(sample) for sample in batch]
-            rows = np.stack([future.result(timeout=10) for future in futures])
-        np.testing.assert_allclose(rows, direct, atol=1e-6)
+        def unregister_then_put(queue, request):
+            monkeypatch.setattr(AdmissionQueue, "put", put)
+            server.unregister("stub")
+            return put(queue, request)
+
+        with _stub_server(_echo_batch) as server:
+            monkeypatch.setattr(AdmissionQueue, "put", unregister_then_put)
+            with pytest.raises(BatcherClosed):
+                server.submit("stub", _sample(0))
+
+    def test_submit_validates_shape(self):
+        with _stub_server(_echo_batch) as server:
+            with pytest.raises(ValueError):
+                server.submit("stub", np.zeros((2,) + SAMPLE_SHAPE, dtype=np.float32))
 
     def test_predict_convenience(self, tiny_engine, rng):
         sample = rng.random(SAMPLE_SHAPE).astype(np.float32)
-        with MicroBatcher(tiny_engine, max_wait_ms=1) as batcher:
-            assert batcher.predict(sample) == int(np.argmax(tiny_engine.infer(sample)))
+        with InferenceServer(max_wait_ms=1) as server:
+            server.register("vgg", tiny_engine)
+            assert server.predict("vgg", sample) == int(np.argmax(tiny_engine.infer(sample)))
+
+    def test_the_published_engine_is_the_served_object(self):
+        """Every fused forward runs on the engine ``register`` / ``swap``
+        return: an instance attribute on it intercepts the served batches."""
+        sizes: list = []
+        with InferenceServer(max_batch_size=4, max_wait_ms=20,
+                             cache_capacity=0) as server:
+            for publish in (server.register, server.swap):
+                engine = publish("vgg", _tiny_model())
+                assert server.registry.get("vgg") is engine
+                engine.infer = lambda batch: sizes.append(len(batch)) or _echo_batch(batch)
+                futures = [server.submit("vgg", _sample(i)) for i in range(3)]
+                rows = [float(future.result(timeout=10)) for future in futures]
+                assert rows == pytest.approx([0.0, 1.0, 2.0], abs=1e-3)
+        assert sum(sizes) == 6
 
 
 class TestModelRegistry:
@@ -513,17 +551,19 @@ class TestInferenceServer:
             assert registry.get("repro_serve_requests_total", labels) is not None
             assert registry.get("repro_serve_response_cache_misses_total",
                                 labels) is not None
-            batcher = server._batchers["ephemeral"]
+            serving = [t for t in threading.enumerate() if "ephemeral" in t.name]
+            assert serving
             server.unregister("ephemeral")
-            # Plumbing is gone: batcher closed, instruments deregistered,
-            # the name no longer served.
+            # Plumbing is gone: serving threads stopped, instruments
+            # deregistered, the name no longer served.
             assert registry.get("repro_serve_requests_total", labels) is None
             assert registry.get("repro_serve_response_cache_misses_total",
                                 labels) is None
-            with pytest.raises(RuntimeError):
-                batcher.submit(sample)
+            assert not [t for t in serving if t.is_alive()]
             with pytest.raises(KeyError):
                 server.submit("ephemeral", sample)
+            with pytest.raises(KeyError):
+                server.stats("ephemeral")
 
     def test_unregister_single_version_keeps_serving(self, tiny_engine, rng):
         sample = rng.random(SAMPLE_SHAPE).astype(np.float32)
@@ -657,7 +697,7 @@ class TestInferenceServer:
         assert [type(exc) for exc in errors] == [RuntimeError]
         leaked = [t for t in threading.enumerate()
                   if t not in before and t.is_alive()
-                  and t.name.startswith("micro-batcher")]
+                  and t.name.startswith(("fleet-replica-", "fleet-supervisor-"))]
         assert leaked == []
 
     def test_pipeline_result_is_directly_servable(self, tiny_static_dataset):
